@@ -9,7 +9,6 @@ the robust cost.  Writes a CSV next to the printed table.
 
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +16,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from mspc.cli import _identify_all, _probe_and_simulate, load_config, make_system  # noqa: E402
-from mspc.ocp import build_robust_socp_multistep, build_tightening_table  # noqa: E402
-from mspc.solver import solve  # noqa: E402
+from mspc.cli import load_config, make_system, robust_at_length  # noqa: E402
 
 LENGTHS = (100, 200, 400, 800, 1600)
 SEEDS = 5
@@ -28,25 +25,13 @@ SEEDS = 5
 def main() -> int:
     cfg = load_config(REPO / "configs" / "two_state.json")
     sys_true = make_system(cfg)
-    spec = cfg.ocp_spec
     rows = []
     for t_len in LENGTHS:
         scales, costs, backoffs = [], [], []
         for seed in range(SEEDS):
-            sub = replace(
-                cfg,
-                ident_settings=replace(cfg.ident_settings, T=t_len),
-                master_seed=cfg.master_seed + 7919 * (seed + 1),
+            table, sol = robust_at_length(
+                cfg, sys_true, t_len, cfg.master_seed + 7919 * (seed + 1)
             )
-            traj = _probe_and_simulate(sub, sys_true)
-            estimates, gw = _identify_all(sub, sys_true, traj)
-            table = build_tightening_table(
-                spec, estimates, gw, sys_true.sigma_w, cfg.ident_settings.delta
-            )
-            prog = build_robust_socp_multistep(
-                estimates, spec, cfg.ident_settings.delta, gw, sys_true.sigma_w, table=table
-            )
-            sol = solve(prog)
             scales.append(np.mean([
                 table.radius[k] * np.linalg.norm(table.sigma_theta_half[k])
                 for k in table.radius

@@ -1,7 +1,15 @@
 """Config-driven command line for end-to-end experiments.
 
-Subcommands: simulate, identify, solve, validate, pipeline, compare.  A
-single JSON config describes the system (inline matrices or a seeded
+The loop runs as one list of stages, ``STAGES``: system, simulate,
+identify, tightening, solve_robust, reference, validate.  The subcommands
+simulate, identify and solve run that list up to simulate, identify and
+solve_robust; pipeline runs all of it.  Each writes report.json and
+timings.json and exits 0 when every stage it requested succeeded (with the
+robust solve Optimal and the certification holding), 1 otherwise.  compare
+adds the cross-parametrization and robustness studies.  A config error
+exits 2.
+
+A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, and the
 validation budget.  Reports are emitted as JSON/CSV; everything a report
 contains is a deterministic function of (config, master seed), so repeated
@@ -220,99 +228,56 @@ def _identify_all(cfg: ExperimentConfig, sys_true: LinearSystem,
     return estimates, gw
 
 
+def robust_at_length(cfg: ExperimentConfig, sys_true: LinearSystem, t_len: int,
+                     master_seed: int) -> "tuple[ocp.TighteningTable, solver.Solution]":
+    """Identify from a fresh record of length ``t_len``, tighten and solve the robust program."""
+    sub = replace(
+        cfg,
+        ident_settings=replace(cfg.ident_settings, T=int(t_len)),
+        master_seed=master_seed,
+    )
+    estimates, gw = _identify_all(sub, sys_true, _probe_and_simulate(sub, sys_true))
+    delta = cfg.ident_settings.delta
+    table = ocp.build_tightening_table(cfg.ocp_spec, estimates, gw, sys_true.sigma_w, delta)
+    prog = ocp.build_robust_socp_multistep(
+        estimates, cfg.ocp_spec, delta, gw, sys_true.sigma_w, table=table
+    )
+    return table, solver.solve(prog)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+STAGES = ("system", "simulate", "identify", "tightening", "solve_robust", "reference", "validate")
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    sys_true = make_system(cfg)
-    traj = _probe_and_simulate(cfg, sys_true)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    system.save_system(sys_true, out_dir / "system.json")
-    system.save_trajectory(traj, out_dir / "trajectory.csv")
-    return {"trajectory": str(out_dir / "trajectory.csv"), "T": traj.T}
-
-
-def cmd_identify(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    sys_true = make_system(cfg)
-    traj = _probe_and_simulate(cfg, sys_true)
-    estimates, _ = _identify_all(cfg, sys_true, traj)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ident.save_estimates(estimates, out_dir / "estimates.json", delta=cfg.ident_settings.delta)
-    return {
-        "estimates": str(out_dir / "estimates.json"),
-        "k_max": len(estimates),
-        "dof": [est.dof for est in estimates],
-    }
+# Each pipeline subcommand runs the stage list up to and including its stage.
+PREFIX_COMMANDS = {
+    "simulate": "simulate",
+    "identify": "identify",
+    "solve": "solve_robust",
+    "pipeline": "validate",
+}
 
 
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path, program_path=None) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if program_path is not None:
-        prog = ocp.load_program(program_path)
-        sol = solver.solve(prog)
-        solver.save_solution(sol, out_dir / "solution.json")
-        return {"status": sol.status, "objective": sol.objective}
-    sys_true = make_system(cfg)
-    spec = cfg.ocp_spec
-    prog_ss = ocp.build_nominal_qp_statespace(sys_true, spec)
-    prog_ms = ocp.build_nominal_qp_multistep(
-        system.build_multistep(sys_true, spec.horizon), spec
-    )
-    sol_ss = solver.solve(prog_ss)
-    sol_ms = solver.solve(prog_ms)
-    ocp.save_program(prog_ss, out_dir / "program_statespace.json")
-    ocp.save_program(prog_ms, out_dir / "program_multistep.json")
-    solver.save_solution(sol_ss, out_dir / "solution_statespace.json")
-    solver.save_solution(sol_ms, out_dir / "solution_multistep.json")
-    return {
-        "statespace": {"status": sol_ss.status, "objective": sol_ss.objective},
-        "multistep": {"status": sol_ms.status, "objective": sol_ms.objective},
-    }
+def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
+                 last: str = STAGES[-1]) -> tuple[dict, bool]:
+    """Run ``STAGES`` up to and including ``last``; write report.json and timings.json.
 
-
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, solution_path=None) -> tuple[dict, bool]:
-    """Certify a stored input sequence; falls back to solving the nominal QP."""
-    sys_true = make_system(cfg)
-    spec = cfg.ocp_spec
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if solution_path is None and (out_dir / "solution_robust.json").exists():
-        solution_path = out_dir / "solution_robust.json"
-    if solution_path is not None:
-        sol = solver.load_solution(solution_path)
-    else:
-        sol = solver.solve(ocp.build_nominal_qp_statespace(sys_true, spec))
-    if sol.primal is None:
-        return {"error": f"no primal point to validate (status {sol.status})"}, False
-    u = np.asarray(sol.primal)[: spec.horizon * spec.m]
-    rng = Rng(cfg.validation.master_seed, 0)
-    report = validate.estimate_violation(sys_true, u, spec, cfg.validation.n_samples, rng)
-    validate.save_violation_csv(report, out_dir / "violations_true.csv")
-    budget = 1.0 - spec.p
-    ok = report.certifies(budget, cfg.validation.margin)
-    doc = {
-        "mode": report.mode,
-        "budget": budget,
-        "margin": cfg.validation.margin,
-        "worst_upper99": report.worst_upper99,
-        "certified": ok,
-        "report": validate.violation_report_to_json(report),
-    }
-    (out_dir / "validation.json").write_text(json.dumps(doc, indent=2) + "\n")
-    return doc, ok
-
-
-def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
-    """simulate -> identify -> tighten -> solve -> reference -> certify."""
+    A stage runs only when it is requested and the results it needs exist.
+    The run passes when every requested stage ran without error, the robust
+    solve (if requested) is Optimal and the certification (if requested)
+    holds.
+    """
+    requested = STAGES[: STAGES.index(last) + 1]
     out_dir.mkdir(parents=True, exist_ok=True)
     report: dict = {"config": cfg.raw, "master_seed": cfg.master_seed, "stages": {}}
     timings: dict = {}
     spec = cfg.ocp_spec
-    passed = True
 
     def run_stage(name, fn):
-        nonlocal passed
+        if name not in requested:
+            return None
         start = time.perf_counter()
         try:
             result = fn()
@@ -320,7 +285,6 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
             return result
         except MspcError as exc:
             report["stages"][name] = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            passed = False
             return None
         finally:
             timings[name] = time.perf_counter() - start
@@ -382,23 +346,21 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
         sol_robust = run_stage("solve_robust", _solve_robust)
         if sol_robust is not None:
             report["robust_solution"] = solver.solution_to_json(sol_robust)
-            if sol_robust.status != "Optimal":
-                passed = False
 
-    if sys_true is not None:
+    if estimates is not None:
         def _reference():
             eq = validate.equivalence_check(sys_true, spec)
             est_model = ident.model_from_estimates(estimates, gw, sys_true.sigma_w)
             sol_est = solver.solve(ocp.build_nominal_qp_multistep(est_model, spec))
             return eq, sol_est
 
-        ref = run_stage("reference", _reference) if estimates is not None else None
+        ref = run_stage("reference", _reference)
         if ref is not None:
             eq, sol_est = ref
             report["equivalence_true_system"] = validate.equivalence_report_to_json(eq)
             report["nominal_on_estimated_model"] = solver.solution_to_json(sol_est)
 
-    certification = None
+    certified = False
     if sol_robust is not None and sol_robust.primal is not None:
         def _certify():
             u = sol_robust.primal[: spec.horizon * spec.m]
@@ -431,11 +393,13 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
                 "parametric": validate.violation_report_to_json(rep_par),
                 "true_system": validate.violation_report_to_json(rep_true),
             }
-            if not certified:
-                passed = False
-    elif sol_robust is None:
-        passed = False
 
+    succeeded = [name for name, stage in report["stages"].items() if stage["ok"]]
+    passed = (
+        succeeded == list(requested)
+        and ("solve_robust" not in requested or sol_robust.status == "Optimal")
+        and ("validate" not in requested or certified)
+    )
     report["passed"] = passed
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
@@ -489,20 +453,9 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
     sweep_rows = []
     for t_len in cfg.compare.t_sweep:
         for seed in range(cfg.compare.sweep_seeds):
-            sub = replace(
-                cfg,
-                ident_settings=replace(cfg.ident_settings, T=int(t_len)),
-                master_seed=cfg.master_seed + 1000 * (seed + 1),
+            table_s, sol_s = robust_at_length(
+                cfg, sys_true, t_len, cfg.master_seed + 1000 * (seed + 1)
             )
-            traj_s = _probe_and_simulate(sub, sys_true)
-            est_s, gw_s = _identify_all(sub, sys_true, traj_s)
-            table_s = ocp.build_tightening_table(
-                spec, est_s, gw_s, sys_true.sigma_w, cfg.ident_settings.delta
-            )
-            prog_s = ocp.build_robust_socp_multistep(
-                est_s, spec, cfg.ident_settings.delta, gw_s, sys_true.sigma_w, table=table_s
-            )
-            sol_s = solver.solve(prog_s)
             param_terms = [
                 table_s.radius[k] * float(np.linalg.norm(table_s.sigma_theta_half[k]))
                 for k in range(1, spec.horizon + 1)
@@ -576,17 +529,13 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mspc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "identify", "solve", "validate", "pipeline", "compare"):
+    for name in (*PREFIX_COMMANDS, "compare"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--samples", type=int, default=None,
                        help="override the validation sample count")
-        if name == "solve":
-            p.add_argument("--program", default=None, help="solve a stored program JSON")
-        if name == "validate":
-            p.add_argument("--solution", default=None, help="solution JSON to certify")
     args = parser.parse_args(argv)
 
     try:
@@ -596,38 +545,20 @@ def main(argv=None) -> int:
         return 2
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
 
-    if args.command == "simulate":
-        result = cmd_simulate(cfg, out_dir)
-        print(json.dumps(result, indent=2))
-        return 0
-    if args.command == "identify":
-        result = cmd_identify(cfg, out_dir)
-        print(json.dumps(result, indent=2))
-        return 0
-    if args.command == "solve":
-        result = cmd_solve(cfg, out_dir, program_path=args.program)
-        print(json.dumps(result, indent=2))
-        return 0
-    if args.command == "validate":
-        result, ok = cmd_validate(cfg, out_dir, solution_path=args.solution)
-        print(json.dumps({k: v for k, v in result.items() if k != "report"}, indent=2))
-        return 0 if ok else 1
-    if args.command == "pipeline":
-        report, ok = cmd_pipeline(cfg, out_dir)
-        summary = {
-            "stages": report["stages"],
-            "passed": report["passed"],
-        }
-        if "certification" in report:
-            summary["worst_upper99"] = report["certification"]["worst_upper99_parametric"]
-            summary["certified"] = report["certification"]["certified"]
-        print(json.dumps(summary, indent=2))
-        return 0 if ok else 1
     if args.command == "compare":
         doc, ok = cmd_compare(cfg, out_dir)
         print(json.dumps({"equivalence": doc["equivalence"], "passed": doc["passed"]}, indent=2))
         return 0 if ok else 1
-    return 2
+    report, ok = cmd_pipeline(cfg, out_dir, PREFIX_COMMANDS[args.command])
+    summary = {
+        "stages": report["stages"],
+        "passed": report["passed"],
+    }
+    if "certification" in report:
+        summary["worst_upper99"] = report["certification"]["worst_upper99_parametric"]
+        summary["certified"] = report["certification"]["certified"]
+    print(json.dumps(summary, indent=2))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ from .errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSymmetr
 SYMMETRY_RTOL = 1e-12
 PSD_CLIP_RTOL = 1e-8
 
-kron = np.kron
-
 
 def vec(a: np.ndarray) -> np.ndarray:
     """Stack the columns of ``a`` into a single vector."""
@@ -125,68 +123,18 @@ def chi2_cdf(dof: int, x: float) -> float:
     return float(special.gammainc(dof / 2.0, x / 2.0))
 
 
-def chi2_pdf(dof: int, x: float) -> float:
-    """Density of the chi-squared distribution."""
-    _check_dof(dof)
-    if x < 0.0:
-        return 0.0
-    half = dof / 2.0
-    if x == 0.0:
-        if dof == 1:
-            return math.inf
-        if dof == 2:
-            return 0.5
-        return 0.0
-    log_pdf = (half - 1.0) * math.log(x) - x / 2.0 - special.gammaln(half) - half * math.log(2.0)
-    return float(math.exp(log_pdf))
-
-
 def chi2_quantile(dof: int, prob: float) -> float:
     """Quantile of the chi-squared distribution.
 
-    Inverts the regularized lower incomplete gamma function with a
-    safeguarded Newton iteration started from the Wilson-Hilferty
-    approximation.  The returned value q satisfies |CDF(q) - prob| <= 1e-12
-    (well inside the 1e-10 contract).
+    Inverts the regularized lower incomplete gamma function with
+    ``scipy.special.gammaincinv``.  Over dof 1..400 and prob in
+    [1e-6, 1 - 1e-6] the returned q satisfies |CDF(q) - prob| < 1e-14 (well
+    inside the 1e-10 contract).
     """
     _check_dof(dof)
     if not (0.0 <= prob < 1.0):
         raise DomainError(f"probability must lie in [0, 1), got {prob}")
-    if prob == 0.0:
-        return 0.0
-
-    d = float(dof)
-    z = float(special.ndtri(prob))
-    x = d * (1.0 - 2.0 / (9.0 * d) + z * math.sqrt(2.0 / (9.0 * d))) ** 3
-    if not math.isfinite(x) or x <= 0.0:
-        x = d * 1e-3
-
-    # Bracket the root: lo has CDF < prob, hi has CDF >= prob.
-    lo, hi = 0.0, max(x, 1.0)
-    for _ in range(400):
-        if chi2_cdf(dof, hi) >= prob:
-            break
-        lo, hi = hi, hi * 2.0
-    x = min(max(x, lo + 0.25 * (hi - lo)), hi)
-
-    for _ in range(200):
-        f = chi2_cdf(dof, x) - prob
-        if f >= 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-        if abs(f) <= 1e-13 or (hi - lo) <= 1e-15 * max(hi, 1.0):
-            break
-        dfdx = chi2_pdf(dof, x)
-        if dfdx > 0.0 and math.isfinite(dfdx):
-            step = f / dfdx
-            x_new = x - step
-        else:
-            x_new = math.nan
-        if not (lo < x_new < hi) or not math.isfinite(x_new):
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    return float(x)
+    return float(2.0 * special.gammaincinv(dof / 2.0, prob))
 
 
 def _check_dof(dof: int) -> None:

@@ -502,7 +502,6 @@ def build_robust_socp_multistep(
     gw: "list[np.ndarray]",
     sigma_w: np.ndarray,
     table: "TighteningTable | None" = None,
-    use_upper: bool = False,
 ) -> ConicProgram:
     """Robust program on the estimated multi-step model.
 
@@ -521,7 +520,6 @@ def build_robust_socp_multistep(
     dim = n_u * m
     x0 = spec.init.mean
     lin_rows, lin_offs, soc_rows = [], [], []
-    h_table = table.h_upper if use_upper else table.h_exact
     for k in range(1, n_u + 1):
         est = estimates[k - 1]
         g0_hat, gu_hat = est.g0_hat(), est.gu_hat()
@@ -531,7 +529,7 @@ def build_robust_socp_multistep(
             h = spec.h_x[j]
             c_vec = np.zeros(dim)
             c_vec[: k * m] = -(h @ gu_hat)
-            d_off = 1.0 - table.c_ptilde * h_table[(j, k)] - float(h @ (g0_hat @ x0))
+            d_off = 1.0 - table.c_ptilde * table.h_exact[(j, k)] - float(h @ (g0_hat @ x0))
             if rad > 0.0 and np.any(s_half):
                 if est.structure == STRUCTURE_FIR:
                     kr = rad * (s_half @ np.kron(np.eye(k * m), h[:, None]))
@@ -572,7 +570,7 @@ def build_robust_socp_multistep(
             "p": spec.p,
             "delta": delta,
             "p_tilde": table.p_tilde,
-            "backoff": "upper" if use_upper else "exact",
+            "backoff": "exact",
         },
     )
     prog.check_shapes()

@@ -576,16 +576,7 @@ def _polish_linear(
         return None
     dual = np.zeros(g_mat.shape[0])
     dual[active] = np.maximum(nu, 0.0)
-    canon_polished = _Canonical(
-        p_mat=canon.p_mat,
-        q_vec=canon.q_vec,
-        g_mat=g_mat,
-        h_vec=h_vec,
-        cone=canon.cone,
-        n_lin_orig=canon.n_lin_orig,
-        soc_map=canon.soc_map,
-    )
-    dual_lin, dual_soc = _split_duals(canon_polished, dual)
+    dual_lin, dual_soc = _split_duals(canon, dual)
     return Solution(
         status="Optimal",
         primal=z_new,
@@ -662,29 +653,6 @@ def solution_to_json(sol: Solution) -> dict:
     return doc
 
 
-def solution_from_json(doc: dict) -> Solution:
-    kkt = None
-    if "kkt" in doc:
-        kkt = KktResiduals(
-            stationarity=doc["kkt"]["stationarity"],
-            primal=doc["kkt"]["primal"],
-            complementarity=doc["kkt"]["complementarity"],
-        )
-    return Solution(
-        status=doc["status"],
-        primal=None if doc["primal"] is None else np.asarray(doc["primal"], dtype=float),
-        objective=doc["objective"],
-        dual_lin=np.asarray(doc["dual_lin"], dtype=float) if "dual_lin" in doc else None,
-        dual_soc=[np.asarray(d, dtype=float) for d in doc.get("dual_soc", [])],
-        kkt=kkt,
-        iterations=doc.get("iterations", 0),
-        gap=doc.get("gap"),
-    )
-
-
 def save_solution(sol: Solution, path: "str | Path") -> None:
     Path(path).write_text(json.dumps(solution_to_json(sol), indent=2) + "\n")
 
-
-def load_solution(path: "str | Path") -> Solution:
-    return solution_from_json(json.loads(Path(path).read_text()))

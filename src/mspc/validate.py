@@ -394,14 +394,13 @@ def conservatism_report(
     rng: Rng,
     n_samples: int = 100_000,
     solver_opts: "SolverOptions | None" = None,
-    use_upper: bool = False,
 ) -> ConservatismReport:
     """Quantify slack between the robust back-offs and realized violations."""
     model = build_multistep(sys_true, spec.horizon)
     gw = [model.step(k)[2] for k in range(1, spec.horizon + 1)]
     table = build_tightening_table(spec, estimates, gw, sys_true.sigma_w, delta)
     prog = build_robust_socp_multistep(
-        estimates, spec, delta, gw, sys_true.sigma_w, table=table, use_upper=use_upper
+        estimates, spec, delta, gw, sys_true.sigma_w, table=table
     )
     sol = solve(prog, solver_opts)
     budget = 1.0 - spec.p

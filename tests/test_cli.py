@@ -3,16 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mspc.cli import (
-    cmd_compare,
-    cmd_identify,
-    cmd_pipeline,
-    cmd_simulate,
-    cmd_solve,
-    cmd_validate,
-    main,
-    parse_config,
-)
+from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_compare, cmd_pipeline, main, parse_config
 from mspc.errors import DeltaTooSmall
 from mspc.system import load_trajectory
 
@@ -75,8 +66,8 @@ def test_simulate_deterministic_and_shapes(tmp_path):
     doc["identification"]["T"] = 100
     cfg = parse_config(doc)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    cmd_simulate(cfg, out1)
-    cmd_simulate(cfg, out2)
+    cmd_pipeline(cfg, out1, "simulate")
+    cmd_pipeline(cfg, out2, "simulate")
     b1 = (out1 / "trajectory.csv").read_bytes()
     b2 = (out2 / "trajectory.csv").read_bytes()
     assert b1 == b2
@@ -88,8 +79,9 @@ def test_simulate_deterministic_and_shapes(tmp_path):
 
 def test_identify_writes_estimates(tmp_path):
     cfg = parse_config(quick_config())
-    result = cmd_identify(cfg, tmp_path)
-    assert result["k_max"] == 4
+    report, ok = cmd_pipeline(cfg, tmp_path, "identify")
+    assert ok
+    assert len(report["estimates"]) == 4
     docs = json.loads((tmp_path / "estimates.json").read_text())
     assert [d["k"] for d in docs] == [1, 2, 3, 4]
     assert docs[0]["dof"] == 2 * 2 + 2 * 1  # n^2 + n k m at k = 1
@@ -143,21 +135,46 @@ def test_delta_one_without_zero_cov_rejected():
         parse_config(doc)
 
 
-def test_solve_and_validate_chain(tmp_path):
-    cfg = parse_config(quick_config())
-    result = cmd_solve(cfg, tmp_path)
-    assert result["statespace"]["status"] == "Optimal"
-    assert result["multistep"]["status"] == "Optimal"
-    assert abs(result["statespace"]["objective"] - result["multistep"]["objective"]) <= 1e-6
-    doc, ok = cmd_validate(cfg, tmp_path, solution_path=tmp_path / "solution_statespace.json")
-    assert ok
-    assert doc["certified"]
+@pytest.fixture(scope="module")
+def full_pipeline_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("full")
+    path = write_config(tmp, quick_config())
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp / "out")]) == 0
+    return tmp / "out"
 
 
-def test_validate_solves_nominal_when_no_solution(tmp_path):
-    cfg = parse_config(quick_config())
-    doc, ok = cmd_validate(cfg, tmp_path)
-    assert ok and doc["mode"] == "noise_only"
+@pytest.mark.parametrize("command", ["simulate", "identify", "solve"])
+def test_prefix_subcommands_match_pipeline(tmp_path, full_pipeline_dir, command):
+    path = write_config(tmp_path, quick_config())
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    last = PREFIX_COMMANDS[command]
+    assert list(report["stages"]) == list(STAGES[: STAGES.index(last) + 1])
+    assert report["passed"]
+    # The prefix report is the full report cut after the prefix's last stage.
+    full_report = json.loads((full_pipeline_dir / "report.json").read_text())
+    for key, value in report.items():
+        if key not in ("stages", "passed"):
+            assert value == full_report[key], key
+    for written in out.iterdir():
+        if written.name not in ("report.json", "timings.json"):
+            assert written.read_bytes() == (full_pipeline_dir / written.name).read_bytes(), (
+                written.name
+            )
+
+
+def test_identify_failure_is_recorded_not_raised(tmp_path, capsys):
+    doc = quick_config()
+    doc["identification"]["T"] = 5  # far too short: identification must fail
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["identify", "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["stages"]["identify"]["ok"] is False
+    assert report["stages"]["identify"]["error"].startswith("InsufficientData")
+    assert not report["passed"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_compare_outputs(tmp_path):
