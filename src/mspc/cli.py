@@ -4,18 +4,19 @@ The loop runs as one list of stages, ``STAGES``: system, simulate,
 identify, tightening, solve_robust, reference, validate.  The subcommands
 simulate, identify and solve run that list up to simulate, identify and
 solve_robust; pipeline runs all of it.  Each writes report.json and
-timings.json and exits 0 when every stage it requested succeeded (with the
-robust solve Optimal and the certification holding), 1 otherwise.  compare
-adds the cross-parametrization and robustness studies.  A config error
-exits 2.
+timings.json.  The exit code is 0 when every stage it requested succeeded
+(with the robust solve Optimal and the certification holding), 2 when the
+config or a stage rejected its input (a typed ``MspcError``, recorded in
+report.json), and 1 otherwise: a robust solve that is not Optimal or a
+certification that fails.  compare adds the cross-parametrization and
+robustness studies.
 
 A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, and the
 validation budget.  Reports are emitted as JSON/CSV; everything a report
 contains is a deterministic function of (config, master seed), so repeated
 runs are byte-identical.  Wall-clock timings go to a separate file to keep
-the reports reproducible.  The MSPC_THREADS environment variable sets the
-number of worker threads used for validation batches.
+the reports reproducible.
 """
 
 from __future__ import annotations
@@ -558,6 +559,8 @@ def main(argv=None) -> int:
         summary["worst_upper99"] = report["certification"]["worst_upper99_parametric"]
         summary["certified"] = report["certification"]["certified"]
     print(json.dumps(summary, indent=2))
+    if any(not stage["ok"] for stage in report["stages"].values()):
+        return 2
     return 0 if ok else 1
 
 

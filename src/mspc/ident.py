@@ -95,6 +95,36 @@ class ParameterEstimate:
             return unvec(self.theta, self.n, self.k * self.m)
         return unvec(self.theta, self.n, self.n + self.k * self.m)[:, self.n:]
 
+    def regressor(self, x0: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """z_k with x_k = G_k z_k: [x0; u] (u alone for FIR), for one x0 or a batch.
+
+        The inputs ``u`` (k*m values) always fill the last k*m entries.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        u = np.asarray(u, dtype=float).ravel()
+        if u.size != self.k * self.m or x0.shape[-1] != self.n:
+            raise DimensionMismatch(f"need {self.n} states and {self.k * self.m} inputs")
+        u = np.broadcast_to(u, x0.shape[:-1] + u.shape)
+        if self.structure == STRUCTURE_FIR:
+            return u.copy()
+        return np.concatenate([x0, u], axis=-1)
+
+    def row_moments(self, h: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Mean map g and covariance M of the row prediction h' G_k z = (z kron h)' theta_k.
+
+        With theta_k ~ N(theta, cov), h' G_k z is Gaussian with mean z' g and
+        variance z' M z, where g = G_hat' h and M = (I kron h)' cov (I kron h)
+        is cols x cols.  ``h`` is one row (n,), giving g (cols,) and M
+        (cols, cols), or a stack (rows, n), giving g (cols, rows) and M
+        (rows, cols, cols).
+        """
+        h = np.asarray(h, dtype=float)
+        cols = self.dof // self.n
+        g = self.theta.reshape(cols, self.n) @ h.T
+        blocks = self.cov.reshape(cols, self.n, cols, self.n)
+        m_mat = np.einsum("aibj,...i,...j->...ab", blocks, h, h)
+        return g, 0.5 * (m_mat + np.swapaxes(m_mat, -1, -2))
+
 
 @dataclass(frozen=True)
 class ConfidenceEllipsoid:

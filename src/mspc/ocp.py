@@ -34,6 +34,7 @@ from .linalg import (
     diag_repeat,
     generator_of,
     max_norm_affine_over_ball,
+    psd_sqrt_factor,
     sym_sqrt,
 )
 from .system import GaussianBelief, LinearSystem, MultiStepModel
@@ -506,9 +507,12 @@ def build_robust_socp_multistep(
     """Robust program on the estimated multi-step model.
 
     Each state row carries the inflated chance level p/delta, the constant
-    worst-case variance back-off, and a cone term that is linear in the
-    decisions through the stacked [x0; u] kronecker structure.  Rows whose
-    parameter covariance is exactly zero degrade to linear rows.
+    worst-case variance back-off, and the cone term r_k ||L' z_k|| with
+    L L' = M_jk the row covariance of the estimate (see
+    :meth:`ParameterEstimate.row_moments`); z_k is affine in the decisions,
+    which fill its last k*m entries, so each cone row has at most dof_k / n
+    rows.  Rows whose parameter covariance is exactly zero degrade to
+    linear rows.
     """
     if delta <= spec.p:
         raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
@@ -522,26 +526,18 @@ def build_robust_socp_multistep(
     lin_rows, lin_offs, soc_rows = [], [], []
     for k in range(1, n_u + 1):
         est = estimates[k - 1]
-        g0_hat, gu_hat = est.g0_hat(), est.gu_hat()
-        s_half = table.sigma_theta_half[k]
         rad = table.radius[k]
-        for j in range(spec.n_rows):
-            h = spec.h_x[j]
+        z_free = est.regressor(x0, np.zeros(k * m))
+        for j, h in enumerate(spec.h_x):
+            g, m_mat = est.row_moments(h)
             c_vec = np.zeros(dim)
-            c_vec[: k * m] = -(h @ gu_hat)
-            d_off = 1.0 - table.c_ptilde * table.h_exact[(j, k)] - float(h @ (g0_hat @ x0))
-            if rad > 0.0 and np.any(s_half):
-                if est.structure == STRUCTURE_FIR:
-                    kr = rad * (s_half @ np.kron(np.eye(k * m), h[:, None]))
-                    f_mat = np.zeros((est.dof, dim))
-                    f_mat[:, : k * m] = kr
-                    g_vec = np.zeros(est.dof)
-                else:
-                    kr = rad * (s_half @ np.kron(np.eye(n + k * m), h[:, None]))
-                    f_mat = np.zeros((est.dof, dim))
-                    f_mat[:, : k * m] = kr[:, n:]
-                    g_vec = kr[:, :n] @ x0
-                soc_rows.append(SocRow(f_mat=f_mat, g_vec=g_vec, c_vec=c_vec, d_off=d_off))
+            c_vec[: k * m] = -g[g.size - k * m:]
+            d_off = 1.0 - table.c_ptilde * table.h_exact[(j, k)] - float(z_free @ g)
+            if rad > 0.0 and np.any(table.sigma_theta_half[k]):
+                lt = rad * psd_sqrt_factor(m_mat).T
+                f_mat = np.zeros((lt.shape[0], dim))
+                f_mat[:, : k * m] = lt[:, lt.shape[1] - k * m:]
+                soc_rows.append(SocRow(f_mat=f_mat, g_vec=lt @ z_free, c_vec=c_vec, d_off=d_off))
             else:
                 lin_rows.append(-c_vec)
                 lin_offs.append(d_off)

@@ -2,20 +2,20 @@
 
 Chance-constraint certification counts violations per constraint row and
 horizon step under two sampling modes: noise only (fixed true system) and
-noise plus parameters (per-step predictor matrices redrawn from the
-estimated Gaussian each sample).  Exact Clopper-Pearson upper bounds turn
-the counts into one-sided certificates.  Sampling is organized in
-fixed-size batches with per-batch derived streams, so reports are
-byte-identical for a given master seed regardless of how many worker
-threads evaluate the batches.
+noise plus parameters (per-step predictors drawn from the estimated
+Gaussian).  Both modes run one counter on multi-step predictors: given x0
+and w, row j at step k is Gaussian in the parameters with the moments of
+:meth:`ParameterEstimate.row_moments`, so each (row, step) count has its
+exact law and the exact Clopper-Pearson upper bounds turn the counts into
+one-sided certificates.  Sampling runs in fixed-size batches, in order,
+each with its own stream derived from the master seed, so reports are
+byte-identical for a given seed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from scipy import stats
 from .errors import DimensionMismatch, SingularInformation
 from .ident import (
     ParameterEstimate,
-    STRUCTURE_FIR,
     STRUCTURE_FULL,
     estimate_predictor,
     state_space_ls,
@@ -43,15 +42,6 @@ from .solver import SolverOptions, solve
 from .system import GaussianBelief, LinearSystem, build_multistep, simulate
 
 _BATCH = 4096
-_THREADS_ENV = "MSPC_THREADS"
-
-
-def thread_count() -> int:
-    """Worker threads for batch evaluation, from the environment (default 1)."""
-    try:
-        return max(1, int(os.environ.get(_THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
@@ -125,13 +115,14 @@ def estimate_violation(
     spec: OcpSpec,
     n_samples: int,
     rng: Rng,
-    threads: "int | None" = None,
 ) -> ViolationReport:
     """Empirical per-(row, step) violation rates of H_j' x_k <= 1.
 
     ``truth`` selects the sampling mode: a :class:`LinearSystem` propagates
-    noise through the fixed system; a :class:`SampledParameterTruth` draws
-    the k-step predictor parameters per sample on top of the x0/w noise.
+    noise through the fixed system (its exact predictors with zero parameter
+    covariance); a :class:`SampledParameterTruth` adds, per sample, row and
+    step, the Gaussian parametric term of the estimate on top of the x0/w
+    noise.
     """
     if n_samples < 1000:
         raise DimensionMismatch("certification needs at least 1000 samples")
@@ -140,31 +131,19 @@ def estimate_violation(
     if u.size < n_u * m:
         raise DimensionMismatch(f"input sequence must cover {n_u} steps of {m} inputs")
     u = u[: n_u * m]
-    mode = "noise_only" if isinstance(truth, LinearSystem) else "noise_and_parameters"
-    if mode == "noise_and_parameters":
+    if isinstance(truth, LinearSystem):
+        mode = "noise_only"
+        truth = _exact_predictors(truth, n_u)
+    else:
+        mode = "noise_and_parameters"
         if len(truth.estimates) < n_u or len(truth.gw) < n_u:
             raise DimensionMismatch("need one estimate and Gw per horizon step")
 
-    sizes = _batch_sizes(n_samples)
-    workers = thread_count() if threads is None else max(1, threads)
-
-    x0_factor = psd_sqrt_factor(spec.init.cov)
-    if mode == "noise_only":
-        w_factor = psd_sqrt_factor(truth.sigma_w)
-        count_batch = _make_noise_only_counter(truth, u, spec, x0_factor, w_factor)
-    else:
-        w_factor = psd_sqrt_factor(truth.sigma_w)
-        count_batch = _make_parameter_counter(truth, u, spec, x0_factor, w_factor)
-
-    def run(batch_index: int) -> np.ndarray:
-        gen = _batch_generator(rng, batch_index)
-        return count_batch(gen, sizes[batch_index])
-
-    if workers == 1:
-        counts = sum(run(b) for b in range(len(sizes)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run, range(len(sizes))))
+    count_batch = _make_counter(truth, u, spec)
+    counts = sum(
+        count_batch(_batch_generator(rng, b), size)
+        for b, size in enumerate(_batch_sizes(n_samples))
+    )
 
     entries = []
     for k in range(0, n_u + 1):
@@ -183,54 +162,49 @@ def estimate_violation(
     return ViolationReport(mode=mode, n_samples=n_samples, entries=entries)
 
 
-def _make_noise_only_counter(sys: LinearSystem, u: np.ndarray, spec: OcpSpec,
-                             x0_factor: np.ndarray, w_factor: np.ndarray):
-    n_u = spec.horizon
+def _exact_predictors(sys: LinearSystem, horizon: int) -> SampledParameterTruth:
+    """The true system's k-step predictors as estimates with zero covariance."""
+    model = build_multistep(sys, horizon)
+    estimates = []
+    for k in range(1, horizon + 1):
+        g0, gu, _ = model.step(k)
+        theta = true_theta(g0, gu)
+        estimates.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
+                                           cov=np.zeros((theta.size, theta.size)),
+                                           n=sys.n, m=sys.m))
+    return SampledParameterTruth(estimates=estimates, gw=model.gw, sigma_w=sys.sigma_w)
+
+
+def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
+    """Per-batch counter of H_j' x_k > 1 over all rows j and steps k.
+
+    Given x0 and w, row j at step k is z' g + sqrt(z' M z) xi + H_j' Gw_k w
+    with (g, M) the estimate's row moments and one standard normal xi per
+    (sample, row, step); xi is drawn only for steps with M != 0.
+    """
+    n_u, m = spec.horizon, spec.m
     h_x = spec.h_x
-
-    def count(gen: np.random.Generator, size: int) -> np.ndarray:
-        counts = np.zeros((n_u + 1, spec.n_rows), dtype=np.int64)
-        x = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T
-        w = gen.standard_normal((size, n_u, w_factor.shape[1]))
-        counts[0] = np.count_nonzero(x @ h_x.T > 1.0, axis=0)
-        for k in range(1, n_u + 1):
-            uk = u[(k - 1) * spec.m: k * spec.m]
-            x = x @ sys.A.T + sys.B @ uk + (w[:, k - 1] @ w_factor.T) @ sys.E.T
-            counts[k] = np.count_nonzero(x @ h_x.T > 1.0, axis=0)
-        return counts
-
-    return count
-
-
-def _make_parameter_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec,
-                            x0_factor: np.ndarray, w_factor: np.ndarray):
-    n_u, n, m = spec.horizon, spec.n, spec.m
-    h_x = spec.h_x
-    q = truth.sigma_w.shape[0]
-    theta_factors = [psd_sqrt_factor(est.cov) for est in truth.estimates[:n_u]]
+    x0_factor = psd_sqrt_factor(spec.init.cov)
+    w_factor = psd_sqrt_factor(truth.sigma_w)
+    steps = []
+    for k in range(1, n_u + 1):
+        est = truth.estimates[k - 1]
+        g_mat, m_mats = est.row_moments(h_x)
+        factors = [psd_sqrt_factor(m_mat) for m_mat in m_mats] if np.any(m_mats) else None
+        steps.append((est, g_mat, factors, h_x @ truth.gw[k - 1]))
 
     def count(gen: np.random.Generator, size: int) -> np.ndarray:
         counts = np.zeros((n_u + 1, spec.n_rows), dtype=np.int64)
         x0 = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T
-        w = gen.standard_normal((size, n_u * q)) @ np.kron(np.eye(n_u), w_factor).T
+        w = (gen.standard_normal((size * n_u, w_factor.shape[1])) @ w_factor.T).reshape(size, -1)
         counts[0] = np.count_nonzero(x0 @ h_x.T > 1.0, axis=0)
-        for k in range(1, n_u + 1):
-            est = truth.estimates[k - 1]
-            theta = est.theta + gen.standard_normal((size, est.dof)) @ theta_factors[k - 1].T
-            gw_k = truth.gw[k - 1]
-            uk = u[: k * m]
-            # theta stores vec([G0, Gu]) column-major; view as (cols, n) blocks.
-            cols = est.dof // n
-            theta_blocks = theta.reshape(size, cols, n)
-            h_theta = theta_blocks @ h_x.T        # (size, cols, n_rows)
-            if est.structure == STRUCTURE_FIR:
-                zfix = np.broadcast_to(uk, (size, cols))
-                mean_part = np.einsum("scj,sc->sj", h_theta, zfix)
-            else:
-                mean_part = np.einsum("scj,sc->sj", h_theta[:, :n, :], x0)
-                mean_part += h_theta[:, n:, :].transpose(0, 2, 1) @ uk
-            dist_part = (w[:, : k * q] @ gw_k.T) @ h_x.T
-            counts[k] = np.count_nonzero(mean_part + dist_part > 1.0, axis=0)
+        for k, (est, g_mat, factors, h_gw) in enumerate(steps, start=1):
+            z = est.regressor(x0, u[: k * m])
+            value = z @ g_mat + w[:, : h_gw.shape[1]] @ h_gw.T
+            if factors is not None:
+                scale = np.column_stack([np.linalg.norm(z @ f, axis=1) for f in factors])
+                value += scale * gen.standard_normal((size, spec.n_rows))
+            counts[k] = np.count_nonzero(value > 1.0, axis=0)
         return counts
 
     return count
@@ -414,19 +388,11 @@ def conservatism_report(
     rows = []
     for k in range(1, spec.horizon + 1):
         est = estimates[k - 1]
-        g0_hat, gu_hat = est.g0_hat(), est.gu_hat()
-        uk = u[: k * spec.m]
-        s_half = table.sigma_theta_half[k]
+        z = est.regressor(x0, u[: k * spec.m])
         for j in range(spec.n_rows):
-            h = spec.h_x[j]
-            mean_val = float(h @ (g0_hat @ x0 + gu_hat @ uk))
-            if est.structure == STRUCTURE_FIR:
-                zvec = uk
-            else:
-                zvec = np.concatenate([x0, uk])
-            param_term = table.radius[k] * float(
-                np.linalg.norm(s_half @ np.kron(zvec, h))
-            )
+            g, m_mat = est.row_moments(spec.h_x[j])
+            mean_val = float(z @ g)
+            param_term = table.radius[k] * math.sqrt(max(float(z @ m_mat @ z), 0.0))
             entry = vio_map[(j, k)]
             rows.append(
                 {

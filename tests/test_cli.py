@@ -169,7 +169,7 @@ def test_identify_failure_is_recorded_not_raised(tmp_path, capsys):
     doc["identification"]["T"] = 5  # far too short: identification must fail
     path = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["identify", "--config", str(path), "--out", str(out)]) == 1
+    assert main(["identify", "--config", str(path), "--out", str(out)]) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["stages"]["identify"]["ok"] is False
     assert report["stages"]["identify"]["error"].startswith("InsufficientData")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc.errors import DomainError, InsufficientData, SingularInformation
 from mspc.ident import (
     STRUCTURE_FIR,
     STRUCTURE_FULL,
+    ParameterEstimate,
     RegressionProblem,
     ResidualCovariance,
     build_regression,
@@ -431,3 +433,43 @@ def test_model_from_estimates_shapes():
     built = model_from_estimates(ests, gws, sys.sigma_w)
     assert built.horizon == 3
     assert built.step(2)[1].shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Row moments and regressor of the theta layout
+# ---------------------------------------------------------------------------
+
+
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    m=st.integers(1, 2),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_moments_match_kron_reference(n, k, m, structure, seed):
+    gen = np.random.default_rng(seed)
+    cols = (0 if structure == STRUCTURE_FIR else n) + k * m
+    root = gen.standard_normal((cols * n, cols * n))
+    est = ParameterEstimate(k=k, structure=structure, theta=gen.standard_normal(cols * n),
+                            cov=root @ root.T, n=n, m=m)
+    x0, u = gen.standard_normal(n), gen.standard_normal(k * m)
+    h_rows = gen.standard_normal((2, n))
+    z = est.regressor(x0, u)
+    assert_allclose(z[z.size - k * m:], u, rtol=0, atol=0)
+    x0_batch = gen.standard_normal((3, n))
+    z_batch = est.regressor(x0_batch, u)
+    for i in range(3):
+        assert_allclose(z_batch[i], est.regressor(x0_batch[i], u), rtol=0, atol=0)
+    g_rows, m_rows = est.row_moments(h_rows)
+    for j, h in enumerate(h_rows):
+        g, m_mat = est.row_moments(h)
+        assert_allclose(g_rows[:, j], g, rtol=1e-12, atol=1e-12 * float(np.abs(g).max()))
+        assert_allclose(m_rows[j], m_mat, rtol=1e-12, atol=1e-12 * float(np.abs(m_mat).max()))
+        g0, gu = est.g0_hat(), est.gu_hat()
+        mean_ref = float(h @ (g0 @ x0 + gu @ u))
+        scale = float(np.abs(h) @ (np.abs(g0) @ np.abs(x0) + np.abs(gu) @ np.abs(u)))
+        assert abs(float(z @ g) - mean_ref) <= 1e-12 * scale
+        zh = np.kron(z, h)
+        var_ref = float(zh @ est.cov @ zh)
+        assert abs(float(z @ m_mat @ z) - var_ref) <= 1e-12 * var_ref

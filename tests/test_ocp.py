@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mspc.errors import DeltaTooSmall, DomainError, InfeasibleInitialState
-from mspc.ident import STRUCTURE_FULL, ParameterEstimate, true_theta
+from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
 from mspc.linalg import Rng, diag_repeat, sym_sqrt
 from mspc.ocp import (
     InputBox,
@@ -457,36 +458,42 @@ def test_robust_cost_nests_in_probability_level():
 
 def test_robust_soc_rows_encode_the_tightened_inequality():
     # Evaluate each cone row at a generic (non-optimal) point and compare
-    # against the directly computed tightened constraint margin.
+    # against the directly computed tightened constraint margin, for a
+    # correlated parameter covariance, two rows and both structures.
     sys = random_system(2, 1, 1, 0.85, Rng(71), sigma_w=0.05, sigma_eps=0.0)
-    spec = make_spec(sys, horizon=3, x0=np.array([1.0, 0.2]))
+    spec = replace(make_spec(sys, horizon=3, x0=np.array([1.0, 0.2])),
+                   h_x=np.array([[0.4, 0.0], [-0.1, 0.3]]))
     ests, gw = perfect_estimates(sys, 3)
-    bumped = [
-        ParameterEstimate(
-            k=e.k, structure=e.structure, theta=e.theta,
-            cov=1e-4 * np.eye(e.dof), n=e.n, m=e.m,
-        )
-        for e in ests
-    ]
-    table = build_tightening_table(spec, bumped, gw, sys.sigma_w, 0.95)
-    prog = build_robust_socp_multistep(bumped, spec, 0.95, gw, sys.sigma_w, table=table)
+    gen = Rng(76).generator()
     u = np.array([0.3, -0.4, 0.1])
     x0 = spec.init.mean
-    h = spec.h_x[0]
-    assert len(prog.soc_rows) == 3
-    for k in (1, 2, 3):
-        est = bumped[k - 1]
-        mean_val = float(h @ (est.g0_hat() @ x0 + est.gu_hat() @ u[:k]))
-        zvec = np.concatenate([x0, u[:k]])
-        param = table.radius[k] * float(
-            np.linalg.norm(sym_sqrt(est.cov) @ np.kron(zvec, h))
-        )
-        intended = mean_val + param - (1.0 - table.c_ptilde * table.h_exact[(0, k)])
-        row = prog.soc_rows[k - 1]
-        actual = float(
-            np.linalg.norm(row.f_mat @ u + row.g_vec) - (row.c_vec @ u + row.d_off)
-        )
-        assert abs(intended - actual) <= 1e-12
+    for structure in (STRUCTURE_FULL, STRUCTURE_FIR):
+        bumped = []
+        for e in ests:
+            theta = e.theta if structure == STRUCTURE_FULL else e.theta[e.n * e.n:]
+            root = gen.standard_normal((theta.size, theta.size))
+            bumped.append(ParameterEstimate(
+                k=e.k, structure=structure, theta=theta,
+                cov=1e-4 * (np.eye(theta.size) + root @ root.T / theta.size), n=e.n, m=e.m,
+            ))
+        table = build_tightening_table(spec, bumped, gw, sys.sigma_w, 0.95)
+        prog = build_robust_socp_multistep(bumped, spec, 0.95, gw, sys.sigma_w, table=table)
+        assert len(prog.soc_rows) == 3 * spec.n_rows
+        for k in (1, 2, 3):
+            est = bumped[k - 1]
+            zvec = u[:k] if structure == STRUCTURE_FIR else np.concatenate([x0, u[:k]])
+            for j, h in enumerate(spec.h_x):
+                mean_val = float(h @ (est.g0_hat() @ x0 + est.gu_hat() @ u[:k]))
+                param = table.radius[k] * float(
+                    np.linalg.norm(sym_sqrt(est.cov) @ np.kron(zvec, h))
+                )
+                intended = mean_val + param - (1.0 - table.c_ptilde * table.h_exact[(j, k)])
+                row = prog.soc_rows[(k - 1) * spec.n_rows + j]
+                assert row.f_mat.shape[0] <= est.dof // est.n
+                actual = float(
+                    np.linalg.norm(row.f_mat @ u + row.g_vec) - (row.c_vec @ u + row.d_off)
+                )
+                assert abs(intended - actual) <= 1e-12
 
 
 def test_nominal_rows_encode_the_tightened_inequality():

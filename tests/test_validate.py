@@ -5,8 +5,8 @@ import pytest
 from scipy.stats import norm as normal_dist
 
 from mspc.errors import DimensionMismatch
-from mspc.ident import STRUCTURE_FULL, ParameterEstimate, true_theta
-from mspc.linalg import Rng
+from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
+from mspc.linalg import Rng, diag_repeat
 from mspc.ocp import InputBox, OcpSpec, build_nominal_qp_multistep, build_nominal_qp_statespace
 from mspc.solver import solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
@@ -125,9 +125,9 @@ def test_violation_deterministic_and_thread_invariant():
     sys = scalar_system()
     spec = scalar_spec()
     u = np.array([0.4, -0.1])
-    r1 = estimate_violation(sys, u, spec, 10_000, Rng(85), threads=1)
-    r2 = estimate_violation(sys, u, spec, 10_000, Rng(85), threads=4)
-    r3 = estimate_violation(sys, u, spec, 10_000, Rng(85), threads=1)
+    r1 = estimate_violation(sys, u, spec, 10_000, Rng(85))
+    r2 = estimate_violation(sys, u, spec, 10_000, Rng(85))
+    r3 = estimate_violation(sys, u, spec, 10_000, Rng(85))
     assert violation_report_to_json(r1) == violation_report_to_json(r2)
     assert violation_report_to_json(r1) == violation_report_to_json(r3)
 
@@ -310,3 +310,47 @@ def test_violation_sampled_parameters_analytic_tail():
     p_true = 1.0 - normal_dist.cdf((1.0 - mean) / math.sqrt(var))
     se = math.sqrt(p_true * (1 - p_true) / n_samples)
     assert abs(entry.rate - p_true) <= 4 * se + 1e-4, (entry.rate, p_true)
+
+
+@pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_violation_sampled_parameters_analytic_tail_two_states(structure, horizon):
+    # With a deterministic x0, row j at step k is Gaussian with mean h' G_hat z
+    # and variance (z kron h)' Sigma_k (z kron h) + h' Gw_k Sigma_w Gw_k' h,
+    # so every (row, step) count has a closed-form law.
+    sys = random_system(2, 1, 1, 0.8, Rng(96), sigma_w=0.05, sigma_eps=0.0)
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(2), R=np.eye(1),
+        h_x=np.array([[1.0, 0.8], [0.9, -1.1]]), u_set=None, p=0.9,
+        init=GaussianBelief(mean=np.array([0.5, -0.3]), cov=np.zeros((2, 2))),
+    )
+    model = build_multistep(sys, horizon)
+    gen = Rng(97).generator()
+    ests, gw = [], []
+    for k in range(1, horizon + 1):
+        g0, gu, gwk = model.step(k)
+        theta = true_theta(g0, gu, structure)
+        root = gen.standard_normal((theta.size, theta.size))
+        cov = 0.05 * (np.eye(theta.size) + root @ root.T) / theta.size
+        ests.append(ParameterEstimate(k=k, structure=structure, theta=theta, cov=cov,
+                                      n=2, m=1))
+        gw.append(gwk)
+    truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
+    u = np.array([-1.6, 0.9])[:horizon]
+    n_samples = 20_000
+    report = estimate_violation(truth, u, spec, n_samples, Rng(98))
+    x0 = spec.init.mean
+    for e in report.entries:
+        h = spec.h_x[e.j]
+        if e.k == 0:
+            p_true = float(h @ x0 > 1.0)
+        else:
+            est = ests[e.k - 1]
+            uk = u[: e.k]
+            z = uk if structure == STRUCTURE_FIR else np.concatenate([x0, uk])
+            mean = float(h @ (est.g0_hat() @ x0 + est.gu_hat() @ uk))
+            var = float(np.kron(z, h) @ est.cov @ np.kron(z, h))
+            var += float(h @ gw[e.k - 1] @ diag_repeat(sys.sigma_w, e.k) @ gw[e.k - 1].T @ h)
+            p_true = 1.0 - normal_dist.cdf((1.0 - mean) / math.sqrt(var))
+        low, high = clopper_pearson_interval(e.violations, n_samples, confidence=0.999)
+        assert low <= p_true <= high, (e, p_true)
