@@ -13,7 +13,8 @@ robustness studies.
 
 A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, and the
-validation budget.  Reports are emitted as JSON/CSV; everything a report
+validation budget; a missing required key or an unknown key is a
+``ConfigError``.  Reports are emitted as JSON/CSV; everything a report
 contains is a deterministic function of (config, master seed), so repeated
 runs are byte-identical.  Wall-clock timings go to a separate file to keep
 the reports reproducible.
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ident, ocp, solver, system, validate
-from .errors import DeltaTooSmall, DomainError, MspcError
+from .errors import ConfigError, DeltaTooSmall, DomainError, MspcError
 from .linalg import Rng
 from .system import GaussianBelief, LinearSystem
 
@@ -87,9 +88,43 @@ def _matrix(doc, key, default=None):
     return np.asarray(doc[key], dtype=float)
 
 
+def _check_keys(doc, where: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """Return the config block ``doc``; reject a missing required key or an unknown key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"{where}: missing key(s) {', '.join(missing)}")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    return doc
+
+
+def _check_config_keys(doc: dict) -> None:
+    _check_keys(doc, "config", ("system", "identification", "ocp"),
+                ("validation", "compare", "master_seed", "output_dir"))
+    system_doc = _check_keys(doc["system"], "system", (), ("inline", "random"))
+    if "random" in system_doc:
+        _check_keys(system_doc["random"], "system.random", ("n", "m", "q"),
+                    ("spectral_radius", "seed", "sigma_w", "sigma_eps"))
+    _check_keys(doc["identification"], "identification", ("T", "delta"),
+                ("structure", "covariance", "input_std", "x0_mean", "sigma_x0",
+                 "force_zero_cov", "k_max"))
+    ocp_doc = _check_keys(doc["ocp"], "ocp", ("horizon", "Q", "R", "p"),
+                          ("h_x", "u_min", "u_max", "input_polytope", "x0_mean", "sigma_x0"))
+    if "input_polytope" in ocp_doc:
+        _check_keys(ocp_doc["input_polytope"], "ocp.input_polytope", ("H", "h"))
+    _check_keys(doc.get("validation", {}), "validation", (),
+                ("n_samples", "master_seed", "margin"))
+    _check_keys(doc.get("compare", {}), "compare", (),
+                ("n_scenarios", "T_sweep", "sweep_seeds", "p_sweep", "sweep_samples"))
+
+
 def parse_config(doc: dict, seed_override: "int | None" = None,
                  samples_override: "int | None" = None) -> ExperimentConfig:
-    """Validate the raw config document; rejects delta <= p immediately."""
+    """Validate the raw config document; rejects bad keys and delta <= p immediately."""
+    _check_config_keys(doc)
     ocp_doc = doc["ocp"]
     n = len(ocp_doc["Q"])
     m = len(ocp_doc["R"])

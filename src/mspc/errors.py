@@ -5,6 +5,10 @@ class MspcError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ConfigError(MspcError, ValueError):
+    """An experiment config lacks a required key or holds an unknown one."""
+
+
 class DimensionMismatch(MspcError, ValueError):
     """Operands have incompatible shapes."""
 

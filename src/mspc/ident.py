@@ -7,6 +7,13 @@ band covariance assembled here from the known disturbance structure.
 Weighting the least-squares fit with the inverse of that covariance gives
 the maximum-likelihood estimate together with a parameter covariance and
 chi-squared confidence ellipsoids.
+
+The covariance is kept in lower band storage (bandwidth n(k+1): blocks
+beyond lag k vanish) and whitened through its banded Cholesky factor, in
+time and memory linear in the record length.  Only a numerically singular
+covariance (the banded Cholesky fails or leaves a tiny pivot) is expanded
+to a dense matrix, for the eigen-projection fallback that
+``ParameterEstimate.projected_rank`` records.
 """
 
 from __future__ import annotations
@@ -57,14 +64,30 @@ class RegressionProblem:
 
 @dataclass(frozen=True)
 class ResidualCovariance:
-    """Dense band covariance of the stacked k-step regression residuals."""
+    """Covariance S of the stacked k-step regression residuals, in lower band storage.
+
+    ``band[d, j] = S[j + d, j]``; the band has n(k+1) rows, since blocks
+    beyond lag k vanish, or n * windows rows when the record has at most k
+    windows.  ``matrix`` is the dense symmetric view; identification builds
+    it only for the eigen-projection fallback of a singular S.
+    """
 
     k: int
-    matrix: np.ndarray
+    band: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.band.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense symmetric S, (size, size)."""
+        size = self.size
+        s = np.zeros((size, size))
+        for d, diagonal in enumerate(self.band[:size]):
+            idx = np.arange(size - d)
+            s[idx + d, idx] = s[idx, idx + d] = diagonal[: size - d]
+        return s
 
 
 @dataclass(frozen=True)
@@ -228,40 +251,41 @@ def residual_covariance(
         lag_blocks.append(gw_k @ shift @ gw_k.T)
     lag_blocks.append(-sigma_eps @ g0_k.T)
 
-    matrix = np.zeros((windows * n, windows * n))
-    for i, block in enumerate(lag_blocks):
-        if i >= windows:
-            break
-        for j in range(windows - i):
-            r0, c0 = j * n, (j + i) * n
-            matrix[r0: r0 + n, c0: c0 + n] = block
-            if i > 0:
-                matrix[c0: c0 + n, r0: r0 + n] = block.T
-    return ResidualCovariance(k=k, matrix=matrix)
+    # Window w+i against window w: S[(w+i)n + r, wn + c] = block_i[c, r], the
+    # lower triangle of block_0 on the diagonal; one strided write per entry.
+    band = np.zeros((n * min(k + 1, windows), n * windows))
+    for i, block in enumerate(lag_blocks[:windows]):
+        lower = block.T if i else block
+        for r in range(n):
+            for c in range(n if i else r + 1):
+                band[i * n + r - c, c: (windows - i) * n: n] = lower[r, c]
+    return ResidualCovariance(k=k, band=band)
 
 
 def _whiten(reg: RegressionProblem, cov: ResidualCovariance):
     """Return the whitened regressor/targets and the retained rank.
 
-    Tries a Cholesky factorization first; if the covariance is singular the
-    problem is projected onto the span of its significant eigenvectors.
+    Tries a banded Cholesky factorization first; if the covariance is
+    singular the problem is projected onto the span of its significant
+    eigenvectors, the only step that forms the dense covariance.
     """
-    s = cov.matrix
-    if s.shape != (reg.rows, reg.rows):
+    if cov.size != reg.rows:
         raise DimensionMismatch(
-            f"residual covariance is {s.shape}, regression has {reg.rows} rows"
+            f"residual covariance has {cov.size} rows, regression has {reg.rows}"
         )
     try:
-        chol = scipy.linalg.cholesky(s, lower=True)
+        chol = scipy.linalg.cholesky_banded(cov.band, lower=True)
         # A tiny pivot means the factorization "succeeded" on a numerically
         # singular matrix; treat that the same as an outright failure.
-        if float(np.min(np.diag(chol))) ** 2 > _RESIDUAL_COV_RTOL * float(np.max(np.diag(s))):
-            phi_w = scipy.linalg.solve_triangular(chol, reg.regressor, lower=True)
-            y_w = scipy.linalg.solve_triangular(chol, reg.targets, lower=True)
-            return phi_w, y_w, None
+        if float(np.min(chol[0])) ** 2 > _RESIDUAL_COV_RTOL * float(np.max(cov.band[0])):
+            white, info = scipy.linalg.lapack.dtbtrs(
+                chol, np.column_stack([reg.regressor, reg.targets]), uplo="L"
+            )
+            if info == 0:
+                return white[:, :-1], white[:, -1], None
     except scipy.linalg.LinAlgError:
         pass
-    w, u = np.linalg.eigh(0.5 * (s + s.T))
+    w, u = np.linalg.eigh(cov.matrix)
     keep = w > _RESIDUAL_COV_RTOL * max(float(w[-1]), 0.0)
     if not np.any(keep):
         raise SingularInformation("residual covariance is numerically zero")

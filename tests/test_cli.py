@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_compare, cmd_pipeline, main, parse_config
-from mspc.errors import DeltaTooSmall
+from mspc.errors import ConfigError, DeltaTooSmall
 from mspc.system import load_trajectory
 
 
@@ -59,6 +59,22 @@ def test_config_rejects_delta_below_p(tmp_path):
         parse_config(doc)
     path = write_config(tmp_path, doc)
     assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("block, value, key", [
+    ("ocp", {"horizon": 3}, "Q"),                 # missing required keys
+    ("validation", {"n_sample": 10}, "n_sample"),  # unknown key (typo of n_samples)
+], ids=["missing", "unknown"])
+def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, block, value, key):
+    doc = quick_config()
+    doc[block] = value
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+    path = write_config(tmp_path, doc)
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_deterministic_and_shapes(tmp_path):

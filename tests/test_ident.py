@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
@@ -50,6 +53,35 @@ def mc_residual_covariance_scalar(a, e, sw, se, k, t_len, n_draws, gen):
     g0 = a**k
     resid = xm[:, k:] - g0 * xm[:, : t_len - k + 1]
     return np.cov(resid.T)
+
+
+def residual_covariance_reference(gw, g0, sigma_w, sigma_eps, k, t_len):
+    """Oracle: S = M diag(sigma) M' from the map M of (w_0..w_{T-1}, eps_0..eps_T) to residuals.
+
+    The residual of window j is Gw_k [w_j; ...; w_{j+k-1}] - G0_k eps_j + eps_{j+k}.
+    """
+    n, q = g0.shape[0], sigma_w.shape[0]
+    windows = t_len - k + 1
+    m_w = np.zeros((n * windows, q * t_len))
+    m_eps = np.zeros((n * windows, n * (t_len + 1)))
+    for j in range(windows):
+        rows = slice(j * n, (j + 1) * n)
+        m_w[rows, j * q: (j + k) * q] = gw
+        m_eps[rows, j * n: (j + 1) * n] = -g0
+        m_eps[rows, (j + k) * n: (j + k + 1) * n] += np.eye(n)
+    return (m_w @ np.kron(np.eye(t_len), sigma_w) @ m_w.T
+            + m_eps @ np.kron(np.eye(t_len + 1), sigma_eps) @ m_eps.T)
+
+
+def dense_whitened_mle(reg, s):
+    """Reference: dense Cholesky whitening of the stacked regression, then the normal equations."""
+    chol = scipy.linalg.cholesky(s, lower=True)
+    phi_w = scipy.linalg.solve_triangular(chol, reg.regressor, lower=True)
+    y_w = scipy.linalg.solve_triangular(chol, reg.targets, lower=True)
+    info = phi_w.T @ phi_w
+    factor = scipy.linalg.cho_factor(0.5 * (info + info.T))
+    cov = scipy.linalg.cho_solve(factor, np.eye(reg.dof))
+    return scipy.linalg.cho_solve(factor, phi_w.T @ y_w), 0.5 * (cov + cov.T)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +216,51 @@ def test_residual_covariance_matches_simulation_multivariate():
     assert rel < 0.05
 
 
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(1, 4),
+    m=st.integers(1, 2),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    sigma_eps=st.sampled_from([0.0, 0.01]),
+    short=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_covariance_and_whitening_match_dense_reference(
+    n, k, m, structure, sigma_eps, short, seed
+):
+    # E = I and spectral radius 0.3 keep S and the information matrix well
+    # conditioned, so banded and dense whitening agree to rounding.
+    sys = replace(random_system(n, m, n, 0.3, Rng(seed), sigma_w=0.1, sigma_eps=sigma_eps),
+                  E=np.eye(n))
+    g0, _, gw = build_multistep(sys, k).step(k)
+    g0_cov = np.zeros((n, n)) if structure == STRUCTURE_FIR else g0
+    gen = Rng(seed, 1).generator()
+    cols = (0 if structure == STRUCTURE_FIR else n) + k * m
+    # A short record has at most k+1 windows; with k or fewer, its band drops lag blocks.
+    t_min = k if short else k + 6 * cols
+    t_len = int(gen.integers(t_min, 2 * k + 1 if short else t_min + 100))
+    cov = residual_covariance(gw, g0_cov, sys.sigma_w, sys.sigma_eps, k, t_len)
+    s = cov.matrix
+    windows = t_len - k + 1
+    assert cov.band.shape == (n * min(k + 1, windows), n * windows)
+    assert np.array_equal(s, s.T)
+    lag = np.abs(np.subtract.outer(np.arange(n * windows) // n, np.arange(n * windows) // n))
+    assert not s[lag > k].any()
+    ref = residual_covariance_reference(gw, g0_cov, sys.sigma_w, sys.sigma_eps, k, t_len)
+    assert_allclose(s, ref, rtol=0, atol=1e-13 * float(np.abs(ref).max()))
+    if short:
+        return
+
+    traj = simulate(sys, GaussianBelief(gen.standard_normal(n), 0.1 * np.eye(n)),
+                    gen.standard_normal((t_len, m)), gen)
+    reg = build_regression(traj, k, structure)
+    est = mle_estimate(reg, cov)
+    theta_ref, cov_ref = dense_whitened_mle(reg, s)
+    assert est.projected_rank is None
+    assert_allclose(est.theta, theta_ref, rtol=0, atol=1e-12 * float(np.abs(theta_ref).max()))
+    assert_allclose(est.cov, cov_ref, rtol=0, atol=1e-12 * float(np.abs(cov_ref).max()))
+
+
 # ---------------------------------------------------------------------------
 # mle_estimate
 # ---------------------------------------------------------------------------
@@ -196,7 +273,7 @@ def test_mle_exact_recovery_noise_free():
     for k in (1, 2):
         g0, gu, gw = model.step(k)
         reg = build_regression(traj, k)
-        cov = ResidualCovariance(k=k, matrix=np.eye(reg.rows))
+        cov = ResidualCovariance(k=k, band=np.ones((1, reg.rows)))
         est = mle_estimate(reg, cov)
         assert np.abs(est.theta - true_theta(g0, gu)).max() < 1e-10
 
@@ -205,7 +282,7 @@ def test_mle_identity_weight_equals_ols():
     sys = random_system(2, 1, 1, 0.9, Rng(16), sigma_w=0.2, sigma_eps=0.02)
     traj = noise_free_data(sys, 40, seed=17)
     reg = build_regression(traj, 2)
-    est_w = mle_estimate(reg, ResidualCovariance(k=2, matrix=np.eye(reg.rows)))
+    est_w = mle_estimate(reg, ResidualCovariance(k=2, band=np.ones((1, reg.rows))))
     theta_ols, *_ = np.linalg.lstsq(reg.regressor, reg.targets, rcond=None)
     assert_allclose(est_w.theta, theta_ols, atol=1e-9)
 
@@ -240,15 +317,21 @@ def test_mle_singular_information_raises():
     # Zero input and zero initial state: input columns are unexcited.
     reg = build_regression(traj, 1)
     with pytest.raises(SingularInformation):
-        mle_estimate(reg, ResidualCovariance(k=1, matrix=np.eye(reg.rows)))
+        mle_estimate(reg, ResidualCovariance(k=1, band=np.ones((1, reg.rows))))
 
 
-def test_mle_projection_invariant_to_zero_variance_block():
+def test_mle_projection_invariant_to_zero_variance_block(monkeypatch):
     sys = random_system(1, 1, 1, 0.8, Rng(20), sigma_w=0.3, sigma_eps=0.0)
     traj = noise_free_data(sys, 30, seed=21)
     reg = build_regression(traj, 1)
     base_cov = residual_covariance(sys.E, sys.A, sys.sigma_w, sys.sigma_eps, 1, traj.T)
-    est0 = mle_estimate(reg, base_cov)
+    # A positive-definite covariance is whitened in band storage: no dense view.
+    with monkeypatch.context() as patch:
+        patch.setattr(ResidualCovariance, "matrix",
+                      property(lambda self: pytest.fail("dense covariance built")))
+        est0 = mle_estimate(reg, base_cov)
+    assert est0.projected_rank is None
+    assert "projected_rank" not in estimate_to_json(est0)
 
     extra = 4
     reg_aug = RegressionProblem(
@@ -259,10 +342,10 @@ def test_mle_projection_invariant_to_zero_variance_block():
         n=reg.n,
         m=reg.m,
     )
-    aug = np.zeros((reg.rows + extra, reg.rows + extra))
-    aug[: reg.rows, : reg.rows] = base_cov.matrix
-    est1 = mle_estimate(reg_aug, ResidualCovariance(k=1, matrix=aug))
+    aug = np.pad(base_cov.band, ((0, 0), (0, extra)))
+    est1 = mle_estimate(reg_aug, ResidualCovariance(k=1, band=aug))
     assert est1.projected_rank == reg.rows
+    assert estimate_to_json(est1)["projected_rank"] == reg.rows
     assert_allclose(est1.theta, est0.theta, atol=1e-10)
     assert_allclose(est1.cov, est0.cov, atol=1e-10)
 
@@ -387,7 +470,7 @@ def test_naive_ls_matches_identity_weighted_mle():
     traj = noise_free_data(sys, 50, seed=31)
     reg = build_regression(traj, 2)
     est_naive = naive_ls(reg)
-    est_mle = mle_estimate(reg, ResidualCovariance(k=2, matrix=np.eye(reg.rows)))
+    est_mle = mle_estimate(reg, ResidualCovariance(k=2, band=np.ones((1, reg.rows))))
     assert_allclose(est_naive.theta, est_mle.theta, atol=1e-9)
 
 
