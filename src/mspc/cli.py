@@ -1,23 +1,24 @@
 """Config-driven command line for end-to-end experiments.
 
 The loop runs as one list of stages, ``STAGES``: system, simulate,
-identify, tightening, solve_robust, reference, validate.  The subcommands
-simulate, identify and solve run that list up to simulate, identify and
-solve_robust; pipeline runs all of it.  Each writes report.json and
-timings.json.  The exit code is 0 when every stage it requested succeeded
-(with the robust solve Optimal and the certification holding), 2 when the
-config or a stage rejected its input (a typed ``MspcError``, recorded in
-report.json), and 1 otherwise: a robust solve that is not Optimal or a
-certification that fails.  compare adds the cross-parametrization and
-robustness studies.
+identify, tightening, solve_robust, reference, validate, scenario, sweeps.
+Every subcommand runs a prefix of that list: simulate, identify, solve and
+pipeline stop after simulate, identify, solve_robust and validate; compare
+runs all of it, adding the sampled-scenario baseline and the data-length
+and chance-level sweeps.  Each writes report.json and timings.json.  The
+exit code is 0 when every stage it requested succeeded (with the robust
+solve Optimal, the two nominal parametrizations equivalent and the
+certification holding), 2 when the config or a stage rejected its input (a
+typed ``MspcError``, recorded in report.json), and 1 otherwise.
 
 A single JSON config describes the system (inline matrices or a seeded
-random draw), the identification experiment, the control problem, and the
-validation budget; a missing required key or an unknown key is a
-``ConfigError``.  Reports are emitted as JSON/CSV; everything a report
-contains is a deterministic function of (config, master seed), so repeated
-runs are byte-identical.  Wall-clock timings go to a separate file to keep
-the reports reproducible.
+random draw), the identification experiment, the control problem, the
+validation budget and the comparison studies; an unreadable file, invalid
+JSON, a missing required key, an unknown key, a value of the wrong type or
+a negative seed is a ``ConfigError``.  Reports are emitted as JSON/CSV;
+everything a report contains is a deterministic function of (config,
+master seed), so repeated runs are byte-identical.  Wall-clock timings go
+to a separate file to keep the reports reproducible.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         raise DomainError("delta = 1 requires force_zero_cov")
     val_doc = doc.get("validation", {})
     validation = ValidationSettings(
-        n_samples=int(samples_override or val_doc.get("n_samples", 100_000)),
+        n_samples=int(samples_override if samples_override is not None
+                      else val_doc.get("n_samples", 100_000)),
         master_seed=int(val_doc.get("master_seed", 0)),
         margin=float(val_doc.get("margin", 0.01)),
     )
@@ -186,6 +188,9 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         p_sweep=tuple(cmp_doc.get("p_sweep", (0.6, 0.75, 0.9))),
         sweep_samples=int(cmp_doc.get("sweep_samples", 20_000)),
     )
+    master_seed = int(seed_override if seed_override is not None else doc.get("master_seed", 0))
+    if master_seed < 0 or validation.master_seed < 0:
+        raise ConfigError("master_seed and validation.master_seed must be non-negative")
     return ExperimentConfig(
         raw=doc,
         system_block=doc["system"],
@@ -193,17 +198,23 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         ocp_spec=spec,
         validation=validation,
         compare=compare,
-        master_seed=int(seed_override if seed_override is not None else doc.get("master_seed", 0)),
+        master_seed=master_seed,
         output_dir=doc.get("output_dir", "out"),
     )
 
 
 def load_config(path: "str | Path", seed_override=None, samples_override=None) -> ExperimentConfig:
-    return parse_config(
-        json.loads(Path(path).read_text()),
-        seed_override=seed_override,
-        samples_override=samples_override,
-    )
+    """Read and parse a config file; an unreadable file, bad JSON or a bad value is a ConfigError."""
+    try:
+        return parse_config(
+            json.loads(Path(path).read_text()),
+            seed_override=seed_override,
+            samples_override=samples_override,
+        )
+    except MspcError:
+        raise
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def make_system(cfg: ExperimentConfig) -> LinearSystem:
@@ -282,10 +293,78 @@ def robust_at_length(cfg: ExperimentConfig, sys_true: LinearSystem, t_len: int,
 
 
 # ---------------------------------------------------------------------------
+# Comparison studies
+# ---------------------------------------------------------------------------
+
+
+def _write_csv(path: Path, columns: tuple, rows: "list[dict]") -> None:
+    """One line per row dict; floats are written by repr, a missing or None value as ''."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row.get(col) for col in columns] for row in rows)
+
+
+def _cost_vs_t(cfg: ExperimentConfig, sys_true: LinearSystem) -> "list[dict]":
+    """Robust cost and mean parametric term per record length and sweep seed."""
+    rows = []
+    for t_len in cfg.compare.t_sweep:
+        for seed in range(cfg.compare.sweep_seeds):
+            table, sol = robust_at_length(
+                cfg, sys_true, t_len, cfg.master_seed + 1000 * (seed + 1)
+            )
+            param_terms = [
+                table.radius[k] * float(np.linalg.norm(table.sigma_theta_half[k]))
+                for k in range(1, cfg.ocp_spec.horizon + 1)
+            ]
+            rows.append({
+                "T": int(t_len),
+                "seed": seed,
+                "status": sol.status,
+                "cost": sol.objective,
+                "mean_param_scale": float(np.mean(param_terms)),
+            })
+    return rows
+
+
+def _violation_vs_p(cfg: ExperimentConfig, sys_true: LinearSystem, estimates, gw) -> "list[dict]":
+    """Worst parametric violation bound of the robust solve per chance level p < delta."""
+    rows = []
+    for p_val in cfg.compare.p_sweep:
+        if not p_val < cfg.ident_settings.delta:
+            continue
+        spec_p = replace(cfg.ocp_spec, p=float(p_val))
+        try:
+            prog = ocp.build_robust_socp_multistep(
+                estimates, spec_p, cfg.ident_settings.delta, gw, sys_true.sigma_w
+            )
+            sol = solver.solve(prog)
+        except MspcError as exc:
+            rows.append({"p": p_val, "status": type(exc).__name__, "worst_upper99": None})
+            continue
+        if sol.status != "Optimal":
+            rows.append({"p": p_val, "status": sol.status, "worst_upper99": None})
+            continue
+        truth = validate.SampledParameterTruth(estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w)
+        rep = validate.estimate_violation(
+            truth, sol.primal[: spec_p.horizon * spec_p.m], spec_p,
+            cfg.compare.sweep_samples, Rng(cfg.validation.master_seed, 3),
+        )
+        rows.append({
+            "p": p_val,
+            "status": "Optimal",
+            "worst_upper99": rep.worst_upper99,
+            "budget": 1.0 - p_val,
+        })
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-STAGES = ("system", "simulate", "identify", "tightening", "solve_robust", "reference", "validate")
+STAGES = ("system", "simulate", "identify", "tightening", "solve_robust", "reference",
+          "validate", "scenario", "sweeps")
 
 # Each pipeline subcommand runs the stage list up to and including its stage.
 PREFIX_COMMANDS = {
@@ -293,17 +372,19 @@ PREFIX_COMMANDS = {
     "identify": "identify",
     "solve": "solve_robust",
     "pipeline": "validate",
+    "compare": "sweeps",
 }
 
 
 def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
-                 last: str = STAGES[-1]) -> tuple[dict, bool]:
+                 last: str = "validate") -> tuple[dict, bool]:
     """Run ``STAGES`` up to and including ``last``; write report.json and timings.json.
 
     A stage runs only when it is requested and the results it needs exist.
     The run passes when every requested stage ran without error, the robust
-    solve (if requested) is Optimal and the certification (if requested)
-    holds.
+    solve (if requested) is Optimal, the two nominal parametrizations agree
+    (if reference is requested) and the certification (if requested) holds.
+    A scenario or sweep solve that is not Optimal is recorded, not failed.
     """
     requested = STAGES[: STAGES.index(last) + 1]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,13 +492,16 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                 sys_true, u, spec, cfg.validation.n_samples,
                 Rng(cfg.validation.master_seed, 1),
             )
-            return rep_par, rep_true
+            rows = validate.certification_rows(table, estimates, spec, u, rep_par)
+            return rep_par, rep_true, rows
 
         certification = run_stage("validate", _certify)
         if certification is not None:
-            rep_par, rep_true = certification
+            rep_par, rep_true, rows = certification
             validate.save_violation_csv(rep_par, out_dir / "violations_parametric.csv")
             validate.save_violation_csv(rep_true, out_dir / "violations_true.csv")
+            _write_csv(out_dir / "tightening_vs_k.csv",
+                       ("j", "k", "h_exact", "h_upper", "parametric_term", "mc_upper99"), rows)
             budget = 1.0 - spec.p
             certified = rep_par.certifies(budget, cfg.validation.margin)
             report["certification"] = {
@@ -428,133 +512,48 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                 "certified": certified,
                 "parametric": validate.violation_report_to_json(rep_par),
                 "true_system": validate.violation_report_to_json(rep_true),
+                "rows": rows,
             }
+
+    if estimates is not None:
+        def _scenario():
+            prog = ocp.formulate_minmax_statespace(
+                estimates[0], spec, cfg.ident_settings.delta, cfg.compare.n_scenarios,
+                Rng(cfg.master_seed, _STREAM_SCENARIOS), sys_true.E, sys_true.sigma_w,
+            )
+            return solver.solve(prog)
+
+        sol_scen = run_stage("scenario", _scenario)
+        if sol_scen is not None:
+            report["scenario_baseline"] = {
+                "n_scenarios": cfg.compare.n_scenarios,
+                "status": sol_scen.status,
+                "objective": sol_scen.objective,
+                "robust_cost": None if sol_robust is None else sol_robust.objective,
+            }
+
+        sweeps = run_stage(
+            "sweeps",
+            lambda: (_cost_vs_t(cfg, sys_true), _violation_vs_p(cfg, sys_true, estimates, gw)),
+        )
+        if sweeps is not None:
+            report["cost_vs_T"], report["violation_vs_p"] = sweeps
+            _write_csv(out_dir / "cost_vs_T.csv",
+                       ("T", "seed", "status", "cost", "mean_param_scale"), sweeps[0])
+            _write_csv(out_dir / "violation_vs_p.csv",
+                       ("p", "status", "worst_upper99", "budget"), sweeps[1])
 
     succeeded = [name for name, stage in report["stages"].items() if stage["ok"]]
     passed = (
         succeeded == list(requested)
         and ("solve_robust" not in requested or sol_robust.status == "Optimal")
+        and ("reference" not in requested or ref[0].passed)
         and ("validate" not in requested or certified)
     )
     report["passed"] = passed
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     return report, passed
-
-
-def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
-    """Cross-parametrization and robustness comparisons plus sweep CSVs."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sys_true = make_system(cfg)
-    spec = cfg.ocp_spec
-    doc: dict = {"config": cfg.raw}
-    ok = True
-
-    eq = validate.equivalence_check(sys_true, spec)
-    doc["equivalence"] = validate.equivalence_report_to_json(eq)
-    ok = ok and eq.passed
-
-    traj = _probe_and_simulate(cfg, sys_true)
-    estimates, gw = _identify_all(cfg, sys_true, traj)
-    cons = validate.conservatism_report(
-        sys_true, estimates, spec, cfg.ident_settings.delta,
-        Rng(cfg.validation.master_seed, 2), n_samples=cfg.compare.sweep_samples,
-    )
-    doc["conservatism"] = {
-        "status": cons.status,
-        "cost": cons.cost,
-        "budget": cons.budget,
-        "rows": cons.rows,
-    }
-    with open(out_dir / "tightening_vs_k.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "h_exact", "h_upper", "parametric_term", "mc_upper99"])
-        for row in cons.rows:
-            writer.writerow([row["j"], row["k"], repr(row["h_exact"]), repr(row["h_upper"]),
-                             repr(row["parametric_term"]), repr(row["mc_upper99"])])
-
-    scen = ocp.formulate_minmax_statespace(
-        estimates[0], spec, cfg.ident_settings.delta, cfg.compare.n_scenarios,
-        Rng(cfg.master_seed, _STREAM_SCENARIOS), sys_true.E, sys_true.sigma_w,
-    )
-    sol_scen = solver.solve(scen)
-    doc["scenario_baseline"] = {
-        "n_scenarios": cfg.compare.n_scenarios,
-        "status": sol_scen.status,
-        "objective": sol_scen.objective,
-        "robust_cost": cons.cost,
-    }
-
-    # Data-length sweep: parametric tightening terms per amount of data.
-    sweep_rows = []
-    for t_len in cfg.compare.t_sweep:
-        for seed in range(cfg.compare.sweep_seeds):
-            table_s, sol_s = robust_at_length(
-                cfg, sys_true, t_len, cfg.master_seed + 1000 * (seed + 1)
-            )
-            param_terms = [
-                table_s.radius[k] * float(np.linalg.norm(table_s.sigma_theta_half[k]))
-                for k in range(1, spec.horizon + 1)
-            ]
-            sweep_rows.append({
-                "T": int(t_len),
-                "seed": seed,
-                "status": sol_s.status,
-                "cost": sol_s.objective,
-                "mean_param_scale": float(np.mean(param_terms)),
-            })
-    doc["cost_vs_T"] = sweep_rows
-    with open(out_dir / "cost_vs_T.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "seed", "status", "cost", "mean_param_scale"])
-        for row in sweep_rows:
-            writer.writerow([row["T"], row["seed"], row["status"],
-                             repr(row["cost"]) if row["cost"] is not None else "",
-                             repr(row["mean_param_scale"])])
-
-    # Chance-level sweep: realized violation versus the budget.
-    p_rows = []
-    for p_val in cfg.compare.p_sweep:
-        if not p_val < cfg.ident_settings.delta:
-            continue
-        spec_p = ocp.OcpSpec(
-            horizon=spec.horizon, Q=spec.Q, R=spec.R, h_x=spec.h_x,
-            u_set=spec.u_set, p=float(p_val), init=spec.init,
-        )
-        try:
-            prog_p = ocp.build_robust_socp_multistep(
-                estimates, spec_p, cfg.ident_settings.delta, gw, sys_true.sigma_w
-            )
-            sol_p = solver.solve(prog_p)
-        except MspcError as exc:
-            p_rows.append({"p": p_val, "status": f"{type(exc).__name__}", "worst_upper99": None})
-            continue
-        if sol_p.status != "Optimal":
-            p_rows.append({"p": p_val, "status": sol_p.status, "worst_upper99": None})
-            continue
-        truth = validate.SampledParameterTruth(estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w)
-        rep = validate.estimate_violation(
-            truth, sol_p.primal[: spec.horizon * spec.m], spec_p,
-            cfg.compare.sweep_samples, Rng(cfg.validation.master_seed, 3),
-        )
-        p_rows.append({
-            "p": p_val,
-            "status": "Optimal",
-            "worst_upper99": rep.worst_upper99,
-            "budget": 1.0 - p_val,
-        })
-    doc["violation_vs_p"] = p_rows
-    with open(out_dir / "violation_vs_p.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "status", "worst_upper99", "budget"])
-        for row in p_rows:
-            writer.writerow([row["p"], row["status"],
-                             "" if row.get("worst_upper99") is None else repr(row["worst_upper99"]),
-                             "" if row.get("budget") is None else repr(row["budget"])])
-
-    doc["passed"] = ok
-    (out_dir / "compare.json").write_text(json.dumps(doc, indent=2) + "\n")
-    return doc, ok
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +564,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, bool]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mspc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*PREFIX_COMMANDS, "compare"):
+    for name in PREFIX_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -581,10 +580,6 @@ def main(argv=None) -> int:
         return 2
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
 
-    if args.command == "compare":
-        doc, ok = cmd_compare(cfg, out_dir)
-        print(json.dumps({"equivalence": doc["equivalence"], "passed": doc["passed"]}, indent=2))
-        return 0 if ok else 1
     report, ok = cmd_pipeline(cfg, out_dir, PREFIX_COMMANDS[args.command])
     summary = {
         "stages": report["stages"],

@@ -33,10 +33,9 @@ from .ident import (
 from .linalg import Rng, chi2_quantile, psd_sqrt_factor
 from .ocp import (
     OcpSpec,
+    TighteningTable,
     build_nominal_qp_multistep,
     build_nominal_qp_statespace,
-    build_robust_socp_multistep,
-    build_tightening_table,
 )
 from .solver import SolverOptions, solve
 from .system import GaussianBelief, LinearSystem, build_multistep, simulate
@@ -345,45 +344,25 @@ def coverage_experiment(config: CoverageConfig) -> CoverageResult:
 
 
 # ---------------------------------------------------------------------------
-# Conservatism of the robust program
+# Certification slack per constraint row
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConservatismReport:
-    status: str
-    cost: "float | None"
-    rows: "list[dict]"
-    budget: float
-
-    def dominance_holds(self) -> bool:
-        return all(r["h_upper"] >= r["h_exact"] - 1e-9 for r in self.rows)
-
-
-def conservatism_report(
-    sys_true: LinearSystem,
+def certification_rows(
+    table: TighteningTable,
     estimates: "list[ParameterEstimate]",
     spec: OcpSpec,
-    delta: float,
-    rng: Rng,
-    n_samples: int = 100_000,
-    solver_opts: "SolverOptions | None" = None,
-) -> ConservatismReport:
-    """Quantify slack between the robust back-offs and realized violations."""
-    model = build_multistep(sys_true, spec.horizon)
-    gw = [model.step(k)[2] for k in range(1, spec.horizon + 1)]
-    table = build_tightening_table(spec, estimates, gw, sys_true.sigma_w, delta)
-    prog = build_robust_socp_multistep(
-        estimates, spec, delta, gw, sys_true.sigma_w, table=table
-    )
-    sol = solve(prog, solver_opts)
-    budget = 1.0 - spec.p
-    if sol.status != "Optimal" or sol.primal is None:
-        return ConservatismReport(status=sol.status, cost=None, rows=[], budget=budget)
-    u = sol.primal
-    truth = SampledParameterTruth(estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w)
-    vio = estimate_violation(truth, u, spec, n_samples, rng)
-    vio_map = {(e.j, e.k): e for e in vio.entries}
+    u: np.ndarray,
+    parametric: ViolationReport,
+) -> "list[dict]":
+    """Per-(row, step) margin of the robust inequality at ``u`` beside its Monte Carlo rate.
+
+    The robust cone row reads mean_value + parametric_term <= 1 -
+    nominal_backoff, so ``slack`` is the margin it leaves at ``u`` (>= 0 up
+    to solver tolerance at a feasible point); ``mc_rate`` and ``mc_upper99``
+    are the matching entries of the parametric violation report.
+    """
+    entries = {(e.j, e.k): e for e in parametric.entries}
     x0 = spec.init.mean
     rows = []
     for k in range(1, spec.horizon + 1):
@@ -391,25 +370,25 @@ def conservatism_report(
         z = est.regressor(x0, u[: k * spec.m])
         for j in range(spec.n_rows):
             g, m_mat = est.row_moments(spec.h_x[j])
-            mean_val = float(z @ g)
-            param_term = table.radius[k] * math.sqrt(max(float(z @ m_mat @ z), 0.0))
-            entry = vio_map[(j, k)]
+            mean_value = float(z @ g)
+            parametric_term = table.radius[k] * math.sqrt(max(float(z @ m_mat @ z), 0.0))
+            nominal_backoff = table.c_ptilde * table.h_exact[(j, k)]
+            entry = entries[(j, k)]
             rows.append(
                 {
                     "j": j,
                     "k": k,
                     "h_exact": table.h_exact[(j, k)],
                     "h_upper": table.h_upper[(j, k)],
-                    "nominal_backoff": table.c_ptilde * table.h_exact[(j, k)],
-                    "parametric_term": param_term,
-                    "mean_value": mean_val,
-                    "slack": 1.0 - table.c_ptilde * table.h_exact[(j, k)] - param_term - mean_val,
+                    "nominal_backoff": nominal_backoff,
+                    "parametric_term": parametric_term,
+                    "mean_value": mean_value,
+                    "slack": 1.0 - nominal_backoff - parametric_term - mean_value,
                     "mc_rate": entry.rate,
                     "mc_upper99": entry.upper99,
-                    "budget": budget,
                 }
             )
-    return ConservatismReport(status=sol.status, cost=sol.objective, rows=rows, budget=budget)
+    return rows
 
 
 # ---------------------------------------------------------------------------

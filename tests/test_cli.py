@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_compare, cmd_pipeline, main, parse_config
+from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_pipeline, load_config, main, parse_config
 from mspc.errors import ConfigError, DeltaTooSmall
 from mspc.system import load_trajectory
 
@@ -61,20 +62,59 @@ def test_config_rejects_delta_below_p(tmp_path):
     assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("block, value, key", [
-    ("ocp", {"horizon": 3}, "Q"),                 # missing required keys
-    ("validation", {"n_sample": 10}, "n_sample"),  # unknown key (typo of n_samples)
-], ids=["missing", "unknown"])
-def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, block, value, key):
-    doc = quick_config()
-    doc[block] = value
+def set_value(*path_and_value):
+    """Config text with ``value`` written at the nested key ``path``."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize("edit, key", [
+    (set_value("ocp", {"horizon": 3}), "Q"),                 # missing required keys
+    (set_value("validation", {"n_sample": 10}), "n_sample"),  # unknown key (typo of n_samples)
+    (lambda doc: None, "config.json"),                        # no such file
+    (lambda doc: json.dumps(doc)[:-1], "JSONDecodeError"),    # invalid JSON
+    (set_value("ocp", "horizon", "three"), "three"),          # value of the wrong type
+    (set_value("master_seed", -1), "master_seed"),            # negative seed
+    (set_value("validation", "master_seed", -1), "master_seed"),
+], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
+        "negative_validation_seed"])
+def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
+    text = edit(quick_config())
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
     with pytest.raises(ConfigError, match=key):
-        parse_config(doc)
-    path = write_config(tmp_path, doc)
+        load_config(path)
     assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, stage", [
+    (["--samples", "0"], "validate"),  # too few samples: the validate stage rejects them
+    (["--seed", "-1"], None),          # negative master seed: a config error
+], ids=["samples_0", "seed_negative"])
+def test_override_flags_rejected(tmp_path, capsys, flags, stage):
+    path = write_config(tmp_path, quick_config())
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "--out", str(out), *flags]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    if stage is None:
+        assert not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["stages"][stage]["error"].startswith("DimensionMismatch")
+        assert not report["passed"]
 
 
 def test_simulate_deterministic_and_shapes(tmp_path):
@@ -193,18 +233,75 @@ def test_identify_failure_is_recorded_not_raised(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_compare_outputs(tmp_path):
+@pytest.fixture(scope="module")
+def full_compare_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("compare")
+    path = write_config(tmp, quick_config())
+    assert main(["compare", "--config", str(path), "--out", str(tmp / "out")]) == 0
+    return tmp / "out"
+
+
+def test_compare_outputs(full_compare_dir):
     cfg = parse_config(quick_config())
-    doc, ok = cmd_compare(cfg, tmp_path)
-    assert ok
-    assert doc["equivalence"]["passed"]
-    lines = (tmp_path / "tightening_vs_k.csv").read_text().strip().splitlines()
+    doc = json.loads((full_compare_dir / "report.json").read_text())
+    assert doc["passed"]
+    assert list(doc["stages"]) == list(STAGES)
+    assert doc["equivalence_true_system"]["passed"]
+    lines = (full_compare_dir / "tightening_vs_k.csv").read_text().strip().splitlines()
     n_rows = len(json.loads(json.dumps(cfg.raw))["ocp"]["h_x"])
     assert len(lines) == 1 + cfg.ocp_spec.horizon * n_rows
-    cost_lines = (tmp_path / "cost_vs_T.csv").read_text().strip().splitlines()
+    cost_lines = (full_compare_dir / "cost_vs_T.csv").read_text().strip().splitlines()
     assert len(cost_lines) == 1 + 2 * 2  # T_sweep x sweep_seeds
-    assert (tmp_path / "violation_vs_p.csv").exists()
+    assert (full_compare_dir / "violation_vs_p.csv").exists()
     assert doc["scenario_baseline"]["status"] == "Optimal"
+    assert doc["scenario_baseline"]["robust_cost"] == doc["robust_solution"]["objective"]
+    assert not (full_compare_dir / "compare.json").exists()
+
+
+def test_compare_extends_pipeline(full_pipeline_dir, full_compare_dir):
+    # compare runs the pipeline's stages unchanged and only adds to them.
+    pipeline_report = json.loads((full_pipeline_dir / "report.json").read_text())
+    compare_report = json.loads((full_compare_dir / "report.json").read_text())
+    for key, value in pipeline_report.items():
+        if key not in ("stages", "passed"):
+            assert compare_report[key] == value, key
+    for written in full_pipeline_dir.iterdir():
+        if written.name not in ("report.json", "timings.json"):
+            assert written.read_bytes() == (full_compare_dir / written.name).read_bytes(), (
+                written.name
+            )
+
+
+def test_pipeline_certification_rows_match_violation_csv(full_pipeline_dir):
+    report = json.loads((full_pipeline_dir / "report.json").read_text())
+    rows = report["certification"]["rows"]
+    with open(full_pipeline_dir / "violations_parametric.csv") as fh:
+        upper = {(int(r["j"]), int(r["k"])): float(r["upper99"]) for r in csv.DictReader(fh)}
+    with open(full_pipeline_dir / "tightening_vs_k.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(rows) == len(table) == 4  # one row, horizon 4
+    for row, line in zip(rows, table):
+        assert row["mc_upper99"] == upper[(row["j"], row["k"])]
+        assert row["slack"] == (
+            1.0 - row["nominal_backoff"] - row["parametric_term"] - row["mean_value"]
+        )
+        assert row["slack"] >= -1e-8
+        assert [float(line[col]) for col in ("h_exact", "h_upper", "parametric_term",
+                                             "mc_upper99")] == [
+            row["h_exact"], row["h_upper"], row["parametric_term"], row["mc_upper99"]
+        ]
+
+
+def test_compare_insufficient_data_exits_2(tmp_path, capsys):
+    doc = quick_config()
+    doc["identification"]["T"] = 5  # far too short: identification must fail
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["stages"]["identify"]["error"].startswith("InsufficientData")
+    assert not report["passed"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_main_pipeline_exit_code(tmp_path):
@@ -219,8 +316,8 @@ def test_compare_param_terms_shrink_with_more_data(tmp_path):
     doc["compare"]["T_sweep"] = [60, 400]
     doc["compare"]["sweep_seeds"] = 3
     cfg = parse_config(doc)
-    doc_out, _ = cmd_compare(cfg, tmp_path)
-    rows = doc_out["cost_vs_T"]
+    cmd_pipeline(cfg, tmp_path, last="sweeps")
+    rows = json.loads((tmp_path / "report.json").read_text())["cost_vs_T"]
     med = {}
     for t_len in (60, 400):
         med[t_len] = float(np.median([
@@ -245,7 +342,7 @@ def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path):
     assert not (tmp_path / "solution_robust.json").exists()
 
 
-def test_pipeline_fir_structure_end_to_end(tmp_path):
+def fir_config():
     doc = quick_config()
     # FIR-true plant: the one-step map has no state feedback.
     doc["system"]["inline"] = {
@@ -258,10 +355,29 @@ def test_pipeline_fir_structure_end_to_end(tmp_path):
     doc["identification"]["structure"] = "fir"
     doc["ocp"]["x0_mean"] = [0.8, 0.2]
     doc["ocp"]["h_x"] = [[0.6, 0.0]]
-    cfg = parse_config(doc)
+    return doc
+
+
+def test_pipeline_fir_structure_end_to_end(tmp_path):
+    cfg = parse_config(fir_config())
     report, ok = cmd_pipeline(cfg, tmp_path)
     assert ok, report["stages"]
     assert report["certification"]["certified"]
     ests = json.loads((tmp_path / "estimates.json").read_text())
     assert all(d["structure"] == "fir" for d in ests)
     assert ests[0]["dof"] == 2  # n * k * m at k = 1
+
+
+def test_compare_fir_scenario_records_domain_error(tmp_path, capsys):
+    # The scenario baseline needs a one-step full-structure estimate.
+    path = write_config(tmp_path, fir_config())
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["stages"]["scenario"]["error"].startswith("DomainError")
+    assert "scenario_baseline" not in report
+    assert report["stages"]["sweeps"] == {"ok": True}
+    assert [r["T"] for r in report["cost_vs_T"]] == [80, 80, 160, 160]
+    assert (out / "cost_vs_T.csv").exists() and (out / "violation_vs_p.csv").exists()
+    assert report["certification"]["certified"] and not report["passed"]
+    assert "Traceback" not in capsys.readouterr().err

@@ -7,15 +7,22 @@ from scipy.stats import norm as normal_dist
 from mspc.errors import DimensionMismatch
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
 from mspc.linalg import Rng, diag_repeat
-from mspc.ocp import InputBox, OcpSpec, build_nominal_qp_multistep, build_nominal_qp_statespace
+from mspc.ocp import (
+    InputBox,
+    OcpSpec,
+    build_nominal_qp_multistep,
+    build_nominal_qp_statespace,
+    build_robust_socp_multistep,
+    build_tightening_table,
+)
 from mspc.solver import solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
 from mspc.validate import (
     CoverageConfig,
     SampledParameterTruth,
     clopper_pearson_interval,
+    certification_rows,
     clopper_pearson_upper,
-    conservatism_report,
     coverage_experiment,
     equivalence_check,
     estimate_violation,
@@ -246,8 +253,20 @@ def test_coverage_multistep_smoke():
 
 
 # ---------------------------------------------------------------------------
-# conservatism_report
+# certification_rows
 # ---------------------------------------------------------------------------
+
+
+def robust_rows(sys, ests, spec, delta, rng, n_samples=20_000):
+    """Robust solve on ``ests`` and its certification rows, as the pipeline builds them."""
+    model = build_multistep(sys, spec.horizon)
+    gw = [model.step(k)[2] for k in range(1, spec.horizon + 1)]
+    table = build_tightening_table(spec, ests, gw, sys.sigma_w, delta)
+    sol = solve(build_robust_socp_multistep(ests, spec, delta, gw, sys.sigma_w, table=table))
+    assert sol.status == "Optimal"
+    truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
+    rep = estimate_violation(truth, sol.primal, spec, n_samples, rng)
+    return rep, certification_rows(table, ests, spec, sol.primal, rep)
 
 
 def test_conservatism_zero_parametric_uncertainty():
@@ -260,12 +279,12 @@ def test_conservatism_zero_parametric_uncertainty():
         theta = true_theta(g0, gu)
         ests.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
                                       cov=np.zeros((theta.size,) * 2), n=1, m=1))
-    report = conservatism_report(sys, ests, spec, 1.0, Rng(93), n_samples=20_000)
-    assert report.status == "Optimal"
-    assert report.dominance_holds()
-    for row in report.rows:
+    _, rows = robust_rows(sys, ests, spec, 1.0, Rng(93))
+    budget = 1.0 - spec.p
+    assert all(r["h_upper"] >= r["h_exact"] - 1e-9 for r in rows)
+    for row in rows:
         assert row["parametric_term"] == 0.0
-        assert row["mc_upper99"] <= report.budget + 0.01
+        assert row["mc_upper99"] <= budget + 0.01
 
 
 def test_conservatism_with_uncertainty():
@@ -278,12 +297,50 @@ def test_conservatism_with_uncertainty():
         theta = true_theta(g0, gu)
         ests.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
                                       cov=1e-4 * np.eye(theta.size), n=1, m=1))
-    report = conservatism_report(sys, ests, spec, 0.95, Rng(94), n_samples=20_000)
-    assert report.status == "Optimal"
-    assert report.dominance_holds()
-    for row in report.rows:
+    _, rows = robust_rows(sys, ests, spec, 0.95, Rng(94))
+    budget = 1.0 - spec.p
+    assert all(r["h_upper"] >= r["h_exact"] - 1e-9 for r in rows)
+    for row in rows:
         assert row["h_upper"] >= row["h_exact"] - 1e-9
-        assert row["mc_upper99"] <= report.budget + 0.01
+        assert row["mc_upper99"] <= budget + 0.01
+
+
+def test_certification_rows_slack_at_robust_optimum():
+    # x2 >= -0.2 binds at every step when regulating x1 through x2, so the
+    # cone rows of the second constraint are active at the robust optimum.
+    sys = LinearSystem(
+        A=np.array([[0.9, 0.2], [0.0, 0.8]]), B=np.array([[0.0], [1.0]]), E=np.eye(2),
+        sigma_w=0.01 * np.eye(2), sigma_eps=np.zeros((2, 2)),
+    )
+    spec = OcpSpec(
+        horizon=3, Q=np.eye(2), R=0.1 * np.eye(1), h_x=np.array([[1.0, 0.0], [0.0, -5.0]]),
+        u_set=InputBox(lo=np.array([-3.0]), hi=np.array([3.0])), p=0.9,
+        init=GaussianBelief(mean=np.array([0.6, 0.3]), cov=0.001 * np.eye(2)),
+    )
+    model = build_multistep(sys, 3)
+    gen = Rng(95).generator()
+    ests = []
+    for k in (1, 2, 3):
+        g0, gu, _ = model.step(k)
+        theta = true_theta(g0, gu)
+        a = gen.standard_normal((theta.size, theta.size))
+        cov = 1e-4 * (a @ a.T / theta.size + np.eye(theta.size))  # correlated
+        ests.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
+                                      cov=cov, n=2, m=1))
+    rep, rows = robust_rows(sys, ests, spec, 0.95, Rng(96), n_samples=2000)
+    assert [(r["j"], r["k"]) for r in rows] == [(j, k) for k in (1, 2, 3) for j in (0, 1)]
+    for row in rows:
+        # The cone row is exactly the inequality slack >= 0.
+        assert row["slack"] == (
+            1.0 - row["nominal_backoff"] - row["parametric_term"] - row["mean_value"]
+        )
+        assert row["slack"] >= -1e-8, row
+        assert row["nominal_backoff"] > 0.0 and row["parametric_term"] > 0.0
+    assert min(r["slack"] for r in rows if r["j"] == 1) <= 1e-6  # active rows
+    entries = {(e.j, e.k): e for e in rep.entries}
+    for row in rows:
+        entry = entries[(row["j"], row["k"])]
+        assert (row["mc_rate"], row["mc_upper99"]) == (entry.rate, entry.upper99)
 
 
 def test_violation_sampled_parameters_analytic_tail():
