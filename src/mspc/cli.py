@@ -327,18 +327,24 @@ def _cost_vs_t(cfg: ExperimentConfig, sys_true: LinearSystem) -> "list[dict]":
     return rows
 
 
-def _violation_vs_p(cfg: ExperimentConfig, sys_true: LinearSystem, estimates, gw) -> "list[dict]":
-    """Worst parametric violation bound of the robust solve per chance level p < delta."""
+def _violation_vs_p(cfg: ExperimentConfig, sys_true: LinearSystem, estimates, gw,
+                    sol_robust: "solver.Solution | None") -> "list[dict]":
+    """Worst parametric violation bound of the robust solve per chance level p < delta.
+
+    At the config's own p the pipeline's robust solve ``sol_robust`` is reused.
+    """
     rows = []
     for p_val in cfg.compare.p_sweep:
         if not p_val < cfg.ident_settings.delta:
             continue
         spec_p = replace(cfg.ocp_spec, p=float(p_val))
         try:
-            prog = ocp.build_robust_socp_multistep(
-                estimates, spec_p, cfg.ident_settings.delta, gw, sys_true.sigma_w
-            )
-            sol = solver.solve(prog)
+            if sol_robust is not None and spec_p.p == cfg.ocp_spec.p:
+                sol = sol_robust
+            else:
+                sol = solver.solve(ocp.build_robust_socp_multistep(
+                    estimates, spec_p, cfg.ident_settings.delta, gw, sys_true.sigma_w
+                ))
         except MspcError as exc:
             rows.append({"p": p_val, "status": type(exc).__name__, "worst_upper99": None})
             continue
@@ -534,7 +540,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
 
         sweeps = run_stage(
             "sweeps",
-            lambda: (_cost_vs_t(cfg, sys_true), _violation_vs_p(cfg, sys_true, estimates, gw)),
+            lambda: (_cost_vs_t(cfg, sys_true),
+                     _violation_vs_p(cfg, sys_true, estimates, gw, sol_robust)),
         )
         if sweeps is not None:
             report["cost_vs_T"], report["violation_vs_p"] = sweeps

@@ -367,8 +367,8 @@ def _tightening_terms(
     h_row: np.ndarray,
     gw_k: np.ndarray,
     g0_hat: np.ndarray,
-    sigma_w: np.ndarray,
-    sigma_x0: np.ndarray,
+    sw_half: np.ndarray,
+    sx_half: np.ndarray,
     sigma_theta_half: "np.ndarray | None",
     structure: str,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -378,16 +378,15 @@ def _tightening_terms(
     disturbance part diag_k(sigma_w^{1/2}) Gw' H_j (independent of the
     parameters) on top of the initial-state part sigma_x0^{1/2} G0' H_j,
     which is affine in the parameter error through its first n^2
-    coordinates.
+    coordinates.  ``sw_half``/``sx_half`` are the symmetric square roots of
+    sigma_w and sigma_x0.
     """
     h_row = np.asarray(h_row, dtype=float).ravel()
     n = g0_hat.shape[0]
-    q = sigma_w.shape[0]
+    q = sw_half.shape[0]
     k = gw_k.shape[1] // q
     if gw_k.shape != (n, k * q) or h_row.size != n:
         raise DimensionMismatch("inconsistent tightening inputs")
-    sw_half = sym_sqrt(sigma_w)
-    sx_half = sym_sqrt(sigma_x0)
     base = np.concatenate([
         diag_repeat(sw_half, k) @ (gw_k.T @ h_row),
         sx_half @ (g0_hat.T @ h_row),
@@ -413,9 +412,12 @@ def tightening_constant_exact(
     structure: str = STRUCTURE_FULL,
 ) -> float:
     """Exact worst-case back-off over the parameter confidence ellipsoid."""
-    base, direction = _tightening_terms(
-        h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure
-    )
+    return _exact_backoff(*_tightening_terms(
+        h_row, gw_k, g0_hat, sym_sqrt(sigma_w), sym_sqrt(sigma_x0), sigma_theta_half, structure
+    ), radius)
+
+
+def _exact_backoff(base: np.ndarray, direction: np.ndarray, radius: float) -> float:
     if direction.shape[1] == 0 or radius == 0.0:
         return float(np.linalg.norm(base))
     return max_norm_affine_over_ball(base, direction, radius)
@@ -432,9 +434,12 @@ def tightening_constant_upper(
     structure: str = STRUCTURE_FULL,
 ) -> float:
     """Triangle-inequality upper bound on the exact back-off constant."""
-    base, direction = _tightening_terms(
-        h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure
-    )
+    return _upper_backoff(*_tightening_terms(
+        h_row, gw_k, g0_hat, sym_sqrt(sigma_w), sym_sqrt(sigma_x0), sigma_theta_half, structure
+    ), radius)
+
+
+def _upper_backoff(base: np.ndarray, direction: np.ndarray, radius: float) -> float:
     bound = float(np.linalg.norm(base))
     if direction.shape[1] and radius > 0.0:
         bound += radius * float(np.linalg.norm(direction, 2))
@@ -465,25 +470,20 @@ def build_tightening_table(
     p_tilde = spec.p / delta
     c_ptilde = gaussian_backoff(p_tilde)
     radius, sigma_half, h_exact, h_upper = {}, {}, {}, {}
+    sw_half = sym_sqrt(np.asarray(sigma_w, dtype=float))
+    sx_half = sym_sqrt(spec.init.cov)
     for k in range(1, spec.horizon + 1):
         est = estimates[k - 1]
         if est.k != k:
             raise DimensionMismatch(f"estimate at position {k} is for step {est.k}")
         sigma_half[k] = sym_sqrt(est.cov)
         radius[k] = 0.0 if delta == 1.0 else math.sqrt(chi2_quantile(est.dof, delta))
+        g0_hat = est.g0_hat()
         for j in range(spec.n_rows):
-            args = (
-                spec.h_x[j],
-                gw[k - 1],
-                est.g0_hat(),
-                np.asarray(sigma_w, dtype=float),
-                spec.init.cov,
-                sigma_half[k],
-                radius[k],
-                est.structure,
-            )
-            h_exact[(j, k)] = tightening_constant_exact(*args)
-            h_upper[(j, k)] = tightening_constant_upper(*args)
+            terms = _tightening_terms(spec.h_x[j], gw[k - 1], g0_hat, sw_half, sx_half,
+                                      sigma_half[k], est.structure)
+            h_exact[(j, k)] = _exact_backoff(*terms, radius[k])
+            h_upper[(j, k)] = _upper_backoff(*terms, radius[k])
     return TighteningTable(
         delta=delta,
         p=spec.p,

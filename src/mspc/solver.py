@@ -5,10 +5,12 @@ A dense primal-dual interior-point method in the standard conic slack form
     minimize 0.5 z' P z + q' z   s.t.  G z + s = h,  s in K,
 
 with K a product of a nonnegative orthant and second-order cones.  Scaling
-uses the Nesterov-Todd point per cone block, steps use a Mehrotra
-predictor-corrector, and the (small, dense) reduced KKT system is solved by
-Cholesky.  Purely linear programs get an active-set polish solve at the end,
-which pins the primal down to machine precision on nondegenerate problems.
+uses the Nesterov-Todd point per cone block, stored as rank-one factors per
+block so that every cone operation is one array pass over all blocks.  Steps
+use a Mehrotra predictor-corrector, and the (small, dense) reduced KKT system
+is assembled from the factors and solved by Cholesky.  Purely linear programs
+get an active-set polish solve at the end, which pins the primal down to
+machine precision on nondegenerate problems.
 
 The module is deliberately self-contained so that an external solver can be
 substituted: any callable with the ``solve(prog, opts)`` signature returning
@@ -29,6 +31,7 @@ from .errors import DimensionMismatch
 from .ocp import ConicProgram, SocRow
 
 _DIVERGENCE_THRESHOLD = 1e8
+_FARKAS_CONE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,168 +78,156 @@ class Solution:
 
 
 class _Cone:
-    """Product of an orthant of size l and second-order cones of given sizes."""
+    """Product of an orthant of size l and second-order cones of given sizes.
+
+    The cone blocks are handled all at once as a zero-padded (blocks x max
+    size) array; the padding stays zero under every arrow operation below.
+    """
 
     def __init__(self, l: int, soc_sizes: "list[int]"):
         self.l = l
         self.soc_sizes = soc_sizes
         self.dim = l + sum(soc_sizes)
         self.degree = l + len(soc_sizes)
-        self._starts = []
-        off = l
-        for p in soc_sizes:
-            self._starts.append(off)
-            off += p
+        sizes = np.asarray(soc_sizes, dtype=int)
+        self._starts = l + np.cumsum(sizes) - sizes
+        cols = np.arange(sizes.max(initial=1))
+        self._mask = cols < sizes[:, None]
+        # Padding entries gather from one zero appended past the last row.
+        self._index = np.where(self._mask, self._starts[:, None] + cols, self.dim)
+        self.jmask = np.where(cols == 0, 1.0, -1.0) * self._mask   # J per padded block
 
-    def blocks(self, v: np.ndarray):
-        for start, size in zip(self._starts, self.soc_sizes):
-            yield v[start: start + size]
+    def split(self, v: np.ndarray):
+        """Orthant part and padded SOC blocks of a vector (or of the rows of a matrix)."""
+        padded = np.concatenate([v, np.zeros((1,) + v.shape[1:])])
+        return v[: self.l], padded[self._index]
+
+    def join(self, lin: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        return np.concatenate([lin, blocks[self._mask]])
 
     def unit(self) -> np.ndarray:
         e = np.zeros(self.dim)
         e[: self.l] = 1.0
-        for start in self._starts:
-            e[start] = 1.0
+        e[self._starts] = 1.0
         return e
 
     def interior_violation(self, v: np.ndarray) -> float:
         """How far v is from the cone interior (positive means outside)."""
-        worst = -math.inf
-        if self.l:
-            worst = max(worst, float(-np.min(v[: self.l])))
-        for blk in self.blocks(v):
-            worst = max(worst, float(np.linalg.norm(blk[1:]) - blk[0]))
-        return worst if worst != -math.inf else -1.0
+        lin, blk = self.split(v)
+        worst = np.concatenate([-lin, np.linalg.norm(blk[:, 1:], axis=1) - blk[:, 0]])
+        return float(worst.max()) if worst.size else -1.0
 
     def max_step(self, v: np.ndarray, dv: np.ndarray) -> float:
         """Largest alpha with v + alpha dv still in the cone (v inside)."""
-        alpha = math.inf
-        if self.l:
-            neg = dv[: self.l] < 0
-            if np.any(neg):
-                alpha = float(np.min(-v[: self.l][neg] / dv[: self.l][neg]))
-        for start, size in zip(self._starts, self.soc_sizes):
-            u, du = v[start: start + size], dv[start: start + size]
-            alpha = min(alpha, _soc_max_step(u, du))
-        return alpha
+        lin, blk = self.split(v)
+        dlin, dblk = self.split(dv)
+        ratios = -lin[dlin < 0] / dlin[dlin < 0]
+        steps = _soc_max_step(blk, dblk) if len(blk) else ()
+        return float(np.concatenate([ratios, steps]).min(initial=math.inf))
 
 
-def _soc_max_step(u: np.ndarray, du: np.ndarray) -> float:
-    """Largest step keeping u + alpha du inside one second-order cone."""
-    scale = float(np.abs(du).max(initial=0.0))
-    if scale == 0.0:
-        return math.inf
-    if scale > 1e50 or scale < 1e-50:
-        # The step length is positively homogeneous of degree -1 in du.
-        return _soc_max_step(u, du / scale) / scale
-    a = du[0] ** 2 - float(du[1:] @ du[1:])
-    b = 2.0 * (u[0] * du[0] - float(u[1:] @ du[1:]))
-    c = max(u[0] ** 2 - float(u[1:] @ u[1:]), 0.0)
-    roots = []
-    if abs(a) < 1e-300:
-        if b < 0:
-            roots.append(-c / b)
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            for r in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-                if r > 0:
-                    roots.append(r)
-    alpha = min(roots) if roots else math.inf
-    if du[0] < 0:
-        alpha = min(alpha, -u[0] / du[0])
-    return alpha
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of two block arrays."""
+    return np.einsum("bi,bi->b", x, y)
+
+
+def _soc_max_step(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Largest step keeping each block u + alpha du inside its second-order cone."""
+    scale = np.abs(du).max(axis=1, initial=0.0)
+    # The step length is positively homogeneous of degree -1 in du, so blocks
+    # with an extreme du are solved at unit scale and scaled back.
+    extreme = (scale > 1e50) | ((scale < 1e-50) & (scale > 0.0))
+    rescale = np.where(extreme, scale, 1.0)
+    du = du / rescale[:, None]
+    a = du[:, 0] ** 2 - _dot(du[:, 1:], du[:, 1:])
+    b = 2.0 * (u[:, 0] * du[:, 0] - _dot(u[:, 1:], du[:, 1:]))
+    c = np.maximum(u[:, 0] ** 2 - _dot(u[:, 1:], u[:, 1:]), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(b * b - 4.0 * a * c)   # NaN when no real root
+        roots = np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)])
+        alpha = np.where(roots > 0, roots, math.inf).min(axis=0)
+        alpha = np.where(np.abs(a) < 1e-300, np.where(b < 0, -c / b, math.inf), alpha)
+        alpha = np.where(du[:, 0] < 0, np.minimum(alpha, -u[:, 0] / du[:, 0]), alpha)
+    return alpha / rescale   # a zero du has a = b = 0: no root, no bound
 
 
 class _Scaling:
-    """Nesterov-Todd scaling for the current primal/dual cone pair."""
+    """Nesterov-Todd scaling for the current primal/dual cone pair.
+
+    The orthant part is diagonal.  Each SOC block is stored as rank-one
+    factors: W = eta (2 v v' - J), W^{-1} = (2 Jv (Jv)' - J) / eta and
+    W^{-2} = (2 Jw (Jw)' - J) / eta^2, where w is the normalized scaling
+    point and v its Jordan square root.
+    """
 
     def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
         self.cone = cone
-        self.w_lin = np.sqrt(s[: cone.l] / z[: cone.l]) if cone.l else np.zeros(0)
-        self.soc = []
-        for start, size in zip(cone._starts, cone.soc_sizes):
-            sb, zb = s[start: start + size], z[start: start + size]
-            rs = math.sqrt(max(sb[0] ** 2 - float(sb[1:] @ sb[1:]), 1e-300))
-            rz = math.sqrt(max(zb[0] ** 2 - float(zb[1:] @ zb[1:]), 1e-300))
-            s_bar, z_bar = sb / rs, zb / rz
-            gamma = math.sqrt(max((1.0 + float(s_bar @ z_bar)) / 2.0, 1e-300))
-            w_bar = s_bar.copy()
-            w_bar[0] += z_bar[0]
-            w_bar[1:] -= z_bar[1:]
-            w_bar /= 2.0 * gamma
-            # W must square to the quadratic representation at the scaling
-            # point, so it is built from the Jordan square root of w_bar.
-            v = np.empty(size)
-            v[0] = math.sqrt((w_bar[0] + 1.0) / 2.0)
-            v[1:] = w_bar[1:] / (2.0 * v[0])
-            eta = math.sqrt(rs / rz)
-            jmat = np.diag(np.concatenate([[1.0], -np.ones(size - 1)]))
-            w_mat = eta * (2.0 * np.outer(v, v) - jmat)
-            jv = jmat @ v
-            w_inv = (2.0 * np.outer(jv, jv) - jmat) / eta
-            self.soc.append((w_mat, w_inv))
+        s_lin, sb = cone.split(s)
+        z_lin, zb = cone.split(z)
+        self.w_lin = np.sqrt(s_lin / z_lin)
+        rs = np.sqrt(np.maximum(sb[:, 0] ** 2 - _dot(sb[:, 1:], sb[:, 1:]), 1e-300))
+        rz = np.sqrt(np.maximum(zb[:, 0] ** 2 - _dot(zb[:, 1:], zb[:, 1:]), 1e-300))
+        s_bar, z_bar = sb / rs[:, None], zb / rz[:, None]
+        gamma = np.sqrt(np.maximum((1.0 + _dot(s_bar, z_bar)) / 2.0, 1e-300))
+        w_bar = (s_bar + cone.jmask * z_bar) / (2.0 * gamma)[:, None]
+        # W must square to the quadratic representation at the scaling
+        # point, so it is built from the Jordan square root of w_bar.
+        v0 = np.sqrt((w_bar[:, 0] + 1.0) / 2.0)
+        self.v = w_bar / (2.0 * v0)[:, None]
+        self.v[:, 0] = v0
+        self.eta = np.sqrt(rs / rz)
+        self.jv = cone.jmask * self.v
+        self.jw = cone.jmask * w_bar
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """W v."""
-        out = np.empty_like(v)
-        out[: self.cone.l] = self.w_lin * v[: self.cone.l]
-        for (w_mat, _), start, size in zip(self.soc, self.cone._starts, self.cone.soc_sizes):
-            out[start: start + size] = w_mat @ v[start: start + size]
-        return out
+    def _arrow(self, x: np.ndarray, lin_scale, scale, vec) -> np.ndarray:
+        """Diagonal on the orthant; scale (2 vec vec' - J) on every block at once."""
+        if not self.cone.soc_sizes:   # the block pass's fixed cost would dominate
+            return lin_scale * x
+        lin, blk = self.cone.split(x)
+        blk = scale[:, None] * (2.0 * vec * _dot(vec, blk)[:, None] - self.cone.jmask * blk)
+        return self.cone.join(lin_scale * lin, blk)
 
-    def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        """W^{-1} v."""
-        out = np.empty_like(v)
-        out[: self.cone.l] = v[: self.cone.l] / self.w_lin
-        for (_, w_inv), start, size in zip(self.soc, self.cone._starts, self.cone.soc_sizes):
-            out[start: start + size] = w_inv @ v[start: start + size]
-        return out
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """W x."""
+        return self._arrow(x, self.w_lin, self.eta, self.v)
 
-    def inv2_matrix(self, g: np.ndarray) -> np.ndarray:
-        """W^{-2} G, applied blockwise to the rows of G."""
-        out = np.empty_like(g)
-        if self.cone.l:
-            out[: self.cone.l] = g[: self.cone.l] / (self.w_lin**2)[:, None]
-        for (_, w_inv), start, size in zip(self.soc, self.cone._starts, self.cone.soc_sizes):
-            out[start: start + size] = w_inv @ (w_inv @ g[start: start + size])
-        return out
+    def apply_inv(self, x: np.ndarray) -> np.ndarray:
+        """W^{-1} x."""
+        return self._arrow(x, 1.0 / self.w_lin, 1.0 / self.eta, self.jv)
 
+    def apply_inv2(self, x: np.ndarray) -> np.ndarray:
+        """W^{-2} x."""
+        return self._arrow(x, self.w_lin**-2, self.eta**-2, self.jw)
 
-def _jordan_square(cone: _Cone, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    out[: cone.l] = v[: cone.l] ** 2
-    for start, size in zip(cone._starts, cone.soc_sizes):
-        blk = v[start: start + size]
-        out[start] = float(blk @ blk)
-        out[start + 1: start + size] = 2.0 * blk[0] * blk[1:]
-    return out
+    def reduced_kkt(self, p_mat: np.ndarray, g_lin: np.ndarray, g_blk: np.ndarray,
+                    gjg: np.ndarray) -> np.ndarray:
+        """P + G' W^{-2} G from the factors; gjg[b] = G_b' J G_b is fixed per solve."""
+        g_scaled = g_lin / self.w_lin[:, None]
+        a = np.einsum("bmi,bm->bi", g_blk, self.jw) / self.eta[:, None]
+        k_mat = p_mat + g_scaled.T @ g_scaled + 2.0 * a.T @ a
+        k_mat -= np.tensordot(self.eta**-2, gjg, axes=1)
+        return 0.5 * (k_mat + k_mat.T)
 
 
 def _jordan_product(cone: _Cone, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    out[: cone.l] = u[: cone.l] * v[: cone.l]
-    for start, size in zip(cone._starts, cone.soc_sizes):
-        ub, vb = u[start: start + size], v[start: start + size]
-        out[start] = float(ub @ vb)
-        out[start + 1: start + size] = ub[0] * vb[1:] + vb[0] * ub[1:]
-    return out
+    u_lin, ub = cone.split(u)
+    v_lin, vb = cone.split(v)
+    out = ub[:, :1] * vb + vb[:, :1] * ub
+    out[:, 0] = _dot(ub, vb)
+    return cone.join(u_lin * v_lin, out)
 
 
 def _jordan_solve(cone: _Cone, anchor: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Solve anchor o x = d for x (arrow-matrix inverse per block)."""
-    out = np.empty_like(d)
-    out[: cone.l] = d[: cone.l] / anchor[: cone.l]
-    for start, size in zip(cone._starts, cone.soc_sizes):
-        ab, db = anchor[start: start + size], d[start: start + size]
-        det = ab[0] ** 2 - float(ab[1:] @ ab[1:])
-        if det <= 0.0 or ab[0] <= 0.0:
-            raise ValueError("scaled point left the cone interior")
-        x0 = (ab[0] * db[0] - float(ab[1:] @ db[1:])) / det
-        out[start] = x0
-        out[start + 1: start + size] = (db[1:] - x0 * ab[1:]) / ab[0]
-    return out
+    a_lin, ab = cone.split(anchor)
+    d_lin, db = cone.split(d)
+    det = ab[:, 0] ** 2 - _dot(ab[:, 1:], ab[:, 1:])
+    if np.any((det <= 0.0) | (ab[:, 0] <= 0.0)):
+        raise ValueError("scaled point left the cone interior")
+    x0 = (ab[:, 0] * db[:, 0] - _dot(ab[:, 1:], db[:, 1:])) / det
+    out = (db - x0[:, None] * ab) / ab[:, :1]
+    out[:, 0] = x0
+    return cone.join(d_lin / a_lin, out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +282,14 @@ def _canonicalize(prog: ConicProgram) -> _Canonical:
     )
 
 
-def _factor_reduced(p_mat: np.ndarray, gw: np.ndarray, g_mat: np.ndarray):
-    """Cholesky of P + G' W^{-2} G with escalating regularization."""
-    k_mat = p_mat + g_mat.T @ gw
-    k_mat = 0.5 * (k_mat + k_mat.T)
+def _kkt_blocks(cone: _Cone, g_mat: np.ndarray):
+    """Orthant rows, padded SOC rows and G_b' J G_b per block: fixed for one solve."""
+    g_lin, g_blk = cone.split(g_mat)
+    return g_lin, g_blk, np.einsum("bmi,bm,bmj->bij", g_blk, cone.jmask, g_blk)
+
+
+def _factor_reduced(k_mat: np.ndarray):
+    """Cholesky of the reduced KKT matrix P + G' W^{-2} G with escalating regularization."""
     for reg in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
         try:
             shifted = k_mat + reg * np.eye(k_mat.shape[0]) * max(1.0, np.trace(k_mat))
@@ -376,6 +371,7 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
     g_mat, h_vec = canon.g_mat, canon.h_vec
     cone = canon.cone
     d = q_vec.size
+    kkt_blocks = _kkt_blocks(cone, g_mat)
 
     # Initial point: solve the KKT system with identity scaling, then push
     # the slack/dual blocks into the cone interior.
@@ -433,28 +429,27 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
             break
 
         if max(np.abs(lam).max(initial=0.0), np.abs(s).max(initial=0.0)) > _DIVERGENCE_THRESHOLD:
-            status = _classify_divergence(g_mat, h_vec, lam)
+            status = _classify_divergence(g_mat, h_vec, cone, lam)
             break
 
         try:
             scaling = _Scaling(cone, s, lam)
-            gw = scaling.inv2_matrix(g_mat)
-            factor = _factor_reduced(p_mat, gw, g_mat)
+            factor = _factor_reduced(scaling.reduced_kkt(p_mat, *kkt_blocks))
         except (scipy.linalg.LinAlgError, FloatingPointError, ValueError):
             break
 
         zeta = scaling.apply(lam)
 
         def newton(bx, bz):
-            dz = scipy.linalg.cho_solve(factor, bx + gw.T @ bz)
-            dlam = scaling.inv2_matrix((g_mat @ dz - bz)[:, None]).ravel()
+            dz = scipy.linalg.cho_solve(factor, bx + g_mat.T @ scaling.apply_inv2(bz))
+            dlam = scaling.apply_inv2(g_mat @ dz - bz)
             # Iterative refinement on the full block system keeps both the
             # primal and the dual equations accurate as scaling degenerates.
             for _ in range(2):
                 r1 = bx - (p_mat @ dz + g_mat.T @ dlam)
                 r2 = bz - (g_mat @ dz - scaling.apply(scaling.apply(dlam)))
-                cz = scipy.linalg.cho_solve(factor, r1 + gw.T @ r2)
-                clam = scaling.inv2_matrix((g_mat @ cz - r2)[:, None]).ravel()
+                cz = scipy.linalg.cho_solve(factor, r1 + g_mat.T @ scaling.apply_inv2(r2))
+                clam = scaling.apply_inv2(g_mat @ cz - r2)
                 dz = dz + cz
                 dlam = dlam + clam
             ds = -rz - g_mat @ dz
@@ -469,10 +464,8 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
             sigma = ratio**3
 
             # Corrector direction.
-            correction = _jordan_product(
-                cone, scaling.apply_inv(ds_a), scaling.apply(dlam_a)
-            )
-            d_vec = sigma * mu * e - _jordan_square(cone, zeta) - correction
+            correction = _jordan_product(cone, scaling.apply_inv(ds_a), scaling.apply(dlam_a))
+            d_vec = sigma * mu * e - _jordan_product(cone, zeta, zeta) - correction
             d_tilde = _jordan_solve(cone, zeta, d_vec)
             dz, dlam, ds = newton(-rx, -rz - scaling.apply(d_tilde))
         except (scipy.linalg.LinAlgError, ValueError, FloatingPointError):
@@ -515,8 +508,13 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
     )
 
 
-def _classify_divergence(g_mat: np.ndarray, h_vec: np.ndarray, lam: np.ndarray) -> str:
-    """Diverging duals signal infeasibility when they form a Farkas certificate."""
+def _classify_divergence(g_mat: np.ndarray, h_vec: np.ndarray, cone: _Cone,
+                         lam: np.ndarray) -> str:
+    """Diverging duals signal infeasibility when they form a Farkas certificate.
+
+    The normalized dual must give h'lam < 0 and G'lam = 0 (to 1e-6) and lie in
+    the self-dual cone K (to _FARKAS_CONE_TOLERANCE).
+    """
     scale = float(np.linalg.norm(lam))
     if scale <= 0:
         return "NumericalFailure"
@@ -524,6 +522,7 @@ def _classify_divergence(g_mat: np.ndarray, h_vec: np.ndarray, lam: np.ndarray) 
     if (
         float(h_vec @ lam_hat) < -1e-8
         and float(np.abs(g_mat.T @ lam_hat).max(initial=0.0)) <= 1e-6
+        and cone.interior_violation(lam_hat) <= _FARKAS_CONE_TOLERANCE
     ):
         return "Infeasible"
     return "NumericalFailure"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from .linalg import (
     diag_repeat,
     generator_of,
     psd_sqrt_factor,
-    sample_gaussian,
 )
 
 
@@ -78,6 +78,11 @@ class LinearSystem:
     def q(self) -> int:
         return self.E.shape[1]
 
+    @cached_property
+    def noise_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Square-root factors of sigma_w and sigma_eps, computed once per system."""
+        return psd_sqrt_factor(self.sigma_w), psd_sqrt_factor(self.sigma_eps)
+
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -94,6 +99,11 @@ class GaussianBelief:
         assert_psd(cov, name="state covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Square-root factor of cov, computed once per belief."""
+        return psd_sqrt_factor(self.cov)
 
 
 @dataclass(frozen=True)
@@ -224,14 +234,14 @@ def simulate(
         raise DimensionMismatch("initial belief dimension does not match the system")
 
     gen = generator_of(rng)
-    w_factor = psd_sqrt_factor(sys.sigma_w)
-    e_factor = psd_sqrt_factor(sys.sigma_eps)
+    w_factor, e_factor = sys.noise_factors
 
     states = np.zeros((t_len + 1, sys.n))
     disturbances = np.zeros((t_len, sys.q))
     noises = np.zeros((t_len + 1, sys.n))
 
-    states[0] = sample_gaussian(init.mean, init.cov, gen)
+    # The draw of linalg.sample_gaussian, from the cached factor.
+    states[0] = init.mean + gen.standard_normal(init.factor.shape[1]) @ init.factor.T
     for k in range(t_len):
         disturbances[k] = w_factor @ gen.standard_normal(sys.q)
         noises[k] = e_factor @ gen.standard_normal(sys.n)

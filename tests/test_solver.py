@@ -1,11 +1,23 @@
 import math
 
 import numpy as np
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc.linalg import Rng
 from mspc.ocp import ConicProgram, SocRow
-from mspc.solver import SolverOptions, check_kkt, solve
+from mspc.solver import (
+    SolverOptions,
+    _classify_divergence,
+    _Cone,
+    _jordan_product,
+    _jordan_solve,
+    _kkt_blocks,
+    _Scaling,
+    _soc_max_step,
+    check_kkt,
+    solve,
+)
 
 
 def make_program(p=None, q=None, lin_a=None, lin_b=None, soc_rows=None, constant=0.0):
@@ -72,6 +84,34 @@ def test_infeasible_program():
     prog = make_program(p=[[1.0]], q=[0.0], lin_a=[[1.0], [-1.0]], lin_b=[0.0, -1.0])
     sol = solve(prog)
     assert sol.status == "Infeasible"
+
+
+def _two_discs(centers):
+    return [
+        SocRow(f_mat=np.eye(2), g_vec=-np.asarray(c, dtype=float), c_vec=np.zeros(2), d_off=1.0)
+        for c in centers
+    ]
+
+
+def test_infeasible_socp():
+    # Two disjoint unit discs, and a disc that misses a half-plane.
+    discs = make_program(p=np.eye(2), q=[0.0, 0.0], soc_rows=_two_discs([[0, 0], [3, 0]]))
+    half = make_program(p=np.eye(2), q=[0.0, 0.0], lin_a=[[-1.0, 0.0]], lin_b=[-2.0],
+                        soc_rows=_two_discs([[0, 0]]))
+    assert solve(discs).status == "Infeasible"
+    assert solve(half).status == "Infeasible"
+
+
+def test_farkas_certificate_needs_dual_in_cone():
+    # lam = (0, 1, 0) gives G'lam = 0 and h'lam = -1 but lies outside the cone.
+    g_mat = np.array([[1.0], [0.0], [1.0]])
+    h_vec = np.array([0.0, -1.0, 0.0])
+    lam = np.array([0.0, 1.0, 0.0]) * 1e9
+    assert _classify_divergence(g_mat, h_vec, _Cone(0, [3]), lam) == "NumericalFailure"
+    # Orthant rows z <= 0, -z <= -1: lam = (1, 1) certifies them empty, (1, -1) does not.
+    g_lin, h_lin = np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])
+    assert _classify_divergence(g_lin, h_lin, _Cone(2, []), np.array([1e9, 1e9])) == "Infeasible"
+    assert _classify_divergence(g_lin, h_lin, _Cone(2, []), np.array([1e9, -1e9])) == "NumericalFailure"
 
 
 def test_grid_oracle_qp_with_soc():
@@ -237,3 +277,212 @@ def test_iteration_limit_status():
     sol = solve(prog, SolverOptions(max_iterations=1, polish=False))
     assert sol.status in ("IterationLimit", "Optimal")
     assert sol.iterations <= 1
+
+
+# ---------------------------------------------------------------------------
+# Per-block reference for the batched cone algebra
+# ---------------------------------------------------------------------------
+
+
+def ref_blocks(cone):
+    start = cone.l
+    for size in cone.soc_sizes:
+        yield start, size
+        start += size
+
+
+class RefScaling:
+    """Nesterov-Todd scaling with dense W and W^{-1} per block."""
+
+    def __init__(self, cone, s, z):
+        self.cone = cone
+        self.w_lin = np.sqrt(s[: cone.l] / z[: cone.l])
+        self.soc = []
+        for start, size in ref_blocks(cone):
+            sb, zb = s[start: start + size], z[start: start + size]
+            rs = math.sqrt(max(sb[0] ** 2 - float(sb[1:] @ sb[1:]), 1e-300))
+            rz = math.sqrt(max(zb[0] ** 2 - float(zb[1:] @ zb[1:]), 1e-300))
+            s_bar, z_bar = sb / rs, zb / rz
+            gamma = math.sqrt(max((1.0 + float(s_bar @ z_bar)) / 2.0, 1e-300))
+            w_bar = s_bar.copy()
+            w_bar[0] += z_bar[0]
+            w_bar[1:] -= z_bar[1:]
+            w_bar /= 2.0 * gamma
+            v = np.empty(size)
+            v[0] = math.sqrt((w_bar[0] + 1.0) / 2.0)
+            v[1:] = w_bar[1:] / (2.0 * v[0])
+            eta = math.sqrt(rs / rz)
+            jmat = np.diag(np.concatenate([[1.0], -np.ones(size - 1)]))
+            w_mat = eta * (2.0 * np.outer(v, v) - jmat)
+            jv = jmat @ v
+            w_inv = (2.0 * np.outer(jv, jv) - jmat) / eta
+            self.soc.append((w_mat, w_inv))
+
+    def _blockwise(self, lin, which, v):
+        out = np.empty_like(v)
+        out[: self.cone.l] = lin * v[: self.cone.l]
+        for mats, (start, size) in zip(self.soc, ref_blocks(self.cone)):
+            out[start: start + size] = mats[which] @ v[start: start + size]
+        return out
+
+    def apply(self, v):
+        return self._blockwise(self.w_lin, 0, v)
+
+    def apply_inv(self, v):
+        return self._blockwise(1.0 / self.w_lin, 1, v)
+
+    def inv2_matrix(self, g):
+        out = np.empty_like(g)
+        out[: self.cone.l] = g[: self.cone.l] / (self.w_lin**2)[:, None]
+        for (_, w_inv), (start, size) in zip(self.soc, ref_blocks(self.cone)):
+            out[start: start + size] = w_inv @ (w_inv @ g[start: start + size])
+        return out
+
+
+def ref_jordan_square(cone, v):
+    out = np.empty_like(v)
+    out[: cone.l] = v[: cone.l] ** 2
+    for start, size in ref_blocks(cone):
+        blk = v[start: start + size]
+        out[start] = float(blk @ blk)
+        out[start + 1: start + size] = 2.0 * blk[0] * blk[1:]
+    return out
+
+
+def ref_jordan_product(cone, u, v):
+    out = np.empty_like(u)
+    out[: cone.l] = u[: cone.l] * v[: cone.l]
+    for start, size in ref_blocks(cone):
+        ub, vb = u[start: start + size], v[start: start + size]
+        out[start] = float(ub @ vb)
+        out[start + 1: start + size] = ub[0] * vb[1:] + vb[0] * ub[1:]
+    return out
+
+
+def ref_jordan_solve(cone, anchor, d):
+    out = np.empty_like(d)
+    out[: cone.l] = d[: cone.l] / anchor[: cone.l]
+    for start, size in ref_blocks(cone):
+        ab, db = anchor[start: start + size], d[start: start + size]
+        det = ab[0] ** 2 - float(ab[1:] @ ab[1:])
+        x0 = (ab[0] * db[0] - float(ab[1:] @ db[1:])) / det
+        out[start] = x0
+        out[start + 1: start + size] = (db[1:] - x0 * ab[1:]) / ab[0]
+    return out
+
+
+def ref_soc_max_step(u, du):
+    scale = float(np.abs(du).max(initial=0.0))
+    if scale == 0.0:
+        return math.inf
+    if scale > 1e50 or scale < 1e-50:
+        return ref_soc_max_step(u, du / scale) / scale
+    a = du[0] ** 2 - float(du[1:] @ du[1:])
+    b = 2.0 * (u[0] * du[0] - float(u[1:] @ du[1:]))
+    c = max(u[0] ** 2 - float(u[1:] @ u[1:]), 0.0)
+    roots = []
+    if abs(a) < 1e-300:
+        if b < 0:
+            roots.append(-c / b)
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            for r in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
+                if r > 0:
+                    roots.append(r)
+    alpha = min(roots) if roots else math.inf
+    if du[0] < 0:
+        alpha = min(alpha, -u[0] / du[0])
+    return alpha
+
+
+def ref_max_step(cone, v, dv):
+    alpha = math.inf
+    neg = dv[: cone.l] < 0
+    if np.any(neg):
+        alpha = float(np.min(-v[: cone.l][neg] / dv[: cone.l][neg]))
+    for start, size in ref_blocks(cone):
+        alpha = min(alpha, ref_soc_max_step(v[start: start + size], dv[start: start + size]))
+    return alpha
+
+
+def interior_point(cone, gen):
+    """A random point strictly inside the cone, at mixed scales."""
+    x = gen.standard_normal(cone.dim) * np.exp(gen.uniform(-2.0, 2.0, cone.dim))
+    x[: cone.l] = np.abs(x[: cone.l]) + 0.1
+    for start, size in ref_blocks(cone):
+        x[start] = np.linalg.norm(x[start + 1: start + size]) + np.exp(gen.uniform(-3.0, 1.0))
+    return x
+
+
+def assert_close_rel(actual, desired, rtol=1e-12):
+    """Agreement relative to the largest entry of the reference."""
+    scale = float(np.abs(desired).max(initial=0.0))
+    assert np.abs(actual - desired).max(initial=0.0) <= rtol * max(scale, 1e-300)
+
+
+cone_shapes = dict(
+    l=st.integers(0, 4),
+    sizes=st.lists(st.integers(2, 7), min_size=0, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**cone_shapes)
+@example(l=0, sizes=[2, 5, 3], seed=1)
+@example(l=3, sizes=[], seed=2)
+@example(l=0, sizes=[2], seed=3)
+def test_batched_cone_algebra_matches_per_block_reference(l, sizes, seed):
+    if l + len(sizes) == 0:
+        return
+    cone = _Cone(l, sizes)
+    gen = np.random.default_rng(seed)
+    s, z = interior_point(cone, gen), interior_point(cone, gen)
+    x, y = gen.standard_normal(cone.dim), gen.standard_normal(cone.dim)
+    ref, scaling = RefScaling(cone, s, z), _Scaling(cone, s, z)
+
+    assert_close_rel(scaling.apply(x), ref.apply(x))
+    assert_close_rel(scaling.apply_inv(x), ref.apply_inv(x))
+    assert_close_rel(scaling.apply_inv2(x), ref.inv2_matrix(x[:, None]).ravel())
+    assert_close_rel(_jordan_product(cone, x, y), ref_jordan_product(cone, x, y))
+    assert_close_rel(_jordan_product(cone, x, x), ref_jordan_square(cone, x))
+    assert_close_rel(_jordan_solve(cone, s, x), ref_jordan_solve(cone, s, x))
+    assert cone.interior_violation(s) < 0
+
+    d = int(gen.integers(1, 5))
+    g_mat = gen.standard_normal((cone.dim, d))
+    f = gen.standard_normal((d, d))
+    p_mat = f @ f.T
+    k_ref = p_mat + g_mat.T @ ref.inv2_matrix(g_mat)
+    assert_close_rel(scaling.reduced_kkt(p_mat, *_kkt_blocks(cone, g_mat)), k_ref)
+
+
+@given(**cone_shapes, kinds=st.lists(
+    st.sampled_from(["zero", 1e60, 1e-60, 1e170, 1e-170, 1.0, "boundary"]),
+    min_size=7, max_size=7))
+@example(l=0, sizes=[2, 3, 4, 5, 6, 3, 2], seed=4,
+         kinds=["zero", 1e60, 1e-60, 1e170, 1e-170, "boundary", 1.0])
+def test_batched_max_step_matches_per_block_reference(l, sizes, seed, kinds):
+    if l + len(sizes) == 0:
+        return
+    cone = _Cone(l, sizes)
+    gen = np.random.default_rng(seed)
+    u = interior_point(cone, gen)
+    du = gen.standard_normal(cone.dim)
+    for (start, size), kind in zip(ref_blocks(cone), kinds):
+        blk = du[start: start + size]
+        if kind == "zero":
+            blk[:] = 0.0
+        elif kind == "boundary":
+            # du on the cone's boundary ray makes the quadratic linear (a = 0).
+            blk[:] = 0.0
+            blk[0], blk[1] = -1.0 if gen.random() < 0.5 else 1.0, 1.0
+        else:
+            # Squares of the extreme scales over- or underflow without rescaling.
+            blk *= kind
+    _, ub = cone.split(u)
+    _, dub = cone.split(du)
+    per_block = [ref_soc_max_step(u[s: s + n], du[s: s + n]) for s, n in ref_blocks(cone)]
+    assert_allclose(_soc_max_step(ub, dub), per_block, rtol=1e-12)
+    assert_allclose(cone.max_step(u, du), ref_max_step(cone, u, du), rtol=1e-12)
