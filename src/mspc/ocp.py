@@ -285,6 +285,14 @@ def _mean_maps(a_mat: np.ndarray, b_mat: np.ndarray, n_u: int) -> tuple[list, li
     return phi, gamma
 
 
+def _state_rows(phi, gamma, covs, spec: OcpSpec, backoff: float):
+    """Rows h' gamma_k u <= 1 - backoff sqrt(h' cov_k h) - h' phi_k x0; steps k, then rows h."""
+    var = np.einsum("ja,kab,jb->kj", spec.h_x, np.array(covs), spec.h_x)
+    rows = (spec.h_x @ np.array(gamma)).reshape(-1, gamma[0].shape[1])
+    free = np.array(phi) @ spec.init.mean @ spec.h_x.T
+    return rows, (1.0 - backoff * np.sqrt(np.maximum(var, 0.0)) - free).ravel()
+
+
 def _nominal_program(
     phi: "list[np.ndarray]",
     gamma: "list[np.ndarray]",
@@ -296,15 +304,7 @@ def _nominal_program(
     """Assemble the tightened-mean QP from stacked maps and covariances."""
     _check_initial_state(spec, backoff)
     dim = spec.horizon * spec.m
-    rows, offs = [], []
-    for k in range(1, spec.horizon + 1):
-        for j in range(spec.n_rows):
-            h = spec.h_x[j]
-            std = math.sqrt(max(float(h @ covs[k - 1] @ h), 0.0))
-            rows.append(h @ gamma[k - 1])
-            offs.append(1.0 - backoff * std - float(h @ (phi[k - 1] @ spec.init.mean)))
-    lin_a_state = np.vstack(rows) if rows else np.zeros((0, dim))
-    lin_b_state = np.asarray(offs, dtype=float)
+    lin_a_state, lin_b_state = _state_rows(phi, gamma, covs, spec, backoff)
     lin_a_input, lin_b_input = _input_rows(spec, dim)
     p_mat, q_vec, constant = _stacked_cost(phi, gamma, spec)
     prog = ConicProgram(
@@ -631,27 +631,18 @@ def formulate_minmax_statespace(
     for theta_off in offsets:
         ab = base_theta + theta_off.reshape(n, n + m, order="F")
         a_mat, b_mat = ab[:, :n], ab[:, n:]
-        phi, gamma_small = _mean_maps(a_mat, b_mat, n_u)
-        gamma = []
-        for g in gamma_small:
-            gk = np.zeros((n, dim))
-            gk[:, : n_u * m] = g
-            gamma.append(gk)
+        phi, gamma = _mean_maps(a_mat, b_mat, n_u)
         covs = []
         cov = spec.init.cov
         for _ in range(n_u):
             cov = a_mat @ cov @ a_mat.T + noise_cov
             covs.append(cov)
-        for k in range(1, n_u + 1):
-            for j in range(spec.n_rows):
-                h = spec.h_x[j]
-                std = math.sqrt(max(float(h @ covs[k - 1] @ h), 0.0))
-                row = h @ gamma[k - 1]
-                lin_rows.append(row)
-                lin_offs.append(1.0 - c_pt * std - float(h @ (phi[k - 1] @ spec.init.mean)))
+        rows, offs = _state_rows(phi, gamma, covs, spec, c_pt)
+        lin_rows.append(np.hstack([rows, np.zeros((rows.shape[0], 1))]))   # t column
+        lin_offs.append(offs)
         # Epigraph of the scenario cost, trace terms included.
         phi_bar = np.vstack(phi)
-        gamma_bar = np.vstack([g[:, : n_u * m] for g in gamma])
+        gamma_bar = np.vstack(gamma)
         m_mat = gamma_bar.T @ q_bar @ gamma_bar + r_bar
         beta = gamma_bar.T @ (q_bar @ (phi_bar @ spec.init.mean))
         free = phi_bar @ spec.init.mean
@@ -676,8 +667,8 @@ def formulate_minmax_statespace(
         p_mat=np.zeros((dim, dim)),
         q_vec=q_vec,
         constant=0.0,
-        lin_a=np.vstack([np.vstack(lin_rows), lin_a_input]) if lin_rows else lin_a_input,
-        lin_b=np.concatenate([np.asarray(lin_offs, dtype=float), lin_b_input]),
+        lin_a=np.vstack(lin_rows + [lin_a_input]),
+        lin_b=np.concatenate(lin_offs + [lin_b_input]),
         soc_rows=soc_rows,
         variable_map={
             "u": {"horizon": n_u, "m": m, "offset": 0},

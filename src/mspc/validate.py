@@ -3,13 +3,15 @@
 Chance-constraint certification counts violations per constraint row and
 horizon step under two sampling modes: noise only (fixed true system) and
 noise plus parameters (per-step predictors drawn from the estimated
-Gaussian).  Both modes run one counter on multi-step predictors: given x0
-and w, row j at step k is Gaussian in the parameters with the moments of
-:meth:`ParameterEstimate.row_moments`, so each (row, step) count has its
-exact law and the exact Clopper-Pearson upper bounds turn the counts into
-one-sided certificates.  Sampling runs in fixed-size batches, in order,
-each with its own stream derived from the master seed, so reports are
-byte-identical for a given seed.
+Gaussian).  Both modes run one counter on multi-step predictors: given x0,
+row j at step k is Gaussian with mean z' g and variance z' M z + s_jk^2,
+where (g, M) are the :meth:`ParameterEstimate.row_moments` and s_jk^2 =
+H_j' Gw_k (I kron Sigma_w) Gw_k' H_j is the noise term.  Each sample
+draws x0 and one standard normal per (row, step), and no w, so each (row,
+step) count has its exact binomial law and the exact Clopper-Pearson upper
+bounds turn the counts into one-sided certificates.  Sampling runs in
+fixed-size batches, in order, each with its own stream derived from the
+master seed, so reports are byte-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ def estimate_violation(
 
     ``truth`` selects the sampling mode: a :class:`LinearSystem` propagates
     noise through the fixed system (its exact predictors with zero parameter
-    covariance); a :class:`SampledParameterTruth` adds, per sample, row and
-    step, the Gaussian parametric term of the estimate on top of the x0/w
-    noise.
+    covariance); a :class:`SampledParameterTruth` adds the Gaussian
+    parametric term of the estimate.  Either way each sample draws x0 and,
+    given x0, one Gaussian value per (row, step); no w is drawn.
     """
     if n_samples < 1000:
         raise DimensionMismatch("certification needs at least 1000 samples")
@@ -174,37 +176,59 @@ def _exact_predictors(sys: LinearSystem, horizon: int) -> SampledParameterTruth:
     return SampledParameterTruth(estimates=estimates, gw=model.gw, sigma_w=sys.sigma_w)
 
 
+def _conditional_maps(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
+    """Maps lin ((n+1) x horizon*rows) and quad in x~ = [x0; 1].
+
+    Given x0, row j at step k has mean x~' lin and variance p' quad, i.e.
+    z' g and z' M z + s_jk^2 with z the regressor, (g, M) the row moments
+    and s_jk = ||H_j' Gw_k (I_k kron Sigma_w^1/2)||.  The variance is
+    symmetric in x~ kron x~, so p holds only its products x~_a x~_b with
+    a <= b (``np.triu_indices(n + 1)``, the constant 1 last), and quad the
+    matching entries with off-diagonals doubled.  Columns run over steps
+    k = 1..horizon, and over rows within a step.
+    """
+    n, m, rows = spec.n, spec.m, spec.n_rows
+    w_factor = psd_sqrt_factor(truth.sigma_w)
+    lin = np.zeros((n + 1, spec.horizon, rows))
+    quad = np.zeros((n + 1, n + 1, spec.horizon, rows))
+    for k in range(1, spec.horizon + 1):
+        g, m_mats = truth.estimates[k - 1].row_moments(spec.h_x)
+        uk = u[: k * m]
+        nx = g.shape[0] - uk.size          # n for full structure, 0 for FIR
+        h_gw = (spec.h_x @ truth.gw[k - 1]).reshape(rows, k, w_factor.shape[0]) @ w_factor
+        lin[:nx, k - 1], lin[n, k - 1] = g[:nx], uk @ g[nx:]
+        quad[:nx, :nx, k - 1] = m_mats[:, :nx, :nx].transpose(1, 2, 0)
+        quad[:nx, n, k - 1] = quad[n, :nx, k - 1] = (m_mats[:, :nx, nx:] @ uk).T
+        quad[n, n, k - 1] = m_mats[:, nx:, nx:] @ uk @ uk + np.sum(h_gw**2, axis=(1, 2))
+    iu, ju = np.triu_indices(n + 1)
+    quad = quad[iu, ju] * (2.0 - (iu == ju))[:, None, None]
+    return lin.reshape(n + 1, -1), quad.reshape(iu.size, -1)
+
+
 def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
     """Per-batch counter of H_j' x_k > 1 over all rows j and steps k.
 
-    Given x0 and w, row j at step k is z' g + sqrt(z' M z) xi + H_j' Gw_k w
-    with (g, M) the estimate's row moments and one standard normal xi per
-    (sample, row, step); xi is drawn only for steps with M != 0.
+    Draws x0, then one standard normal per (sample, row, step) scaled by the
+    conditional standard deviation of :func:`_conditional_maps`; no w is
+    drawn and no step is looped over.  The standard deviation is a constant
+    per (row, step) when no variance depends on x0 (every M zero, or FIR).
     """
-    n_u, m = spec.horizon, spec.m
-    h_x = spec.h_x
+    lin, quad = _conditional_maps(truth, u, spec)
+    const_sd = None if np.any(quad[:-1]) else np.sqrt(quad[-1])
+    iu, ju = np.triu_indices(spec.n + 1)
     x0_factor = psd_sqrt_factor(spec.init.cov)
-    w_factor = psd_sqrt_factor(truth.sigma_w)
-    steps = []
-    for k in range(1, n_u + 1):
-        est = truth.estimates[k - 1]
-        g_mat, m_mats = est.row_moments(h_x)
-        factors = [psd_sqrt_factor(m_mat) for m_mat in m_mats] if np.any(m_mats) else None
-        steps.append((est, g_mat, factors, h_x @ truth.gw[k - 1]))
 
     def count(gen: np.random.Generator, size: int) -> np.ndarray:
-        counts = np.zeros((n_u + 1, spec.n_rows), dtype=np.int64)
         x0 = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T
-        w = (gen.standard_normal((size * n_u, w_factor.shape[1])) @ w_factor.T).reshape(size, -1)
-        counts[0] = np.count_nonzero(x0 @ h_x.T > 1.0, axis=0)
-        for k, (est, g_mat, factors, h_gw) in enumerate(steps, start=1):
-            z = est.regressor(x0, u[: k * m])
-            value = z @ g_mat + w[:, : h_gw.shape[1]] @ h_gw.T
-            if factors is not None:
-                scale = np.column_stack([np.linalg.norm(z @ f, axis=1) for f in factors])
-                value += scale * gen.standard_normal((size, spec.n_rows))
-            counts[k] = np.count_nonzero(value > 1.0, axis=0)
-        return counts
+        x_aug = np.column_stack([x0, np.ones(size)])
+        sd = const_sd
+        if sd is None:
+            sd = np.sqrt(np.maximum((x_aug[:, iu] * x_aug[:, ju]) @ quad, 0.0))
+        value = x_aug @ lin + sd * gen.standard_normal((size, lin.shape[1]))
+        return np.vstack([
+            np.count_nonzero(x0 @ spec.h_x.T > 1.0, axis=0),
+            np.count_nonzero(value > 1.0, axis=0).reshape(spec.horizon, spec.n_rows),
+        ])
 
     return count
 

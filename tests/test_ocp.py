@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc.errors import DeltaTooSmall, DomainError, InfeasibleInitialState
@@ -11,6 +12,8 @@ from mspc.linalg import Rng, diag_repeat, sym_sqrt
 from mspc.ocp import (
     InputBox,
     OcpSpec,
+    _mean_maps,
+    _state_rows,
     build_nominal_qp_multistep,
     build_nominal_qp_statespace,
     build_robust_socp_multistep,
@@ -542,3 +545,33 @@ def test_fir_program_independent_of_initial_mean():
     assert np.array_equal(a.p_mat, b.p_mat)
     assert np.array_equal(a.q_vec, b.q_vec)
     assert a.constant == b.constant == 0.0
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 4),
+    rows=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_rows_match_loop_reference(n, m, horizon, rows, seed):
+    # The nominal and scenario programs build their state rows in one array
+    # pass; the per-(step, row) loop they replaced is the reference.
+    gen = np.random.default_rng(seed)
+    sys = random_system(n, m, n, 0.9, gen)
+    phi, gamma = _mean_maps(sys.A, sys.B, horizon)
+    covs = [r @ r.T for r in gen.standard_normal((horizon, n, n))]
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(n), R=np.eye(m), h_x=gen.standard_normal((rows, n)),
+        u_set=None, p=0.9, init=GaussianBelief(mean=gen.standard_normal(n), cov=np.eye(n)),
+    )
+    lin_a, lin_b = _state_rows(phi, gamma, covs, spec, 1.3)
+    assert lin_a.shape == (horizon * rows, horizon * m) and lin_b.shape == (horizon * rows,)
+    for k in range(1, horizon + 1):
+        for j, h in enumerate(spec.h_x):
+            i = (k - 1) * rows + j
+            std = math.sqrt(float(h @ covs[k - 1] @ h))
+            free = float(h @ (phi[k - 1] @ spec.init.mean))
+            scale = 1.0 + 1.3 * std + abs(h) @ abs(phi[k - 1]) @ abs(spec.init.mean)
+            assert_allclose(lin_a[i], h @ gamma[k - 1], rtol=1e-13, atol=1e-13)
+            assert abs(lin_b[i] - (1.0 - 1.3 * std - free)) <= 1e-13 * scale

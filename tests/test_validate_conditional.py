@@ -1,0 +1,197 @@
+"""The conditional-law Monte Carlo counter against direct references and oracles.
+
+Given x0, row j at step k of a multi-step predictor is Gaussian with mean
+z' g and variance z' M z + s_jk^2.  The counter samples exactly that law, so
+its moment maps must agree with the per-sample reference and its counts
+with closed-form or quadrature violation probabilities.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from scipy.stats import norm as normal_dist
+
+from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
+from mspc.linalg import Rng, diag_repeat
+from mspc.ocp import OcpSpec
+from mspc.system import GaussianBelief, build_multistep, random_system
+from mspc.validate import (
+    SampledParameterTruth,
+    _conditional_maps,
+    clopper_pearson_interval,
+    estimate_violation,
+)
+
+
+def _low_rank_cov(gen, dim, rank, scale):
+    root = gen.standard_normal((dim, rank))
+    return scale * root @ root.T / max(rank, 1)
+
+
+def _problem(gen, n, m, horizon, structure, x0_rank, theta_rank, rows=2, theta_scale=0.05):
+    """Random system, spec and sampled-parameter truth with the given covariance ranks."""
+    q = max(n - 1, 1)
+    sys = random_system(n, m, q, 0.8, gen, sigma_w=_low_rank_cov(gen, q, q, 0.05),
+                        sigma_eps=0.0)
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(n), R=np.eye(m),
+        h_x=gen.standard_normal((rows, n)), u_set=None, p=0.9,
+        init=GaussianBelief(mean=0.5 * gen.standard_normal(n),
+                            cov=_low_rank_cov(gen, n, x0_rank, 0.3)),
+    )
+    model = build_multistep(sys, horizon)
+    ests = []
+    for k in range(1, horizon + 1):
+        g0, gu, _ = model.step(k)
+        theta = true_theta(g0, gu, structure)
+        cov = _low_rank_cov(gen, theta.size, min(theta_rank, theta.size), theta_scale)
+        ests.append(ParameterEstimate(k=k, structure=structure, theta=theta, cov=cov, n=n, m=m))
+    truth = SampledParameterTruth(estimates=ests, gw=model.gw, sigma_w=sys.sigma_w)
+    u = gen.standard_normal(horizon * m)
+    return sys, spec, truth, u
+
+
+def _noise_variance(truth, h, k):
+    """h' Gw_k (I_k kron Sigma_w) Gw_k' h."""
+    gw = truth.gw[k - 1]
+    return float(h @ gw @ diag_repeat(truth.sigma_w, k) @ gw.T @ h)
+
+
+# ---------------------------------------------------------------------------
+# Moment maps against the per-sample reference
+# ---------------------------------------------------------------------------
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 3),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    x0_rank=st.integers(0, 3),
+    theta_rank=st.sampled_from([0, 1, 3, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conditional_maps_match_row_moments_reference(
+    n, m, horizon, structure, x0_rank, theta_rank, seed
+):
+    # x0_rank < n gives a singular Sigma_x0, theta_rank < dof a singular
+    # parameter covariance, and theta_rank 0 every M zero.
+    gen = np.random.default_rng(seed)
+    _, spec, truth, u = _problem(gen, n, m, horizon, structure, min(x0_rank, n), theta_rank)
+    lin, quad = _conditional_maps(truth, u, spec)
+    iu, ju = np.triu_indices(n + 1)
+    assert lin.shape == (n + 1, horizon * spec.n_rows)
+    assert quad.shape == (iu.size, horizon * spec.n_rows)
+    x0s = spec.init.mean + gen.standard_normal((5, n)) @ np.linalg.cholesky(
+        spec.init.cov + np.eye(n))
+    for x0 in x0s:
+        x_aug = np.append(x0, 1.0)
+        mean = (x_aug @ lin).reshape(horizon, -1)
+        var = ((x_aug[iu] * x_aug[ju]) @ quad).reshape(horizon, -1)
+        for k in range(1, horizon + 1):
+            est = truth.estimates[k - 1]
+            z = est.regressor(x0, u[: k * m])
+            g, m_mats = est.row_moments(spec.h_x)
+            for j, h in enumerate(spec.h_x):
+                s2 = _noise_variance(truth, h, k)
+                mean_ref = float(z @ g[:, j])
+                var_ref = float(z @ m_mats[j] @ z) + s2
+                # Tolerances relative to the size of the summed terms.
+                mean_scale = float(np.abs(z) @ np.abs(g[:, j]))
+                var_scale = float(np.abs(z) @ np.abs(m_mats[j]) @ np.abs(z)) + s2
+                assert abs(mean[k - 1, j] - mean_ref) <= 1e-12 * mean_scale
+                assert abs(var[k - 1, j] - var_ref) <= 1e-12 * var_scale
+    if theta_rank == 0 or structure == STRUCTURE_FIR:
+        # No variance depends on x0, so the counter takes its constant-sd
+        # path: only the last product (the constant 1) carries variance, and
+        # the checks above then hold for quad[-1] alone.
+        assert not np.any(quad[:-1])
+
+
+# ---------------------------------------------------------------------------
+# Counts against exact violation probabilities, Sigma_x0 != 0
+# ---------------------------------------------------------------------------
+
+
+def _assert_in_band(report, p_exact):
+    for e in report.entries:
+        low, high = clopper_pearson_interval(e.violations, e.samples, confidence=0.999)
+        assert low <= p_exact[(e.j, e.k)] <= high, (e, p_exact[(e.j, e.k)])
+
+
+@pytest.mark.parametrize("n, x0_rank", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 1)])
+def test_violation_noise_only_in_closed_form_band(n, x0_rank):
+    # Noise only: h' x_k = h' G0_k x0 + h' Gu_k u + h' Gw_k w is affine in
+    # the Gaussian x0 and w, so p_jk = Q((1 - a' x0_bar - c) / sqrt(a' S a + s^2)),
+    # also for a singular Sigma_x0 (x0_rank < n).
+    gen = np.random.default_rng(700 + n)
+    sys, spec, _, u = _problem(gen, n, 1, 3, STRUCTURE_FULL, x0_rank, 0)
+    report = estimate_violation(sys, u, spec, 20_000, Rng(710 + n))
+    assert report.mode == "noise_only"
+    model = build_multistep(sys, spec.horizon)
+    x0_bar, s_x0 = spec.init.mean, spec.init.cov
+    p_exact = {}
+    for j, h in enumerate(spec.h_x):
+        p_exact[(j, 0)] = float(normal_dist.sf((1.0 - h @ x0_bar) / math.sqrt(h @ s_x0 @ h)))
+        for k in range(1, spec.horizon + 1):
+            g0, gu, gw = model.step(k)
+            a = g0.T @ h
+            c = float(h @ gu @ u[:k])
+            s2 = float(h @ gw @ diag_repeat(sys.sigma_w, k) @ gw.T @ h)
+            sd = math.sqrt(float(a @ s_x0 @ a) + s2)
+            p_exact[(j, k)] = float(normal_dist.sf((1.0 - a @ x0_bar - c) / sd))
+    _assert_in_band(report, p_exact)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
+def test_violation_parametric_in_gauss_hermite_band(n, structure):
+    # With random parameters and x0 both Gaussian the row is no longer
+    # Gaussian, but given x0 it is: p_jk = E_x0[Q((1 - mean(x0)) / sd(x0))],
+    # integrated by tensor Gauss-Hermite quadrature over x0.
+    gen = np.random.default_rng(720 + n)
+    _, spec, truth, u = _problem(gen, n, 1, 2, structure, n, 100, theta_scale=0.1)
+    report = estimate_violation(truth, u, spec, 20_000, Rng(730 + n))
+    assert report.mode == "noise_and_parameters"
+    t, w = np.polynomial.hermite.hermgauss(40)
+    grid = np.stack(np.meshgrid(*([t] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    weight = np.prod(np.stack(np.meshgrid(*([w] * n), indexing="ij"), axis=-1).reshape(-1, n),
+                     axis=1) / math.pi ** (n / 2)
+    x0_bar, s_x0 = spec.init.mean, spec.init.cov
+    nodes = x0_bar + math.sqrt(2.0) * grid @ np.linalg.cholesky(s_x0).T
+    p_exact = {}
+    for j, h in enumerate(spec.h_x):
+        p_exact[(j, 0)] = float(normal_dist.sf((1.0 - h @ x0_bar) / math.sqrt(h @ s_x0 @ h)))
+        for k in range(1, spec.horizon + 1):
+            est = truth.estimates[k - 1]
+            uk = u[:k]
+            s2 = _noise_variance(truth, h, k)
+            p = 0.0
+            for x0, wt in zip(nodes, weight):
+                z = uk if structure == STRUCTURE_FIR else np.concatenate([x0, uk])
+                mean = float(h @ (est.g0_hat() @ x0 + est.gu_hat() @ uk))
+                var = float(np.kron(z, h) @ est.cov @ np.kron(z, h)) + s2
+                p += wt * float(normal_dist.sf((1.0 - mean) / math.sqrt(var)))
+            p_exact[(j, k)] = p
+    _assert_in_band(report, p_exact)
+
+
+# ---------------------------------------------------------------------------
+# The k = 0 counts keep the x0 stream
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("noise_only", [149, 435]),
+    ("noise_and_parameters", [149, 435]),
+])
+def test_violation_k0_counts_keep_x0_stream(mode, expected):
+    # x0 is the first draw of every batch, so the k = 0 counts are those the
+    # per-step sampler this counter replaced gave on the same seed.
+    gen = np.random.default_rng(747)
+    sys, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100)
+    report = estimate_violation(sys if mode == "noise_only" else truth, u, spec,
+                                10_000, Rng(748))
+    assert [e.violations for e in report.entries if e.k == 0] == expected
