@@ -10,15 +10,18 @@ H_j' Gw_k (I kron Sigma_w) Gw_k' H_j is the noise term.  Each sample
 draws x0 and one standard normal per (row, step), and no w, so each (row,
 step) count has its exact binomial law and the exact Clopper-Pearson upper
 bounds turn the counts into one-sided certificates.  Sampling runs in
-fixed-size batches, in order, each with its own stream derived from the
-master seed, so reports are byte-identical for a given seed.
+fixed-size batches, each with its own stream derived from the master seed;
+batches run concurrently on the usable CPUs; their integer counts are
+summed, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +113,12 @@ def _batch_sizes(n_samples: int) -> "list[int]":
     return sizes
 
 
+def _workers(n_samples: int) -> int:
+    """Threads for the batches of ``n_samples``: one per usable CPU, at most one per batch."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(len(_batch_sizes(n_samples)), cpus or 1)
+
+
 def estimate_violation(
     truth: "LinearSystem | SampledParameterTruth",
     u: np.ndarray,
@@ -140,11 +149,15 @@ def estimate_violation(
         if len(truth.estimates) < n_u or len(truth.gw) < n_u:
             raise DimensionMismatch("need one estimate and Gw per horizon step")
 
+    # The batches' streams are independent and numpy releases the GIL, so
+    # threads overlap the draws; the integer counts sum in any order.  The
+    # counter calls no public mspc function, so a tracer that wraps those
+    # sees every call on the calling thread.
     count_batch = _make_counter(truth, u, spec)
-    counts = sum(
-        count_batch(_batch_generator(rng, b), size)
-        for b, size in enumerate(_batch_sizes(n_samples))
-    )
+    sizes = _batch_sizes(n_samples)
+    with ThreadPoolExecutor(_workers(n_samples)) as pool:
+        counts = sum(pool.map(lambda b, size: count_batch(_batch_generator(rng, b), size),
+                              range(len(sizes)), sizes))
 
     entries = []
     for k in range(0, n_u + 1):
@@ -205,6 +218,18 @@ def _conditional_maps(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec
     return lin.reshape(n + 1, -1), quad.reshape(iu.size, -1)
 
 
+def _conditional_sd(x_aug: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """sqrt(p' quad) per sample, p the products x~_a x~_b (a <= b) of each row of ``x_aug``.
+
+    The products are gathered samples-last, from contiguous rows of x_aug',
+    not by fancy-indexing the columns of x_aug; the product with quad takes
+    them transposed, so the result stays samples-first and C-contiguous.
+    """
+    x_t = np.ascontiguousarray(x_aug.T)
+    iu, ju = np.triu_indices(x_t.shape[0])
+    return np.sqrt(np.maximum((x_t[iu] * x_t[ju]).T @ quad, 0.0))
+
+
 def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
     """Per-batch counter of H_j' x_k > 1 over all rows j and steps k.
 
@@ -215,15 +240,12 @@ def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
     """
     lin, quad = _conditional_maps(truth, u, spec)
     const_sd = None if np.any(quad[:-1]) else np.sqrt(quad[-1])
-    iu, ju = np.triu_indices(spec.n + 1)
     x0_factor = psd_sqrt_factor(spec.init.cov)
 
     def count(gen: np.random.Generator, size: int) -> np.ndarray:
         x0 = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T
         x_aug = np.column_stack([x0, np.ones(size)])
-        sd = const_sd
-        if sd is None:
-            sd = np.sqrt(np.maximum((x_aug[:, iu] * x_aug[:, ju]) @ quad, 0.0))
+        sd = const_sd if const_sd is not None else _conditional_sd(x_aug, quad)
         value = x_aug @ lin + sd * gen.standard_normal((size, lin.shape[1]))
         return np.vstack([
             np.count_nonzero(x0 @ spec.h_x.T > 1.0, axis=0),
@@ -425,17 +447,7 @@ def violation_report_to_json(report: ViolationReport) -> dict:
         "mode": report.mode,
         "n_samples": report.n_samples,
         "worst_upper99": report.worst_upper99,
-        "entries": [
-            {
-                "j": e.j,
-                "k": e.k,
-                "samples": e.samples,
-                "violations": e.violations,
-                "rate": e.rate,
-                "upper99": e.upper99,
-            }
-            for e in report.entries
-        ],
+        "entries": [asdict(e) for e in report.entries],
     }
 
 
@@ -448,10 +460,4 @@ def save_violation_csv(report: ViolationReport, path: "str | Path") -> None:
 
 
 def equivalence_report_to_json(report: EquivalenceReport) -> dict:
-    return {
-        "input_diff": report.input_diff,
-        "value_rel_diff": report.value_rel_diff,
-        "status_statespace": report.status_statespace,
-        "status_multistep": report.status_multistep,
-        "passed": report.passed,
-    }
+    return asdict(report)

@@ -272,6 +272,16 @@ def test_compare_extends_pipeline(full_pipeline_dir, full_compare_dir):
             )
 
 
+def test_timings_record_sampler_calls(full_pipeline_dir):
+    timings = json.loads((full_pipeline_dir / "timings.json").read_text())
+    sampler = timings["validate_sampler"]
+    assert set(sampler) == {"parametric_s", "true_system_s", "workers"}
+    assert sampler["parametric_s"] > 0.0 and sampler["true_system_s"] > 0.0
+    assert sampler["workers"] == 1  # 2000 samples are one batch
+    # The worker count depends on the machine, so no report carries it.
+    assert "workers" not in (full_pipeline_dir / "report.json").read_text()
+
+
 def test_pipeline_certification_rows_match_violation_csv(full_pipeline_dir):
     report = json.loads((full_pipeline_dir / "report.json").read_text())
     rows = report["certification"]["rows"]

@@ -6,7 +6,11 @@ its moment maps must agree with the per-sample reference and its counts
 with closed-form or quadrature violation probabilities.
 """
 
+import inspect
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,13 +18,21 @@ from hypothesis import given, strategies as st
 from scipy.stats import norm as normal_dist
 
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
-from mspc.linalg import Rng, diag_repeat
+from mspc.linalg import Rng, diag_repeat, psd_sqrt_factor
 from mspc.ocp import OcpSpec
 from mspc.system import GaussianBelief, build_multistep, random_system
 from mspc.validate import (
     SampledParameterTruth,
+    ViolationEntry,
+    ViolationReport,
+    _batch_generator,
+    _batch_sizes,
     _conditional_maps,
+    _conditional_sd,
+    _exact_predictors,
+    _make_counter,
     clopper_pearson_interval,
+    clopper_pearson_upper,
     estimate_violation,
 )
 
@@ -195,3 +207,116 @@ def test_violation_k0_counts_keep_x0_stream(mode, expected):
     report = estimate_violation(sys if mode == "noise_only" else truth, u, spec,
                                 10_000, Rng(748))
     assert [e.violations for e in report.entries if e.k == 0] == expected
+
+
+# ---------------------------------------------------------------------------
+# Concurrent batches against the sequential reference
+# ---------------------------------------------------------------------------
+
+
+def _sequential_report(truth, u, spec, n_samples, rng):
+    """The report of one pass over the batches, in order, on the calling thread."""
+    noise_only = not isinstance(truth, SampledParameterTruth)
+    count = _make_counter(_exact_predictors(truth, spec.horizon) if noise_only else truth,
+                          u[: spec.horizon * spec.m], spec)
+    counts = sum(count(_batch_generator(rng, b), size)
+                 for b, size in enumerate(_batch_sizes(n_samples)))
+    entries = [
+        ViolationEntry(j=j, k=k, samples=n_samples, violations=int(counts[k, j]),
+                       rate=int(counts[k, j]) / n_samples,
+                       upper99=clopper_pearson_upper(int(counts[k, j]), n_samples))
+        for k in range(spec.horizon + 1) for j in range(spec.n_rows)
+    ]
+    return ViolationReport(mode="noise_only" if noise_only else "noise_and_parameters",
+                           n_samples=n_samples, entries=entries)
+
+
+@given(
+    n=st.integers(1, 3),
+    noise_only=st.booleans(),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    # 5000 is two batches, fewer than three or five workers; the others end
+    # in a remainder batch or fill every batch.
+    n_samples=st.sampled_from([1000, 5000, 3 * 4096, 3 * 4096 + 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counts_identical_for_any_worker_count(n, noise_only, structure, n_samples, seed):
+    gen = np.random.default_rng(seed)
+    sys_, spec, truth, u = _problem(gen, n, 1, 3, structure, n, 100)
+    truth = sys_ if noise_only else truth
+    reference = _sequential_report(truth, u, spec, n_samples, Rng(seed, 2))
+    for cpus in (1, 2, 3, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            report = estimate_violation(truth, u, spec, n_samples, Rng(seed, 2))
+        assert report == reference, cpus
+
+
+@given(
+    n=st.integers(1, 4),
+    x0_rank=st.integers(0, 3),
+    size=st.sampled_from([1, 7, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conditional_sd_matches_samples_first_products(n, x0_rank, size, seed):
+    # x0_rank < n gives a singular Sigma_x0; the full-rank parameter
+    # covariance makes every M non-zero, so the sd depends on x0.
+    gen = np.random.default_rng(seed)
+    _, spec, truth, u = _problem(gen, n, 2, 3, STRUCTURE_FULL, min(x0_rank, n), 100)
+    _, quad = _conditional_maps(truth, u, spec)
+    assert np.any(quad[:-1])
+    factor = psd_sqrt_factor(spec.init.cov)
+    x0 = spec.init.mean + gen.standard_normal((size, factor.shape[1])) @ factor.T
+    x_aug = np.column_stack([x0, np.ones(size)])
+    iu, ju = np.triu_indices(n + 1)
+    old = np.sqrt(np.maximum((x_aug[:, iu] * x_aug[:, ju]) @ quad, 0.0))
+    new = _conditional_sd(x_aug, quad)
+    assert new.shape == old.shape
+    assert np.all(np.abs(new - old) <= 1e-13 * old)
+
+
+# ---------------------------------------------------------------------------
+# Public functions stay on the main thread
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("noise_only", [True, False])
+def test_public_functions_run_on_main_thread(noise_only):
+    # A tracer that wraps the public mspc functions in every module namespace
+    # keeps its span stack in a plain list, so those calls must not move to
+    # the sampler's worker threads; only private helpers and numpy may run there.
+    modules = [mod for name, mod in sorted(sys.modules.items())
+               if mod is not None and (name == "mspc" or name.startswith("mspc."))]
+    calls = []
+
+    def wrap(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    saved = []
+    for mod in modules:
+        for name, fn in list(vars(mod).items()):
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                continue
+            replacement = wrap(f"{mod.__name__}.{name}", fn)
+            for target in modules:
+                for attr, value in list(vars(target).items()):
+                    if value is fn:
+                        saved.append((target, attr, value))
+                        setattr(target, attr, replacement)
+    gen = np.random.default_rng(761)
+    sys_, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100)
+    try:
+        validate_mod = sys.modules["mspc.validate"]
+        validate_mod.estimate_violation(sys_ if noise_only else truth, u, spec,
+                                        3 * 4096 + 17, Rng(762))
+    finally:
+        while saved:
+            target, attr, value = saved.pop()
+            setattr(target, attr, value)
+    names = {name for name, _ in calls}
+    assert {"mspc.validate.estimate_violation", "mspc.linalg.psd_sqrt_factor",
+            "mspc.validate.clopper_pearson_upper"} <= names
+    assert all(on_main for _, on_main in calls), [c for c in calls if not c[1]]
