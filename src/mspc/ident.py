@@ -5,8 +5,11 @@ The k-step prediction of the state is linear in the stacked parameter
 regression residuals are correlated across overlapping windows, with a
 band covariance assembled here from the known disturbance structure.
 Weighting the least-squares fit with the inverse of that covariance gives
-the maximum-likelihood estimate together with a parameter covariance and
-chi-squared confidence ellipsoids.
+the maximum-likelihood estimate together with a parameter covariance.  The
+delta-confidence ellipsoid of an estimate is {theta + cov^(1/2) z : ||z|| <=
+r}, and ``ParameterEstimate.radius`` is the one definition of
+r = sqrt(chi2_dof(delta)) that tightening, the scenario baseline and the
+coverage experiment read.
 
 The covariance is kept in lower band storage (bandwidth n(k+1): blocks
 beyond lag k vanish) and whitened through its banded Cholesky factor, in
@@ -19,6 +22,7 @@ to a dense matrix, for the eigen-projection fallback that
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,33 +152,17 @@ class ParameterEstimate:
         m_mat = np.einsum("aibj,...i,...j->...ab", blocks, h, h)
         return g, 0.5 * (m_mat + np.swapaxes(m_mat, -1, -2))
 
+    def radius(self, delta: float) -> float:
+        """Radius sqrt(chi2_dof(delta)) of the delta-confidence ellipsoid.
 
-@dataclass(frozen=True)
-class ConfidenceEllipsoid:
-    """Ellipsoidal confidence region {theta : (theta-center)' S (theta-center) <= level}."""
-
-    center: np.ndarray
-    shape: np.ndarray   # inverse parameter covariance
-    level: float
-    delta: float
-
-    @property
-    def dof(self) -> int:
-        return self.center.size
-
-    @property
-    def radius(self) -> float:
-        """Radius in the whitened coordinates z = cov^{-1/2} (theta - center)."""
-        return float(np.sqrt(self.level))
-
-    def contains_error(self, theta_err: np.ndarray) -> bool:
-        e = np.asarray(theta_err, dtype=float).ravel()
-        if e.size != self.center.size:
-            raise DimensionMismatch("parameter error has wrong length")
-        return float(e @ self.shape @ e) <= self.level
-
-    def membership(self, theta: np.ndarray) -> bool:
-        return self.contains_error(np.asarray(theta, dtype=float).ravel() - self.center)
+        The ellipsoid is {theta + cov^(1/2) z : ||z|| <= radius}.  delta = 1
+        is accepted only for an exactly zero covariance, whose radius is 0.
+        """
+        if delta == 1.0 and not np.any(self.cov):
+            return 0.0
+        if not (0.0 < delta < 1.0):
+            raise DomainError(f"delta must lie in (0, 1), or be 1 with zero covariance; got {delta}")
+        return math.sqrt(chi2_quantile(self.dof, delta))
 
 
 def true_theta(g0: np.ndarray, gu: np.ndarray, structure: str = STRUCTURE_FULL) -> np.ndarray:
@@ -322,21 +310,6 @@ def mle_estimate(reg: RegressionProblem, cov: ResidualCovariance) -> ParameterEs
         n=reg.n,
         m=reg.m,
         projected_rank=rank,
-    )
-
-
-def confidence_set(est: ParameterEstimate, delta: float) -> ConfidenceEllipsoid:
-    """Chi-squared confidence ellipsoid at level delta around the estimate."""
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    cov = 0.5 * (est.cov + est.cov.T)
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals[0] <= 0.0:
-        raise SingularInformation("parameter covariance must be positive definite")
-    shape = np.linalg.inv(cov)
-    level = chi2_quantile(est.dof, delta)
-    return ConfidenceEllipsoid(
-        center=est.theta.copy(), shape=0.5 * (shape + shape.T), level=level, delta=delta
     )
 
 

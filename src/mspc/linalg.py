@@ -2,7 +2,9 @@
 
 All operations are pure functions of their inputs; matrices are plain
 float64 numpy arrays.  ``Rng`` is an immutable seed handle, so the same
-handle always reproduces the same stream.
+handle always reproduces the same stream.  Chi-squared quantiles and the
+root of the trust-region secular equation come from scipy
+(``special.gammaincinv``, ``optimize.brentq``).
 """
 
 from __future__ import annotations
@@ -11,13 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSymmetric
 
 # Tolerances for symmetry / definiteness checks.
 SYMMETRY_RTOL = 1e-12
 PSD_CLIP_RTOL = 1e-8
+# Absolute root tolerance of the secular equation: none beyond brentq's
+# relative one (its default 2e-12 would swamp small multipliers).
+_TINY = np.finfo(float).tiny
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -115,14 +120,6 @@ def diag_repeat(block: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def chi2_cdf(dof: int, x: float) -> float:
-    """CDF of the chi-squared distribution with ``dof`` degrees of freedom."""
-    _check_dof(dof)
-    if x <= 0.0:
-        return 0.0
-    return float(special.gammainc(dof / 2.0, x / 2.0))
-
-
 def chi2_quantile(dof: int, prob: float) -> float:
     """Quantile of the chi-squared distribution.
 
@@ -151,11 +148,14 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
     """Exact maximum of ``||a + M z||`` over the ball ``||z|| <= r``.
 
     The squared objective is a convex quadratic, so the maximum lies on the
-    sphere.  With the eigenstructure of M^T M (via SVD of M) the stationarity
-    condition ``(lam I - M^T M) z = M^T a`` with ``lam >= lam_max`` reduces to
-    a one-dimensional secular equation in the shifted multiplier, solved by
-    a safeguarded Newton iteration; the rank-deficient ("hard") case adds a
-    component along the top eigenspace.
+    sphere.  With r absorbed into M = U diag(s) V', beta = diag(s) U' a and
+    gap_i = s_1^2 - s_i^2, the maximizer is V z(t) with z_i(t) = beta_i /
+    (t + gap_i), where the shifted multiplier t >= 0 solves the secular
+    equation ||z(t)|| = 1 (More & Sorensen 1983).  ||z(t)|| decreases in t,
+    from >= 1 at ||beta_top|| to <= 1 at ||beta||, so ``scipy.optimize.brentq``
+    finds t on that bracket.  When beta has no top-eigenspace component and
+    ||z(0)|| <= 1 (the "hard" case), the rest of the unit length goes along
+    the top singular direction.
     """
     a = np.asarray(a, dtype=float).ravel()
     m = np.asarray(m, dtype=float)
@@ -165,90 +165,36 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
         raise DimensionMismatch(f"incompatible shapes: a has {a.size} rows, M has {m.shape[0]}")
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
+    norm_a = float(np.linalg.norm(a))
     if r == 0.0 or m.size == 0 or not np.any(m):
-        return float(np.linalg.norm(a))
+        return norm_a
     # Absorb the radius into the map: max over the unit ball of ||a + (rM) y||.
     m = r * m
-    if not np.any(m):
-        return float(np.linalg.norm(a))
-
     _, sig, vt = np.linalg.svd(m, full_matrices=False)
+    if sig[0] <= np.finfo(float).eps * norm_a:
+        return norm_a
     d = sig**2
     beta = vt @ (m.T @ a)
-    d_max = float(d[0])
-    gap = d_max - d  # >= 0, zero on the top eigenspace
-    top = gap <= 1e-12 * max(d_max, 1.0)
-    beta_top_sq = float(np.sum(beta[top] ** 2))
-    beta_rest = beta[~top]
-    gap_rest = gap[~top]
+    gap = d[0] - d
+    top = gap <= 1e-12 * max(float(d[0]), 1.0)
+    gap[top] = 0.0
+    live = beta != 0.0   # z_i(t) = 0 for every t where beta_i = 0
 
-    def norm_sq(t: float) -> float:
-        s = beta_top_sq / t**2 if beta_top_sq > 0.0 else 0.0
-        if beta_rest.size:
-            s += float(np.sum((beta_rest / (t + gap_rest)) ** 2))
-        return s
+    def excess(t: float) -> float:
+        return float(np.sum((beta[live] / (t + gap[live])) ** 2)) - 1.0
 
-    r = 1.0
-    r_sq = 1.0
-    b_norm = float(np.linalg.norm(beta))
-    t_hi = b_norm
-
-    hard = b_norm == 0.0
-    t_lo = 0.0
-    if not hard:
-        t = t_hi
-        found = False
-        for _ in range(4000):
-            t *= 0.5
-            if norm_sq(t) >= r_sq:
-                t_lo = t
-                found = True
-                break
-            if t < 1e-300:
-                break
-        if not found:
-            hard = True
-
-    if hard:
-        # No multiplier makes ||z|| = r from the regular branch: the solution
-        # sits at the top eigenvalue with an extra top-eigenspace component.
-        coords = np.zeros_like(beta)
-        if beta_rest.size:
-            coords[~top] = beta_rest / gap_rest
-        interior_sq = float(np.sum(coords**2))
-        tau = math.sqrt(max(r_sq - interior_sq, 0.0))
-        top_index = int(np.argmax(top))
-        coords[top_index] += tau
+    lo = math.hypot(*beta[top])   # hypot, unlike np.linalg.norm, does not underflow
+    hi = math.hypot(*beta)
+    coords = np.zeros_like(beta)
+    if excess(lo) > 0.0:
+        t = hi if excess(hi) >= 0.0 else optimize.brentq(excess, lo, hi, xtol=_TINY)
+        coords[live] = beta[live] / (t + gap[live])
+    elif lo == 0.0:
+        coords[live] = beta[live] / gap[live]
+        coords[0] += math.sqrt(max(1.0 - float(np.sum(coords**2)), 0.0))
     else:
-        t = max(t_lo, min(t_hi, math.sqrt(beta_top_sq) / r if beta_top_sq > 0 else t_lo))
-        if not (t_lo <= t <= t_hi):
-            t = 0.5 * (t_lo + t_hi)
-        for _ in range(200):
-            n_sq = norm_sq(t)
-            n = math.sqrt(n_sq)
-            if n >= r:
-                t_lo = max(t_lo, t)
-            else:
-                t_hi = min(t_hi, t)
-            if abs(n - r) <= 1e-13 * r or (t_hi - t_lo) <= 1e-15 * max(t_hi, 1e-300):
-                break
-            # Newton step on h(t) = 1/r - 1/n(t).
-            h = 1.0 / r - 1.0 / n
-            dn_sq = -2.0 * beta_top_sq / t**3 if beta_top_sq > 0.0 else 0.0
-            if beta_rest.size:
-                dn_sq += -2.0 * float(np.sum(beta_rest**2 / (t + gap_rest) ** 3))
-            dh = -dn_sq / (2.0 * n_sq * n)
-            t_new = t - h / dh if dh != 0.0 else math.nan
-            if not (t_lo < t_new < t_hi) or not math.isfinite(t_new):
-                t_new = 0.5 * (t_lo + t_hi)
-            t = t_new
-        coords = beta.copy()
-        coords[top] = beta[top] / t
-        coords[~top] = beta_rest / (t + gap_rest)
-
-    z = vt.T @ coords
-    value = float(np.linalg.norm(a + m @ z))
-    return max(value, float(np.linalg.norm(a)))
+        coords[live] = beta[live] / (lo + gap[live])
+    return max(float(np.linalg.norm(a + m @ (vt.T @ coords))), norm_a)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ The nominal problems tighten each state half-space by the Gaussian
 back-off c_p * ||H_j||_{Sigma_{x,k}} with a pre-computed state covariance
 and are plain QPs in the stacked input sequence.  Under parametric
 uncertainty in the multi-step predictor, the per-step parameter
-confidence ellipsoid adds a decision-dependent norm term (a second-order
-cone row) plus a constant worst-case variance back-off, computed exactly
-by maximizing an affine norm over the ellipsoid.
+confidence ellipsoid (radius ``ParameterEstimate.radius``) adds a
+decision-dependent norm term (a second-order cone row) plus a constant
+worst-case variance back-off, computed exactly by maximizing an affine
+norm over the ellipsoid (``linalg.max_norm_affine_over_ball``).
 """
 
 from __future__ import annotations
@@ -460,15 +461,8 @@ def build_tightening_table(
     """
     if delta <= spec.p:
         raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
-    if delta > 1.0:
-        raise DomainError("delta cannot exceed 1")
     if len(estimates) < spec.horizon or len(gw) < spec.horizon:
         raise DimensionMismatch("need one estimate and one Gw per horizon step")
-    zero_cov = all(not np.any(est.cov) for est in estimates[: spec.horizon])
-    if delta == 1.0 and not zero_cov:
-        raise DomainError("delta = 1 is only valid with zero parameter covariance")
-    p_tilde = spec.p / delta
-    c_ptilde = gaussian_backoff(p_tilde)
     radius, sigma_half, h_exact, h_upper = {}, {}, {}, {}
     sw_half = sym_sqrt(np.asarray(sigma_w, dtype=float))
     sx_half = sym_sqrt(spec.init.cov)
@@ -476,8 +470,8 @@ def build_tightening_table(
         est = estimates[k - 1]
         if est.k != k:
             raise DimensionMismatch(f"estimate at position {k} is for step {est.k}")
+        radius[k] = est.radius(delta)
         sigma_half[k] = sym_sqrt(est.cov)
-        radius[k] = 0.0 if delta == 1.0 else math.sqrt(chi2_quantile(est.dof, delta))
         g0_hat = est.g0_hat()
         for j in range(spec.n_rows):
             terms = _tightening_terms(spec.h_x[j], gw[k - 1], g0_hat, sw_half, sx_half,
@@ -487,8 +481,8 @@ def build_tightening_table(
     return TighteningTable(
         delta=delta,
         p=spec.p,
-        p_tilde=p_tilde,
-        c_ptilde=c_ptilde,
+        p_tilde=spec.p / delta,
+        c_ptilde=gaussian_backoff(spec.p / delta),
         radius=radius,
         sigma_theta_half=sigma_half,
         h_exact=h_exact,
@@ -591,7 +585,8 @@ def formulate_minmax_statespace(
     inflated level for every scenario, and a worst-case cost epigraph
     (including the per-scenario trace terms) is minimized.  This is only a
     baseline restricted to the sampled parameters; it carries no robustness
-    guarantee.
+    guarantee.  ``delta = 1`` is accepted only for an exactly zero parameter
+    covariance, as in :func:`build_tightening_table`.
     """
     if delta <= spec.p:
         raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
@@ -603,12 +598,11 @@ def formulate_minmax_statespace(
     if est.n != n or est.m != m:
         raise DimensionMismatch("estimate and problem dimensions differ")
 
+    rad = est.radius(delta)
     p_tilde = spec.p / delta
     c_pt = gaussian_backoff(p_tilde)
     _check_initial_state(spec, c_pt)
 
-    has_cov = bool(np.any(est.cov))
-    rad = math.sqrt(chi2_quantile(est.dof, delta)) if (has_cov and delta < 1.0) else 0.0
     s_half = sym_sqrt(est.cov)
     gen = generator_of(rng)
     offsets = [np.zeros(est.dof)]

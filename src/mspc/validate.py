@@ -35,7 +35,7 @@ from .ident import (
     state_space_ls,
     true_theta,
 )
-from .linalg import Rng, chi2_quantile, psd_sqrt_factor
+from .linalg import Rng, psd_sqrt_factor
 from .ocp import (
     OcpSpec,
     TighteningTable,
@@ -342,11 +342,8 @@ def coverage_experiment(config: CoverageConfig) -> CoverageResult:
     g0_k, gu_k, gw_k = model.step(config.k)
     if config.method == "statespace":
         theta_true = true_theta(sys.A, sys.B, STRUCTURE_FULL)
-        dof = theta_true.size
     else:
         theta_true = true_theta(g0_k, gu_k, config.structure)
-        dof = theta_true.size
-    levels = {d: chi2_quantile(dof, d) for d in config.deltas}
     hits = {d: 0 for d in config.deltas}
     skipped = 0
     done = 0
@@ -372,9 +369,9 @@ def coverage_experiment(config: CoverageConfig) -> CoverageResult:
             skipped += 1
             continue
         err = est.theta - theta_true
-        stat = float(err @ np.linalg.solve(est.cov, err))
+        whitened = math.sqrt(float(err @ np.linalg.solve(est.cov, err)))
         for d in config.deltas:
-            if stat <= levels[d]:
+            if whitened <= est.radius(d):
                 hits[d] += 1
         done += 1
     coverage = {d: (hits[d] / done if done else math.nan) for d in config.deltas}

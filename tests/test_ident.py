@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import chi2
 
 from mspc.errors import DomainError, InsufficientData, SingularInformation
 from mspc.ident import (
@@ -14,7 +15,6 @@ from mspc.ident import (
     RegressionProblem,
     ResidualCovariance,
     build_regression,
-    confidence_set,
     estimate_from_json,
     estimate_predictor,
     estimate_to_json,
@@ -373,51 +373,43 @@ def test_equivariance_under_input_scaling():
 
 
 # ---------------------------------------------------------------------------
-# confidence_set
+# Confidence-ellipsoid radius
 # ---------------------------------------------------------------------------
 
 
 def make_estimate(gen, dof=4):
     f = gen.standard_normal((dof, dof))
     cov = f @ f.T + 0.3 * np.eye(dof)
-    from mspc.ident import ParameterEstimate
-
     return ParameterEstimate(
         k=1, structure=STRUCTURE_FULL, theta=gen.standard_normal(dof),
         cov=cov, n=2, m=2,
     )
 
 
-def test_confidence_set_small_delta_degenerates(gen):
+def test_radius_monotone_and_degenerates(gen):
     est = make_estimate(gen)
-    levels = [confidence_set(est, d).level for d in (1e-3, 1e-6, 1e-9, 1e-12)]
-    assert all(a > b for a, b in zip(levels, levels[1:]))
-    assert levels[-1] < 1e-5
-    assert confidence_set(est, 1e-12).membership(est.theta)
+    deltas = (0.99, 0.9, 0.5, 0.1, 1e-3, 1e-6, 1e-9, 1e-12)
+    radii = [est.radius(d) for d in deltas]
+    assert all(a > b > 0.0 for a, b in zip(radii, radii[1:]))
+    assert radii[-1] ** 2 < 1e-5
+    assert_allclose(radii[1] ** 2, chi2.ppf(0.9, est.dof), rtol=1e-12)
 
 
-def test_confidence_set_center_membership(gen):
+def test_radius_rejects_bad_delta(gen):
     est = make_estimate(gen)
-    for delta in (0.1, 0.5, 0.99):
-        assert confidence_set(est, delta).membership(est.theta)
-
-
-def test_confidence_set_membership_frequency(gen):
-    est = make_estimate(gen)
-    ell = confidence_set(est, 0.9)
-    factor = psd_sqrt_factor(est.cov)
-    draws = est.theta + Rng(24).generator().standard_normal((100_000, est.dof)) @ factor.T
-    err = draws - est.theta
-    stats = np.einsum("bi,ij,bj->b", err, ell.shape, err)
-    freq = float(np.mean(stats <= ell.level))
-    assert abs(freq - 0.9) < 0.01
-
-
-def test_confidence_set_rejects_bad_delta(gen):
-    est = make_estimate(gen)
-    for bad in (0.0, 1.0, -0.5, 1.5):
+    zero = replace(est, cov=np.zeros_like(est.cov))
+    for bad in (0.0, 1.0, -0.5, 1.5, float("nan")):
         with pytest.raises(DomainError):
-            confidence_set(est, bad)
+            est.radius(bad)
+    for bad in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(DomainError):
+            zero.radius(bad)
+
+
+def test_radius_zero_covariance_at_delta_one(gen):
+    est = replace(make_estimate(gen), cov=np.zeros((4, 4)))
+    assert est.radius(1.0) == 0.0
+    assert_allclose(est.radius(0.9) ** 2, chi2.ppf(0.9, est.dof), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

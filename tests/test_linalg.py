@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, optimize, stats
 from scipy.special import gammaln
 
 from mspc.errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSymmetric
 from mspc.linalg import (
     Rng,
-    chi2_cdf,
     chi2_quantile,
     diag_repeat,
     max_norm_affine_over_ball,
@@ -199,7 +198,7 @@ def test_chi2_quantile_increasing_in_dof(dof, prob):
 @given(st.integers(1, 20), st.floats(0.05, 0.995))
 def test_chi2_quantile_cdf_round_trip(dof, prob):
     q = chi2_quantile(dof, prob)
-    assert_allclose(chi2_quantile(dof, chi2_cdf(dof, q)), q, rtol=1e-8, atol=1e-8)
+    assert_allclose(chi2_quantile(dof, stats.chi2.cdf(q, dof)), q, rtol=1e-8, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +270,90 @@ def test_ball_max_triangle_sandwich(seed, r):
     assert result >= max(norm_a, r * smax) - norm_a - 1e-9
     assert result >= norm_a - 1e-12
     assert result <= norm_a + r * smax + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_ball_max_finite_at_extreme_scales(gen, scale):
+    # beta holds products of two scaled quantities; its norm must not underflow.
+    a = scale * gen.standard_normal(3)
+    m = scale * gen.standard_normal((3, 4))
+    result = max_norm_affine_over_ball(a, m, 1.0)
+    norm_a = np.linalg.norm(a)
+    assert norm_a <= result <= (norm_a + np.linalg.norm(m, 2)) * (1.0 + 1e-12)
+
+
+def s_lemma_bound(a, nm, shift):
+    """Dual bound on max ||a + N y||^2 over ||y|| <= 1 at lambda = s_1^2 + shift > s_1^2.
+
+    ||a + N y||^2 <= ||a + N y||^2 + lambda (1 - ||y||^2), maximized over y:
+    lambda + ||a||^2 + sum_i alpha_i^2 s_i^2 / (lambda - s_i^2) with alpha = U'a
+    from the SVD of N; lambda - s_i^2 is formed as shift + (s_1^2 - s_i^2).
+    """
+    u, s, _ = np.linalg.svd(nm, full_matrices=False)
+    alpha = u.T @ a
+    d = s**2
+    shift = np.atleast_1d(shift)[:, None]
+    return d[0] + shift[:, 0] + a @ a + np.sum(alpha**2 * d / (shift + (d[0] - d)), axis=1)
+
+
+def ball_max_case(kind, rows, cols, g):
+    """(a, M) of one kind: generic; rank-1; rank-1 with a orthogonal to u_1
+    only up to rounding; a repeated top singular value with a orthogonal to
+    its left singular space up to rounding; an exact hard case."""
+    if kind in ("hard", "repeated"):
+        # The top singular value may repeat; a vanishes on its left singular
+        # space, exactly for a diagonal M, up to rounding for a rotated one.
+        k = min(rows, cols)
+        s = np.sort(g.uniform(0.2, 2.0, k))[::-1]
+        s[: g.integers(1, k + 1)] = s[0]
+        m = np.zeros((rows, cols))
+        m[np.arange(k), np.arange(k)] = s
+        a = g.standard_normal(rows) * g.uniform(0.0, 2.0)
+        if kind == "hard":
+            a[: k][s == s[0]] = 0.0
+            return a, m
+        m = np.linalg.qr(g.standard_normal((rows, rows)))[0] @ m
+        m = m @ np.linalg.qr(g.standard_normal((cols, cols)))[0]
+        u, sv = np.linalg.svd(m)[:2]
+        top = u[:, : k][:, sv >= sv[0] * (1.0 - 1e-12)]
+        return a - top @ (top.T @ a), m
+    if kind == "generic":
+        m = g.standard_normal((rows, cols))
+    else:
+        m = np.outer(g.standard_normal(rows), g.standard_normal(cols))
+    a = g.standard_normal(rows)
+    if kind == "orthogonal":
+        u1 = np.linalg.svd(m)[0][:, 0]
+        a = a - u1 * (u1 @ a)
+    return a, m
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["generic", "rank1", "orthogonal", "repeated", "hard"]),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.floats(0.1, 3.0),
+)
+def test_ball_max_dual_certificate(seed, kind, rows, cols, r):
+    g = np.random.default_rng(seed)
+    a, m = ball_max_case(kind, rows, cols, g)
+    h_sq = max_norm_affine_over_ball(a, m, r) ** 2
+    nm = r * m
+    scale = np.linalg.norm(nm, 2) ** 2 + a @ a
+    logs = np.linspace(-30.0, 6.0, 400)
+    bounds = s_lemma_bound(a, nm, scale * 10.0**logs)
+    # Weak duality: every lambda > s_1^2 bounds the maximum from above.
+    assert np.all(h_sq <= bounds * (1.0 + 1e-12))
+    # Strong duality: the smallest bound meets it.
+    i = int(np.argmin(bounds))
+    best = optimize.minimize_scalar(
+        lambda x: float(s_lemma_bound(a, nm, scale * 10.0**x)[0]),
+        bounds=(logs[max(i - 1, 0)], logs[min(i + 1, logs.size - 1)]),
+        method="bounded", options={"xatol": 1e-12},
+    )
+    assert min(best.fun, bounds[i]) <= h_sq * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

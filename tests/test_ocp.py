@@ -408,6 +408,23 @@ def test_minmax_rejects_delta_below_p():
         formulate_minmax_statespace(est, spec, 0.5, 4, Rng(68), sys.E, sys.sigma_w)
 
 
+def test_minmax_delta_one_needs_zero_covariance():
+    # delta = 1 means no parametric uncertainty: with a non-zero covariance
+    # the scenario baseline must refuse it, as the tightening table does,
+    # rather than quietly drop the perturbed scenarios.
+    sys, spec, est = minmax_setup(seed=69, sigma_theta=1e-4)
+    ests, gw = perfect_estimates(sys, spec.horizon)
+    ests = [replace(e, cov=1e-4 * np.eye(e.dof)) for e in ests]
+    with pytest.raises(DomainError):
+        build_tightening_table(spec, ests, gw, sys.sigma_w, 1.0)
+    with pytest.raises(DomainError):
+        formulate_minmax_statespace(est, spec, 1.0, 4, Rng(70), sys.E, sys.sigma_w)
+    # With an exactly zero covariance every scenario is the nominal one.
+    zero = replace(est, cov=np.zeros_like(est.cov))
+    prog = formulate_minmax_statespace(zero, spec, 1.0, 4, Rng(70), sys.E, sys.sigma_w)
+    assert all(np.array_equal(row.f_mat, prog.soc_rows[0].f_mat) for row in prog.soc_rows)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
