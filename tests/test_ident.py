@@ -386,13 +386,37 @@ def make_estimate(gen, dof=4):
     )
 
 
-def test_radius_monotone_and_degenerates(gen):
+def inside(est, delta, theta):
+    """Is theta in the confidence ellipsoid {(t - theta_hat)' cov^-1 (t - theta_hat) <= radius^2}?"""
+    err = theta - est.theta
+    return float(err @ np.linalg.solve(est.cov, err)) <= est.radius(delta) ** 2
+
+
+def test_radius_matches_chi2_quantile(gen):
     est = make_estimate(gen)
-    deltas = (0.99, 0.9, 0.5, 0.1, 1e-3, 1e-6, 1e-9, 1e-12)
+    deltas = (0.99, 0.9, 0.5, 0.1)
     radii = [est.radius(d) for d in deltas]
     assert all(a > b > 0.0 for a, b in zip(radii, radii[1:]))
-    assert radii[-1] ** 2 < 1e-5
     assert_allclose(radii[1] ** 2, chi2.ppf(0.9, est.dof), rtol=1e-12)
+
+
+def test_confidence_set_small_delta_degenerates(gen):
+    est = make_estimate(gen)
+    levels = [est.radius(d) ** 2 for d in (1e-3, 1e-6, 1e-9, 1e-12)]
+    assert all(a > b > 0.0 for a, b in zip(levels, levels[1:]))
+    assert levels[-1] < 1e-5
+    assert inside(est, 1e-12, est.theta)
+
+
+def test_confidence_set_center_membership(gen):
+    est = make_estimate(gen)
+    u = gen.standard_normal(est.dof)
+    step = np.linalg.cholesky(est.cov) @ (u / np.linalg.norm(u))
+    for delta in (0.1, 0.5, 0.99):
+        r = est.radius(delta)
+        assert inside(est, delta, est.theta)
+        assert inside(est, delta, est.theta + 0.99 * r * step)
+        assert not inside(est, delta, est.theta + 1.01 * r * step)
 
 
 def test_radius_rejects_bad_delta(gen):
