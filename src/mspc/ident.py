@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     InsufficientData,
     SingularInformation,
 )
-from .linalg import chi2_quantile, check_symmetric, diag_repeat, unvec, vec
+from .linalg import chi2_quantile, check_symmetric, diag_repeat, sym_sqrt, unvec, vec
 from .system import MultiStepModel, Trajectory
 
 STRUCTURE_FULL = "full"
@@ -109,6 +110,13 @@ class ParameterEstimate:
     @property
     def dof(self) -> int:
         return self.theta.size
+
+    @cached_property
+    def cov_half(self) -> np.ndarray:
+        """Symmetric square root of cov, computed once per estimate; read-only."""
+        root = sym_sqrt(self.cov)
+        root.flags.writeable = False
+        return root
 
     def g0_hat(self) -> np.ndarray:
         """Estimated initial-state map (zero for FIR structure)."""

@@ -176,7 +176,7 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
     d = sig**2
     beta = vt @ (m.T @ a)
     gap = d[0] - d
-    top = gap <= 1e-12 * max(float(d[0]), 1.0)
+    top = gap <= 1e-12 * float(d[0])   # relative, so scaling a and M together scales the result
     gap[top] = 0.0
     live = beta != 0.0   # z_i(t) = 0 for every t where beta_i = 0
 

@@ -7,7 +7,14 @@ uncertainty in the multi-step predictor, the per-step parameter
 confidence ellipsoid (radius ``ParameterEstimate.radius``) adds a
 decision-dependent norm term (a second-order cone row) plus a constant
 worst-case variance back-off, computed exactly by maximizing an affine
-norm over the ellipsoid (``linalg.max_norm_affine_over_ball``).
+norm over the ellipsoid (``linalg.max_norm_affine_over_ball``).  Only
+the G0 block of theta_k moves that norm, so the ellipsoid enters through
+its n^2-dimensional image, with a square root of the n^2 x n^2 top-left
+block of the parameter covariance; the full root is
+``ParameterEstimate.cov_half``, cached per estimate.  Maps, covariances
+and rows carry leading batch axes, so the scenario baseline builds all
+its scenarios in one array pass through the helpers the nominal
+programs use.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DeltaTooSmall,
@@ -186,7 +192,7 @@ class TighteningTable:
     p_tilde: float
     c_ptilde: float
     radius: dict            # k -> sqrt(chi2_{dof_k}(delta))
-    sigma_theta_half: dict  # k -> symmetric sqrt of the parameter covariance
+    sigma_theta_half: dict  # k -> ParameterEstimate.cov_half: sqrt(cov_k), cached, read-only
     h_exact: dict           # (j, k) -> exact worst-case back-off
     h_upper: dict           # (j, k) -> triangle-inequality upper bound
 
@@ -223,62 +229,57 @@ def _check_initial_state(spec: OcpSpec, backoff: float) -> None:
 def _input_rows(spec: OcpSpec, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Linear rows encoding u_k in U for every step, on a dim-sized decision."""
     n_u, m = spec.horizon, spec.m
-    rows, offs = [], []
     if spec.u_set is None:
         return np.zeros((0, dim)), np.zeros(0)
-    for k in range(n_u):
-        base = k * m
-        if isinstance(spec.u_set, InputBox):
-            for i in range(m):
-                if math.isfinite(spec.u_set.hi[i]):
-                    row = np.zeros(dim)
-                    row[base + i] = 1.0
-                    rows.append(row)
-                    offs.append(spec.u_set.hi[i])
-                if math.isfinite(spec.u_set.lo[i]):
-                    row = np.zeros(dim)
-                    row[base + i] = -1.0
-                    rows.append(row)
-                    offs.append(-spec.u_set.lo[i])
-        else:
-            for hrow, hoff in zip(spec.u_set.h_mat, spec.u_set.h_vec):
-                row = np.zeros(dim)
-                row[base: base + m] = hrow
-                rows.append(row)
-                offs.append(hoff)
-    if not rows:
-        return np.zeros((0, dim)), np.zeros(0)
-    return np.vstack(rows), np.asarray(offs, dtype=float)
+    if isinstance(spec.u_set, InputBox):
+        # Per input u_i <= hi_i, then -u_i <= -lo_i; an infinite bound gives no row.
+        h_mat = np.zeros((2 * m, m))
+        h_mat[2 * np.arange(m), np.arange(m)] = 1.0
+        h_mat[2 * np.arange(m) + 1, np.arange(m)] = -1.0
+        h_vec = np.stack([spec.u_set.hi, -spec.u_set.lo], axis=1).ravel()
+        finite = np.isfinite(h_vec)
+        h_mat, h_vec = h_mat[finite], h_vec[finite]
+    else:
+        h_mat, h_vec = spec.u_set.h_mat, spec.u_set.h_vec
+    blocks = np.zeros((n_u, h_vec.size, n_u, m))
+    blocks[np.arange(n_u), :, np.arange(n_u)] = h_mat
+    rows = np.zeros((n_u * h_vec.size, dim))
+    rows[:, : n_u * m] = blocks.reshape(n_u * h_vec.size, n_u * m)
+    return rows, np.tile(h_vec, n_u)
 
 
-def _stacked_cost(
-    phi: "list[np.ndarray]",
-    gamma: "list[np.ndarray]",
-    spec: OcpSpec,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cost sum_k ||x_k||_Q^2 + ||u_{k-1}||_R^2 in the stacked input."""
-    n_u, m = spec.horizon, spec.m
-    phi_bar = np.vstack(phi)          # (N n, n)
-    gamma_bar = np.vstack(gamma)      # (N n, N m)
+def _stacked_cost(phi: list, gamma: list, spec: OcpSpec):
+    """Cost sum_k ||x_k||_Q^2 + ||u_{k-1}||_R^2 in the stacked input.
+
+    ``phi`` and ``gamma`` list the per-step maps (..., n, n) and (..., n, N m);
+    leading batch axes carry over to the cost matrix, vector and constant.
+    """
+    n_u = spec.horizon
+    phi_bar = np.concatenate(phi, axis=-2)        # (..., N n, n)
+    gamma_bar = np.concatenate(gamma, axis=-2)    # (..., N n, N m)
+    gamma_t = np.swapaxes(gamma_bar, -1, -2)
     q_bar = diag_repeat(spec.Q, n_u)
     r_bar = diag_repeat(spec.R, n_u)
-    free = phi_bar @ spec.init.mean
-    p_mat = 2.0 * (gamma_bar.T @ q_bar @ gamma_bar + r_bar)
-    q_vec = 2.0 * gamma_bar.T @ (q_bar @ free)
-    constant = float(free @ q_bar @ free)
-    return 0.5 * (p_mat + p_mat.T), q_vec, constant
+    free = (phi_bar @ spec.init.mean)[..., None]
+    p_mat = 2.0 * (gamma_t @ q_bar @ gamma_bar + r_bar)
+    q_vec = 2.0 * (gamma_t @ (q_bar @ free))[..., 0]
+    constant = (np.swapaxes(free, -1, -2) @ q_bar @ free)[..., 0, 0]
+    return 0.5 * (p_mat + np.swapaxes(p_mat, -1, -2)), q_vec, constant
 
 
 def _mean_maps(a_mat: np.ndarray, b_mat: np.ndarray, n_u: int) -> tuple[list, list]:
-    """Recursively substitute the dynamics: x_k = phi_k x0 + gamma_k u."""
-    n, m = b_mat.shape
-    phi = []
-    gamma = []
-    cur_phi = np.eye(n)
-    cur_gamma = np.zeros((n, n_u * m))
+    """Recursively substitute the dynamics: x_k = phi_k x0 + gamma_k u, k = 1..n_u.
+
+    ``a_mat`` (..., n, n) and ``b_mat`` (..., n, m) may carry leading batch
+    axes, which every phi_k (..., n, n) and gamma_k (..., n, n_u m) keeps.
+    """
+    n, m = b_mat.shape[-2:]
+    cur_phi = np.broadcast_to(np.eye(n), b_mat.shape[:-2] + (n, n))
+    cur_gamma = np.zeros(b_mat.shape[:-2] + (n, n_u * m))
+    phi, gamma = [], []
     for k in range(n_u):
         nxt_gamma = a_mat @ cur_gamma
-        nxt_gamma[:, k * m: (k + 1) * m] += b_mat
+        nxt_gamma[..., k * m: (k + 1) * m] += b_mat
         cur_phi = a_mat @ cur_phi
         cur_gamma = nxt_gamma
         phi.append(cur_phi)
@@ -286,22 +287,34 @@ def _mean_maps(a_mat: np.ndarray, b_mat: np.ndarray, n_u: int) -> tuple[list, li
     return phi, gamma
 
 
-def _state_rows(phi, gamma, covs, spec: OcpSpec, backoff: float):
-    """Rows h' gamma_k u <= 1 - backoff sqrt(h' cov_k h) - h' phi_k x0; steps k, then rows h."""
-    var = np.einsum("ja,kab,jb->kj", spec.h_x, np.array(covs), spec.h_x)
-    rows = (spec.h_x @ np.array(gamma)).reshape(-1, gamma[0].shape[1])
-    free = np.array(phi) @ spec.init.mean @ spec.h_x.T
-    return rows, (1.0 - backoff * np.sqrt(np.maximum(var, 0.0)) - free).ravel()
+def _state_covs(a_mat: np.ndarray, cov0: np.ndarray, noise_cov: np.ndarray, n_u: int) -> list:
+    """State covariances cov_k = A cov_{k-1} A' + noise_cov, k = 1..n_u, batched like A."""
+    covs = []
+    cov = cov0
+    for _ in range(n_u):
+        cov = a_mat @ cov @ np.swapaxes(a_mat, -1, -2) + noise_cov
+        covs.append(cov)
+    return covs
 
 
-def _nominal_program(
-    phi: "list[np.ndarray]",
-    gamma: "list[np.ndarray]",
-    covs: "list[np.ndarray]",
-    spec: OcpSpec,
-    kind: str,
-    backoff: float,
-) -> ConicProgram:
+def _state_rows(phi: list, gamma: list, covs: list, spec: OcpSpec, backoff: float):
+    """Rows h' gamma_k u <= 1 - backoff sqrt(h' cov_k h) - h' phi_k x0; steps k, then rows h.
+
+    Leading batch axes of the per-step maps and covariances carry over to
+    the rows (..., N rows, dim) and the offsets (..., N rows).
+    """
+    phi, gamma, covs = (np.ascontiguousarray(np.stack(x, axis=-3)) for x in (phi, gamma, covs))
+    # Not einsum: its summation order may change with the batch shape, and a
+    # scenario's rows must not depend on how many scenarios share the pass.
+    var = np.sum((spec.h_x @ covs) * spec.h_x, axis=-1)
+    rows = (spec.h_x @ gamma).reshape(gamma.shape[:-3] + (-1, gamma.shape[-1]))
+    free = phi @ spec.init.mean @ spec.h_x.T
+    offs = 1.0 - backoff * np.sqrt(np.maximum(var, 0.0)) - free
+    return rows, offs.reshape(offs.shape[:-2] + (-1,))
+
+
+def _nominal_program(phi: list, gamma: list, covs: list, spec: OcpSpec, kind: str,
+                     backoff: float) -> ConicProgram:
     """Assemble the tightened-mean QP from stacked maps and covariances."""
     _check_initial_state(spec, backoff)
     dim = spec.horizon * spec.m
@@ -311,7 +324,7 @@ def _nominal_program(
     prog = ConicProgram(
         p_mat=p_mat,
         q_vec=q_vec,
-        constant=constant,
+        constant=float(constant),
         lin_a=np.vstack([lin_a_state, lin_a_input]),
         lin_b=np.concatenate([lin_b_state, lin_b_input]),
         soc_rows=[],
@@ -330,12 +343,7 @@ def build_nominal_qp_statespace(sys: LinearSystem, spec: OcpSpec) -> ConicProgra
     if sys.n != spec.n or sys.m != spec.m:
         raise DimensionMismatch("system and problem dimensions differ")
     backoff = gaussian_backoff(spec.p)
-    noise_cov = sys.E @ sys.sigma_w @ sys.E.T
-    covs = []
-    cov = spec.init.cov
-    for _ in range(spec.horizon):
-        cov = sys.A @ cov @ sys.A.T + noise_cov
-        covs.append(cov)
+    covs = _state_covs(sys.A, spec.init.cov, sys.E @ sys.sigma_w @ sys.E.T, spec.horizon)
     phi, gamma = _mean_maps(sys.A, sys.B, spec.horizon)
     return _nominal_program(phi, gamma, covs, spec, "nominal_statespace", backoff)
 
@@ -365,41 +373,55 @@ def build_nominal_qp_multistep(model: MultiStepModel, spec: OcpSpec) -> ConicPro
 
 
 def _tightening_terms(
-    h_row: np.ndarray,
+    h_rows: np.ndarray,
     gw_k: np.ndarray,
     g0_hat: np.ndarray,
     sw_half: np.ndarray,
     sx_half: np.ndarray,
-    sigma_theta_half: "np.ndarray | None",
+    g0_factor: "np.ndarray | None",
     structure: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Constant vector and parameter-direction matrix of the back-off norm.
+    """Constant vectors and parameter-direction matrices of the back-off norms.
 
     The worst-case standard deviation in direction H_j stacks the
-    disturbance part diag_k(sigma_w^{1/2}) Gw' H_j (independent of the
+    disturbance part (I_k kron sigma_w^{1/2}) Gw' H_j (independent of the
     parameters) on top of the initial-state part sigma_x0^{1/2} G0' H_j,
     which is affine in the parameter error through its first n^2
-    coordinates.  ``sw_half``/``sx_half`` are the symmetric square roots of
-    sigma_w and sigma_x0.
+    coordinates (the G0 block) only: the direction is
+    kron(sigma_x0^{1/2}, H_j') F for any factor F F' of the top-left
+    n^2 x n^2 block of the parameter covariance, since the image of the
+    ball depends on F only through F F'.  ``sw_half``/``sx_half`` are the
+    symmetric square roots of sigma_w and sigma_x0.  All rows ``h_rows``
+    (rows, n) are done at once: base is (rows, k q + n) and direction
+    (rows, k q + n, columns of F), empty for FIR or without F.
     """
-    h_row = np.asarray(h_row, dtype=float).ravel()
+    h_rows = np.asarray(h_rows, dtype=float)
     n = g0_hat.shape[0]
     q = sw_half.shape[0]
     k = gw_k.shape[1] // q
-    if gw_k.shape != (n, k * q) or h_row.size != n:
+    if gw_k.shape != (n, k * q) or h_rows.ndim != 2 or h_rows.shape[1] != n:
         raise DimensionMismatch("inconsistent tightening inputs")
-    base = np.concatenate([
-        diag_repeat(sw_half, k) @ (gw_k.T @ h_row),
-        sx_half @ (g0_hat.T @ h_row),
-    ])
-    if structure == STRUCTURE_FIR or sigma_theta_half is None:
-        direction = np.zeros((base.size, 0))
-        return base, direction
-    dof = sigma_theta_half.shape[0]
-    sel = np.kron(sx_half, h_row[None, :])           # (n, n^2)
-    par = sel @ sigma_theta_half[: n * n, :]          # (n, dof)
-    direction = np.vstack([np.zeros((k * q, dof)), par])
+    rows = h_rows.shape[0]
+    noise = ((h_rows @ gw_k).reshape(rows, k, q) @ sw_half).reshape(rows, k * q)
+    base = np.hstack([noise, h_rows @ g0_hat @ sx_half])
+    if structure == STRUCTURE_FIR or g0_factor is None:
+        return base, np.zeros(base.shape + (0,))
+    cols = g0_factor.shape[1]
+    par = (np.kron(sx_half, h_rows) @ g0_factor).reshape(n, rows, cols)
+    direction = np.zeros(base.shape + (cols,))
+    direction[:, k * q:] = np.swapaxes(par, 0, 1)
     return base, direction
+
+
+def _row_terms(h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure):
+    """One row's terms, with F the first n^2 rows of the square root of cov_k."""
+    n = np.shape(g0_hat)[0]
+    g0_factor = None if sigma_theta_half is None else sigma_theta_half[: n * n]
+    base, direction = _tightening_terms(
+        np.ravel(h_row)[None, :], gw_k, g0_hat, sym_sqrt(sigma_w), sym_sqrt(sigma_x0),
+        g0_factor, structure,
+    )
+    return base[0], direction[0]
 
 
 def tightening_constant_exact(
@@ -413,8 +435,8 @@ def tightening_constant_exact(
     structure: str = STRUCTURE_FULL,
 ) -> float:
     """Exact worst-case back-off over the parameter confidence ellipsoid."""
-    return _exact_backoff(*_tightening_terms(
-        h_row, gw_k, g0_hat, sym_sqrt(sigma_w), sym_sqrt(sigma_x0), sigma_theta_half, structure
+    return _exact_backoff(*_row_terms(
+        h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure
     ), radius)
 
 
@@ -435,15 +457,16 @@ def tightening_constant_upper(
     structure: str = STRUCTURE_FULL,
 ) -> float:
     """Triangle-inequality upper bound on the exact back-off constant."""
-    return _upper_backoff(*_tightening_terms(
-        h_row, gw_k, g0_hat, sym_sqrt(sigma_w), sym_sqrt(sigma_x0), sigma_theta_half, structure
-    ), radius)
+    return float(_upper_backoff(*_row_terms(
+        h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure
+    ), radius))
 
 
-def _upper_backoff(base: np.ndarray, direction: np.ndarray, radius: float) -> float:
-    bound = float(np.linalg.norm(base))
-    if direction.shape[1] and radius > 0.0:
-        bound += radius * float(np.linalg.norm(direction, 2))
+def _upper_backoff(base: np.ndarray, direction: np.ndarray, radius: float) -> np.ndarray:
+    """||base|| + radius ||direction||_2, over any leading row axes."""
+    bound = np.linalg.norm(base, axis=-1)
+    if direction.shape[-1] and radius > 0.0:
+        bound = bound + radius * np.linalg.norm(direction, 2, axis=(-2, -1))
     return bound
 
 
@@ -466,18 +489,20 @@ def build_tightening_table(
     radius, sigma_half, h_exact, h_upper = {}, {}, {}, {}
     sw_half = sym_sqrt(np.asarray(sigma_w, dtype=float))
     sx_half = sym_sqrt(spec.init.cov)
+    n_g0 = spec.n * spec.n
     for k in range(1, spec.horizon + 1):
         est = estimates[k - 1]
         if est.k != k:
             raise DimensionMismatch(f"estimate at position {k} is for step {est.k}")
         radius[k] = est.radius(delta)
-        sigma_half[k] = sym_sqrt(est.cov)
-        g0_hat = est.g0_hat()
+        sigma_half[k] = est.cov_half
+        g0_factor = sym_sqrt(est.cov[:n_g0, :n_g0]) if est.structure == STRUCTURE_FULL else None
+        base, direction = _tightening_terms(spec.h_x, gw[k - 1], est.g0_hat(), sw_half, sx_half,
+                                            g0_factor, est.structure)
+        upper = _upper_backoff(base, direction, radius[k])
         for j in range(spec.n_rows):
-            terms = _tightening_terms(spec.h_x[j], gw[k - 1], g0_hat, sw_half, sx_half,
-                                      sigma_half[k], est.structure)
-            h_exact[(j, k)] = _exact_backoff(*terms, radius[k])
-            h_upper[(j, k)] = _upper_backoff(*terms, radius[k])
+            h_exact[(j, k)] = _exact_backoff(base[j], direction[j], radius[k])
+            h_upper[(j, k)] = float(upper[j])
     return TighteningTable(
         delta=delta,
         p=spec.p,
@@ -550,7 +575,7 @@ def build_robust_socp_multistep(
     prog = ConicProgram(
         p_mat=p_mat,
         q_vec=q_vec,
-        constant=constant,
+        constant=float(constant),
         lin_a=np.vstack([lin_a_state, lin_a_input]),
         lin_b=np.concatenate([lin_b_state, lin_b_input]),
         soc_rows=soc_rows,
@@ -603,7 +628,7 @@ def formulate_minmax_statespace(
     c_pt = gaussian_backoff(p_tilde)
     _check_initial_state(spec, c_pt)
 
-    s_half = sym_sqrt(est.cov)
+    s_half = est.cov_half
     gen = generator_of(rng)
     offsets = [np.zeros(est.dof)]
     for i in range(1, n_scenarios):
@@ -613,46 +638,35 @@ def formulate_minmax_statespace(
         scale = 1.0 if i % 2 == 1 else shrink
         offsets.append(rad * scale * (s_half @ direction))
 
-    dim = n_u * m + 1          # stacked inputs plus the epigraph variable
-    t_index = n_u * m
-    base_theta = np.hstack([est.g0_hat(), est.gu_hat()])   # [A_hat, B_hat]
-    q_bar = diag_repeat(spec.Q, n_u)
-    r_bar = diag_repeat(spec.R, n_u)
+    # Every scenario's [A, B] = [A_hat, B_hat] + unvec(offset), stacked (S, n, n + m).
+    ab = np.hstack([est.g0_hat(), est.gu_hat()]) + np.reshape(
+        offsets, (n_scenarios, n + m, n)).transpose(0, 2, 1)
+    a_mat, b_mat = ab[..., :n], ab[..., n:]
+    phi, gamma = _mean_maps(a_mat, b_mat, n_u)
     e_mat = np.asarray(e_mat, dtype=float)
     noise_cov = e_mat @ np.asarray(sigma_w, dtype=float) @ e_mat.T
+    covs = _state_covs(a_mat, spec.init.cov, noise_cov, n_u)
+    rows, offs = _state_rows(phi, gamma, covs, spec, c_pt)
+    dim = n_u * m + 1          # stacked inputs plus the epigraph variable
+    t_index = n_u * m
+    lin_a_state = np.concatenate([rows, np.zeros(rows.shape[:-1] + (1,))], axis=-1)   # t column
 
-    lin_rows, lin_offs, soc_rows = [], [], []
-    for theta_off in offsets:
-        ab = base_theta + theta_off.reshape(n, n + m, order="F")
-        a_mat, b_mat = ab[:, :n], ab[:, n:]
-        phi, gamma = _mean_maps(a_mat, b_mat, n_u)
-        covs = []
-        cov = spec.init.cov
-        for _ in range(n_u):
-            cov = a_mat @ cov @ a_mat.T + noise_cov
-            covs.append(cov)
-        rows, offs = _state_rows(phi, gamma, covs, spec, c_pt)
-        lin_rows.append(np.hstack([rows, np.zeros((rows.shape[0], 1))]))   # t column
-        lin_offs.append(offs)
-        # Epigraph of the scenario cost, trace terms included.
-        phi_bar = np.vstack(phi)
-        gamma_bar = np.vstack(gamma)
-        m_mat = gamma_bar.T @ q_bar @ gamma_bar + r_bar
-        beta = gamma_bar.T @ (q_bar @ (phi_bar @ spec.init.mean))
-        free = phi_bar @ spec.init.mean
-        trace_term = sum(float(np.trace(spec.Q @ c)) for c in covs)
-        c_const = float(free @ q_bar @ free) + trace_term
-        chol = scipy.linalg.cholesky(m_mat, lower=True)
-        w_vec = scipy.linalg.solve_triangular(chol, beta, lower=True)
-        c_shift = c_const - float(w_vec @ w_vec)
-        # ||L' u + w||^2 <= t - c_shift  <=>  ||[2(L'u + w); v - 1]|| <= v + 1
-        f_mat = np.zeros((n_u * m + 1, dim))
-        f_mat[: n_u * m, : n_u * m] = 2.0 * chol.T
-        f_mat[-1, t_index] = 1.0
-        g_vec = np.concatenate([2.0 * w_vec, [-c_shift - 1.0]])
-        c_vec = np.zeros(dim)
-        c_vec[t_index] = 1.0
-        soc_rows.append(SocRow(f_mat=f_mat, g_vec=g_vec, c_vec=c_vec, d_off=1.0 - c_shift))
+    # Epigraph of each scenario cost, trace terms included, with
+    # L L' = gamma_bar' Q_bar gamma_bar + R_bar and L w = gamma_bar' Q_bar phi_bar x0:
+    # ||L' u + w||^2 <= t - c_shift  <=>  ||[2(L'u + w); v - 1]|| <= v + 1, v = t - c_shift
+    cost_mat, cost_vec, cost_const = _stacked_cost(phi, gamma, spec)
+    chol = np.linalg.cholesky(0.5 * cost_mat)
+    w_vec = np.linalg.solve(chol, 0.5 * cost_vec[..., None])[..., 0]
+    trace_term = sum(np.trace(spec.Q @ cov, axis1=-2, axis2=-1) for cov in covs)
+    c_shift = cost_const + trace_term - np.sum(w_vec**2, axis=-1)
+    f_mats = np.zeros((n_scenarios, n_u * m + 1, dim))
+    f_mats[:, : n_u * m, : n_u * m] = 2.0 * np.swapaxes(chol, -1, -2)
+    f_mats[:, -1, t_index] = 1.0
+    g_vecs = np.hstack([2.0 * w_vec, -c_shift[:, None] - 1.0])
+    c_vec = np.zeros(dim)
+    c_vec[t_index] = 1.0
+    soc_rows = [SocRow(f_mat=f, g_vec=g, c_vec=c_vec, d_off=float(1.0 - c))
+                for f, g, c in zip(f_mats, g_vecs, c_shift)]
 
     lin_a_input, lin_b_input = _input_rows(spec, dim)
     q_vec = np.zeros(dim)
@@ -661,8 +675,8 @@ def formulate_minmax_statespace(
         p_mat=np.zeros((dim, dim)),
         q_vec=q_vec,
         constant=0.0,
-        lin_a=np.vstack(lin_rows + [lin_a_input]),
-        lin_b=np.concatenate(lin_offs + [lin_b_input]),
+        lin_a=np.vstack([lin_a_state.reshape(-1, dim), lin_a_input]),
+        lin_b=np.concatenate([offs.ravel(), lin_b_input]),
         soc_rows=soc_rows,
         variable_map={
             "u": {"horizon": n_u, "m": m, "offset": 0},

@@ -1,9 +1,11 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mspc import validate
 from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_pipeline, load_config, main, parse_config
 from mspc.errors import ConfigError, DeltaTooSmall
 from mspc.system import load_trajectory
@@ -170,6 +172,23 @@ def test_pipeline_byte_identical_reruns(tmp_path):
     assert (out1 / "violations_parametric.csv").read_bytes() == (
         out2 / "violations_parametric.csv"
     ).read_bytes()
+
+
+def test_pipeline_byte_identical_for_any_worker_count(tmp_path, monkeypatch):
+    # The Monte Carlo batches run on a pool sized by the usable CPUs; the
+    # scalar demo's outputs must not depend on that size.
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "scalar.json")
+    outputs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(validate, "_workers", lambda n_samples, w=workers: w)
+        out_dir = tmp_path / f"workers_{workers}"
+        report, _ = cmd_pipeline(cfg, out_dir)
+        assert report["passed"]
+        timings = json.loads((out_dir / "timings.json").read_text())
+        assert timings["validate_sampler"]["workers"] == workers
+        outputs.append(out_dir)
+    for name in ("report.json", "violations_parametric.csv", "violations_true.csv"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
 def test_pipeline_perfect_information_reduction(tmp_path):

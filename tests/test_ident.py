@@ -27,7 +27,7 @@ from mspc.ident import (
     state_space_ls,
     true_theta,
 )
-from mspc.linalg import Rng, psd_sqrt_factor, vec
+from mspc.linalg import Rng, psd_sqrt_factor, sym_sqrt, vec
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system, simulate
 
 
@@ -515,6 +515,22 @@ def test_estimate_json_round_trip_bit_faithful(tmp_path, gen):
         assert a.k == b.k and a.structure == b.structure
     doc = estimate_to_json(ests[0])
     assert np.array_equal(estimate_from_json(doc).theta, ests[0].theta)
+
+
+@pytest.mark.parametrize("rank", [0, 3, 6])
+def test_cov_half_is_cached_read_only_root(gen, rank):
+    # Tightening and the scenario baseline read one square root per estimate.
+    root = gen.standard_normal((6, rank))
+    est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=gen.standard_normal(6),
+                            cov=root @ root.T, n=2, m=1)
+    half = est.cov_half
+    assert np.array_equal(half, sym_sqrt(est.cov))
+    assert est.cov_half is half
+    assert not half.flags.writeable
+    with pytest.raises(ValueError):
+        half[0, 0] = 1.0
+    # A replaced estimate gets its own root.
+    assert np.array_equal(replace(est, cov=np.eye(6)).cov_half, np.eye(6))
 
 
 def test_model_from_estimates_shapes():

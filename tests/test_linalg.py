@@ -282,6 +282,18 @@ def test_ball_max_finite_at_extreme_scales(gen, scale):
     assert norm_a <= result <= (norm_a + np.linalg.norm(m, 2)) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_ball_max_scales_with_offset_and_map(gen, scale):
+    # f(c a, c M, r) = c f(a, M, r).  The top-eigenspace cutoff must be relative
+    # to s_1^2: an absolute one treats every direction of a small M as top and
+    # under-estimates the maximum (the unsafe direction for a back-off).
+    cases = [(np.array([1.0, 0.3]), np.diag([1.0, 0.5])),
+             (gen.standard_normal(3), gen.standard_normal((3, 4)))]
+    for a, m in cases:
+        expected = scale * max_norm_affine_over_ball(a, m, 1.0)
+        assert_allclose(max_norm_affine_over_ball(scale * a, scale * m, 1.0), expected, rtol=1e-12)
+
+
 def s_lemma_bound(a, nm, shift):
     """Dual bound on max ||a + N y||^2 over ||y|| <= 1 at lambda = s_1^2 + shift > s_1^2.
 

@@ -3,15 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.linalg
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc.errors import DeltaTooSmall, DomainError, InfeasibleInitialState
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
-from mspc.linalg import Rng, diag_repeat, sym_sqrt
+from mspc.linalg import Rng, diag_repeat, generator_of, sym_sqrt
 from mspc.ocp import (
     InputBox,
+    InputPolytope,
     OcpSpec,
+    SocRow,
+    _check_initial_state,
+    _input_rows,
     _mean_maps,
     _state_rows,
     build_nominal_qp_multistep,
@@ -242,6 +247,53 @@ def test_tightening_sampling_sandwich(gen):
         assert exact >= vals.max() - 1e-6
 
 
+def _estimate_cov(gen, dof, kind):
+    """Full-rank, singular (rank about dof / 3) or zero parameter covariance."""
+    if kind == "zero":
+        return np.zeros((dof, dof))
+    root = gen.standard_normal((dof, dof if kind == "full" else max(dof // 3, 1)))
+    return 0.01 * root @ root.T
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 4),
+    rows=st.integers(1, 3),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    cov_kind=st.sampled_from(["full", "singular", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tightening_table_matches_per_row_reference(n, m, horizon, rows, structure, cov_kind,
+                                                    seed):
+    # The table tightens all rows of a step at once with F = sqrt of the n^2 x n^2
+    # G0 block of cov_k; the per-(j, k) public constants with the full
+    # sym_sqrt(cov_k) are the reference.
+    gen = np.random.default_rng(seed)
+    sys = random_system(n, m, max(n - 1, 1), 0.9, gen, sigma_w=0.2)
+    model = build_multistep(sys, horizon)
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(n), R=np.eye(m), h_x=gen.standard_normal((rows, n)),
+        u_set=None, p=0.9, init=GaussianBelief(mean=np.zeros(n), cov=_estimate_cov(gen, n, "full")),
+    )
+    ests = []
+    for k in range(1, horizon + 1):
+        g0, gu, _ = model.step(k)
+        theta = true_theta(g0, gu, structure)
+        ests.append(ParameterEstimate(k=k, structure=structure, theta=theta,
+                                      cov=_estimate_cov(gen, theta.size, cov_kind), n=n, m=m))
+    table = build_tightening_table(spec, ests, model.gw, sys.sigma_w, 0.95)
+    assert sorted(table.h_exact) == [(j, k) for j in range(rows) for k in range(1, horizon + 1)]
+    for (j, k), h_exact in table.h_exact.items():
+        est = ests[k - 1]
+        assert table.sigma_theta_half[k] is est.cov_half
+        args = (spec.h_x[j], model.gw[k - 1], est.g0_hat(), sys.sigma_w, spec.init.cov,
+                sym_sqrt(est.cov), table.radius[k], structure)
+        assert h_exact == pytest.approx(tightening_constant_exact(*args), rel=1e-12, abs=0.0)
+        assert table.h_upper[(j, k)] == pytest.approx(tightening_constant_upper(*args),
+                                                      rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Robust program
 # ---------------------------------------------------------------------------
@@ -349,6 +401,104 @@ def minmax_setup(seed=61, sigma_theta=0.0):
         cov=sigma_theta * np.eye(theta.size), n=2, m=1,
     )
     return sys, spec, est
+
+
+def minmax_loop_reference(est, spec, delta, n_scenarios, rng, e_mat, sigma_w):
+    """Per-scenario loop that formulate_minmax_statespace replaced: linear state
+    rows and one epigraph cone row per scenario, one scenario at a time."""
+    n, m, n_u = spec.n, spec.m, spec.horizon
+    rad = est.radius(delta)
+    c_pt = gaussian_backoff(spec.p / delta)
+    _check_initial_state(spec, c_pt)
+    s_half = sym_sqrt(est.cov)
+    gen = generator_of(rng)
+    offsets = [np.zeros(est.dof)]
+    for i in range(1, n_scenarios):
+        direction = gen.standard_normal(est.dof)
+        direction /= max(float(np.linalg.norm(direction)), 1e-300)
+        shrink = gen.uniform() ** (1.0 / est.dof)
+        scale = 1.0 if i % 2 == 1 else shrink
+        offsets.append(rad * scale * (s_half @ direction))
+    dim = n_u * m + 1
+    t_index = n_u * m
+    base_theta = np.hstack([est.g0_hat(), est.gu_hat()])
+    q_bar = diag_repeat(spec.Q, n_u)
+    r_bar = diag_repeat(spec.R, n_u)
+    noise_cov = e_mat @ sigma_w @ e_mat.T
+    lin_rows, lin_offs, soc_rows = [], [], []
+    for theta_off in offsets:
+        ab = base_theta + theta_off.reshape(n, n + m, order="F")
+        a_mat, b_mat = ab[:, :n], ab[:, n:]
+        phi, gamma = _mean_maps(a_mat, b_mat, n_u)
+        covs = []
+        cov = spec.init.cov
+        for _ in range(n_u):
+            cov = a_mat @ cov @ a_mat.T + noise_cov
+            covs.append(cov)
+        rows, offs = _state_rows(phi, gamma, covs, spec, c_pt)
+        lin_rows.append(np.hstack([rows, np.zeros((rows.shape[0], 1))]))
+        lin_offs.append(offs)
+        phi_bar = np.vstack(phi)
+        gamma_bar = np.vstack(gamma)
+        m_mat = gamma_bar.T @ q_bar @ gamma_bar + r_bar
+        beta = gamma_bar.T @ (q_bar @ (phi_bar @ spec.init.mean))
+        free = phi_bar @ spec.init.mean
+        trace_term = sum(float(np.trace(spec.Q @ c)) for c in covs)
+        c_const = float(free @ q_bar @ free) + trace_term
+        chol = scipy.linalg.cholesky(m_mat, lower=True)
+        w_vec = scipy.linalg.solve_triangular(chol, beta, lower=True)
+        c_shift = c_const - float(w_vec @ w_vec)
+        f_mat = np.zeros((n_u * m + 1, dim))
+        f_mat[: n_u * m, : n_u * m] = 2.0 * chol.T
+        f_mat[-1, t_index] = 1.0
+        g_vec = np.concatenate([2.0 * w_vec, [-c_shift - 1.0]])
+        c_vec = np.zeros(dim)
+        c_vec[t_index] = 1.0
+        soc_rows.append(SocRow(f_mat=f_mat, g_vec=g_vec, c_vec=c_vec, d_off=1.0 - c_shift))
+    lin_a_input, lin_b_input = _input_rows(spec, dim)
+    return (np.vstack(lin_rows + [lin_a_input]), np.concatenate(lin_offs + [lin_b_input]),
+            soc_rows)
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 5),
+    rows=st.integers(1, 3),
+    n_scenarios=st.integers(1, 7),
+    sigma_theta=st.sampled_from([0.0, 1e-4, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A case where a batched einsum for the row variances sums in another order
+# than the per-scenario call, so the rows would differ in the last bit.
+@example(n=2, m=2, horizon=1, rows=1, n_scenarios=4, sigma_theta=1e-2, seed=210)
+def test_minmax_scenario_stack_matches_loop_reference(n, m, horizon, rows, n_scenarios,
+                                                      sigma_theta, seed):
+    gen = np.random.default_rng(seed)
+    q = max(n - 1, 1)
+    sys = random_system(n, m, q, 0.9, gen, sigma_w=0.05)
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(n), R=0.5 * np.eye(m), h_x=0.3 * gen.standard_normal((rows, n)),
+        u_set=InputBox(lo=-2.0 * np.ones(m), hi=2.0 * np.ones(m)), p=0.9,
+        init=GaussianBelief(mean=0.2 * gen.standard_normal(n), cov=0.01 * np.eye(n)),
+    )
+    theta = true_theta(sys.A, sys.B)
+    est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=theta,
+                            cov=_estimate_cov(gen, theta.size, "full") * sigma_theta / 0.01,
+                            n=n, m=m)
+    prog = formulate_minmax_statespace(est, spec, 0.95, n_scenarios, Rng(seed % 1000),
+                                       sys.E, sys.sigma_w)
+    lin_a, lin_b, soc_rows = minmax_loop_reference(est, spec, 0.95, n_scenarios,
+                                                   Rng(seed % 1000), sys.E, sys.sigma_w)
+    assert np.array_equal(prog.lin_a, lin_a)
+    assert np.array_equal(prog.lin_b, lin_b)
+    assert len(prog.soc_rows) == len(soc_rows) == n_scenarios
+    for got, ref in zip(prog.soc_rows, soc_rows):
+        assert np.array_equal(got.c_vec, ref.c_vec)
+        for a, b in ((got.f_mat, ref.f_mat), (got.g_vec, ref.g_vec)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        # d = 1 - c_shift cancels when c_shift is near 1: compare at c_shift's scale.
+        assert abs(got.d_off - ref.d_off) <= 1e-13 * (1.0 + abs(ref.d_off))
 
 
 def test_minmax_single_nominal_scenario_matches_inflated_qp():
@@ -592,3 +742,55 @@ def test_state_rows_match_loop_reference(n, m, horizon, rows, seed):
             scale = 1.0 + 1.3 * std + abs(h) @ abs(phi[k - 1]) @ abs(spec.init.mean)
             assert_allclose(lin_a[i], h @ gamma[k - 1], rtol=1e-13, atol=1e-13)
             assert abs(lin_b[i] - (1.0 - 1.3 * std - free)) <= 1e-13 * scale
+
+
+def input_rows_loop_reference(spec, dim):
+    """Per-step, per-input loop that _input_rows replaced."""
+    rows, offs = [], []
+    for k in range(spec.horizon):
+        base = k * spec.m
+        if isinstance(spec.u_set, InputBox):
+            for i in range(spec.m):
+                for sign, bound in ((1.0, spec.u_set.hi[i]), (-1.0, -spec.u_set.lo[i])):
+                    if math.isfinite(bound):
+                        row = np.zeros(dim)
+                        row[base + i] = sign
+                        rows.append(row)
+                        offs.append(bound)
+        elif spec.u_set is not None:
+            for hrow, hoff in zip(spec.u_set.h_mat, spec.u_set.h_vec):
+                row = np.zeros(dim)
+                row[base: base + spec.m] = hrow
+                rows.append(row)
+                offs.append(hoff)
+    return (np.vstack(rows) if rows else np.zeros((0, dim))), np.asarray(offs, dtype=float)
+
+
+@given(
+    m=st.integers(1, 3),
+    horizon=st.integers(1, 5),
+    kind=st.sampled_from(["box", "polytope", "none"]),
+    extra=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_input_rows_match_loop_reference(m, horizon, kind, extra, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "box":
+        lo, hi = -gen.uniform(0.5, 2.0, m), gen.uniform(0.5, 2.0, m)
+        lo[gen.uniform(size=m) < 0.3] = -np.inf
+        hi[gen.uniform(size=m) < 0.3] = np.inf
+        u_set = InputBox(lo=lo, hi=hi)
+    elif kind == "polytope":
+        rows = int(gen.integers(1, 5))
+        u_set = InputPolytope(h_mat=gen.standard_normal((rows, m)),
+                              h_vec=gen.uniform(0.5, 2.0, rows))
+    else:
+        u_set = None
+    spec = OcpSpec(horizon=horizon, Q=np.eye(1), R=np.eye(m), h_x=np.zeros((0, 1)),
+                   u_set=u_set, p=0.9, init=GaussianBelief(mean=[0.0], cov=[[1.0]]))
+    dim = horizon * m + extra
+    lin_a, lin_b = _input_rows(spec, dim)
+    ref_a, ref_b = input_rows_loop_reference(spec, dim)
+    assert lin_a.shape == ref_a.shape and np.array_equal(lin_a, ref_a)
+    assert not np.any(np.signbit(lin_a) & (lin_a == 0.0))   # no -0.0 in the JSON
+    assert np.array_equal(lin_b, ref_b)

@@ -19,8 +19,9 @@ from scipy.stats import norm as normal_dist
 
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
 from mspc.linalg import Rng, diag_repeat, psd_sqrt_factor
-from mspc.ocp import OcpSpec
-from mspc.system import GaussianBelief, build_multistep, random_system
+from mspc.ocp import InputBox, OcpSpec, build_nominal_qp_statespace
+from mspc.solver import solve
+from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
 from mspc.validate import (
     SampledParameterTruth,
     ViolationEntry,
@@ -155,6 +156,39 @@ def test_violation_noise_only_in_closed_form_band(n, x0_rank):
             sd = math.sqrt(float(a @ s_x0 @ a) + s2)
             p_exact[(j, k)] = float(normal_dist.sf((1.0 - a @ x0_bar - c) / sd))
     _assert_in_band(report, p_exact)
+
+
+def test_nominal_statespace_active_rows_violate_at_one_minus_p():
+    # On the true system the nominal QP backs each row off by exactly
+    # Phi^{-1}(p) standard deviations, so a row the optimum makes active is
+    # violated with probability 1 - p, in closed form and by the counter.
+    sys = LinearSystem(A=[[1.0, 0.4], [0.0, 0.9]], B=[[0.0], [1.0]], E=np.eye(2),
+                       sigma_w=0.002 * np.eye(2), sigma_eps=np.zeros((2, 2)))
+    spec = OcpSpec(
+        horizon=6, Q=np.eye(2), R=0.1 * np.eye(1), h_x=np.array([[0.0, -2.5], [0.4, 0.0]]),
+        u_set=InputBox(lo=[-3.0], hi=[3.0]), p=0.9,
+        init=GaussianBelief(mean=[1.5, 0.0], cov=0.001 * np.eye(2)),
+    )
+    sol = solve(build_nominal_qp_statespace(sys, spec))
+    assert sol.status == "Optimal"
+    u = sol.primal
+    mean, cov = spec.init.mean, spec.init.cov
+    active = {}
+    for k in range(1, spec.horizon + 1):
+        mean = sys.A @ mean + sys.B @ u[k - 1: k]
+        cov = sys.A @ cov @ sys.A.T + sys.E @ sys.sigma_w @ sys.E.T
+        for j, h in enumerate(spec.h_x):
+            mu, sd = float(h @ mean), math.sqrt(float(h @ cov @ h))
+            if 1.0 - mu - normal_dist.ppf(spec.p) * sd <= 1e-9:
+                active[(j, k)] = float(normal_dist.sf((1.0 - mu) / sd))
+    assert active
+    for p_jk in active.values():
+        assert abs(p_jk - (1.0 - spec.p)) <= 1e-12
+    report = estimate_violation(sys, u, spec, 100_000, Rng(720))
+    for e in report.entries:
+        if (e.j, e.k) in active:
+            low, high = clopper_pearson_interval(e.violations, e.samples, confidence=0.999)
+            assert low <= 1.0 - spec.p <= high, e
 
 
 @pytest.mark.parametrize("n", [1, 2])
