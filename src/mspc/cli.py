@@ -14,11 +14,13 @@ typed ``MspcError``, recorded in report.json), and 1 otherwise.
 A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, the
 validation budget and the comparison studies; an unreadable file, invalid
-JSON, a missing required key, an unknown key, a value of the wrong type or
-a negative seed is a ``ConfigError``.  Reports are emitted as JSON/CSV;
-everything a report contains is a deterministic function of (config,
-master seed), so repeated runs are byte-identical.  Wall-clock timings go
-to a separate file to keep the reports reproducible.
+JSON, a missing required key, an unknown key, or a value of the wrong type
+or out of range (a negative seed, a record length or ``k_max`` below 1, a
+``force_zero_cov`` that is not a JSON boolean) is a ``ConfigError``.  An
+output directory that cannot be created or written also exits 2.  Reports
+are emitted as JSON/CSV; everything a report contains is a deterministic
+function of (config, master seed), so repeated runs are byte-identical.
+Wall-clock timings go to a separate file to keep the reports reproducible.
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ def _check_keys(doc, where: str, required: tuple = (), optional: tuple = ()) -> 
     return doc
 
 
+def _integer(value, where: str, minimum: int) -> int:
+    """``value`` if it is a JSON integer of at least ``minimum``; otherwise a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _check_config_keys(doc: dict) -> None:
     _check_keys(doc, "config", ("system", "identification", "ocp"),
                 ("validation", "compare", "master_seed", "output_dir"))
@@ -154,16 +163,19 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         ),
     )
     ident_doc = doc["identification"]
+    if not isinstance(ident_doc.get("force_zero_cov", False), bool):
+        raise ConfigError("identification.force_zero_cov must be true or false")
     ident_settings = IdentSettings(
-        T=int(ident_doc["T"]),
+        T=_integer(ident_doc["T"], "identification.T", 1),
         delta=float(ident_doc["delta"]),
         structure=ident_doc.get("structure", ident.STRUCTURE_FULL),
         covariance=ident_doc.get("covariance", "oracle"),
         input_std=float(ident_doc.get("input_std", 1.0)),
         x0_mean=_matrix(ident_doc, "x0_mean"),
         sigma_x0=_matrix(ident_doc, "sigma_x0"),
-        force_zero_cov=bool(ident_doc.get("force_zero_cov", False)),
-        k_max=ident_doc.get("k_max"),
+        force_zero_cov=ident_doc.get("force_zero_cov", False),
+        k_max=(_integer(ident_doc["k_max"], "identification.k_max", 1)
+               if "k_max" in ident_doc else None),
     )
     if ident_settings.delta <= spec.p:
         raise DeltaTooSmall(
@@ -183,9 +195,10 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
     cmp_doc = doc.get("compare", {})
     compare = CompareSettings(
         n_scenarios=int(cmp_doc.get("n_scenarios", 64)),
-        t_sweep=tuple(cmp_doc.get("T_sweep", (100, 200, 400))),
-        sweep_seeds=int(cmp_doc.get("sweep_seeds", 3)),
-        p_sweep=tuple(cmp_doc.get("p_sweep", (0.6, 0.75, 0.9))),
+        t_sweep=tuple(_integer(t, "compare.T_sweep", 1)
+                      for t in cmp_doc.get("T_sweep", (100, 200, 400))),
+        sweep_seeds=_integer(cmp_doc.get("sweep_seeds", 3), "compare.sweep_seeds", 0),
+        p_sweep=tuple(float(p) for p in cmp_doc.get("p_sweep", (0.6, 0.75, 0.9))),
         sweep_samples=int(cmp_doc.get("sweep_samples", 20_000)),
     )
     master_seed = int(seed_override if seed_override is not None else doc.get("master_seed", 0))
@@ -275,23 +288,6 @@ def _identify_all(cfg: ExperimentConfig, sys_true: LinearSystem,
     return estimates, gw
 
 
-def robust_at_length(cfg: ExperimentConfig, sys_true: LinearSystem, t_len: int,
-                     master_seed: int) -> "tuple[ocp.TighteningTable, solver.Solution]":
-    """Identify from a fresh record of length ``t_len``, tighten and solve the robust program."""
-    sub = replace(
-        cfg,
-        ident_settings=replace(cfg.ident_settings, T=int(t_len)),
-        master_seed=master_seed,
-    )
-    estimates, gw = _identify_all(sub, sys_true, _probe_and_simulate(sub, sys_true))
-    delta = cfg.ident_settings.delta
-    table = ocp.build_tightening_table(cfg.ocp_spec, estimates, gw, sys_true.sigma_w, delta)
-    prog = ocp.build_robust_socp_multistep(
-        estimates, cfg.ocp_spec, delta, gw, sys_true.sigma_w, table=table
-    )
-    return table, solver.solve(prog)
-
-
 # ---------------------------------------------------------------------------
 # Comparison studies
 # ---------------------------------------------------------------------------
@@ -306,13 +302,27 @@ def _write_csv(path: Path, columns: tuple, rows: "list[dict]") -> None:
 
 
 def _cost_vs_t(cfg: ExperimentConfig, sys_true: LinearSystem) -> "list[dict]":
-    """Robust cost and mean parametric term per record length and sweep seed."""
+    """Robust cost and mean parametric term per record length and sweep seed.
+
+    Each point identifies from a fresh record of that length, tightens and
+    solves the robust program.
+    """
+    delta = cfg.ident_settings.delta
     rows = []
     for t_len in cfg.compare.t_sweep:
         for seed in range(cfg.compare.sweep_seeds):
-            table, sol = robust_at_length(
-                cfg, sys_true, t_len, cfg.master_seed + 1000 * (seed + 1)
+            sub = replace(
+                cfg,
+                ident_settings=replace(cfg.ident_settings, T=t_len),
+                master_seed=cfg.master_seed + 1000 * (seed + 1),
             )
+            estimates, gw = _identify_all(sub, sys_true, _probe_and_simulate(sub, sys_true))
+            table = ocp.build_tightening_table(
+                cfg.ocp_spec, estimates, gw, sys_true.sigma_w, delta
+            )
+            sol = solver.solve(ocp.build_robust_socp_multistep(
+                estimates, cfg.ocp_spec, delta, gw, sys_true.sigma_w, table=table
+            ))
             param_terms = [
                 table.radius[k] * float(np.linalg.norm(table.sigma_theta_half[k]))
                 for k in range(1, cfg.ocp_spec.horizon + 1)
@@ -594,7 +604,11 @@ def main(argv=None) -> int:
         return 2
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
 
-    report, ok = cmd_pipeline(cfg, out_dir, PREFIX_COMMANDS[args.command])
+    try:
+        report, ok = cmd_pipeline(cfg, out_dir, PREFIX_COMMANDS[args.command])
+    except OSError as exc:
+        print(f"output error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return 2
     summary = {
         "stages": report["stages"],
         "passed": report["passed"],

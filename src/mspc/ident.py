@@ -458,24 +458,7 @@ def estimate_to_json(est: ParameterEstimate, delta: "float | None" = None) -> di
     return doc
 
 
-def estimate_from_json(doc: dict) -> ParameterEstimate:
-    return ParameterEstimate(
-        k=int(doc["k"]),
-        structure=doc["structure"],
-        theta=np.asarray(doc["theta_hat"], dtype=float),
-        cov=np.asarray(doc["cov"], dtype=float),
-        n=int(doc["n"]),
-        m=int(doc["m"]),
-        projected_rank=doc.get("projected_rank"),
-    )
-
-
 def save_estimates(estimates: "list[ParameterEstimate]", path: "str | Path",
                    delta: "float | None" = None) -> None:
     docs = [estimate_to_json(est, delta) for est in estimates]
     Path(path).write_text(json.dumps(docs, indent=2) + "\n")
-
-
-def load_estimates(path: "str | Path") -> "list[ParameterEstimate]":
-    docs = json.loads(Path(path).read_text())
-    return [estimate_from_json(doc) for doc in docs]

@@ -718,38 +718,8 @@ def program_to_json(prog: ConicProgram) -> dict:
     }
 
 
-def program_from_json(doc: dict) -> ConicProgram:
-    dim = len(doc["q"])
-    lin_a = np.asarray(doc["lin_a"], dtype=float)
-    if lin_a.size == 0:
-        lin_a = np.zeros((0, dim))
-    prog = ConicProgram(
-        p_mat=np.asarray(doc["P"], dtype=float).reshape(dim, dim),
-        q_vec=np.asarray(doc["q"], dtype=float),
-        constant=float(doc["constant"]),
-        lin_a=lin_a,
-        lin_b=np.asarray(doc["lin_b"], dtype=float),
-        soc_rows=[
-            SocRow(
-                f_mat=np.asarray(row["F"], dtype=float).reshape(-1, dim),
-                g_vec=np.asarray(row["g"], dtype=float),
-                c_vec=np.asarray(row["c"], dtype=float),
-                d_off=float(row["d"]),
-            )
-            for row in doc["soc_rows"]
-        ],
-        variable_map=doc.get("variable_map", {}),
-    )
-    prog.check_shapes()
-    return prog
-
-
 def save_program(prog: ConicProgram, path: "str | Path") -> None:
     Path(path).write_text(json.dumps(program_to_json(prog), indent=2) + "\n")
-
-
-def load_program(path: "str | Path") -> ConicProgram:
-    return program_from_json(json.loads(Path(path).read_text()))
 
 
 def save_tightening_csv(table: TighteningTable, path: "str | Path") -> None:

@@ -355,6 +355,7 @@ def system_to_json(sys: LinearSystem) -> dict:
 
 
 def system_from_json(doc: dict) -> LinearSystem:
+    """Parse a system written by ``system_to_json``, as a config's ``inline`` block is."""
     return LinearSystem(
         A=np.asarray(doc["A"], dtype=float),
         B=np.asarray(doc["B"], dtype=float),
@@ -366,10 +367,6 @@ def system_from_json(doc: dict) -> LinearSystem:
 
 def save_system(sys: LinearSystem, path: "str | Path") -> None:
     Path(path).write_text(json.dumps(system_to_json(sys), indent=2) + "\n")
-
-
-def load_system(path: "str | Path") -> LinearSystem:
-    return system_from_json(json.loads(Path(path).read_text()))
 
 
 def trajectory_columns(n: int, m: int, q: int) -> list[str]:
@@ -397,34 +394,3 @@ def save_trajectory(traj: Trajectory, path: "str | Path") -> None:
                 row += [""] * (m + q)
             row += [repr(float(v)) for v in traj.noises[k]]
             writer.writerow(row)
-
-
-def load_trajectory(path: "str | Path") -> Trajectory:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    n = sum(1 for c in header if c.startswith("x") and not c.startswith("xt"))
-    m = sum(1 for c in header if c.startswith("u"))
-    q = sum(1 for c in header if c.startswith("w"))
-    t_len = len(rows) - 1
-    states = np.zeros((t_len + 1, n))
-    measurements = np.zeros((t_len + 1, n))
-    inputs = np.zeros((t_len, m))
-    disturbances = np.zeros((t_len, q))
-    noises = np.zeros((t_len + 1, n))
-    for k, row in enumerate(rows):
-        vals = row
-        states[k] = [float(v) for v in vals[:n]]
-        measurements[k] = [float(v) for v in vals[n:2 * n]]
-        if k < t_len:
-            inputs[k] = [float(v) for v in vals[2 * n:2 * n + m]]
-            disturbances[k] = [float(v) for v in vals[2 * n + m:2 * n + m + q]]
-        noises[k] = [float(v) for v in vals[2 * n + m + q:]]
-    return Trajectory(
-        states=states,
-        measurements=measurements,
-        inputs=inputs,
-        disturbances=disturbances,
-        noises=noises,
-    )

@@ -8,7 +8,6 @@ import pytest
 from mspc import validate
 from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_pipeline, load_config, main, parse_config
 from mspc.errors import ConfigError, DeltaTooSmall
-from mspc.system import load_trajectory
 
 
 def quick_config(**overrides):
@@ -86,8 +85,19 @@ def set_value(*path_and_value):
     (set_value("ocp", "horizon", "three"), "three"),          # value of the wrong type
     (set_value("master_seed", -1), "master_seed"),            # negative seed
     (set_value("validation", "master_seed", -1), "master_seed"),
+    (set_value("identification", "k_max", "3"), "k_max"),    # a string, not an integer
+    (set_value("identification", "k_max", 2.5), "k_max"),
+    (set_value("identification", "k_max", 0), "k_max"),      # not "the horizon"
+    (set_value("identification", "T", -5), "identification.T"),
+    (set_value("identification", "force_zero_cov", "no"), "force_zero_cov"),
+    (set_value("compare", "T_sweep", ["a"]), "T_sweep"),
+    (set_value("compare", "T_sweep", [-5]), "T_sweep"),
+    (set_value("compare", "p_sweep", ["x"]), "float"),
+    (set_value("compare", "sweep_seeds", -1), "sweep_seeds"),
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
-        "negative_validation_seed"])
+        "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
+        "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
+        "p_sweep_string", "negative_sweep_seeds"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"
@@ -119,6 +129,17 @@ def test_override_flags_rejected(tmp_path, capsys, flags, stage):
         assert not report["passed"]
 
 
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub"], ids=["file", "under_file"])
+def test_unusable_out_dir_rejected(tmp_path, capsys, out):
+    path = write_config(tmp_path, quick_config())
+    (tmp_path / "a_file").write_text("not a directory\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("output error: ")
+    assert (tmp_path / "a_file").read_text() == "not a directory\n"
+
+
 def test_simulate_deterministic_and_shapes(tmp_path):
     doc = quick_config()
     doc["identification"]["T"] = 100
@@ -131,8 +152,10 @@ def test_simulate_deterministic_and_shapes(tmp_path):
     assert b1 == b2
     lines = b1.decode().strip().splitlines()
     assert len(lines) == 102  # header + 101 rows for T = 100
-    traj = load_trajectory(out1 / "trajectory.csv")
-    assert traj.T == 100 and traj.n == 2
+    with open(out1 / "trajectory.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    t_len, n = len(rows) - 1, sum(col.startswith("xt") for col in header)
+    assert t_len == 100 and n == 2
 
 
 def test_identify_writes_estimates(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,8 @@ from mspc.ident import (
     RegressionProblem,
     ResidualCovariance,
     build_regression,
-    estimate_from_json,
     estimate_predictor,
     estimate_to_json,
-    load_estimates,
     mle_estimate,
     model_from_estimates,
     naive_ls,
@@ -508,13 +507,13 @@ def test_estimate_json_round_trip_bit_faithful(tmp_path, gen):
         )
     path = tmp_path / "estimates.json"
     save_estimates(ests, path, delta=0.95)
-    loaded = load_estimates(path)
-    for a, b in zip(ests, loaded):
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.cov, b.cov)
-        assert a.k == b.k and a.structure == b.structure
-    doc = estimate_to_json(ests[0])
-    assert np.array_equal(estimate_from_json(doc).theta, ests[0].theta)
+    docs = json.loads(path.read_text())
+    assert docs == [estimate_to_json(est, 0.95) for est in ests]
+    for est, doc in zip(ests, docs):
+        assert np.array_equal(np.array(doc["theta_hat"]), est.theta)
+        assert np.array_equal(np.array(doc["cov"]), est.cov)
+        assert doc["k"] == est.k and doc["structure"] == est.structure
+        assert (doc["dof"], doc["n"], doc["m"], doc["delta"]) == (est.dof, est.n, est.m, 0.95)
 
 
 @pytest.mark.parametrize("rank", [0, 3, 6])

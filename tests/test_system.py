@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +12,6 @@ from mspc.system import (
     GaussianBelief,
     LinearSystem,
     build_multistep,
-    load_system,
-    load_trajectory,
     propagate_moments_multistep,
     propagate_moments_statespace,
     random_system,
@@ -276,9 +277,9 @@ def test_system_json_round_trip(tmp_path):
     sys = random_system(3, 2, 2, 0.9, Rng(13), sigma_w=0.2, sigma_eps=0.01)
     path = tmp_path / "system.json"
     save_system(sys, path)
-    loaded = load_system(path)
-    assert np.array_equal(loaded.A, sys.A)
-    assert np.array_equal(loaded.sigma_w, sys.sigma_w)
+    doc = json.loads(path.read_text())
+    for name in ("A", "B", "E", "sigma_w", "sigma_eps"):
+        assert np.array_equal(np.array(doc[name]), getattr(sys, name)), name
     assert system_to_json(system_from_json(system_to_json(sys))) == system_to_json(sys)
 
 
@@ -288,12 +289,20 @@ def test_trajectory_csv_round_trip(tmp_path):
     traj = simulate(sys, init, Rng(15).generator().standard_normal((10, 1)), Rng(16))
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
-    loaded = load_trajectory(path)
-    assert np.array_equal(loaded.states, traj.states)
-    assert np.array_equal(loaded.measurements, traj.measurements)
-    assert np.array_equal(loaded.inputs, traj.inputs)
-    assert np.array_equal(loaded.disturbances, traj.disturbances)
-    assert np.array_equal(loaded.noises, traj.noises)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == traj.T + 1
+
+    def column(prefix, count, t_len):
+        return np.array([[float(row[f"{prefix}{i}"]) for i in range(count)]
+                         for row in rows[:t_len]])
+
+    assert np.array_equal(column("x", 2, traj.T + 1), traj.states)
+    assert np.array_equal(column("xt", 2, traj.T + 1), traj.measurements)
+    assert np.array_equal(column("u", 1, traj.T), traj.inputs)
+    assert np.array_equal(column("w", 1, traj.T), traj.disturbances)
+    assert np.array_equal(column("eps", 2, traj.T + 1), traj.noises)
+    assert rows[-1]["u0"] == rows[-1]["w0"] == ""
 
 
 def test_trajectory_csv_shape(tmp_path):
