@@ -15,12 +15,14 @@ A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, the
 validation budget and the comparison studies; an unreadable file, invalid
 JSON, a missing required key, an unknown key, or a value of the wrong type
-or out of range (a negative seed, a record length or ``k_max`` below 1, a
-``force_zero_cov`` that is not a JSON boolean) is a ``ConfigError``.  An
-output directory that cannot be created or written also exits 2.  Reports
-are emitted as JSON/CSV; everything a report contains is a deterministic
-function of (config, master seed), so repeated runs are byte-identical.
-Wall-clock timings go to a separate file to keep the reports reproducible.
+or out of range (a fraction, boolean or string where an integer is
+expected, a boolean or string where a number is expected, a negative seed,
+a count, length or horizon below 1, a ``force_zero_cov`` that is not a
+JSON boolean) is a ``ConfigError``.  An output directory that cannot be
+created or written also exits 2.  Reports are emitted as JSON/CSV;
+everything a report contains is a deterministic function of (config,
+master seed), so repeated runs are byte-identical.  Wall-clock timings go
+to a separate file to keep the reports reproducible.
 """
 
 from __future__ import annotations
@@ -111,6 +113,13 @@ def _integer(value, where: str, minimum: int) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float if it is a JSON int or float (not a bool); otherwise a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number (int or float), got {value!r}")
+    return float(value)
+
+
 def _check_config_keys(doc: dict) -> None:
     _check_keys(doc, "config", ("system", "identification", "ocp"),
                 ("validation", "compare", "master_seed", "output_dir"))
@@ -151,12 +160,12 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
     else:
         u_set = None
     spec = ocp.OcpSpec(
-        horizon=int(ocp_doc["horizon"]),
+        horizon=_integer(ocp_doc["horizon"], "ocp.horizon", 1),
         Q=_matrix(ocp_doc, "Q"),
         R=_matrix(ocp_doc, "R"),
         h_x=_matrix(ocp_doc, "h_x", np.zeros((0, n))),
         u_set=u_set,
-        p=float(ocp_doc["p"]),
+        p=_number(ocp_doc["p"], "ocp.p"),
         init=GaussianBelief(
             mean=_matrix(ocp_doc, "x0_mean", np.zeros(n)),
             cov=_matrix(ocp_doc, "sigma_x0", np.zeros((n, n))),
@@ -167,10 +176,10 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         raise ConfigError("identification.force_zero_cov must be true or false")
     ident_settings = IdentSettings(
         T=_integer(ident_doc["T"], "identification.T", 1),
-        delta=float(ident_doc["delta"]),
+        delta=_number(ident_doc["delta"], "identification.delta"),
         structure=ident_doc.get("structure", ident.STRUCTURE_FULL),
         covariance=ident_doc.get("covariance", "oracle"),
-        input_std=float(ident_doc.get("input_std", 1.0)),
+        input_std=_number(ident_doc.get("input_std", 1.0), "identification.input_std"),
         x0_mean=_matrix(ident_doc, "x0_mean"),
         sigma_x0=_matrix(ident_doc, "sigma_x0"),
         force_zero_cov=ident_doc.get("force_zero_cov", False),
@@ -187,23 +196,24 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         raise DomainError("delta = 1 requires force_zero_cov")
     val_doc = doc.get("validation", {})
     validation = ValidationSettings(
-        n_samples=int(samples_override if samples_override is not None
-                      else val_doc.get("n_samples", 100_000)),
-        master_seed=int(val_doc.get("master_seed", 0)),
-        margin=float(val_doc.get("margin", 0.01)),
+        n_samples=(samples_override if samples_override is not None else
+                   _integer(val_doc.get("n_samples", 100_000), "validation.n_samples", 1)),
+        master_seed=_integer(val_doc.get("master_seed", 0), "validation.master_seed", 0),
+        margin=_number(val_doc.get("margin", 0.01), "validation.margin"),
     )
     cmp_doc = doc.get("compare", {})
     compare = CompareSettings(
-        n_scenarios=int(cmp_doc.get("n_scenarios", 64)),
+        n_scenarios=_integer(cmp_doc.get("n_scenarios", 64), "compare.n_scenarios", 1),
         t_sweep=tuple(_integer(t, "compare.T_sweep", 1)
                       for t in cmp_doc.get("T_sweep", (100, 200, 400))),
         sweep_seeds=_integer(cmp_doc.get("sweep_seeds", 3), "compare.sweep_seeds", 0),
-        p_sweep=tuple(float(p) for p in cmp_doc.get("p_sweep", (0.6, 0.75, 0.9))),
-        sweep_samples=int(cmp_doc.get("sweep_samples", 20_000)),
+        p_sweep=tuple(_number(p, "compare.p_sweep")
+                      for p in cmp_doc.get("p_sweep", (0.6, 0.75, 0.9))),
+        sweep_samples=_integer(cmp_doc.get("sweep_samples", 20_000),
+                               "compare.sweep_samples", 1),
     )
-    master_seed = int(seed_override if seed_override is not None else doc.get("master_seed", 0))
-    if master_seed < 0 or validation.master_seed < 0:
-        raise ConfigError("master_seed and validation.master_seed must be non-negative")
+    seed = seed_override if seed_override is not None else doc.get("master_seed", 0)
+    master_seed = _integer(seed, "master_seed", 0)
     return ExperimentConfig(
         raw=doc,
         system_block=doc["system"],

@@ -38,18 +38,24 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape(rows, cols, order="F")
 
 
-def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``a`` as a float array: one square matrix, or with ``stack`` any (..., d, d) stack."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a
 
 
-def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as a float array, raising :class:`NotSymmetric` if needed."""
-    a = check_square(a, name)
-    scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
-    if np.abs(a - a.T).max(initial=0.0) > rtol * scale:
+def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix",
+                    stack: bool = False) -> np.ndarray:
+    """Return ``a`` as a float array, raising :class:`NotSymmetric` if needed.
+
+    With ``stack``, ``a`` may be a stack (..., d, d) and each matrix is
+    checked against its own scale.
+    """
+    a = check_square(a, name, stack)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    if np.any(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0) > rtol * scale):
         raise NotSymmetric(f"{name} is not symmetric to relative tolerance {rtol:g}")
     return a
 
@@ -96,15 +102,19 @@ def psd_sqrt_factor(cov: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
     """A (not necessarily symmetric) factor L with L @ L.T = cov.
 
     Uses the eigendecomposition so that singular covariances are accepted.
+    ``cov`` may be a stack (..., d, d); each matrix is checked and factored
+    on its own, by one stacked ``eigh``.
     """
-    cov = check_symmetric(cov, name="covariance")
+    cov = check_symmetric(cov, name="covariance", stack=True)
     if cov.size == 0:
         return cov.copy()
-    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-    lam_max = max(float(w[-1]), 0.0)
-    if w[0] < -rtol * lam_max:
-        raise IndefiniteMatrix(f"covariance has eigenvalue {w[0]:.6e}, not PSD")
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    w, v = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
+    lowest = w[..., 0]
+    indefinite = lowest < -rtol * np.maximum(w[..., -1], 0.0)
+    if np.any(indefinite):
+        raise IndefiniteMatrix(f"covariance has eigenvalue {lowest[indefinite].min():.6e}, "
+                               "not PSD")
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def diag_repeat(block: np.ndarray, k: int) -> np.ndarray:

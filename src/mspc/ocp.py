@@ -547,13 +547,17 @@ def build_robust_socp_multistep(
         est = estimates[k - 1]
         rad = table.radius[k]
         z_free = est.regressor(x0, np.zeros(k * m))
-        for j, h in enumerate(spec.h_x):
-            g, m_mat = est.row_moments(h)
+        g_cols, m_all = est.row_moments(spec.h_x)
+        cone = rad > 0.0 and np.any(table.sigma_theta_half[k])
+        if cone:
+            lt_all = rad * np.swapaxes(psd_sqrt_factor(m_all), -1, -2)
+        # One contiguous g per row: a dot with a strided column rounds differently.
+        for j, g in enumerate(g_cols.T.copy()):
             c_vec = np.zeros(dim)
             c_vec[: k * m] = -g[g.size - k * m:]
             d_off = 1.0 - table.c_ptilde * table.h_exact[(j, k)] - float(z_free @ g)
-            if rad > 0.0 and np.any(table.sigma_theta_half[k]):
-                lt = rad * psd_sqrt_factor(m_mat).T
+            if cone:
+                lt = lt_all[j]
                 f_mat = np.zeros((lt.shape[0], dim))
                 f_mat[:, : k * m] = lt[:, lt.shape[1] - k * m:]
                 soc_rows.append(SocRow(f_mat=f_mat, g_vec=lt @ z_free, c_vec=c_vec, d_off=d_off))

@@ -9,7 +9,8 @@ where (g, M) are the :meth:`ParameterEstimate.row_moments` and s_jk^2 =
 H_j' Gw_k (I kron Sigma_w) Gw_k' H_j is the noise term.  Each sample
 draws x0 and one standard normal per (row, step), and no w, so each (row,
 step) count has its exact binomial law and the exact Clopper-Pearson upper
-bounds turn the counts into one-sided certificates.  Sampling runs in
+bounds turn the counts into one-sided certificates.  Those bounds are beta
+quantiles, computed as ``scipy.special.betaincinv``.  Sampling runs in
 fixed-size batches, each with its own stream derived from the master seed;
 batches run concurrently on the usable CPUs; their integer counts are
 summed, so reports are byte-identical for any worker count.
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DimensionMismatch, SingularInformation
 from .ident import (
@@ -54,15 +55,15 @@ def clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.9
         raise DimensionMismatch("need at least one sample")
     if violations >= samples:
         return 1.0
-    return float(stats.beta.ppf(confidence, violations + 1, samples - violations))
+    return float(special.betaincinv(violations + 1, samples - violations, confidence))
 
 
 def clopper_pearson_interval(hits: int, samples: int, confidence: float = 0.99):
     """Exact two-sided confidence interval for a binomial proportion."""
     alpha = 1.0 - confidence
-    low = 0.0 if hits == 0 else float(stats.beta.ppf(alpha / 2.0, hits, samples - hits + 1))
+    low = 0.0 if hits == 0 else float(special.betaincinv(hits, samples - hits + 1, alpha / 2.0))
     high = 1.0 if hits == samples else float(
-        stats.beta.ppf(1.0 - alpha / 2.0, hits + 1, samples - hits)
+        special.betaincinv(hits + 1, samples - hits, 1.0 - alpha / 2.0)
     )
     return low, high
 

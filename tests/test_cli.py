@@ -94,10 +94,26 @@ def set_value(*path_and_value):
     (set_value("compare", "T_sweep", [-5]), "T_sweep"),
     (set_value("compare", "p_sweep", ["x"]), "float"),
     (set_value("compare", "sweep_seeds", -1), "sweep_seeds"),
+    (set_value("ocp", "horizon", 6.7), "ocp.horizon"),       # would run as 6
+    (set_value("ocp", "horizon", 0), "ocp.horizon"),
+    (set_value("validation", "n_samples", True), "n_samples"),  # would run as 1
+    (set_value("validation", "n_samples", 0), "n_samples"),
+    (set_value("validation", "master_seed", 1.5), "validation.master_seed"),
+    (set_value("master_seed", "7"), "master_seed"),
+    (set_value("compare", "n_scenarios", 2.9), "n_scenarios"),
+    (set_value("compare", "sweep_samples", 0), "sweep_samples"),
+    (set_value("ocp", "p", True), "ocp.p"),
+    (set_value("identification", "delta", "0.95"), "identification.delta"),
+    (set_value("identification", "input_std", False), "input_std"),
+    (set_value("validation", "margin", "0.01"), "margin"),
+    (set_value("compare", "p_sweep", [True, "0.7"]), "p_sweep"),  # would run as (1.0, 0.7)
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
         "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
         "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
-        "p_sweep_string", "negative_sweep_seeds"])
+        "p_sweep_string", "negative_sweep_seeds", "horizon_fraction", "horizon_zero",
+        "n_samples_bool", "n_samples_zero", "validation_seed_fraction", "seed_string",
+        "n_scenarios_fraction", "sweep_samples_zero", "p_bool", "delta_string",
+        "input_std_bool", "margin_string", "p_sweep_bool"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"

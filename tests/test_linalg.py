@@ -13,6 +13,7 @@ from mspc.linalg import (
     chi2_quantile,
     diag_repeat,
     max_norm_affine_over_ball,
+    psd_sqrt_factor,
     sample_gaussian,
     sym_sqrt,
     unvec,
@@ -141,6 +142,30 @@ def test_sym_sqrt_clamps_tiny_negative():
     a = np.diag([1.0, -1e-12])
     s = sym_sqrt(a)
     assert s[1, 1] == 0.0
+
+
+def test_psd_sqrt_factor_stack_matches_each_matrix(gen):
+    f = gen.standard_normal((5, 4, 3))
+    stack = f @ np.swapaxes(f, -1, -2)     # rank-3 4x4 covariances
+    stack[2] *= 1e-9                       # each matrix keeps its own scale
+    factors = psd_sqrt_factor(stack)
+    assert factors.shape == stack.shape
+    for cov, factor in zip(stack, factors):
+        assert np.array_equal(factor, psd_sqrt_factor(cov))
+        assert np.abs(factor @ factor.T - cov).max() <= 1e-12 * max(np.abs(cov).max(), 1.0)
+    assert psd_sqrt_factor(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_psd_sqrt_factor_stack_checks_each_matrix():
+    good = np.eye(2)
+    with pytest.raises(IndefiniteMatrix):
+        psd_sqrt_factor(np.stack([good, np.diag([1.0, -0.5]), good]))
+    with pytest.raises(NotSymmetric):
+        psd_sqrt_factor(np.stack([good, np.array([[1.0, 2.0], [0.0, 1.0]])]))
+    with pytest.raises(DimensionMismatch):
+        psd_sqrt_factor(np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        sym_sqrt(np.stack([good, good]))   # only the factor takes a stack
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm as normal_dist
+from scipy.stats import beta as beta_dist, norm as normal_dist
 
 from mspc.errors import DimensionMismatch
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
@@ -74,6 +74,29 @@ def test_clopper_pearson_edges():
     assert low == 0.0 and high < 0.06
     low, high = clopper_pearson_interval(100, 100)
     assert high == 1.0
+
+
+@pytest.mark.parametrize("samples", [1000, 4096, 100_000, 1_000_000, 2_000_000])
+def test_clopper_pearson_matches_beta_ppf(samples):
+    counts = np.unique(np.concatenate([
+        np.arange(60), np.linspace(60, samples, 40).astype(int)]))
+    for level in (0.99, 0.005, 0.995, 0.0005, 0.9995):
+        upper = np.array([clopper_pearson_upper(int(c), samples, level) for c in counts])
+        below = counts < samples
+        assert np.array_equal(upper[below],
+                              beta_dist.ppf(level, counts[below] + 1, samples - counts[below]))
+        assert np.all(upper[~below] == 1.0)
+    for confidence in (0.99, 0.999):
+        alpha = 1.0 - confidence
+        bounds = np.array([clopper_pearson_interval(int(c), samples, confidence) for c in counts])
+        inner = (counts > 0) & (counts < samples)
+        c = counts[inner]
+        assert np.array_equal(bounds[inner, 0], beta_dist.ppf(alpha / 2.0, c, samples - c + 1))
+        assert np.array_equal(bounds[inner, 1], beta_dist.ppf(1.0 - alpha / 2.0, c + 1, samples - c))
+        assert tuple(bounds[0]) == (0.0, beta_dist.ppf(1.0 - alpha / 2.0, 1, samples))
+        assert tuple(bounds[-1]) == (beta_dist.ppf(alpha / 2.0, samples, 1), 1.0)
+    assert clopper_pearson_upper(samples, samples) == 1.0
+    assert clopper_pearson_upper(samples + 3, samples) == 1.0
 
 
 # ---------------------------------------------------------------------------
