@@ -19,10 +19,13 @@ or out of range (a fraction, boolean or string where an integer is
 expected, a boolean or string where a number is expected, a negative seed,
 a count, length or horizon below 1, a ``force_zero_cov`` that is not a
 JSON boolean) is a ``ConfigError``.  An output directory that cannot be
-created or written also exits 2.  Reports are emitted as JSON/CSV;
-everything a report contains is a deterministic function of (config,
-master seed), so repeated runs are byte-identical.  Wall-clock timings go
-to a separate file to keep the reports reproducible.
+created or written also exits 2.
+
+This is the only module that writes files: two-space JSON (``_write_json``)
+and CSV with repr floats (``_write_csv``), each stage file from the value
+that report.json holds.  Everything a report contains is a deterministic
+function of (config, master seed), so repeated runs are byte-identical.
+Wall-clock timings go to a separate file to keep the reports reproducible.
 """
 
 from __future__ import annotations
@@ -46,33 +49,34 @@ _STREAM_PROBING = 0
 _STREAM_SCENARIOS = 1
 
 
+# parse_config fills every field, so their defaults are written only there.
 @dataclass(frozen=True)
 class IdentSettings:
     T: int
     delta: float
-    structure: str = ident.STRUCTURE_FULL
-    covariance: str = "oracle"
-    input_std: float = 1.0
-    x0_mean: "np.ndarray | None" = None
-    sigma_x0: "np.ndarray | None" = None
-    force_zero_cov: bool = False
-    k_max: "int | None" = None
+    structure: str
+    covariance: str
+    input_std: float
+    x0_mean: "np.ndarray | None"
+    sigma_x0: "np.ndarray | None"
+    force_zero_cov: bool
+    k_max: "int | None"
 
 
 @dataclass(frozen=True)
 class ValidationSettings:
-    n_samples: int = 100_000
-    master_seed: int = 0
-    margin: float = 0.01
+    n_samples: int
+    master_seed: int
+    margin: float
 
 
 @dataclass(frozen=True)
 class CompareSettings:
-    n_scenarios: int = 64
-    t_sweep: tuple = (100, 200, 400)
-    sweep_seeds: int = 3
-    p_sweep: tuple = (0.6, 0.75, 0.9)
-    sweep_samples: int = 20_000
+    n_scenarios: int
+    t_sweep: tuple
+    sweep_seeds: int
+    p_sweep: tuple
+    sweep_samples: int
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,13 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
                  samples_override: "int | None" = None) -> ExperimentConfig:
     """Validate the raw config document; rejects bad keys and delta <= p immediately."""
     _check_config_keys(doc)
+    rnd = doc["system"].get("random", {})
+    for key, minimum in (("n", 1), ("m", 1), ("q", 1), ("seed", 0)):
+        if key in rnd:
+            _integer(rnd[key], f"system.random.{key}", minimum)
+    for key in ("spectral_radius", "sigma_w", "sigma_eps"):
+        if key in rnd:
+            _number(rnd[key], f"system.random.{key}")
     ocp_doc = doc["ocp"]
     n = len(ocp_doc["Q"])
     m = len(ocp_doc["R"])
@@ -247,13 +258,13 @@ def make_system(cfg: ExperimentConfig) -> LinearSystem:
     if "random" in block:
         rnd = block["random"]
         return system.random_system(
-            n=int(rnd["n"]),
-            m=int(rnd["m"]),
-            q=int(rnd["q"]),
-            spectral_radius_max=float(rnd.get("spectral_radius", 0.9)),
-            rng=Rng(int(rnd.get("seed", 0))),
-            sigma_w=float(rnd.get("sigma_w", 0.1)),
-            sigma_eps=float(rnd.get("sigma_eps", 0.0)),
+            n=rnd["n"],
+            m=rnd["m"],
+            q=rnd["q"],
+            spectral_radius_max=rnd.get("spectral_radius", 0.9),
+            rng=Rng(rnd.get("seed", 0)),
+            sigma_w=rnd.get("sigma_w", 0.1),
+            sigma_eps=rnd.get("sigma_eps", 0.0),
         )
     raise DomainError("system block must contain 'inline' or 'random'")
 
@@ -301,14 +312,6 @@ def _identify_all(cfg: ExperimentConfig, sys_true: LinearSystem,
 # ---------------------------------------------------------------------------
 # Comparison studies
 # ---------------------------------------------------------------------------
-
-
-def _write_csv(path: Path, columns: tuple, rows: "list[dict]") -> None:
-    """One line per row dict; floats are written by repr, a missing or None value as ''."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([row.get(col) for col in columns] for row in rows)
 
 
 def _cost_vs_t(cfg: ExperimentConfig, sys_true: LinearSystem) -> "list[dict]":
@@ -402,6 +405,19 @@ PREFIX_COMMANDS = {
 }
 
 
+def _write_json(path: Path, doc) -> None:
+    """``doc`` as JSON indented by two spaces, with a final newline."""
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _write_csv(path: Path, columns: "tuple | list", rows: "list[dict]") -> None:
+    """One line per row dict; floats are written by repr, a missing or None value as ''."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row.get(col) for col in columns] for row in rows)
+
+
 def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                  last: str = "validate") -> tuple[dict, bool]:
     """Run ``STAGES`` up to and including ``last``; write report.json and timings.json.
@@ -434,25 +450,24 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
 
     sys_true = run_stage("system", lambda: make_system(cfg))
     if sys_true is not None:
-        system.save_system(sys_true, out_dir / "system.json")
         report["system"] = system.system_to_json(sys_true)
+        _write_json(out_dir / "system.json", report["system"])
 
     traj = None
     if sys_true is not None:
         traj = run_stage("simulate", lambda: _probe_and_simulate(cfg, sys_true))
         if traj is not None:
-            system.save_trajectory(traj, out_dir / "trajectory.csv")
+            _write_csv(out_dir / "trajectory.csv", *system.trajectory_rows(traj))
 
     estimates = gw = None
     if traj is not None:
         out = run_stage("identify", lambda: _identify_all(cfg, sys_true, traj))
         if out is not None:
             estimates, gw = out
-            ident.save_estimates(estimates, out_dir / "estimates.json",
-                                 delta=cfg.ident_settings.delta)
             report["estimates"] = [
                 ident.estimate_to_json(est, cfg.ident_settings.delta) for est in estimates
             ]
+            _write_json(out_dir / "estimates.json", report["estimates"])
 
     table = None
     if estimates is not None:
@@ -463,17 +478,9 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
             ),
         )
         if table is not None:
-            ocp.save_tightening_csv(table, out_dir / "tightening.csv")
-            report["tightening"] = {
-                "delta": table.delta,
-                "p_tilde": table.p_tilde,
-                "c_ptilde": table.c_ptilde,
-                "rows": [
-                    {"j": j, "k": k, "h_exact": table.h_exact[(j, k)],
-                     "h_upper": table.h_upper[(j, k)], "radius": table.radius[k]}
-                    for (j, k) in sorted(table.h_exact)
-                ],
-            }
+            report["tightening"] = ocp.tightening_to_json(table)
+            _write_csv(out_dir / "tightening.csv", ("j", "k", "h_exact", "h_upper", "radius"),
+                       report["tightening"]["rows"])
 
     sol_robust = None
     if table is not None:
@@ -481,14 +488,13 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
             prog = ocp.build_robust_socp_multistep(
                 estimates, spec, cfg.ident_settings.delta, gw, sys_true.sigma_w, table=table
             )
-            ocp.save_program(prog, out_dir / "program_robust.json")
-            sol = solver.solve(prog)
-            solver.save_solution(sol, out_dir / "solution_robust.json")
-            return sol
+            _write_json(out_dir / "program_robust.json", ocp.program_to_json(prog))
+            return solver.solve(prog)
 
         sol_robust = run_stage("solve_robust", _solve_robust)
         if sol_robust is not None:
             report["robust_solution"] = solver.solution_to_json(sol_robust)
+            _write_json(out_dir / "solution_robust.json", report["robust_solution"])
 
     if estimates is not None:
         def _reference():
@@ -531,10 +537,6 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         certification = run_stage("validate", _certify)
         if certification is not None:
             rep_par, rep_true, rows = certification
-            validate.save_violation_csv(rep_par, out_dir / "violations_parametric.csv")
-            validate.save_violation_csv(rep_true, out_dir / "violations_true.csv")
-            _write_csv(out_dir / "tightening_vs_k.csv",
-                       ("j", "k", "h_exact", "h_upper", "parametric_term", "mc_upper99"), rows)
             budget = 1.0 - spec.p
             certified = rep_par.certifies(budget, cfg.validation.margin)
             report["certification"] = {
@@ -547,6 +549,13 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                 "true_system": validate.violation_report_to_json(rep_true),
                 "rows": rows,
             }
+            columns = ("j", "k", "samples", "violations", "rate", "upper99")
+            _write_csv(out_dir / "violations_parametric.csv", columns,
+                       report["certification"]["parametric"]["entries"])
+            _write_csv(out_dir / "violations_true.csv", columns,
+                       report["certification"]["true_system"]["entries"])
+            _write_csv(out_dir / "tightening_vs_k.csv",
+                       ("j", "k", "h_exact", "h_upper", "parametric_term", "mc_upper99"), rows)
 
     if estimates is not None:
         def _scenario():
@@ -585,8 +594,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         and ("validate" not in requested or certified)
     )
     report["passed"] = passed
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
+    _write_json(out_dir / "report.json", report)
+    _write_json(out_dir / "timings.json", timings)
     return report, passed
 
 

@@ -21,11 +21,9 @@ to a dense matrix, for the eigen-projection fallback that
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -437,7 +435,7 @@ def model_from_estimates(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON-ready converters; cli writes the files
 # ---------------------------------------------------------------------------
 
 
@@ -456,9 +454,3 @@ def estimate_to_json(est: ParameterEstimate, delta: "float | None" = None) -> di
     if delta is not None:
         doc["delta"] = delta
     return doc
-
-
-def save_estimates(estimates: "list[ParameterEstimate]", path: "str | Path",
-                   delta: "float | None" = None) -> None:
-    docs = [estimate_to_json(est, delta) for est in estimates]
-    Path(path).write_text(json.dumps(docs, indent=2) + "\n")

@@ -230,10 +230,6 @@ class Rng:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
         return np.random.default_rng(seq)
 
-    def stream(self, index: int) -> "Rng":
-        """The sibling stream with the given index under the same master seed."""
-        return Rng(self.master_seed, index)
-
 
 def generator_of(rng: "Rng | np.random.Generator") -> np.random.Generator:
     """Accept either an Rng value or an already-instantiated generator."""

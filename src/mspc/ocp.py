@@ -19,11 +19,8 @@ programs use.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -698,8 +695,21 @@ def formulate_minmax_statespace(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON-ready converters; cli writes the files
 # ---------------------------------------------------------------------------
+
+
+def tightening_to_json(table: TighteningTable) -> dict:
+    return {
+        "delta": table.delta,
+        "p_tilde": table.p_tilde,
+        "c_ptilde": table.c_ptilde,
+        "rows": [
+            {"j": j, "k": k, "h_exact": table.h_exact[(j, k)],
+             "h_upper": table.h_upper[(j, k)], "radius": table.radius[k]}
+            for (j, k) in sorted(table.h_exact)
+        ],
+    }
 
 
 def program_to_json(prog: ConicProgram) -> dict:
@@ -720,16 +730,3 @@ def program_to_json(prog: ConicProgram) -> dict:
         ],
         "variable_map": prog.variable_map,
     }
-
-
-def save_program(prog: ConicProgram, path: "str | Path") -> None:
-    Path(path).write_text(json.dumps(program_to_json(prog), indent=2) + "\n")
-
-
-def save_tightening_csv(table: TighteningTable, path: "str | Path") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "h_exact", "h_upper", "radius"])
-        for (j, k) in sorted(table.h_exact):
-            writer.writerow([j, k, repr(table.h_exact[(j, k)]),
-                             repr(table.h_upper[(j, k)]), repr(table.radius[k])])

@@ -19,10 +19,8 @@ a :class:`Solution` satisfies the backend contract.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -628,7 +626,7 @@ def check_kkt(prog: ConicProgram, sol: Solution) -> KktResiduals:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON-ready converters; cli writes the files
 # ---------------------------------------------------------------------------
 
 
@@ -650,8 +648,3 @@ def solution_to_json(sol: Solution) -> dict:
         doc["dual_lin"] = sol.dual_lin.tolist()
         doc["dual_soc"] = [d.tolist() for d in sol.dual_soc]
     return doc
-
-
-def save_solution(sol: Solution, path: "str | Path") -> None:
-    Path(path).write_text(json.dumps(solution_to_json(sol), indent=2) + "\n")
-

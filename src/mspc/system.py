@@ -10,11 +10,8 @@ ahead.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -340,7 +337,7 @@ def random_system(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON-ready converters; cli writes the files
 # ---------------------------------------------------------------------------
 
 
@@ -365,32 +362,16 @@ def system_from_json(doc: dict) -> LinearSystem:
     )
 
 
-def save_system(sys: LinearSystem, path: "str | Path") -> None:
-    Path(path).write_text(json.dumps(system_to_json(sys), indent=2) + "\n")
-
-
-def trajectory_columns(n: int, m: int, q: int) -> list[str]:
-    cols = [f"x{i}" for i in range(n)]
-    cols += [f"xt{i}" for i in range(n)]
-    cols += [f"u{i}" for i in range(m)]
-    cols += [f"w{i}" for i in range(q)]
-    cols += [f"eps{i}" for i in range(n)]
-    return cols
-
-
-def save_trajectory(traj: Trajectory, path: "str | Path") -> None:
-    """Write one row per time index; u/w cells are empty on the final row."""
-    n, m, q, t_len = traj.n, traj.m, traj.q, traj.T
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_columns(n, m, q))
-        for k in range(t_len + 1):
-            row = [repr(float(v)) for v in traj.states[k]]
-            row += [repr(float(v)) for v in traj.measurements[k]]
-            if k < t_len:
-                row += [repr(float(v)) for v in traj.inputs[k]]
-                row += [repr(float(v)) for v in traj.disturbances[k]]
-            else:
-                row += [""] * (m + q)
-            row += [repr(float(v)) for v in traj.noises[k]]
-            writer.writerow(row)
+def trajectory_rows(traj: Trajectory) -> "tuple[list[str], list[dict]]":
+    """Column names and one dict of floats per time index; the final row has no u/w keys."""
+    n, t_len = traj.n, traj.T
+    states = [f"x{i}" for i in range(n)] + [f"xt{i}" for i in range(n)]
+    drives = [f"u{i}" for i in range(traj.m)] + [f"w{i}" for i in range(traj.q)]
+    noises = [f"eps{i}" for i in range(n)]
+    columns = states + drives + noises
+    body = np.hstack([traj.states[:t_len], traj.measurements[:t_len], traj.inputs,
+                      traj.disturbances, traj.noises[:t_len]])
+    rows = [dict(zip(columns, values)) for values in body.tolist()]
+    final = np.concatenate([traj.states[t_len], traj.measurements[t_len], traj.noises[t_len]])
+    rows.append(dict(zip(states + noises, final.tolist())))
+    return columns, rows

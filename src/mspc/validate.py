@@ -18,12 +18,10 @@ summed, so reports are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -436,7 +434,7 @@ def certification_rows(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# JSON-ready converters; cli writes the files
 # ---------------------------------------------------------------------------
 
 
@@ -447,14 +445,6 @@ def violation_report_to_json(report: ViolationReport) -> dict:
         "worst_upper99": report.worst_upper99,
         "entries": [asdict(e) for e in report.entries],
     }
-
-
-def save_violation_csv(report: ViolationReport, path: "str | Path") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "samples", "violations", "rate", "upper99"])
-        for e in report.entries:
-            writer.writerow([e.j, e.k, e.samples, e.violations, repr(e.rate), repr(e.upper99)])
 
 
 def equivalence_report_to_json(report: EquivalenceReport) -> dict:

@@ -77,6 +77,11 @@ def set_value(*path_and_value):
     return edit
 
 
+def set_random(key, value):
+    """Config text whose system is a seeded random draw with ``key`` set to ``value``."""
+    return set_value("system", {"random": {"n": 2, "m": 1, "q": 2, "seed": 3, key: value}})
+
+
 @pytest.mark.parametrize("edit, key", [
     (set_value("ocp", {"horizon": 3}), "Q"),                 # missing required keys
     (set_value("validation", {"n_sample": 10}), "n_sample"),  # unknown key (typo of n_samples)
@@ -107,13 +112,25 @@ def set_value(*path_and_value):
     (set_value("identification", "input_std", False), "input_std"),
     (set_value("validation", "margin", "0.01"), "margin"),
     (set_value("compare", "p_sweep", [True, "0.7"]), "p_sweep"),  # would run as (1.0, 0.7)
+    (set_random("n", 4.7), "system.random.n"),                # would run as 4
+    (set_random("n", 0), "system.random.n"),
+    (set_random("m", True), "system.random.m"),
+    (set_random("q", "2"), "system.random.q"),
+    (set_random("seed", True), "system.random.seed"),         # would run as seed 1
+    (set_random("seed", -1), "system.random.seed"),
+    (set_random("spectral_radius", "0.8"), "system.random.spectral_radius"),
+    (set_random("sigma_w", "0.015"), "system.random.sigma_w"),
+    (set_random("sigma_eps", False), "system.random.sigma_eps"),
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
         "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
         "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
         "p_sweep_string", "negative_sweep_seeds", "horizon_fraction", "horizon_zero",
         "n_samples_bool", "n_samples_zero", "validation_seed_fraction", "seed_string",
         "n_scenarios_fraction", "sweep_samples_zero", "p_bool", "delta_string",
-        "input_std_bool", "margin_string", "p_sweep_bool"])
+        "input_std_bool", "margin_string", "p_sweep_bool", "random_n_fraction",
+        "random_n_zero", "random_m_bool", "random_q_string", "random_seed_bool",
+        "random_seed_negative", "random_spectral_radius_string", "random_sigma_w_string",
+        "random_sigma_eps_bool"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"
@@ -338,6 +355,28 @@ def test_timings_record_sampler_calls(full_pipeline_dir):
     assert sampler["workers"] == 1  # 2000 samples are one batch
     # The worker count depends on the machine, so no report carries it.
     assert "workers" not in (full_pipeline_dir / "report.json").read_text()
+
+
+def test_stage_files_hold_report_values(tmp_path):
+    # Each stage file is written from the value report.json holds: JSON
+    # indented by two spaces with a final newline, or one CSV line per entry.
+    # The scalar demo's two violation reports differ, so a swap would show.
+    cmd_pipeline(load_config(Path(__file__).resolve().parents[1] / "configs" / "scalar.json"),
+                 tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["certification"]["parametric"] != report["certification"]["true_system"]
+    for name, value in (("report.json", report), ("system.json", report["system"]),
+                        ("estimates.json", report["estimates"]),
+                        ("solution_robust.json", report["robust_solution"])):
+        assert (tmp_path / name).read_text() == json.dumps(value, indent=2) + "\n"
+    for name, entries in (
+        ("tightening.csv", report["tightening"]["rows"]),
+        ("violations_parametric.csv", report["certification"]["parametric"]["entries"]),
+        ("violations_true.csv", report["certification"]["true_system"]["entries"]),
+    ):
+        with open(tmp_path / name, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines == [list(entries[0])] + [[repr(v) for v in e.values()] for e in entries]
 
 
 def test_pipeline_certification_rows_match_violation_csv(full_pipeline_dir):

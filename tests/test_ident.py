@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
+from mspc.cli import _write_json
 from mspc.errors import DomainError, InsufficientData, SingularInformation
 from mspc.ident import (
     STRUCTURE_FIR,
@@ -22,7 +23,6 @@ from mspc.ident import (
     model_from_estimates,
     naive_ls,
     residual_covariance,
-    save_estimates,
     state_space_ls,
     true_theta,
 )
@@ -506,7 +506,7 @@ def test_estimate_json_round_trip_bit_faithful(tmp_path, gen):
                                covariance="oracle", g0_true=g0)
         )
     path = tmp_path / "estimates.json"
-    save_estimates(ests, path, delta=0.95)
+    _write_json(path, [estimate_to_json(est, 0.95) for est in ests])
     docs = json.loads(path.read_text())
     assert docs == [estimate_to_json(est, 0.95) for est in ests]
     for est, doc in zip(ests, docs):

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
+from mspc.cli import _write_csv, _write_json
 from mspc.errors import DeltaTooSmall, DomainError, InfeasibleInitialState
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
 from mspc.linalg import Rng, diag_repeat, generator_of, sym_sqrt
@@ -27,10 +28,9 @@ from mspc.ocp import (
     formulate_minmax_statespace,
     gaussian_backoff,
     program_to_json,
-    save_program,
-    save_tightening_csv,
     tightening_constant_exact,
     tightening_constant_upper,
+    tightening_to_json,
 )
 from mspc.solver import solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
@@ -362,10 +362,16 @@ def test_tightening_table_and_csv(tmp_path):
     for key, h in table.h_exact.items():
         assert h <= table.h_upper[key] + 1e-9
     path = tmp_path / "tightening.csv"
-    save_tightening_csv(table, path)
+    columns = ("j", "k", "h_exact", "h_upper", "radius")
+    rows = tightening_to_json(table)["rows"]
+    assert all(tuple(row) == columns for row in rows)
+    _write_csv(path, columns, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "j,k,h_exact,h_upper,radius"
     assert len(lines) == 1 + 3 * spec.n_rows
+    for line, (j, k) in zip(lines[1:], sorted(table.h_exact)):
+        assert line == (f"{j},{k},{table.h_exact[(j, k)]!r},{table.h_upper[(j, k)]!r},"
+                        f"{table.radius[k]!r}")
 
 
 def test_robust_certifiable_program_is_solvable():
@@ -592,7 +598,7 @@ def test_program_json_round_trip(tmp_path):
     ]
     prog = build_robust_socp_multistep(bumped, spec, 0.95, gw, sys.sigma_w)
     path = tmp_path / "program.json"
-    save_program(prog, path)
+    _write_json(path, program_to_json(prog))
     doc = json.loads(path.read_text())
     assert doc == program_to_json(prog)
 

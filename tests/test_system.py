@@ -6,20 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from mspc.cli import _write_csv, _write_json
 from mspc.errors import DimensionMismatch
 from mspc.linalg import Rng
 from mspc.system import (
     GaussianBelief,
     LinearSystem,
+    Trajectory,
     build_multistep,
     propagate_moments_multistep,
     propagate_moments_statespace,
     random_system,
-    save_system,
-    save_trajectory,
     simulate,
     system_from_json,
     system_to_json,
+    trajectory_rows,
 )
 
 
@@ -276,7 +277,8 @@ def test_random_system_shapes():
 def test_system_json_round_trip(tmp_path):
     sys = random_system(3, 2, 2, 0.9, Rng(13), sigma_w=0.2, sigma_eps=0.01)
     path = tmp_path / "system.json"
-    save_system(sys, path)
+    _write_json(path, system_to_json(sys))
+    assert path.read_text() == json.dumps(system_to_json(sys), indent=2) + "\n"
     doc = json.loads(path.read_text())
     for name in ("A", "B", "E", "sigma_w", "sigma_eps"):
         assert np.array_equal(np.array(doc[name]), getattr(sys, name)), name
@@ -288,7 +290,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     init = GaussianBelief(mean=np.zeros(2), cov=np.eye(2))
     traj = simulate(sys, init, Rng(15).generator().standard_normal((10, 1)), Rng(16))
     path = tmp_path / "traj.csv"
-    save_trajectory(traj, path)
+    _write_csv(path, *trajectory_rows(traj))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == traj.T + 1
@@ -310,7 +312,52 @@ def test_trajectory_csv_shape(tmp_path):
     init = GaussianBelief(mean=np.zeros(2), cov=np.zeros((2, 2)))
     traj = simulate(sys, init, np.zeros((100, 1)), Rng(18))
     path = tmp_path / "traj.csv"
-    save_trajectory(traj, path)
+    _write_csv(path, *trajectory_rows(traj))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 102  # header + 101 time indices
     assert lines[0].split(",")[:3] == ["x0", "x1", "xt0"]
+
+
+def reference_trajectory_csv(traj, path):
+    """The per-value ``repr(float(v))`` trajectory writer that ``trajectory_rows`` replaced."""
+    n, m, q, t_len = traj.n, traj.m, traj.q, traj.T
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        cols = [f"x{i}" for i in range(n)] + [f"xt{i}" for i in range(n)]
+        cols += [f"u{i}" for i in range(m)] + [f"w{i}" for i in range(q)]
+        cols += [f"eps{i}" for i in range(n)]
+        writer.writerow(cols)
+        for k in range(t_len + 1):
+            row = [repr(float(v)) for v in traj.states[k]]
+            row += [repr(float(v)) for v in traj.measurements[k]]
+            if k < t_len:
+                row += [repr(float(v)) for v in traj.inputs[k]]
+                row += [repr(float(v)) for v in traj.disturbances[k]]
+            else:
+                row += [""] * (m + q)
+            row += [repr(float(v)) for v in traj.noises[k]]
+            writer.writerow(row)
+
+
+_CSV_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(
+    n=st.integers(1, 3), m=st.integers(1, 3), q=st.integers(1, 3),
+    t_len=st.sampled_from([1, 2, 7]), data=st.data(),
+)
+def test_trajectory_csv_matches_reference_writer(tmp_path_factory, n, m, q, t_len, data):
+    def draw(rows, cols):
+        return np.array(data.draw(st.lists(_CSV_VALUES, min_size=rows * cols,
+                                           max_size=rows * cols))).reshape(rows, cols)
+
+    traj = Trajectory(states=draw(t_len + 1, n), measurements=draw(t_len + 1, n),
+                      inputs=draw(t_len, m), disturbances=draw(t_len, q),
+                      noises=draw(t_len + 1, n))
+    out = tmp_path_factory.mktemp("traj")
+    _write_csv(out / "new.csv", *trajectory_rows(traj))
+    reference_trajectory_csv(traj, out / "reference.csv")
+    assert (out / "new.csv").read_bytes() == (out / "reference.csv").read_bytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist, norm as normal_dist
 
+from mspc.cli import _write_csv
 from mspc.errors import DimensionMismatch
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
 from mspc.linalg import Rng, diag_repeat
@@ -26,7 +27,6 @@ from mspc.validate import (
     coverage_experiment,
     equivalence_check,
     estimate_violation,
-    save_violation_csv,
     violation_report_to_json,
 )
 
@@ -172,10 +172,15 @@ def test_violation_csv(tmp_path):
     sys = scalar_system()
     report = estimate_violation(sys, np.zeros(2), scalar_spec(), 1000, Rng(87))
     path = tmp_path / "violations.csv"
-    save_violation_csv(report, path)
+    columns = ("j", "k", "samples", "violations", "rate", "upper99")
+    entries = violation_report_to_json(report)["entries"]
+    assert all(tuple(entry) == columns for entry in entries)
+    _write_csv(path, columns, entries)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "j,k,samples,violations,rate,upper99"
     assert len(lines) == 1 + len(report.entries)
+    for line, e in zip(lines[1:], report.entries):
+        assert line == f"{e.j},{e.k},{e.samples},{e.violations},{e.rate!r},{e.upper99!r}"
 
 
 # ---------------------------------------------------------------------------
