@@ -60,7 +60,6 @@ class IdentSettings:
     x0_mean: "np.ndarray | None"
     sigma_x0: "np.ndarray | None"
     force_zero_cov: bool
-    k_max: "int | None"
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ def _check_config_keys(doc: dict) -> None:
                     ("spectral_radius", "seed", "sigma_w", "sigma_eps"))
     _check_keys(doc["identification"], "identification", ("T", "delta"),
                 ("structure", "covariance", "input_std", "x0_mean", "sigma_x0",
-                 "force_zero_cov", "k_max"))
+                 "force_zero_cov"))
     ocp_doc = _check_keys(doc["ocp"], "ocp", ("horizon", "Q", "R", "p"),
                           ("h_x", "u_min", "u_max", "input_polytope", "x0_mean", "sigma_x0"))
     if "input_polytope" in ocp_doc:
@@ -185,6 +184,9 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
     ident_doc = doc["identification"]
     if not isinstance(ident_doc.get("force_zero_cov", False), bool):
         raise ConfigError("identification.force_zero_cov must be true or false")
+    for key, allowed in (("structure", ident.STRUCTURES), ("covariance", ident.COVARIANCE_MODES)):
+        if key in ident_doc and ident_doc[key] not in allowed:
+            raise ConfigError(f"identification.{key} must be one of {allowed}, got {ident_doc[key]!r}")
     ident_settings = IdentSettings(
         T=_integer(ident_doc["T"], "identification.T", 1),
         delta=_number(ident_doc["delta"], "identification.delta"),
@@ -194,8 +196,6 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         x0_mean=_matrix(ident_doc, "x0_mean"),
         sigma_x0=_matrix(ident_doc, "sigma_x0"),
         force_zero_cov=ident_doc.get("force_zero_cov", False),
-        k_max=(_integer(ident_doc["k_max"], "identification.k_max", 1)
-               if "k_max" in ident_doc else None),
     )
     if ident_settings.delta <= spec.p:
         raise DeltaTooSmall(
@@ -286,11 +286,10 @@ def _probe_and_simulate(cfg: ExperimentConfig, sys_true: LinearSystem) -> system
 
 def _identify_all(cfg: ExperimentConfig, sys_true: LinearSystem,
                   traj: system.Trajectory):
-    """Per-step estimates for k = 1..k_max plus the known disturbance maps."""
-    k_max = cfg.ident_settings.k_max or cfg.ocp_spec.horizon
-    model_true = system.build_multistep(sys_true, k_max)
+    """Per-step estimates for k = 1..horizon plus the known disturbance maps."""
+    model_true = system.build_multistep(sys_true, cfg.ocp_spec.horizon)
     estimates, gw = [], []
-    for k in range(1, k_max + 1):
+    for k in range(1, cfg.ocp_spec.horizon + 1):
         g0_k, _, gw_k = model_true.step(k)
         est = ident.estimate_predictor(
             traj,
@@ -336,8 +335,9 @@ def _cost_vs_t(cfg: ExperimentConfig, sys_true: LinearSystem) -> "list[dict]":
             sol = solver.solve(ocp.build_robust_socp_multistep(
                 estimates, cfg.ocp_spec, delta, gw, sys_true.sigma_w, table=table
             ))
+            # r_k ||cov_k^(1/2)||_F, with ||cov_k^(1/2)||_F^2 = tr(cov_k).
             param_terms = [
-                table.radius[k] * float(np.linalg.norm(table.sigma_theta_half[k]))
+                table.radius[k] * float(np.sqrt(np.trace(estimates[k - 1].cov)))
                 for k in range(1, cfg.ocp_spec.horizon + 1)
             ]
             rows.append({

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -34,11 +33,13 @@ from .errors import (
     InsufficientData,
     SingularInformation,
 )
-from .linalg import chi2_quantile, check_symmetric, diag_repeat, sym_sqrt, unvec, vec
+from .linalg import chi2_quantile, check_symmetric, diag_repeat, unvec, vec
 from .system import MultiStepModel, Trajectory
 
 STRUCTURE_FULL = "full"
 STRUCTURE_FIR = "fir"
+STRUCTURES = (STRUCTURE_FULL, STRUCTURE_FIR)
+COVARIANCE_MODES = ("oracle", "plugin")
 
 # Eigenvalue cutoffs (relative to the largest eigenvalue).
 _RESIDUAL_COV_RTOL = 1e-9     # subspace projection of singular residual covariances
@@ -108,13 +109,6 @@ class ParameterEstimate:
     @property
     def dof(self) -> int:
         return self.theta.size
-
-    @cached_property
-    def cov_half(self) -> np.ndarray:
-        """Symmetric square root of cov, computed once per estimate; read-only."""
-        root = sym_sqrt(self.cov)
-        root.flags.writeable = False
-        return root
 
     def g0_hat(self) -> np.ndarray:
         """Estimated initial-state map (zero for FIR structure)."""
@@ -186,7 +180,7 @@ def build_regression(data: Trajectory, k: int, structure: str = STRUCTURE_FULL) 
     """
     if k < 1:
         raise DomainError("prediction step k must be >= 1")
-    if structure not in (STRUCTURE_FULL, STRUCTURE_FIR):
+    if structure not in STRUCTURES:
         raise DomainError(f"unknown structure {structure!r}")
     n, m, t_len = data.n, data.m, data.T
     if t_len < k:
@@ -399,6 +393,8 @@ def estimate_predictor(
     G0_k (exact weighting); in "plugin" mode a preliminary unweighted fit
     supplies G0_k and one weighted refinement pass follows.
     """
+    if covariance not in COVARIANCE_MODES:   # checked for FIR too, where it is unused
+        raise DomainError(f"unknown covariance mode {covariance!r}")
     reg = build_regression(data, k, structure)
     if structure == STRUCTURE_FIR:
         g0_for_cov = np.zeros((data.n, data.n))
@@ -406,10 +402,8 @@ def estimate_predictor(
         if g0_true is None:
             raise DomainError("oracle covariance mode needs the true G0_k")
         g0_for_cov = np.asarray(g0_true, dtype=float)
-    elif covariance == "plugin":
-        g0_for_cov = naive_ls(reg).g0_hat()
     else:
-        raise DomainError(f"unknown covariance mode {covariance!r}")
+        g0_for_cov = naive_ls(reg).g0_hat()
     cov = residual_covariance(gw_k, g0_for_cov, sigma_w, sigma_eps, k, data.T)
     return mle_estimate(reg, cov)
 

@@ -80,20 +80,24 @@ def assert_spd(a: np.ndarray, name: str = "matrix", rtol: float = 1e-12) -> np.n
     return a
 
 
-def sym_sqrt(a: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+def _psd_eigh(a: np.ndarray, rtol: float, name: str, stack: bool = False):
+    """Eigenvalues (clamped at zero) and eigenvectors of a symmetric PSD matrix or stack.
 
     Eigenvalues in ``[-rtol * lam_max, 0]`` are clamped to zero; anything
     more negative raises :class:`IndefiniteMatrix`.
     """
-    a = check_symmetric(a)
-    if a.size == 0:
-        return a.copy()
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    lam_max = max(float(w[-1]), 0.0)
-    if w[0] < -rtol * lam_max:
-        raise IndefiniteMatrix(f"matrix has eigenvalue {w[0]:.6e}, not PSD")
-    w = np.clip(w, 0.0, None)
+    a = check_symmetric(a, name=name, stack=stack)
+    w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    lowest = w.min(axis=-1, initial=0.0)   # eigh sorts ascending; initial covers size 0
+    indefinite = lowest < -rtol * w.max(axis=-1, initial=0.0)
+    if np.any(indefinite):
+        raise IndefiniteMatrix(f"{name} has eigenvalue {lowest[indefinite].min():.6e}, not PSD")
+    return np.clip(w, 0.0, None), v
+
+
+def sym_sqrt(a: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition (see :func:`_psd_eigh`)."""
+    w, v = _psd_eigh(a, rtol, "matrix")
     s = (v * np.sqrt(w)) @ v.T
     return 0.5 * (s + s.T)
 
@@ -105,16 +109,8 @@ def psd_sqrt_factor(cov: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
     ``cov`` may be a stack (..., d, d); each matrix is checked and factored
     on its own, by one stacked ``eigh``.
     """
-    cov = check_symmetric(cov, name="covariance", stack=True)
-    if cov.size == 0:
-        return cov.copy()
-    w, v = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
-    lowest = w[..., 0]
-    indefinite = lowest < -rtol * np.maximum(w[..., -1], 0.0)
-    if np.any(indefinite):
-        raise IndefiniteMatrix(f"covariance has eigenvalue {lowest[indefinite].min():.6e}, "
-                               "not PSD")
-    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    w, v = _psd_eigh(cov, rtol, "covariance", stack=True)
+    return v * np.sqrt(w)[..., None, :]
 
 
 def diag_repeat(block: np.ndarray, k: int) -> np.ndarray:
@@ -208,7 +204,7 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Random streams and Gaussian sampling
+# Random streams
 # ---------------------------------------------------------------------------
 
 
@@ -238,21 +234,3 @@ def generator_of(rng: "Rng | np.random.Generator") -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected Rng or numpy Generator, got {type(rng)!r}")
-
-
-def sample_gaussian(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    rng: "Rng | np.random.Generator",
-    size: int | None = None,
-) -> np.ndarray:
-    """Draw from N(mean, cov); cov may be singular (eigendecomposition root)."""
-    mean = np.asarray(mean, dtype=float).ravel()
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (mean.size, mean.size):
-        raise DimensionMismatch(f"mean has {mean.size} entries but cov has shape {cov.shape}")
-    gen = generator_of(rng)
-    factor = psd_sqrt_factor(cov)
-    shape = (factor.shape[1],) if size is None else (size, factor.shape[1])
-    z = gen.standard_normal(shape)
-    return mean + z @ factor.T

@@ -9,9 +9,9 @@ decision-dependent norm term (a second-order cone row) plus a constant
 worst-case variance back-off, computed exactly by maximizing an affine
 norm over the ellipsoid (``linalg.max_norm_affine_over_ball``).  Only
 the G0 block of theta_k moves that norm, so the ellipsoid enters through
-its n^2-dimensional image, with a square root of the n^2 x n^2 top-left
-block of the parameter covariance; the full root is
-``ParameterEstimate.cov_half``, cached per estimate.  Maps, covariances
+its n^2-dimensional image: any factor F whose first n^2 rows satisfy
+F F' = cov_k[:n^2, :n^2] serves, and the tightening table keeps the
+symmetric root of that block.  Maps, covariances
 and rows carry leading batch axes, so the scenario baseline builds all
 its scenarios in one array pass through the helpers the nominal
 programs use.
@@ -189,7 +189,7 @@ class TighteningTable:
     p_tilde: float
     c_ptilde: float
     radius: dict            # k -> sqrt(chi2_{dof_k}(delta))
-    sigma_theta_half: dict  # k -> ParameterEstimate.cov_half: sqrt(cov_k), cached, read-only
+    sigma_theta_half: dict  # k -> sqrt(cov_k[:n^2, :n^2]), the G0-block factor; None for FIR
     h_exact: dict           # (j, k) -> exact worst-case back-off
     h_upper: dict           # (j, k) -> triangle-inequality upper bound
 
@@ -411,7 +411,7 @@ def _tightening_terms(
 
 
 def _row_terms(h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure):
-    """One row's terms, with F the first n^2 rows of the square root of cov_k."""
+    """One row's terms, with F the first n^2 rows of ``sigma_theta_half``."""
     n = np.shape(g0_hat)[0]
     g0_factor = None if sigma_theta_half is None else sigma_theta_half[: n * n]
     base, direction = _tightening_terms(
@@ -431,7 +431,10 @@ def tightening_constant_exact(
     radius: float,
     structure: str = STRUCTURE_FULL,
 ) -> float:
-    """Exact worst-case back-off over the parameter confidence ellipsoid."""
+    """Exact worst-case back-off over the parameter confidence ellipsoid.
+
+    ``sigma_theta_half`` is any F whose first n^2 rows satisfy F F' = cov_k[:n^2, :n^2].
+    """
     return _exact_backoff(*_row_terms(
         h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure
     ), radius)
@@ -483,7 +486,7 @@ def build_tightening_table(
         raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
     if len(estimates) < spec.horizon or len(gw) < spec.horizon:
         raise DimensionMismatch("need one estimate and one Gw per horizon step")
-    radius, sigma_half, h_exact, h_upper = {}, {}, {}, {}
+    radius, g0_factors, h_exact, h_upper = {}, {}, {}, {}
     sw_half = sym_sqrt(np.asarray(sigma_w, dtype=float))
     sx_half = sym_sqrt(spec.init.cov)
     n_g0 = spec.n * spec.n
@@ -492,10 +495,10 @@ def build_tightening_table(
         if est.k != k:
             raise DimensionMismatch(f"estimate at position {k} is for step {est.k}")
         radius[k] = est.radius(delta)
-        sigma_half[k] = est.cov_half
-        g0_factor = sym_sqrt(est.cov[:n_g0, :n_g0]) if est.structure == STRUCTURE_FULL else None
+        g0_factors[k] = (sym_sqrt(est.cov[:n_g0, :n_g0]) if est.structure == STRUCTURE_FULL
+                         else None)
         base, direction = _tightening_terms(spec.h_x, gw[k - 1], est.g0_hat(), sw_half, sx_half,
-                                            g0_factor, est.structure)
+                                            g0_factors[k], est.structure)
         upper = _upper_backoff(base, direction, radius[k])
         for j in range(spec.n_rows):
             h_exact[(j, k)] = _exact_backoff(base[j], direction[j], radius[k])
@@ -506,7 +509,7 @@ def build_tightening_table(
         p_tilde=spec.p / delta,
         c_ptilde=gaussian_backoff(spec.p / delta),
         radius=radius,
-        sigma_theta_half=sigma_half,
+        sigma_theta_half=g0_factors,
         h_exact=h_exact,
         h_upper=h_upper,
     )
@@ -545,7 +548,7 @@ def build_robust_socp_multistep(
         rad = table.radius[k]
         z_free = est.regressor(x0, np.zeros(k * m))
         g_cols, m_all = est.row_moments(spec.h_x)
-        cone = rad > 0.0 and np.any(table.sigma_theta_half[k])
+        cone = rad > 0.0 and np.any(est.cov)
         if cone:
             lt_all = rad * np.swapaxes(psd_sqrt_factor(m_all), -1, -2)
         # One contiguous g per row: a dot with a strided column rounds differently.
@@ -629,7 +632,7 @@ def formulate_minmax_statespace(
     c_pt = gaussian_backoff(p_tilde)
     _check_initial_state(spec, c_pt)
 
-    s_half = est.cov_half
+    s_half = sym_sqrt(est.cov)
     gen = generator_of(rng)
     offsets = [np.zeros(est.dof)]
     for i in range(1, n_scenarios):

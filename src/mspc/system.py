@@ -237,7 +237,7 @@ def simulate(
     disturbances = np.zeros((t_len, sys.q))
     noises = np.zeros((t_len + 1, sys.n))
 
-    # The draw of linalg.sample_gaussian, from the cached factor.
+    # x0 ~ N(mean, cov), drawn through the cached factor L with L L' = cov.
     states[0] = init.mean + gen.standard_normal(init.factor.shape[1]) @ init.factor.T
     for k in range(t_len):
         disturbances[k] = w_factor @ gen.standard_normal(sys.q)

@@ -121,6 +121,8 @@ def set_random(key, value):
     (set_random("spectral_radius", "0.8"), "system.random.spectral_radius"),
     (set_random("sigma_w", "0.015"), "system.random.sigma_w"),
     (set_random("sigma_eps", False), "system.random.sigma_eps"),
+    (set_value("identification", "structure", "FIR"), "identification.structure"),
+    (set_value("identification", "covariance", "Oracle"), "identification.covariance"),
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
         "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
         "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
@@ -130,7 +132,7 @@ def set_random(key, value):
         "input_std_bool", "margin_string", "p_sweep_bool", "random_n_fraction",
         "random_n_zero", "random_m_bool", "random_q_string", "random_seed_bool",
         "random_seed_negative", "random_spectral_radius_string", "random_sigma_w_string",
-        "random_sigma_eps_bool"])
+        "random_sigma_eps_bool", "structure_typo", "covariance_typo"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"

@@ -26,7 +26,7 @@ from mspc.ident import (
     state_space_ls,
     true_theta,
 )
-from mspc.linalg import Rng, psd_sqrt_factor, sym_sqrt, vec
+from mspc.linalg import Rng, psd_sqrt_factor, vec
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system, simulate
 
 
@@ -429,6 +429,18 @@ def test_radius_rejects_bad_delta(gen):
             zero.radius(bad)
 
 
+@pytest.mark.parametrize("structure, covariance", [
+    (STRUCTURE_FULL, "Oracle"), (STRUCTURE_FIR, "Oracle"), ("FIR", "oracle"),
+])
+def test_estimate_predictor_rejects_unknown_modes(structure, covariance):
+    # FIR reads no covariance mode, but a typo there is still an error.
+    sys = random_system(2, 1, 1, 0.9, Rng(36), sigma_w=0.1, sigma_eps=0.01)
+    _, _, gw = build_multistep(sys, 1).step(1)
+    with pytest.raises(DomainError, match="unknown"):
+        estimate_predictor(noise_free_data(sys, 20), 1, gw, sys.sigma_w, sys.sigma_eps,
+                           structure=structure, covariance=covariance)
+
+
 def test_radius_zero_covariance_at_delta_one(gen):
     est = replace(make_estimate(gen), cov=np.zeros((4, 4)))
     assert est.radius(1.0) == 0.0
@@ -514,22 +526,6 @@ def test_estimate_json_round_trip_bit_faithful(tmp_path, gen):
         assert np.array_equal(np.array(doc["cov"]), est.cov)
         assert doc["k"] == est.k and doc["structure"] == est.structure
         assert (doc["dof"], doc["n"], doc["m"], doc["delta"]) == (est.dof, est.n, est.m, 0.95)
-
-
-@pytest.mark.parametrize("rank", [0, 3, 6])
-def test_cov_half_is_cached_read_only_root(gen, rank):
-    # Tightening and the scenario baseline read one square root per estimate.
-    root = gen.standard_normal((6, rank))
-    est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=gen.standard_normal(6),
-                            cov=root @ root.T, n=2, m=1)
-    half = est.cov_half
-    assert np.array_equal(half, sym_sqrt(est.cov))
-    assert est.cov_half is half
-    assert not half.flags.writeable
-    with pytest.raises(ValueError):
-        half[0, 0] = 1.0
-    # A replaced estimate gets its own root.
-    assert np.array_equal(replace(est, cov=np.eye(6)).cov_half, np.eye(6))
 
 
 def test_model_from_estimates_shapes():

@@ -9,12 +9,13 @@ from scipy.special import gammaln
 
 from mspc.errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSymmetric
 from mspc.linalg import (
+    PSD_CLIP_RTOL,
     Rng,
+    check_symmetric,
     chi2_quantile,
     diag_repeat,
     max_norm_affine_over_ball,
     psd_sqrt_factor,
-    sample_gaussian,
     sym_sqrt,
     unvec,
     vec,
@@ -154,6 +155,96 @@ def test_psd_sqrt_factor_stack_matches_each_matrix(gen):
         assert np.array_equal(factor, psd_sqrt_factor(cov))
         assert np.abs(factor @ factor.T - cov).max() <= 1e-12 * max(np.abs(cov).max(), 1.0)
     assert psd_sqrt_factor(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def _sym_sqrt_reference(a: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
+    """The earlier stand-alone ``sym_sqrt``, kept verbatim as the reference."""
+    a = check_symmetric(a)
+    if a.size == 0:
+        return a.copy()
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    lam_max = max(float(w[-1]), 0.0)
+    if w[0] < -rtol * lam_max:
+        raise IndefiniteMatrix(f"matrix has eigenvalue {w[0]:.6e}, not PSD")
+    w = np.clip(w, 0.0, None)
+    s = (v * np.sqrt(w)) @ v.T
+    return 0.5 * (s + s.T)
+
+
+def _psd_sqrt_factor_reference(cov: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
+    """The earlier stand-alone ``psd_sqrt_factor``, kept verbatim as the reference."""
+    cov = check_symmetric(cov, name="covariance", stack=True)
+    if cov.size == 0:
+        return cov.copy()
+    w, v = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
+    lowest = w[..., 0]
+    indefinite = lowest < -rtol * np.maximum(w[..., -1], 0.0)
+    if np.any(indefinite):
+        raise IndefiniteMatrix(f"covariance has eigenvalue {lowest[indefinite].min():.6e}, "
+                               "not PSD")
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def _outcome(fn, a):
+    """The array ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(a)
+    except (IndefiniteMatrix, NotSymmetric, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(a) -> None:
+    for fn, ref in ((sym_sqrt, _sym_sqrt_reference),
+                    (psd_sqrt_factor, _psd_sqrt_factor_reference)):
+        got, want = _outcome(fn, a), _outcome(ref, a)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+def _psd(g, d: int, rank: int, scale: float) -> np.ndarray:
+    f = scale * g.standard_normal((d, rank))
+    return f @ f.T
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.data())
+def test_psd_roots_match_the_earlier_implementations(seed, d, data):
+    g = np.random.default_rng(seed)
+    rank = data.draw(st.integers(0, d))         # 0: the zero matrix; d: full rank
+    scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    a = _psd(g, d, rank, scale)
+    _same_outcome(a)
+    if d > 1:
+        # One eigenvalue at -1e-12 lam_max is clamped to zero, not rejected.
+        q, _ = np.linalg.qr(g.standard_normal((d, d)))
+        lam = scale * np.linspace(1.0, 2.0, d)
+        lam[0] = -1e-12 * lam[-1]
+        clamped = (q * lam) @ q.T
+        clamped = 0.5 * (clamped + clamped.T)
+        _same_outcome(clamped)
+        assert np.all(psd_sqrt_factor(clamped)[:, 0] == 0.0)
+        # An eigenvalue at -1e-4 lam_max is rejected, with the same message.
+        lam[0] = -1e-4 * lam[-1]
+        indefinite = (q * lam) @ q.T
+        _same_outcome(0.5 * (indefinite + indefinite.T))
+        skew = a.copy()
+        skew[0, 1] += 1.0
+        _same_outcome(skew)
+        skew[0, 1] = a[0, 1] + 1e-13 * max(np.abs(a).max(), 1.0)   # within SYMMETRY_RTOL
+        _same_outcome(skew)
+    _same_outcome(np.ones((d, d + 1)))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4))
+def test_psd_sqrt_factor_stack_matches_the_earlier_implementation(seed, count, d):
+    g = np.random.default_rng(seed)
+    stack = np.stack([_psd(g, d, i % (d + 1), 10.0 ** (i - 2)) for i in range(count)]
+                     ) if count else np.zeros((0, d, d))
+    assert np.array_equal(psd_sqrt_factor(stack), _psd_sqrt_factor_reference(stack))
+    if count and d:
+        stack[-1, 0, 0] = -1.0
+        assert _outcome(psd_sqrt_factor, stack) == _outcome(_psd_sqrt_factor_reference, stack)
 
 
 def test_psd_sqrt_factor_stack_checks_each_matrix():
@@ -394,33 +485,8 @@ def test_ball_max_dual_certificate(seed, kind, rows, cols, r):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian sampling and random streams
+# Random streams
 # ---------------------------------------------------------------------------
-
-
-def test_sample_gaussian_degenerate():
-    mean = np.array([1.0, -2.0])
-    out = sample_gaussian(mean, np.zeros((2, 2)), Rng(5))
-    assert_allclose(out, mean)
-
-
-def test_sample_gaussian_mean_lln():
-    draws = sample_gaussian(np.zeros(2), np.eye(2), Rng(11), size=100_000)
-    assert np.abs(draws.mean(axis=0)).max() < 0.02
-
-
-def test_sample_gaussian_covariance(gen):
-    f = gen.standard_normal((3, 3))
-    cov = f @ f.T + 0.5 * np.eye(3)
-    draws = sample_gaussian(np.zeros(3), cov, Rng(13), size=100_000)
-    emp = np.cov(draws.T)
-    rel = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
-    assert rel < 0.05
-
-
-def test_sample_gaussian_rejects_indefinite():
-    with pytest.raises(IndefiniteMatrix):
-        sample_gaussian(np.zeros(2), np.diag([1.0, -1.0]), Rng(2))
 
 
 def test_rng_reproducible_and_streams_differ():

@@ -266,8 +266,8 @@ def _estimate_cov(gen, dof, kind):
 def test_tightening_table_matches_per_row_reference(n, m, horizon, rows, structure, cov_kind,
                                                     seed):
     # The table tightens all rows of a step at once with F = sqrt of the n^2 x n^2
-    # G0 block of cov_k; the per-(j, k) public constants with the full
-    # sym_sqrt(cov_k) are the reference.
+    # G0 block of cov_k, and keeps that F; the per-(j, k) public constants with the
+    # full sym_sqrt(cov_k) and with the table's own F are the reference.
     gen = np.random.default_rng(seed)
     sys = random_system(n, m, max(n - 1, 1), 0.9, gen, sigma_w=0.2)
     model = build_multistep(sys, horizon)
@@ -283,14 +283,24 @@ def test_tightening_table_matches_per_row_reference(n, m, horizon, rows, structu
                                       cov=_estimate_cov(gen, theta.size, cov_kind), n=n, m=m))
     table = build_tightening_table(spec, ests, model.gw, sys.sigma_w, 0.95)
     assert sorted(table.h_exact) == [(j, k) for j in range(rows) for k in range(1, horizon + 1)]
+    for k, est in enumerate(ests, start=1):
+        factor, block = table.sigma_theta_half[k], est.cov[: n * n, : n * n]
+        if structure == STRUCTURE_FIR:
+            assert factor is None
+        else:
+            assert factor.shape == block.shape
+            assert np.abs(factor @ factor.T - block).max() <= 1e-12 * max(np.abs(block).max(), 1.0)
+        # cli's mean_param_scale reads r_k sqrt(tr(cov_k)) for r_k ||sqrt(cov_k)||_F.
+        assert math.sqrt(np.trace(est.cov)) == pytest.approx(
+            np.linalg.norm(sym_sqrt(est.cov)), rel=1e-10, abs=0.0)
     for (j, k), h_exact in table.h_exact.items():
         est = ests[k - 1]
-        assert table.sigma_theta_half[k] is est.cov_half
-        args = (spec.h_x[j], model.gw[k - 1], est.g0_hat(), sys.sigma_w, spec.init.cov,
-                sym_sqrt(est.cov), table.radius[k], structure)
-        assert h_exact == pytest.approx(tightening_constant_exact(*args), rel=1e-12, abs=0.0)
-        assert table.h_upper[(j, k)] == pytest.approx(tightening_constant_upper(*args),
-                                                      rel=1e-12, abs=0.0)
+        for factor in (sym_sqrt(est.cov), table.sigma_theta_half[k]):
+            args = (spec.h_x[j], model.gw[k - 1], est.g0_hat(), sys.sigma_w, spec.init.cov,
+                    factor, table.radius[k], structure)
+            assert h_exact == pytest.approx(tightening_constant_exact(*args), rel=1e-12, abs=0.0)
+            assert table.h_upper[(j, k)] == pytest.approx(tightening_constant_upper(*args),
+                                                          rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
