@@ -11,10 +11,12 @@ norm over the ellipsoid (``linalg.max_norm_affine_over_ball``).  Only
 the G0 block of theta_k moves that norm, so the ellipsoid enters through
 its n^2-dimensional image: any factor F whose first n^2 rows satisfy
 F F' = cov_k[:n^2, :n^2] serves, and the tightening table keeps the
-symmetric root of that block.  Maps, covariances
-and rows carry leading batch axes, so the scenario baseline builds all
-its scenarios in one array pass through the helpers the nominal
-programs use.
+symmetric root of that block.  All four programs share one assembly
+path: per-step maps, ``_state_rows``, ``_stacked_cost``, ``_program``.
+The robust program is the nominal multi-step program on the estimated
+model, with robust back-offs and cone terms.  Maps, covariances and rows
+carry leading batch axes, so the scenario baseline builds all its
+scenarios in one array pass through the same helpers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     DomainError,
     InfeasibleInitialState,
 )
-from .ident import ParameterEstimate, STRUCTURE_FIR, STRUCTURE_FULL
+from .ident import ParameterEstimate, STRUCTURE_FIR, STRUCTURE_FULL, model_from_estimates
 from .linalg import (
     Rng,
     assert_spd,
@@ -294,74 +296,87 @@ def _state_covs(a_mat: np.ndarray, cov0: np.ndarray, noise_cov: np.ndarray, n_u:
     return covs
 
 
-def _state_rows(phi: list, gamma: list, covs: list, spec: OcpSpec, backoff: float):
-    """Rows h' gamma_k u <= 1 - backoff sqrt(h' cov_k h) - h' phi_k x0; steps k, then rows h.
-
-    Leading batch axes of the per-step maps and covariances carry over to
-    the rows (..., N rows, dim) and the offsets (..., N rows).
-    """
-    phi, gamma, covs = (np.ascontiguousarray(np.stack(x, axis=-3)) for x in (phi, gamma, covs))
+def _gaussian_backoffs(covs: list, spec: OcpSpec, backoff: float) -> np.ndarray:
+    """Back-offs backoff sqrt(h' cov_k h), (..., N, rows), batched like the covariances."""
+    covs = np.ascontiguousarray(np.stack(covs, axis=-3))
     # Not einsum: its summation order may change with the batch shape, and a
     # scenario's rows must not depend on how many scenarios share the pass.
     var = np.sum((spec.h_x @ covs) * spec.h_x, axis=-1)
+    return backoff * np.sqrt(np.maximum(var, 0.0))
+
+
+def _state_rows(phi: list, gamma: list, spec: OcpSpec, backoffs: np.ndarray):
+    """Rows h' gamma_k u <= 1 - backoff_kh - h' phi_k x0; steps k, then rows h.
+
+    ``backoffs`` is (..., N, rows).  Leading batch axes of the per-step maps
+    carry over to the rows (..., N rows, dim) and the offsets (..., N rows).
+    """
+    phi, gamma = (np.ascontiguousarray(np.stack(x, axis=-3)) for x in (phi, gamma))
     rows = (spec.h_x @ gamma).reshape(gamma.shape[:-3] + (-1, gamma.shape[-1]))
     free = phi @ spec.init.mean @ spec.h_x.T
-    offs = 1.0 - backoff * np.sqrt(np.maximum(var, 0.0)) - free
+    offs = 1.0 - backoffs - free
     return rows, offs.reshape(offs.shape[:-2] + (-1,))
 
 
-def _nominal_program(phi: list, gamma: list, covs: list, spec: OcpSpec, kind: str,
-                     backoff: float) -> ConicProgram:
-    """Assemble the tightened-mean QP from stacked maps and covariances."""
-    _check_initial_state(spec, backoff)
-    dim = spec.horizon * spec.m
-    lin_a_state, lin_b_state = _state_rows(phi, gamma, covs, spec, backoff)
-    lin_a_input, lin_b_input = _input_rows(spec, dim)
-    p_mat, q_vec, constant = _stacked_cost(phi, gamma, spec)
+def _program(spec: OcpSpec, cost: tuple, state_a: np.ndarray, state_b: np.ndarray,
+             soc_rows: list, **variable_map) -> ConicProgram:
+    """Assemble a program: cost, state rows, the input rows of ``spec``, and cone rows.
+
+    The decision holds the stacked inputs first; ``variable_map`` follows the "u" entry.
+    """
+    p_mat, q_vec, constant = cost
+    input_a, input_b = _input_rows(spec, q_vec.size)
     prog = ConicProgram(
         p_mat=p_mat,
         q_vec=q_vec,
         constant=float(constant),
-        lin_a=np.vstack([lin_a_state, lin_a_input]),
-        lin_b=np.concatenate([lin_b_state, lin_b_input]),
-        soc_rows=[],
-        variable_map={
-            "u": {"horizon": spec.horizon, "m": spec.m, "offset": 0},
-            "kind": kind,
-            "p": spec.p,
-        },
+        lin_a=np.vstack([state_a, input_a]),
+        lin_b=np.concatenate([state_b, input_b]),
+        soc_rows=soc_rows,
+        variable_map={"u": {"horizon": spec.horizon, "m": spec.m, "offset": 0}, **variable_map},
     )
     prog.check_shapes()
     return prog
+
+
+def _nominal_program(phi: list, gamma: list, covs: list, spec: OcpSpec, kind: str) -> ConicProgram:
+    """Assemble the tightened-mean QP from stacked maps and covariances."""
+    backoff = gaussian_backoff(spec.p)
+    _check_initial_state(spec, backoff)
+    rows, offs = _state_rows(phi, gamma, spec, _gaussian_backoffs(covs, spec, backoff))
+    return _program(spec, _stacked_cost(phi, gamma, spec), rows, offs, [], kind=kind, p=spec.p)
+
+
+def _multistep_maps(model: MultiStepModel, spec: OcpSpec) -> tuple[list, list]:
+    """phi_k = G0_k and gamma_k = [Gu_k, 0], padded to all N m stacked inputs, k = 1..N."""
+    if model.n != spec.n or model.m != spec.m:
+        raise DimensionMismatch("model and problem dimensions differ")
+    if model.horizon < spec.horizon:
+        raise DimensionMismatch("model horizon is shorter than the problem horizon")
+    n_u, m = spec.horizon, spec.m
+    gamma = []
+    for k, gu in enumerate(model.gu[:n_u], start=1):
+        gk = np.zeros((spec.n, n_u * m))
+        gk[:, : k * m] = gu
+        gamma.append(gk)
+    return model.g0[:n_u], gamma
 
 
 def build_nominal_qp_statespace(sys: LinearSystem, spec: OcpSpec) -> ConicProgram:
     """Tightened QP with moments propagated by the one-step recursion."""
     if sys.n != spec.n or sys.m != spec.m:
         raise DimensionMismatch("system and problem dimensions differ")
-    backoff = gaussian_backoff(spec.p)
     covs = _state_covs(sys.A, spec.init.cov, sys.E @ sys.sigma_w @ sys.E.T, spec.horizon)
     phi, gamma = _mean_maps(sys.A, sys.B, spec.horizon)
-    return _nominal_program(phi, gamma, covs, spec, "nominal_statespace", backoff)
+    return _nominal_program(phi, gamma, covs, spec, "nominal_statespace")
 
 
 def build_nominal_qp_multistep(model: MultiStepModel, spec: OcpSpec) -> ConicProgram:
     """Tightened QP with moments taken from the multi-step matrices."""
-    if model.n != spec.n or model.m != spec.m:
-        raise DimensionMismatch("model and problem dimensions differ")
-    if model.horizon < spec.horizon:
-        raise DimensionMismatch("model horizon is shorter than the problem horizon")
-    backoff = gaussian_backoff(spec.p)
-    dim = spec.horizon * spec.m
-    phi, gamma, covs = [], [], []
-    for k in range(1, spec.horizon + 1):
-        g0, gu, gw = model.step(k)
-        phi.append(g0)
-        gk = np.zeros((model.n, dim))
-        gk[:, : k * model.m] = gu
-        gamma.append(gk)
-        covs.append(g0 @ spec.init.cov @ g0.T + gw @ diag_repeat(model.sigma_w, k) @ gw.T)
-    return _nominal_program(phi, gamma, covs, spec, "nominal_multistep", backoff)
+    phi, gamma = _multistep_maps(model, spec)
+    covs = [g0 @ spec.init.cov @ g0.T + gw @ diag_repeat(model.sigma_w, k) @ gw.T
+            for k, g0, gw in zip(range(1, spec.horizon + 1), model.g0, model.gw)]
+    return _nominal_program(phi, gamma, covs, spec, "nominal_multistep")
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +540,14 @@ def build_robust_socp_multistep(
 ) -> ConicProgram:
     """Robust program on the estimated multi-step model.
 
-    Each state row carries the inflated chance level p/delta, the constant
-    worst-case variance back-off, and the cone term r_k ||L' z_k|| with
-    L L' = M_jk the row covariance of the estimate (see
-    :meth:`ParameterEstimate.row_moments`); z_k is affine in the decisions,
-    which fill its last k*m entries, so each cone row has at most dof_k / n
-    rows.  Rows whose parameter covariance is exactly zero degrade to
-    linear rows.
+    It is the nominal multi-step program on the estimated (G0_k, Gu_k),
+    with the Gaussian back-off of each state row replaced by the inflated
+    chance level p/delta times the exact worst-case back-off of ``table``,
+    and with the cone term r_k ||L' z_k|| added, where L L' = M_jk is the
+    row covariance of the estimate (see :meth:`ParameterEstimate.row_moments`);
+    z_k is affine in the decisions, which fill its last k*m entries, so
+    each cone row has at most dof_k / n rows.  Rows whose parameter
+    covariance is exactly zero stay linear.
     """
     if delta <= spec.p:
         raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
@@ -539,61 +555,31 @@ def build_robust_socp_multistep(
         table = build_tightening_table(spec, estimates, gw, sigma_w, delta)
     _check_initial_state(spec, table.c_ptilde)
 
-    n, m, n_u = spec.n, spec.m, spec.horizon
-    dim = n_u * m
-    x0 = spec.init.mean
-    lin_rows, lin_offs, soc_rows = [], [], []
-    for k in range(1, n_u + 1):
-        est = estimates[k - 1]
+    n_u, m = spec.horizon, spec.m
+    phi, gamma = _multistep_maps(model_from_estimates(estimates[:n_u], gw[:n_u], sigma_w), spec)
+    backoffs = table.c_ptilde * np.array(
+        [[table.h_exact[(j, k)] for j in range(spec.n_rows)] for k in range(1, n_u + 1)])
+    rows, offs = _state_rows(phi, gamma, spec, backoffs)
+    cone = np.zeros((n_u, spec.n_rows), dtype=bool)
+    soc_rows = []
+    for k, est in enumerate(estimates[:n_u], start=1):
         rad = table.radius[k]
-        z_free = est.regressor(x0, np.zeros(k * m))
-        g_cols, m_all = est.row_moments(spec.h_x)
-        cone = rad > 0.0 and np.any(est.cov)
-        if cone:
-            lt_all = rad * np.swapaxes(psd_sqrt_factor(m_all), -1, -2)
-        # One contiguous g per row: a dot with a strided column rounds differently.
-        for j, g in enumerate(g_cols.T.copy()):
-            c_vec = np.zeros(dim)
-            c_vec[: k * m] = -g[g.size - k * m:]
-            d_off = 1.0 - table.c_ptilde * table.h_exact[(j, k)] - float(z_free @ g)
-            if cone:
-                lt = lt_all[j]
-                f_mat = np.zeros((lt.shape[0], dim))
-                f_mat[:, : k * m] = lt[:, lt.shape[1] - k * m:]
-                soc_rows.append(SocRow(f_mat=f_mat, g_vec=lt @ z_free, c_vec=c_vec, d_off=d_off))
-            else:
-                lin_rows.append(-c_vec)
-                lin_offs.append(d_off)
-    lin_a_state = np.vstack(lin_rows) if lin_rows else np.zeros((0, dim))
-    lin_b_state = np.asarray(lin_offs, dtype=float)
-    lin_a_input, lin_b_input = _input_rows(spec, dim)
-
-    phi = [estimates[k - 1].g0_hat() for k in range(1, n_u + 1)]
-    gamma = []
-    for k in range(1, n_u + 1):
-        gk = np.zeros((n, dim))
-        gk[:, : k * m] = estimates[k - 1].gu_hat()
-        gamma.append(gk)
-    p_mat, q_vec, constant = _stacked_cost(phi, gamma, spec)
-
-    prog = ConicProgram(
-        p_mat=p_mat,
-        q_vec=q_vec,
-        constant=float(constant),
-        lin_a=np.vstack([lin_a_state, lin_a_input]),
-        lin_b=np.concatenate([lin_b_state, lin_b_input]),
-        soc_rows=soc_rows,
-        variable_map={
-            "u": {"horizon": n_u, "m": m, "offset": 0},
-            "kind": "robust_multistep",
-            "p": spec.p,
-            "delta": delta,
-            "p_tilde": table.p_tilde,
-            "backoff": "exact",
-        },
+        if not (rad > 0.0 and np.any(est.cov)):
+            continue
+        cone[k - 1] = True
+        z_free = est.regressor(spec.init.mean, np.zeros(k * m))
+        lt_all = rad * np.swapaxes(psd_sqrt_factor(est.row_moments(spec.h_x)[1]), -1, -2)
+        for i, lt in enumerate(lt_all, start=(k - 1) * spec.n_rows):
+            f_mat = np.zeros((lt.shape[0], n_u * m))
+            f_mat[:, : k * m] = lt[:, lt.shape[1] - k * m:]
+            # 0.0 - row keeps the zero padding +0.0 (a bare -row writes -0.0).
+            soc_rows.append(SocRow(f_mat=f_mat, g_vec=lt @ z_free, c_vec=0.0 - rows[i],
+                                   d_off=float(offs[i])))
+    linear = ~cone.ravel()
+    return _program(
+        spec, _stacked_cost(phi, gamma, spec), rows[linear], offs[linear], soc_rows,
+        kind="robust_multistep", p=spec.p, delta=delta, p_tilde=table.p_tilde, backoff="exact",
     )
-    prog.check_shapes()
-    return prog
 
 
 def formulate_minmax_statespace(
@@ -650,7 +636,7 @@ def formulate_minmax_statespace(
     e_mat = np.asarray(e_mat, dtype=float)
     noise_cov = e_mat @ np.asarray(sigma_w, dtype=float) @ e_mat.T
     covs = _state_covs(a_mat, spec.init.cov, noise_cov, n_u)
-    rows, offs = _state_rows(phi, gamma, covs, spec, c_pt)
+    rows, offs = _state_rows(phi, gamma, spec, _gaussian_backoffs(covs, spec, c_pt))
     dim = n_u * m + 1          # stacked inputs plus the epigraph variable
     t_index = n_u * m
     lin_a_state = np.concatenate([rows, np.zeros(rows.shape[:-1] + (1,))], axis=-1)   # t column
@@ -672,29 +658,13 @@ def formulate_minmax_statespace(
     soc_rows = [SocRow(f_mat=f, g_vec=g, c_vec=c_vec, d_off=float(1.0 - c))
                 for f, g, c in zip(f_mats, g_vecs, c_shift)]
 
-    lin_a_input, lin_b_input = _input_rows(spec, dim)
     q_vec = np.zeros(dim)
     q_vec[t_index] = 1.0
-    prog = ConicProgram(
-        p_mat=np.zeros((dim, dim)),
-        q_vec=q_vec,
-        constant=0.0,
-        lin_a=np.vstack([lin_a_state.reshape(-1, dim), lin_a_input]),
-        lin_b=np.concatenate([offs.ravel(), lin_b_input]),
-        soc_rows=soc_rows,
-        variable_map={
-            "u": {"horizon": n_u, "m": m, "offset": 0},
-            "epigraph_index": t_index,
-            "kind": "minmax_scenarios",
-            "robust": False,
-            "n_scenarios": n_scenarios,
-            "p": spec.p,
-            "delta": delta,
-            "p_tilde": p_tilde,
-        },
+    return _program(
+        spec, (np.zeros((dim, dim)), q_vec, 0.0), lin_a_state.reshape(-1, dim), offs.ravel(),
+        soc_rows, epigraph_index=t_index, kind="minmax_scenarios", robust=False,
+        n_scenarios=n_scenarios, p=spec.p, delta=delta, p_tilde=p_tilde,
     )
-    prog.check_shapes()
-    return prog
 
 
 # ---------------------------------------------------------------------------

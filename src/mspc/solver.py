@@ -30,6 +30,7 @@ from .ocp import ConicProgram, SocRow
 
 _DIVERGENCE_THRESHOLD = 1e8
 _FARKAS_CONE_TOLERANCE = 1e-9
+_STEP_FRACTION = 0.99       # share of the step to the cone boundary that is taken
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,10 @@ class SolverOptions:
     max_iterations: int = 200
     gap_tolerance: float = 1e-9
     feasibility_tolerance: float = 1e-9
-    step_fraction: float = 0.99
     polish: bool = True
     init_margin: float = 1.0   # inflation of the initial cone point (internal)
 
     def __post_init__(self):
-        if not (0.0 < self.step_fraction < 1.0):
-            raise ValueError("step_fraction must lie in (0, 1)")
         if self.gap_tolerance <= 0 or self.feasibility_tolerance <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -470,8 +468,8 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
             break
         alpha = min(
             1.0,
-            opts.step_fraction * cone.max_step(s, ds),
-            opts.step_fraction * cone.max_step(lam, dlam),
+            _STEP_FRACTION * cone.max_step(s, ds),
+            _STEP_FRACTION * cone.max_step(lam, dlam),
         )
         if not math.isfinite(alpha) or alpha <= 0.0:
             break

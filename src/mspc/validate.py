@@ -239,7 +239,7 @@ def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
     """
     lin, quad = _conditional_maps(truth, u, spec)
     const_sd = None if np.any(quad[:-1]) else np.sqrt(quad[-1])
-    x0_factor = psd_sqrt_factor(spec.init.cov)
+    x0_factor = spec.init.factor
 
     def count(gen: np.random.Generator, size: int) -> np.ndarray:
         x0 = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T

@@ -10,16 +10,21 @@ from numpy.testing import assert_allclose
 
 from mspc.cli import _write_csv, _write_json
 from mspc.errors import DeltaTooSmall, DomainError, InfeasibleInitialState
-from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
-from mspc.linalg import Rng, diag_repeat, generator_of, sym_sqrt
+from mspc.ident import (
+    STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, model_from_estimates, true_theta,
+)
+from mspc.linalg import Rng, diag_repeat, generator_of, psd_sqrt_factor, sym_sqrt
 from mspc.ocp import (
+    ConicProgram,
     InputBox,
     InputPolytope,
     OcpSpec,
     SocRow,
     _check_initial_state,
+    _gaussian_backoffs,
     _input_rows,
     _mean_maps,
+    _stacked_cost,
     _state_rows,
     build_nominal_qp_multistep,
     build_nominal_qp_statespace,
@@ -313,16 +318,161 @@ def test_robust_reduces_to_nominal_row_for_row():
     spec = make_spec(sys, horizon=5, x0=np.array([0.8, -0.2]))
     ests, gw = perfect_estimates(sys, 5)
     prog_rob = build_robust_socp_multistep(ests, spec, 1.0, gw, sys.sigma_w)
-    prog_nom = build_nominal_qp_multistep(build_multistep(sys, 5), spec)
+    prog_nom = build_nominal_qp_multistep(model_from_estimates(ests, gw, sys.sigma_w), spec)
     assert not prog_rob.soc_rows
     assert prog_rob.lin_a.shape == prog_nom.lin_a.shape
-    for a, b in (
-        (prog_rob.lin_a, prog_nom.lin_a),
-        (prog_rob.lin_b, prog_nom.lin_b),
-        (prog_rob.p_mat, prog_nom.p_mat),
-        (prog_rob.q_vec, prog_nom.q_vec),
-    ):
-        assert np.abs(a - b).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(b).max(initial=0.0))
+    # Both programs come from the same maps; only the back-offs are computed apart.
+    for a, b in ((prog_rob.lin_a, prog_nom.lin_a), (prog_rob.p_mat, prog_nom.p_mat),
+                 (prog_rob.q_vec, prog_nom.q_vec)):
+        assert np.array_equal(a, b)
+    b = prog_nom.lin_b
+    assert np.abs(prog_rob.lin_b - b).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(b).max(initial=0.0))
+
+
+def robust_loop_reference(estimates, spec, delta, gw, sigma_w, table=None):
+    """Per-(step, row) construction that build_robust_socp_multistep replaced."""
+    if delta <= spec.p:
+        raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
+    if table is None:
+        table = build_tightening_table(spec, estimates, gw, sigma_w, delta)
+    _check_initial_state(spec, table.c_ptilde)
+
+    n, m, n_u = spec.n, spec.m, spec.horizon
+    dim = n_u * m
+    x0 = spec.init.mean
+    lin_rows, lin_offs, soc_rows = [], [], []
+    for k in range(1, n_u + 1):
+        est = estimates[k - 1]
+        rad = table.radius[k]
+        z_free = est.regressor(x0, np.zeros(k * m))
+        g_cols, m_all = est.row_moments(spec.h_x)
+        cone = rad > 0.0 and np.any(est.cov)
+        if cone:
+            lt_all = rad * np.swapaxes(psd_sqrt_factor(m_all), -1, -2)
+        # One contiguous g per row: a dot with a strided column rounds differently.
+        for j, g in enumerate(g_cols.T.copy()):
+            c_vec = np.zeros(dim)
+            c_vec[: k * m] = -g[g.size - k * m:]
+            d_off = 1.0 - table.c_ptilde * table.h_exact[(j, k)] - float(z_free @ g)
+            if cone:
+                lt = lt_all[j]
+                f_mat = np.zeros((lt.shape[0], dim))
+                f_mat[:, : k * m] = lt[:, lt.shape[1] - k * m:]
+                soc_rows.append(SocRow(f_mat=f_mat, g_vec=lt @ z_free, c_vec=c_vec, d_off=d_off))
+            else:
+                lin_rows.append(-c_vec)
+                lin_offs.append(d_off)
+    lin_a_state = np.vstack(lin_rows) if lin_rows else np.zeros((0, dim))
+    lin_b_state = np.asarray(lin_offs, dtype=float)
+    lin_a_input, lin_b_input = _input_rows(spec, dim)
+
+    phi = [estimates[k - 1].g0_hat() for k in range(1, n_u + 1)]
+    gamma = []
+    for k in range(1, n_u + 1):
+        gk = np.zeros((n, dim))
+        gk[:, : k * m] = estimates[k - 1].gu_hat()
+        gamma.append(gk)
+    p_mat, q_vec, constant = _stacked_cost(phi, gamma, spec)
+
+    prog = ConicProgram(
+        p_mat=p_mat,
+        q_vec=q_vec,
+        constant=float(constant),
+        lin_a=np.vstack([lin_a_state, lin_a_input]),
+        lin_b=np.concatenate([lin_b_state, lin_b_input]),
+        soc_rows=soc_rows,
+        variable_map={
+            "u": {"horizon": n_u, "m": m, "offset": 0},
+            "kind": "robust_multistep",
+            "p": spec.p,
+            "delta": delta,
+            "p_tilde": table.p_tilde,
+            "backoff": "exact",
+        },
+    )
+    prog.check_shapes()
+    return prog
+
+
+def no_negative_zero(a):
+    return not np.any(np.signbit(a) & (a == 0.0))
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 4),
+    rows=st.integers(0, 3),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    cov_kind=st.sampled_from(["zero", "nonzero", "mixed"]),
+    delta_one=st.booleans(),
+    u_kind=st.sampled_from(["box", "polytope", "none"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_robust_matches_loop_reference(n, m, horizon, rows, structure, cov_kind, delta_one,
+                                       u_kind, seed):
+    # The robust program is the nominal multi-step assembly with robust
+    # back-offs and cone terms; the per-(step, row) loop it replaced is the
+    # reference.  delta = 1 is only valid with zero covariance.
+    gen = np.random.default_rng(seed)
+    q = n
+    sigma_w = 0.1 * np.eye(q)
+    ests, gw = [], []
+    for k in range(1, horizon + 1):
+        cols = (n if structure == STRUCTURE_FULL else 0) + k * m
+        theta = gen.standard_normal(n * cols)
+        zero = cov_kind == "zero" or (cov_kind == "mixed" and k % 2 == 0) or delta_one
+        factor = gen.standard_normal((theta.size, theta.size))
+        cov = np.zeros((theta.size,) * 2) if zero else 1e-3 * (factor @ factor.T + np.eye(theta.size))
+        ests.append(ParameterEstimate(k=k, structure=structure, theta=theta, cov=cov, n=n, m=m))
+        gw.append(gen.standard_normal((n, k * q)))
+    if u_kind == "box":
+        u_set = InputBox(lo=-gen.uniform(0.5, 2.0, m), hi=gen.uniform(0.5, 2.0, m))
+    elif u_kind == "polytope":
+        u_set = InputPolytope(h_mat=gen.standard_normal((2, m)), h_vec=gen.uniform(0.5, 2.0, 2))
+    else:
+        u_set = None
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(n), R=np.eye(m), h_x=gen.uniform(-0.25, 0.25, (rows, n)),
+        u_set=u_set, p=0.9,
+        init=GaussianBelief(mean=gen.uniform(-0.3, 0.3, n), cov=0.01 * np.eye(n)),
+    )
+    delta = 1.0 if delta_one else 0.95
+    table = build_tightening_table(spec, ests, gw, sigma_w, delta)
+    prog = build_robust_socp_multistep(ests, spec, delta, gw, sigma_w, table=table)
+    ref = robust_loop_reference(ests, spec, delta, gw, sigma_w, table=table)
+
+    assert prog.lin_a.shape == ref.lin_a.shape and len(prog.soc_rows) == len(ref.soc_rows)
+    assert prog.variable_map == ref.variable_map
+    assert np.array_equal(prog.p_mat, ref.p_mat) and np.array_equal(prog.q_vec, ref.q_vec)
+    assert prog.constant == ref.constant
+    assert no_negative_zero(prog.lin_a)
+    # Row entries h' Gu_k are sums of n products that the reference formed
+    # as G_k' h, through a BLAS kernel chosen by shape (dot, gemv or gemm),
+    # so they may round differently; offsets 1 - backoff - h' G0_k x0 sum
+    # their free term in another order.
+    dim = horizon * m
+    row_scale, off_scale = {}, {}
+    for k, est in enumerate(ests, start=1):
+        for j, h in enumerate(spec.h_x):
+            row_scale[(k, j)] = np.zeros(dim)
+            row_scale[(k, j)][: k * m] = abs(h) @ abs(est.gu_hat())
+            off_scale[(k, j)] = (1.0 + table.c_ptilde * table.h_exact[(j, k)]
+                                 + abs(h) @ abs(est.g0_hat()) @ abs(spec.init.mean))
+    cone_steps = [k for k in range(1, horizon + 1) if table.radius[k] > 0 and np.any(ests[k - 1].cov)]
+    lin_keys = [(k, j) for k in range(1, horizon + 1) if k not in cone_steps for j in range(rows)]
+    soc_keys = [(k, j) for k in cone_steps for j in range(rows)]
+    for i, key in enumerate(lin_keys):
+        assert np.all(abs(prog.lin_a[i] - ref.lin_a[i]) <= 1e-15 * row_scale[key])
+        assert abs(prog.lin_b[i] - ref.lin_b[i]) <= 1e-13 * off_scale[key]
+    n_state = len(lin_keys)
+    assert np.array_equal(prog.lin_a[n_state:], ref.lin_a[n_state:])
+    assert np.array_equal(prog.lin_b[n_state:], ref.lin_b[n_state:])
+    for key, row, ref_row in zip(soc_keys, prog.soc_rows, ref.soc_rows):
+        assert np.array_equal(row.f_mat, ref_row.f_mat) and np.array_equal(row.g_vec, ref_row.g_vec)
+        assert np.all(abs(row.c_vec - ref_row.c_vec) <= 1e-15 * row_scale[key])
+        assert abs(row.d_off - ref_row.d_off) <= 1e-13 * off_scale[key]
+        assert all(map(no_negative_zero, (row.f_mat, row.g_vec, row.c_vec)))
 
 
 def test_robust_rejects_delta_below_p():
@@ -450,7 +600,7 @@ def minmax_loop_reference(est, spec, delta, n_scenarios, rng, e_mat, sigma_w):
         for _ in range(n_u):
             cov = a_mat @ cov @ a_mat.T + noise_cov
             covs.append(cov)
-        rows, offs = _state_rows(phi, gamma, covs, spec, c_pt)
+        rows, offs = _state_rows(phi, gamma, spec, _gaussian_backoffs(covs, spec, c_pt))
         lin_rows.append(np.hstack([rows, np.zeros((rows.shape[0], 1))]))
         lin_offs.append(offs)
         phi_bar = np.vstack(phi)
@@ -748,7 +898,7 @@ def test_state_rows_match_loop_reference(n, m, horizon, rows, seed):
         horizon=horizon, Q=np.eye(n), R=np.eye(m), h_x=gen.standard_normal((rows, n)),
         u_set=None, p=0.9, init=GaussianBelief(mean=gen.standard_normal(n), cov=np.eye(n)),
     )
-    lin_a, lin_b = _state_rows(phi, gamma, covs, spec, 1.3)
+    lin_a, lin_b = _state_rows(phi, gamma, spec, _gaussian_backoffs(covs, spec, 1.3))
     assert lin_a.shape == (horizon * rows, horizon * m) and lin_b.shape == (horizon * rows,)
     for k in range(1, horizon + 1):
         for j, h in enumerate(spec.h_x):
