@@ -571,6 +571,9 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                 "n_scenarios": cfg.compare.n_scenarios,
                 "status": sol_scen.status,
                 "objective": sol_scen.objective,
+                "iterations": sol_scen.iterations,
+                "rounds": sol_scen.rounds,
+                "fallback": sol_scen.fallback,
                 "robust_cost": None if sol_robust is None else sol_robust.objective,
             }
 

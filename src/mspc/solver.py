@@ -12,6 +12,18 @@ is assembled from the factors and solved by Cholesky.  Purely linear programs
 get an active-set polish solve at the end, which pins the primal down to
 machine precision on nondegenerate problems.
 
+A program that declares a start set (``ConicProgram.start_set``, such as
+the scenario baseline's first scenario) is solved by constraint generation
+(a cutting-set method, Mutapcic & Boyd 2009): solve the working set,
+evaluate every dropped row at its solution, add every violated linear row
+and the most violated cone row, and solve again until no dropped row is
+violated by more than the feasibility tolerance.  The working set is a
+relaxation, so its solution is then optimal for the full program; it is
+returned with zero duals on the dropped rows and checked against the full
+program.  An Infeasible round makes the full program Infeasible; any other
+round that is not Optimal is followed by one solve of the full program,
+and the solution says so (``fallback``).
+
 The module is deliberately self-contained so that an external solver can be
 substituted: any callable with the ``solve(prog, opts)`` signature returning
 a :class:`Solution` satisfies the backend contract.
@@ -64,8 +76,11 @@ class Solution:
     dual_lin: "np.ndarray | None" = None
     dual_soc: "list[np.ndarray]" = field(default_factory=list)
     kkt: "KktResiduals | None" = None
-    iterations: int = 0
+    iterations: int = 0              # summed over rounds
     gap: "float | None" = None
+    rounds: int = 1                  # interior-point solves behind this solution
+    working_set: "tuple[int, int]" = (0, 0)   # (linear, cone) rows of the last solve
+    fallback: bool = False           # a working-set round failed; the full program was solved
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +266,7 @@ def _canonicalize(prog: ConicProgram) -> _Canonical:
     soc_rows: list[SocRow] = []
     soc_map = []
     for row in prog.soc_rows:
-        if row.f_mat.size == 0 or not np.any(row.f_mat):
-            # Constant norm argument: the row degrades to a linear one.
+        if _constant_norm(row):   # the row degrades to a linear one
             lin_a.append(-row.c_vec[None, :])
             lin_b.append(np.asarray([row.d_off - float(np.linalg.norm(row.g_vec))]))
             soc_map.append(("lin", n_lin))
@@ -276,6 +290,11 @@ def _canonicalize(prog: ConicProgram) -> _Canonical:
         n_lin_orig=prog.lin_b.size,
         soc_map=soc_map,
     )
+
+
+def _constant_norm(row: SocRow) -> bool:
+    """The norm argument does not depend on the decision: presolved to a linear row."""
+    return row.f_mat.size == 0 or not np.any(row.f_mat)
 
 
 def _kkt_blocks(cone: _Cone, g_mat: np.ndarray):
@@ -303,24 +322,93 @@ def _factor_reduced(k_mat: np.ndarray):
 def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
     """Solve the program; deterministic for fixed inputs (no randomization)."""
     opts = opts or SolverOptions()
+    if prog.start_set is None:
+        return _solve_once(prog, opts)
+    return _solve_working_set(prog, opts)
+
+
+def _solve_once(prog: ConicProgram, opts: SolverOptions) -> Solution:
+    """One interior-point solve of all rows of ``prog``."""
     canon = _canonicalize(prog)
     if canon.cone.dim == 0:
-        return _solve_unconstrained(prog, canon)
-    sol = _interior_point(prog, canon, opts)
-    if (
-        opts.polish
-        and sol.status == "Optimal"
-        and not canon.cone.soc_sizes
-        and sol.primal is not None
-    ):
-        polished = _polish_linear(prog, canon, sol, opts)
-        if polished is not None:
-            sol = polished
+        sol = _solve_unconstrained(prog, canon)
+    else:
+        sol = _interior_point(prog, canon, opts)
+        if (
+            opts.polish
+            and sol.status == "Optimal"
+            and not canon.cone.soc_sizes
+            and sol.primal is not None
+        ):
+            polished = _polish_linear(prog, canon, sol, opts)
+            if polished is not None:
+                sol = polished
+        _certify(prog, sol, opts)
+    sol.working_set = (prog.lin_b.size, len(prog.soc_rows))
+    return sol
+
+
+def _certify(prog: ConicProgram, sol: Solution, opts: SolverOptions) -> None:
+    """KKT residuals on ``prog``; an Optimal status outside the contract becomes IterationLimit."""
     if sol.primal is not None:
         sol.kkt = check_kkt(prog, sol)
         if sol.status == "Optimal" and not _kkt_acceptable(prog, sol, opts):
             sol.status = "IterationLimit"
-    return sol
+
+
+def _solve_working_set(prog: ConicProgram, opts: SolverOptions) -> Solution:
+    """Constraint generation from ``prog.start_set``; returns a solution of all of ``prog``."""
+    prog.check_shapes()
+    lin = np.zeros(prog.lin_b.size, dtype=bool)
+    soc = np.zeros(len(prog.soc_rows), dtype=bool)
+    lin[prog.start_set[0]] = True
+    soc[prog.start_set[1]] = True
+    tol = opts.feasibility_tolerance * max(1.0, float(np.abs(prog.lin_b).max(initial=0.0)))
+    rounds = iterations = 0
+    while True:
+        sub = ConicProgram(
+            p_mat=prog.p_mat, q_vec=prog.q_vec, constant=prog.constant,
+            lin_a=prog.lin_a[lin], lin_b=prog.lin_b[lin],
+            soc_rows=[row for row, keep in zip(prog.soc_rows, soc) if keep],
+        )
+        sol = _solve_once(sub, opts)
+        rounds += 1
+        iterations += sol.iterations
+        if sol.status == "Infeasible":   # a relaxation of prog is infeasible, so prog is
+            return Solution(status="Infeasible", primal=None, objective=None,
+                            iterations=iterations, rounds=rounds, working_set=sol.working_set)
+        if sol.status != "Optimal":
+            full = _solve_once(prog, opts)
+            full.iterations += iterations
+            full.rounds = rounds + 1
+            full.fallback = True
+            return full
+        z = sol.primal
+        lin_new = ~lin & (prog.lin_a @ z - prog.lin_b > tol)
+        soc_viol = np.array([
+            -math.inf if keep
+            else np.linalg.norm(row.f_mat @ z + row.g_vec) - (row.c_vec @ z + row.d_off)
+            for row, keep in zip(prog.soc_rows, soc)
+        ])
+        worst = int(np.argmax(soc_viol)) if soc_viol.size else None
+        soc_new = worst is not None and soc_viol[worst] > tol
+        if not (lin_new.any() or soc_new):
+            break
+        lin |= lin_new
+        if soc_new:
+            soc[worst] = True
+    dual_lin = np.zeros(prog.lin_b.size)
+    dual_lin[lin] = sol.dual_lin
+    # Zero duals on the dropped rows, sized as a full solve sizes them (1 if presolved).
+    sub_duals = iter(sol.dual_soc)
+    dual_soc = [next(sub_duals) if keep
+                else np.zeros(1 if _constant_norm(row) else 1 + row.g_vec.size)
+                for row, keep in zip(prog.soc_rows, soc)]
+    full = Solution(status="Optimal", primal=z, objective=prog.objective(z), dual_lin=dual_lin,
+                    dual_soc=dual_soc, iterations=iterations, gap=sol.gap, rounds=rounds,
+                    working_set=sol.working_set)
+    _certify(prog, full, opts)
+    return full
 
 
 def _kkt_acceptable(prog: ConicProgram, sol: Solution, opts: SolverOptions) -> bool:
@@ -634,6 +722,9 @@ def solution_to_json(sol: Solution) -> dict:
         "primal": None if sol.primal is None else sol.primal.tolist(),
         "objective": sol.objective,
         "iterations": sol.iterations,
+        "rounds": sol.rounds,
+        "working_set": {"linear_rows": sol.working_set[0], "cones": sol.working_set[1]},
+        "fallback": sol.fallback,
         "gap": sol.gap,
     }
     if sol.kkt is not None:

@@ -37,7 +37,8 @@ from mspc.ocp import (
     tightening_constant_upper,
     tightening_to_json,
 )
-from mspc.solver import solve
+from mspc import solver
+from mspc.solver import SolverOptions, _kkt_acceptable, check_kkt, solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
 
 
@@ -144,6 +145,18 @@ def test_two_parametrizations_identical_program_data():
         scale = max(np.abs(a).max(initial=0.0), 1.0)
         assert np.abs(a - b).max(initial=0.0) <= 1e-12 * scale
     assert abs(prog_ss.constant - prog_ms.constant) <= 1e-12 * max(1.0, abs(prog_ss.constant))
+
+
+def test_nominal_multistep_cost_independent_of_map_layout():
+    # build_multistep's maps are C-ordered; g0_hat() of an estimate is a
+    # Fortran-ordered view of theta.  Equal values must give equal bits.
+    sys = random_system(4, 2, 2, 0.9, Rng(44), sigma_w=0.1, sigma_eps=0.0)
+    spec = make_spec(sys, horizon=5, x0=0.3 * np.ones(4))
+    ests, gw = perfect_estimates(sys, 5)
+    prog_true = build_nominal_qp_multistep(build_multistep(sys, 5), spec)
+    prog_est = build_nominal_qp_multistep(model_from_estimates(ests, gw, sys.sigma_w), spec)
+    assert np.array_equal(prog_true.p_mat, prog_est.p_mat)
+    assert np.array_equal(prog_true.q_vec, prog_est.q_vec)
 
 
 def test_nominal_optimal_values_agree_across_routes():
@@ -557,9 +570,9 @@ def test_robust_certifiable_program_is_solvable():
 # ---------------------------------------------------------------------------
 
 
-def minmax_setup(seed=61, sigma_theta=0.0):
+def minmax_setup(seed=61, sigma_theta=0.0, h_scale=0.35):
     sys = random_system(2, 1, 2, 0.8, Rng(seed), sigma_w=0.05, sigma_eps=0.0)
-    spec = make_spec(sys, horizon=4, x0=np.array([0.9, -0.4]), h_scale=0.35)
+    spec = make_spec(sys, horizon=4, x0=np.array([0.9, -0.4]), h_scale=h_scale)
     theta = true_theta(sys.A, sys.B)
     est = ParameterEstimate(
         k=1, structure=STRUCTURE_FULL, theta=theta,
@@ -738,6 +751,107 @@ def test_minmax_delta_one_needs_zero_covariance():
     zero = replace(est, cov=np.zeros_like(est.cov))
     prog = formulate_minmax_statespace(zero, spec, 1.0, 4, Rng(70), sys.E, sys.sigma_w)
     assert all(np.array_equal(row.f_mat, prog.soc_rows[0].f_mat) for row in prog.soc_rows)
+
+
+def assert_certified_for_full_program(prog, sol):
+    """Every row holds at the returned point, and the full-program KKT check passes."""
+    opts = SolverOptions()
+    tol = opts.feasibility_tolerance * max(1.0, np.abs(prog.lin_b).max(initial=0.0))
+    z = sol.primal
+    assert np.all(prog.lin_a @ z - prog.lin_b <= tol)
+    for row in prog.soc_rows:
+        assert np.linalg.norm(row.f_mat @ z + row.g_vec) - (row.c_vec @ z + row.d_off) <= tol
+    assert sol.dual_lin.size == prog.lin_b.size and len(sol.dual_soc) == len(prog.soc_rows)
+    assert _kkt_acceptable(prog, replace(sol, kkt=check_kkt(prog, sol)), opts)
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 5),
+    rows=st.integers(1, 3),
+    n_scenarios=st.integers(1, 7),
+    sigma_theta=st.sampled_from([0.0, 1e-4, 1e-2]),
+    h_scale=st.sampled_from([0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scenario_working_set_matches_full_solve(n, m, horizon, rows, n_scenarios, sigma_theta,
+                                                 h_scale, seed):
+    gen = np.random.default_rng(seed)
+    sys = random_system(n, m, max(n - 1, 1), 0.9, gen, sigma_w=0.05)
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(n), R=0.5 * np.eye(m),
+        h_x=h_scale * gen.standard_normal((rows, n)),
+        u_set=InputBox(lo=-2.0 * np.ones(m), hi=2.0 * np.ones(m)), p=0.9,
+        init=GaussianBelief(mean=0.2 * gen.standard_normal(n), cov=0.01 * np.eye(n)),
+    )
+    theta = true_theta(sys.A, sys.B)
+    est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=theta,
+                            cov=_estimate_cov(gen, theta.size, "full") * sigma_theta / 0.01,
+                            n=n, m=m)
+    try:
+        prog = formulate_minmax_statespace(est, spec, 0.95, n_scenarios, Rng(seed % 1000),
+                                           sys.E, sys.sigma_w)
+    except InfeasibleInitialState:
+        return
+    assert prog.start_set[0].size == horizon * rows + 2 * horizon * m
+    sol = solve(prog)
+    ref = solve(replace(prog, start_set=None))
+    assert sol.status == ref.status
+    assert not sol.fallback
+    if ref.status == "Optimal":
+        # Each solve stops at a duality gap of 1e-9 max(1, |f|): the same relative
+        # scale bounds how far two correct solves can differ.
+        assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        assert_certified_for_full_program(prog, sol)
+
+
+def binding_later_scenario_program():
+    """Eight scenarios whose optimum binds a state row of scenario 1 (found by search)."""
+    sys, spec, est = minmax_setup(seed=65, sigma_theta=1e-2, h_scale=0.6)
+    return formulate_minmax_statespace(est, spec, 0.95, 8, Rng(66), sys.E, sys.sigma_w), spec
+
+
+def test_scenario_working_set_adds_binding_later_scenario_row():
+    prog, spec = binding_later_scenario_program()
+    start = prog.start_set[0]
+    sol = solve(prog)
+    assert sol.status == "Optimal"
+    assert sol.rounds >= 2 and sol.working_set[0] > start.size
+    # Row 5 is scenario 1's second step: outside the start set, active at the optimum.
+    later = spec.horizon * spec.n_rows + 1
+    assert later not in start and sol.dual_lin[later] > 1.0
+    assert abs(prog.lin_a[later] @ sol.primal - prog.lin_b[later]) <= 1e-7
+    ref = solve(replace(prog, start_set=None))
+    assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+    assert_certified_for_full_program(prog, sol)
+
+
+def test_scenario_round_not_optimal_solves_full_program():
+    prog, _ = binding_later_scenario_program()
+    opts = SolverOptions(max_iterations=1)
+    sol = solve(prog, opts)
+    ref = solve(replace(prog, start_set=None), opts)
+    assert sol.fallback and not ref.fallback
+    assert sol.rounds == 2 and sol.iterations == 2
+    assert sol.working_set == (prog.lin_b.size, len(prog.soc_rows))
+    assert sol.status == ref.status
+    assert np.array_equal(sol.primal, ref.primal)
+
+
+def test_scenario_solve_enters_public_solve_once(monkeypatch):
+    prog, _ = binding_later_scenario_program()
+    calls = []
+    public = solver.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return public(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counting)
+    sol = solver.solve(prog)
+    assert sol.rounds >= 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

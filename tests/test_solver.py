@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
+from mspc.errors import DimensionMismatch
 from mspc.linalg import Rng
 from mspc.ocp import ConicProgram, SocRow
 from mspc.solver import (
@@ -277,6 +279,46 @@ def test_iteration_limit_status():
     sol = solve(prog, SolverOptions(max_iterations=1, polish=False))
     assert sol.status in ("IterationLimit", "Optimal")
     assert sol.iterations <= 1
+
+
+def test_working_set_duals_follow_the_full_program_rows():
+    # min ||z - (3, 0)||^2 over rows z2 <= 1, z1 <= 2 (a constant-norm cone row),
+    # ||z|| <= 10 and z1 <= 5 (constant-norm), starting from the disc alone.
+    def const_row(bound):
+        return SocRow(f_mat=np.zeros((1, 2)), g_vec=np.ones(1), c_vec=np.array([-1.0, 0.0]),
+                      d_off=bound + 1.0)
+
+    disc = SocRow(f_mat=np.eye(2), g_vec=np.zeros(2), c_vec=np.zeros(2), d_off=10.0)
+    prog = make_program(p=2.0 * np.eye(2), q=[-6.0, 0.0], constant=9.0, lin_a=[[0.0, 1.0]],
+                        lin_b=[1.0], soc_rows=[const_row(2.0), disc, const_row(5.0)])
+    ref = solve(prog)
+    prog.start_set = (np.zeros(0, dtype=int), np.array([1]))
+    sol = solve(prog)
+    assert sol.status == ref.status == "Optimal"
+    assert sol.rounds == 2 and sol.working_set == (0, 2) and not sol.fallback
+    assert_allclose(sol.primal, [2.0, 0.0], atol=1e-8)
+    assert [d.shape for d in sol.dual_soc] == [d.shape for d in ref.dual_soc] == [(1,), (3,), (1,)]
+    assert_allclose(sol.dual_soc[0], ref.dual_soc[0], atol=1e-7)
+    assert np.all(sol.dual_soc[2] == 0.0) and np.all(sol.dual_lin == 0.0)
+    assert sol.kkt.max() <= 1e-8
+
+
+def test_working_set_infeasible_round_is_infeasible():
+    # The start set z <= 0, -z <= -1 is already empty, so the program is too.
+    prog = make_program(p=[[1.0]], q=[0.0], lin_a=[[1.0], [-1.0], [1.0]], lin_b=[0.0, -1.0, 5.0])
+    prog.start_set = (np.array([0, 1]), np.zeros(0, dtype=int))
+    sol = solve(prog)
+    assert sol.status == "Infeasible"
+    assert sol.rounds == 1 and sol.working_set == (2, 0) and not sol.fallback
+
+
+def test_working_set_rejects_start_rows_out_of_range():
+    prog = make_program(q=[1.0], lin_a=[[1.0], [-1.0]], lin_b=[1.0, 1.0])
+    for start in ((np.array([2]), np.zeros(0, dtype=int)), (np.array([-1]), np.zeros(0, dtype=int)),
+                  (np.array([0]), np.array([0]))):
+        prog.start_set = start
+        with pytest.raises(DimensionMismatch):
+            solve(prog)
 
 
 # ---------------------------------------------------------------------------
