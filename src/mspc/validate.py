@@ -1,19 +1,22 @@
-"""Monte Carlo validation of the control and identification pipeline.
+"""Violation probabilities of the chance constraints, and other validation.
 
-Chance-constraint certification counts violations per constraint row and
-horizon step under two sampling modes: noise only (fixed true system) and
-noise plus parameters (per-step predictors drawn from the estimated
-Gaussian).  Both modes run one counter on multi-step predictors: given x0,
-row j at step k is Gaussian with mean z' g and variance z' M z + s_jk^2,
-where (g, M) are the :meth:`ParameterEstimate.row_moments` and s_jk^2 =
-H_j' Gw_k (I kron Sigma_w) Gw_k' H_j is the noise term.  Each sample
-draws x0 and one standard normal per (row, step), and no w, so each (row,
-step) count has its exact binomial law and the exact Clopper-Pearson upper
-bounds turn the counts into one-sided certificates.  Those bounds are beta
-quantiles, computed as ``scipy.special.betaincinv``.  Sampling runs in
-fixed-size batches, each with its own stream derived from the master seed;
-batches run concurrently on the usable CPUs; their integer counts are
-summed, so reports are byte-identical for any worker count.
+Certification reports, per constraint row and horizon step, the probability
+that H_j' x_k > 1.  On the true system it is exact: with x0 and w Gaussian,
+every H_j' x_k is Gaussian too, and :func:`exact_violation` writes its
+probability down.  Only the estimated model needs sampling:
+:func:`estimate_violation` draws the per-step predictors from the estimated
+Gaussians (and, as a reference, can count on the fixed true system).
+Both read one law of multi-step predictors: given x0, row j at step k is
+Gaussian with mean z' g and variance z' M z + s_jk^2, where (g, M) are the
+:meth:`ParameterEstimate.row_moments` and s_jk^2 = H_j' Gw_k (I kron
+Sigma_w) Gw_k' H_j is the noise term.  Each sample draws x0 and one
+standard normal per (row, step), and no w, so each (row, step) count has
+its exact binomial law and the exact Clopper-Pearson upper bounds turn the
+counts into one-sided certificates.  Those bounds are beta quantiles,
+computed as ``scipy.special.betaincinv``.  Sampling runs in fixed-size
+batches, each with its own stream derived from the master seed; batches
+run concurrently on the usable CPUs; their integer counts are summed, so
+reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class ViolationEntry:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    mode: str                     # "noise_only" | "noise_and_parameters"
+    mode: str                     # "noise_only" | "noise_and_parameters" | "exact"
     n_samples: int
     entries: "list[ViolationEntry]"
 
@@ -135,11 +138,8 @@ def estimate_violation(
     """
     if n_samples < 1000:
         raise DimensionMismatch("certification needs at least 1000 samples")
-    u = np.asarray(u, dtype=float).ravel()
-    n_u, m = spec.horizon, spec.m
-    if u.size < n_u * m:
-        raise DimensionMismatch(f"input sequence must cover {n_u} steps of {m} inputs")
-    u = u[: n_u * m]
+    u = _horizon_inputs(u, spec)
+    n_u = spec.horizon
     if isinstance(truth, LinearSystem):
         mode = "noise_only"
         truth = _exact_predictors(truth, n_u)
@@ -173,6 +173,39 @@ def estimate_violation(
                 )
             )
     return ViolationReport(mode=mode, n_samples=n_samples, entries=entries)
+
+
+def exact_violation(sys: LinearSystem, u: np.ndarray, spec: OcpSpec) -> ViolationReport:
+    """Exact per-(row, step) violation probabilities of H_j' x_k <= 1 on the true system.
+
+    H_j' x_k is affine in the Gaussian x0 and w, so p_jk = Q((1 - mean) / sd)
+    with the mean and variance of the maps the sampler draws from, plus the
+    variance of x0 through ``spec.init.factor``.  A zero sd (a deterministic
+    row) gives p_jk = [mean > 1], the sampler's strict inequality.  Entries
+    carry ``samples = violations = 0`` and ``rate = upper99 = p_jk``.
+    """
+    u = _horizon_inputs(u, spec)
+    lin, quad = _conditional_maps(_exact_predictors(sys, spec.horizon), u, spec)
+    x0_bar, factor, n = spec.init.mean, spec.init.factor, spec.n
+    mean = np.concatenate([spec.h_x @ x0_bar, x0_bar @ lin[:n] + lin[n]])
+    var = np.concatenate([np.sum((spec.h_x @ factor) ** 2, axis=1),
+                          np.sum((lin[:n].T @ factor) ** 2, axis=1) + quad[-1]])
+    sd = np.sqrt(var)
+    score = np.divide(mean - 1.0, sd, out=np.where(mean > 1.0, np.inf, -np.inf), where=sd > 0.0)
+    p = special.ndtr(score).reshape(spec.horizon + 1, spec.n_rows)
+    entries = [ViolationEntry(j=j, k=k, samples=0, violations=0,
+                              rate=float(p[k, j]), upper99=float(p[k, j]))
+               for k in range(spec.horizon + 1) for j in range(spec.n_rows)]
+    return ViolationReport(mode="exact", n_samples=0, entries=entries)
+
+
+def _horizon_inputs(u: np.ndarray, spec: OcpSpec) -> np.ndarray:
+    """The first horizon * m entries of ``u``; a shorter sequence is a DimensionMismatch."""
+    u = np.asarray(u, dtype=float).ravel()
+    n_u, m = spec.horizon, spec.m
+    if u.size < n_u * m:
+        raise DimensionMismatch(f"input sequence must cover {n_u} steps of {m} inputs")
+    return u[: n_u * m]
 
 
 def _exact_predictors(sys: LinearSystem, horizon: int) -> SampledParameterTruth:

@@ -147,21 +147,29 @@ def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flags, stage", [
-    (["--samples", "0"], "validate"),  # too few samples: the validate stage rejects them
-    (["--seed", "-1"], None),          # negative master seed: a config error
-], ids=["samples_0", "seed_negative"])
-def test_override_flags_rejected(tmp_path, capsys, flags, stage):
+@pytest.mark.parametrize("flags", [
+    ["--samples", "0"],   # fewer than one sample
+    ["--samples", "-3"],
+    ["--seed", "-1"],     # negative master seed
+], ids=["samples_0", "samples_negative", "seed_negative"])
+def test_override_flags_rejected(tmp_path, capsys, flags):
+    # A bad flag is a config error before any stage runs, as the same value
+    # in the config file is.
     path = write_config(tmp_path, quick_config())
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(path), "--out", str(out), *flags]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    if stage is None:
-        assert not out.exists()
-    else:
-        report = json.loads((out / "report.json").read_text())
-        assert report["stages"][stage]["error"].startswith("DimensionMismatch")
-        assert not report["passed"]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, 2.5])
+def test_samples_override_checked_like_config_value(tmp_path, samples):
+    path = write_config(tmp_path, quick_config())
+    with pytest.raises(ConfigError, match="--samples"):
+        load_config(path, samples_override=samples)
+    assert load_config(path, samples_override=1).validation.n_samples == 1
 
 
 @pytest.mark.parametrize("out", ["a_file", "a_file/sub"], ids=["file", "under_file"])
@@ -347,6 +355,25 @@ def test_compare_extends_pipeline(full_pipeline_dir, full_compare_dir):
             assert written.read_bytes() == (full_compare_dir / written.name).read_bytes(), (
                 written.name
             )
+
+
+def test_pipeline_samples_only_the_estimate(tmp_path, monkeypatch):
+    # The true system's probabilities are exact, so one pipeline run
+    # samples once, on the estimated model.
+    truths = []
+    sampler = validate.estimate_violation
+
+    def counting(truth, *args):
+        truths.append(truth)
+        return sampler(truth, *args)
+
+    monkeypatch.setattr(validate, "estimate_violation", counting)
+    report, ok = cmd_pipeline(parse_config(quick_config()), tmp_path)
+    assert ok
+    assert len(truths) == 1 and isinstance(truths[0], validate.SampledParameterTruth)
+    true_system = report["certification"]["true_system"]
+    assert true_system["mode"] == "exact" and true_system["n_samples"] == 0
+    assert report["certification"]["worst_upper99_true_system"] == true_system["worst_upper99"]
 
 
 def test_timings_record_sampler_calls(full_pipeline_dir):

@@ -3,7 +3,8 @@
 Given x0, row j at step k of a multi-step predictor is Gaussian with mean
 z' g and variance z' M z + s_jk^2.  The counter samples exactly that law, so
 its moment maps must agree with the per-sample reference and its counts
-with closed-form or quadrature violation probabilities.
+with closed-form or quadrature violation probabilities; on the true system
+``exact_violation`` evaluates the same law in closed form.
 """
 
 import inspect
@@ -11,12 +12,14 @@ import math
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import norm as normal_dist
 
+from mspc.errors import DimensionMismatch
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
 from mspc.linalg import Rng, diag_repeat, psd_sqrt_factor
 from mspc.ocp import InputBox, OcpSpec, build_nominal_qp_statespace
@@ -35,6 +38,7 @@ from mspc.validate import (
     clopper_pearson_interval,
     clopper_pearson_upper,
     estimate_violation,
+    exact_violation,
 )
 
 
@@ -134,28 +138,89 @@ def _assert_in_band(report, p_exact):
         assert low <= p_exact[(e.j, e.k)] <= high, (e, p_exact[(e.j, e.k)])
 
 
+def _noise_only_scores(sys, spec, u):
+    """The score z_jk with p_jk = Q(z_jk) per (row, step) on the true system, entry by entry.
+
+    h' x_k = h' G0_k x0 + h' Gu_k u + h' Gw_k w is affine in the Gaussian x0
+    and w, so z_jk = (1 - a' x0_bar - c) / sqrt(a' S a + s^2), also for a
+    singular Sigma_x0; a zero sd leaves the deterministic [mean > 1], as
+    z = -inf or +inf.
+    """
+    model = build_multistep(sys, spec.horizon)
+    x0_bar, s_x0 = spec.init.mean, spec.init.cov
+
+    def score(a, c, s2):
+        mean, sd = float(a @ x0_bar) + c, math.sqrt(float(a @ s_x0 @ a) + s2)
+        return (1.0 - mean) / sd if sd > 0.0 else (-math.inf if mean > 1.0 else math.inf)
+
+    scores = {}
+    for j, h in enumerate(spec.h_x):
+        scores[(j, 0)] = score(h, 0.0, 0.0)
+        for k in range(1, spec.horizon + 1):
+            g0, gu, gw = model.step(k)
+            c = float(h @ gu @ u[: k * spec.m])
+            s2 = float(h @ gw @ diag_repeat(sys.sigma_w, k) @ gw.T @ h)
+            scores[(j, k)] = score(g0.T @ h, c, s2)
+    return scores
+
+
 @pytest.mark.parametrize("n, x0_rank", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 1)])
 def test_violation_noise_only_in_closed_form_band(n, x0_rank):
-    # Noise only: h' x_k = h' G0_k x0 + h' Gu_k u + h' Gw_k w is affine in
-    # the Gaussian x0 and w, so p_jk = Q((1 - a' x0_bar - c) / sqrt(a' S a + s^2)),
-    # also for a singular Sigma_x0 (x0_rank < n).
+    # x0_rank < n gives a singular Sigma_x0.  The sampler's band must hold
+    # the per-entry closed form and exact_violation's probabilities alike.
     gen = np.random.default_rng(700 + n)
     sys, spec, _, u = _problem(gen, n, 1, 3, STRUCTURE_FULL, x0_rank, 0)
     report = estimate_violation(sys, u, spec, 20_000, Rng(710 + n))
     assert report.mode == "noise_only"
-    model = build_multistep(sys, spec.horizon)
-    x0_bar, s_x0 = spec.init.mean, spec.init.cov
-    p_exact = {}
-    for j, h in enumerate(spec.h_x):
-        p_exact[(j, 0)] = float(normal_dist.sf((1.0 - h @ x0_bar) / math.sqrt(h @ s_x0 @ h)))
-        for k in range(1, spec.horizon + 1):
-            g0, gu, gw = model.step(k)
-            a = g0.T @ h
-            c = float(h @ gu @ u[:k])
-            s2 = float(h @ gw @ diag_repeat(sys.sigma_w, k) @ gw.T @ h)
-            sd = math.sqrt(float(a @ s_x0 @ a) + s2)
-            p_exact[(j, k)] = float(normal_dist.sf((1.0 - a @ x0_bar - c) / sd))
-    _assert_in_band(report, p_exact)
+    scores = _noise_only_scores(sys, spec, u)
+    _assert_in_band(report, {key: float(normal_dist.sf(z)) for key, z in scores.items()})
+    exact = exact_violation(sys, u, spec)
+    _assert_in_band(report, {(e.j, e.k): e.rate for e in exact.entries})
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 3),
+    x0_rank=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_violation_matches_closed_form(n, m, horizon, x0_rank, seed):
+    # x0_rank < n gives a singular Sigma_x0, and x0_rank 0 a zero one.
+    gen = np.random.default_rng(seed)
+    sys, spec, _, u = _problem(gen, n, m, horizon, STRUCTURE_FULL, min(x0_rank, n), 0, rows=3)
+    report = exact_violation(sys, u, spec)
+    assert report.mode == "exact" and report.n_samples == 0
+    assert [(e.k, e.j) for e in report.entries] == [
+        (k, j) for k in range(horizon + 1) for j in range(spec.n_rows)
+    ]
+    scores = _noise_only_scores(sys, spec, u)
+    for e in report.entries:
+        assert e.samples == 0 and e.violations == 0 and e.rate == e.upper99
+        z = scores[(e.j, e.k)]
+        p = float(normal_dist.sf(z))
+        # Q's relative condition number at z is about 1 + z^2, so round-off
+        # in the score moves p by about 1e-15 z^2 relative (both this
+        # reference and exact_violation are 3-6e-12 off a 50-digit value at
+        # z = 29).  1e-12 relative holds up to |z| = 10 and grows with z^2
+        # beyond; where both underflow, 1e-300 absolute.
+        rel = 1e-12 * max(1.0, (z / 10.0) ** 2) if math.isfinite(z) else 0.0
+        assert abs(e.rate - p) <= max(rel * p, 1e-300), (e, p)
+    with pytest.raises(DimensionMismatch):
+        exact_violation(sys, u[:-1], spec)
+
+
+def test_exact_violation_deterministic_rows_without_warnings():
+    # With Sigma_x0 = 0 the k = 0 rows have zero sd: their probability is
+    # [h' x0 > 1], strict like the sampler's count, with no division warning.
+    sys = LinearSystem(A=[[0.9]], B=[[1.0]], E=[[1.0]], sigma_w=[[0.01]], sigma_eps=[[0.0]])
+    spec = OcpSpec(horizon=2, Q=np.eye(1), R=np.eye(1), h_x=np.array([[0.5], [1.0], [-1.0]]),
+                   u_set=None, p=0.9, init=GaussianBelief(mean=[2.0], cov=[[0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = exact_violation(sys, np.zeros(2), spec)
+    assert [e.rate for e in report.entries if e.k == 0] == [0.0, 1.0, 0.0]
+    assert all(0.0 < e.rate < 1.0 for e in report.entries if e.k > 0)
 
 
 def test_nominal_statespace_active_rows_violate_at_one_minus_p():
