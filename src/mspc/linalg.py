@@ -2,9 +2,10 @@
 
 All operations are pure functions of their inputs; matrices are plain
 float64 numpy arrays.  ``Rng`` is an immutable seed handle, so the same
-handle always reproduces the same stream.  Chi-squared quantiles and the
-root of the trust-region secular equation come from scipy
-(``special.gammaincinv``, ``optimize.brentq``).
+handle always reproduces the same stream.  Chi-squared quantiles come from
+``scipy.special.gammaincinv``.  The exact maximum of an affine norm over a
+ball solves the trust-region secular equation by monotone Newton steps and
+comes with its S-lemma dual bound, which certifies it on every call.
 """
 
 from __future__ import annotations
@@ -13,16 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSymmetric
 
 # Tolerances for symmetry / definiteness checks.
 SYMMETRY_RTOL = 1e-12
 PSD_CLIP_RTOL = 1e-8
-# Absolute root tolerance of the secular equation: none beyond brentq's
-# relative one (its default 2e-12 would swamp small multipliers).
-_TINY = np.finfo(float).tiny
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -158,10 +156,31 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
     gap_i = s_1^2 - s_i^2, the maximizer is V z(t) with z_i(t) = beta_i /
     (t + gap_i), where the shifted multiplier t >= 0 solves the secular
     equation ||z(t)|| = 1 (More & Sorensen 1983).  ||z(t)|| decreases in t,
-    from >= 1 at ||beta_top|| to <= 1 at ||beta||, so ``scipy.optimize.brentq``
-    finds t on that bracket.  When beta has no top-eigenspace component and
-    ||z(0)|| <= 1 (the "hard" case), the rest of the unit length goes along
-    the top singular direction.
+    from >= 1 at ||beta_top|| to <= 1 at ||beta||, and 1/||z(t)|| is
+    increasing and concave there, so Newton's method on 1/||z(t)|| - 1 from
+    the lower end rises monotonically to the root (:func:`_secular_newton`)
+    with no bisection and no tolerance.
+    When beta has no top-eigenspace component and ||z(0)|| <= 1 (the "hard"
+    case), the rest of the unit length goes along the top singular direction.
+    Non-finite input raises :class:`DomainError`.
+    """
+    return _ball_max_bounds(a, m, r)[0]
+
+
+# Guard on the Newton iterations of the secular equation; the iterates stop
+# rising after a handful of steps, far below it.
+_NEWTON_CAP = 100
+
+
+def _ball_max_bounds(a: np.ndarray, m: np.ndarray, r: float) -> tuple[float, float]:
+    """The maximum of :func:`max_norm_affine_over_ball` and an upper bound on it.
+
+    The bound is the S-lemma (Lagrangian) dual at lambda = t + s_1^2:
+    ||a + M z||^2 <= ||a + M z||^2 + lambda (1 - ||z||^2) <= ||a||^2 + lambda
+    + sum_i beta_i^2 / (t + gap_i) on the ball, for any t > 0 (Ben-Tal &
+    Nemirovski, Lectures on Modern Convex Optimization).  At the root it meets
+    the maximum, and it stays finite in the hard case, where t = 0 and every
+    beta_i with gap_i = 0 vanishes.  So the two numbers certify each other.
     """
     a = np.asarray(a, dtype=float).ravel()
     m = np.asarray(m, dtype=float)
@@ -169,38 +188,63 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
         raise DimensionMismatch(f"M must be a matrix, got shape {m.shape}")
     if m.shape[0] != a.size:
         raise DimensionMismatch(f"incompatible shapes: a has {a.size} rows, M has {m.shape[0]}")
+    if not (math.isfinite(r) and np.isfinite(a).all() and np.isfinite(m).all()):
+        raise DomainError("offset, map and radius must be finite")
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
     norm_a = float(np.linalg.norm(a))
     if r == 0.0 or m.size == 0 or not np.any(m):
-        return norm_a
+        return norm_a, norm_a
     # Absorb the radius into the map: max over the unit ball of ||a + (rM) y||.
     m = r * m
     _, sig, vt = np.linalg.svd(m, full_matrices=False)
     if sig[0] <= np.finfo(float).eps * norm_a:
-        return norm_a
+        return norm_a, norm_a + float(sig[0])
     d = sig**2
     beta = vt @ (m.T @ a)
     gap = d[0] - d
     top = gap <= 1e-12 * float(d[0])   # relative, so scaling a and M together scales the result
     gap[top] = 0.0
     live = beta != 0.0   # z_i(t) = 0 for every t where beta_i = 0
-
-    def excess(t: float) -> float:
-        return float(np.sum((beta[live] / (t + gap[live])) ** 2)) - 1.0
-
     lo = math.hypot(*beta[top])   # hypot, unlike np.linalg.norm, does not underflow
     hi = math.hypot(*beta)
+    # From here t, beta and gap are in units of hi, so that neither t nor
+    # z(t) = beta / (t + gap) leaves the normal range at extreme scales.
+    beta_live, gap_live = beta[live] / hi, gap[live] / hi   # empty when hi = 0
+    t = _secular_newton(beta_live, gap_live, lo / hi)[-1] if beta_live.size else 0.0
     coords = np.zeros_like(beta)
-    if excess(lo) > 0.0:
-        t = hi if excess(hi) >= 0.0 else optimize.brentq(excess, lo, hi, xtol=_TINY)
-        coords[live] = beta[live] / (t + gap[live])
-    elif lo == 0.0:
-        coords[live] = beta[live] / gap[live]
+    coords[live] = beta_live / (t + gap_live)
+    if t == 0.0:   # the hard case
         coords[0] += math.sqrt(max(1.0 - float(np.sum(coords**2)), 0.0))
-    else:
-        coords[live] = beta[live] / (lo + gap[live])
-    return max(float(np.linalg.norm(a + m @ (vt.T @ coords))), norm_a)
+    value = max(float(np.linalg.norm(a + m @ (vt.T @ coords))), norm_a)
+    bound = math.sqrt(norm_a**2 + float(d[0]) + hi * (t + float(beta_live @ coords[live])))
+    return value, bound
+
+
+def _secular_newton(beta: np.ndarray, gap: np.ndarray, lo: float) -> list[float]:
+    """Newton iterates for ||z(t)|| = 1 on [lo, 1], from lo; the last is the multiplier.
+
+    The arguments are in units of hi = ||beta||, which keeps the cubes below
+    from under- or overflowing; ``beta`` and ``gap`` hold the live terms
+    (beta_i != 0).  The step of g(t) = 1/||z(t)|| - 1 is (||z|| - 1) ||z||^2 /
+    sum_i beta_i^2 / (t + gap_i)^3.  g is increasing and concave, so each
+    tangent meets zero at or below the root: the iterates rise, never pass
+    it, and stop when a step no longer increases t.  So ||z(lo)|| <= 1 gives
+    lo alone (at lo = 0 the hard case), and ||z(1)|| >= 1 ends at the clip 1.
+    """
+    ts = [lo]
+    for _ in range(_NEWTON_CAP):
+        t = ts[-1]
+        w = 1.0 / (t + gap)
+        z = beta * w
+        z *= z
+        norm_sq = float(z.sum())
+        step = (math.sqrt(norm_sq) - 1.0) * norm_sq / float(z @ w)
+        t_next = min(t + step, 1.0)
+        if not t_next > t:
+            break
+        ts.append(t_next)
+    return ts
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ uncertainty in the multi-step predictor, the per-step parameter
 confidence ellipsoid (radius ``ParameterEstimate.radius``) adds a
 decision-dependent norm term (a second-order cone row) plus a constant
 worst-case variance back-off, computed exactly by maximizing an affine
-norm over the ellipsoid (``linalg.max_norm_affine_over_ball``).  Only
+norm over the ellipsoid (``linalg.max_norm_affine_over_ball``); the
+tightening table keeps, per step, the largest relative gap between that
+maximum and its S-lemma dual bound, so every table certifies itself.  Only
 the G0 block of theta_k moves that norm, so the ellipsoid enters through
 its n^2-dimensional image: any factor F whose first n^2 rows satisfy
 F F' = cov_k[:n^2, :n^2] serves, and the tightening table keeps the
@@ -35,6 +37,7 @@ from .errors import (
 from .ident import ParameterEstimate, STRUCTURE_FIR, STRUCTURE_FULL, model_from_estimates
 from .linalg import (
     Rng,
+    _ball_max_bounds,
     assert_spd,
     chi2_quantile,
     diag_repeat,
@@ -201,6 +204,7 @@ class TighteningTable:
     sigma_theta_half: dict  # k -> sqrt(cov_k[:n^2, :n^2]), the G0-block factor; None for FIR
     h_exact: dict           # (j, k) -> exact worst-case back-off
     h_upper: dict           # (j, k) -> triangle-inequality upper bound
+    certificate_gap: dict   # k -> largest S-lemma bound / h_exact - 1 over the rows
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +470,9 @@ def tightening_constant_exact(
 
     ``sigma_theta_half`` is any F whose first n^2 rows satisfy F F' = cov_k[:n^2, :n^2].
     """
-    return _exact_backoff(*_row_terms(
+    return max_norm_affine_over_ball(*_row_terms(
         h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure
     ), radius)
-
-
-def _exact_backoff(base: np.ndarray, direction: np.ndarray, radius: float) -> float:
-    if direction.shape[1] == 0 or radius == 0.0:
-        return float(np.linalg.norm(base))
-    return max_norm_affine_over_ball(base, direction, radius)
 
 
 def tightening_constant_upper(
@@ -517,7 +515,7 @@ def build_tightening_table(
         raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
     if len(estimates) < spec.horizon or len(gw) < spec.horizon:
         raise DimensionMismatch("need one estimate and one Gw per horizon step")
-    radius, g0_factors, h_exact, h_upper = {}, {}, {}, {}
+    radius, g0_factors, h_exact, h_upper, certificate_gap = {}, {}, {}, {}, {}
     sw_half = sym_sqrt(np.asarray(sigma_w, dtype=float))
     sx_half = sym_sqrt(spec.init.cov)
     n_g0 = spec.n * spec.n
@@ -531,9 +529,13 @@ def build_tightening_table(
         base, direction = _tightening_terms(spec.h_x, gw[k - 1], est.g0_hat(), sw_half, sx_half,
                                             g0_factors[k], est.structure)
         upper = _upper_backoff(base, direction, radius[k])
+        gaps = []
         for j in range(spec.n_rows):
-            h_exact[(j, k)] = _exact_backoff(base[j], direction[j], radius[k])
+            h, bound = _ball_max_bounds(base[j], direction[j], radius[k])
+            h_exact[(j, k)] = h
             h_upper[(j, k)] = float(upper[j])
+            gaps.append((bound - h) / h if h else 0.0)
+        certificate_gap[k] = max(gaps, default=0.0)
     return TighteningTable(
         delta=delta,
         p=spec.p,
@@ -543,6 +545,7 @@ def build_tightening_table(
         sigma_theta_half=g0_factors,
         h_exact=h_exact,
         h_upper=h_upper,
+        certificate_gap=certificate_gap,
     )
 
 
@@ -697,6 +700,7 @@ def tightening_to_json(table: TighteningTable) -> dict:
         "delta": table.delta,
         "p_tilde": table.p_tilde,
         "c_ptilde": table.c_ptilde,
+        "max_certificate_gap": max(table.certificate_gap.values(), default=0.0),
         "rows": [
             {"j": j, "k": k, "h_exact": table.h_exact[(j, k)],
              "h_upper": table.h_upper[(j, k)], "radius": table.radius[k]}

@@ -408,6 +408,11 @@ def test_stage_files_hold_report_values(tmp_path):
         assert lines == [list(entries[0])] + [[repr(v) for v in e.values()] for e in entries]
 
 
+def test_pipeline_reports_certificate_gap(full_pipeline_dir):
+    tightening = json.loads((full_pipeline_dir / "report.json").read_text())["tightening"]
+    assert abs(tightening["max_certificate_gap"]) <= 1e-12
+
+
 def test_pipeline_certification_rows_match_violation_csv(full_pipeline_dir):
     report = json.loads((full_pipeline_dir / "report.json").read_text())
     rows = report["certification"]["rows"]

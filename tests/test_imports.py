@@ -1,8 +1,9 @@
-"""Importing the package must not import scipy.stats.
+"""Importing the package must import neither scipy.stats nor scipy.optimize.
 
-``scipy.stats`` was once imported for one beta quantile, and its import was
-the largest part of the package's start-up time and memory.  Each check runs
-in a fresh interpreter, so imports made by the test session do not count.
+``scipy.stats`` was once imported for one beta quantile, and ``scipy.optimize``
+for one scalar root of the back-off's secular equation; each import was a
+large part of the package's start-up time and memory.  Each check runs in a
+fresh interpreter, so imports made by the test session do not count.
 """
 
 import os
@@ -13,14 +14,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+LEFT_OUT = ("scipy.stats", "scipy.optimize")
 
 
 @pytest.mark.parametrize("module", ["mspc", "mspc.cli"])
-def test_import_leaves_out_scipy_stats(module):
+def test_import_leaves_out_heavy_scipy_modules(module):
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     code = (f"import sys, {module}; print({module}.__file__); "
-            "print(*sorted(m for m in sys.modules "
-            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+            f"print(*sorted(m for m in sys.modules "
+            f"if any(m == p or m.startswith(p + '.') for p in {LEFT_OUT!r})))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     origin, loaded = proc.stdout.splitlines()

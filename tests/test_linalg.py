@@ -7,10 +7,12 @@ from numpy.testing import assert_allclose
 from scipy import integrate, optimize, stats
 from scipy.special import gammaln
 
+from mspc import linalg
 from mspc.errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSymmetric
 from mspc.linalg import (
     PSD_CLIP_RTOL,
     Rng,
+    _ball_max_bounds,
     check_symmetric,
     chi2_quantile,
     diag_repeat,
@@ -482,6 +484,170 @@ def test_ball_max_dual_certificate(seed, kind, rows, cols, r):
         method="bounded", options={"xatol": 1e-12},
     )
     assert min(best.fun, bounds[i]) <= h_sq * (1.0 + 1e-12)
+
+
+def brentq_ball_max(a: np.ndarray, m: np.ndarray, r: float) -> float:
+    """Reference: the earlier implementation, which found the secular root by brentq."""
+    _TINY = np.finfo(float).tiny
+    a = np.asarray(a, dtype=float).ravel()
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"M must be a matrix, got shape {m.shape}")
+    if m.shape[0] != a.size:
+        raise DimensionMismatch(f"incompatible shapes: a has {a.size} rows, M has {m.shape[0]}")
+    if r < 0.0:
+        raise DomainError("radius must be nonnegative")
+    norm_a = float(np.linalg.norm(a))
+    if r == 0.0 or m.size == 0 or not np.any(m):
+        return norm_a
+    # Absorb the radius into the map: max over the unit ball of ||a + (rM) y||.
+    m = r * m
+    _, sig, vt = np.linalg.svd(m, full_matrices=False)
+    if sig[0] <= np.finfo(float).eps * norm_a:
+        return norm_a
+    d = sig**2
+    beta = vt @ (m.T @ a)
+    gap = d[0] - d
+    top = gap <= 1e-12 * float(d[0])   # relative, so scaling a and M together scales the result
+    gap[top] = 0.0
+    live = beta != 0.0   # z_i(t) = 0 for every t where beta_i = 0
+
+    def excess(t: float) -> float:
+        return float(np.sum((beta[live] / (t + gap[live])) ** 2)) - 1.0
+
+    lo = math.hypot(*beta[top])   # hypot, unlike np.linalg.norm, does not underflow
+    hi = math.hypot(*beta)
+    coords = np.zeros_like(beta)
+    if excess(lo) > 0.0:
+        t = hi if excess(hi) >= 0.0 else optimize.brentq(excess, lo, hi, xtol=_TINY)
+        coords[live] = beta[live] / (t + gap[live])
+    elif lo == 0.0:
+        coords[live] = beta[live] / gap[live]
+        coords[0] += math.sqrt(max(1.0 - float(np.sum(coords**2)), 0.0))
+    else:
+        coords[live] = beta[live] / (lo + gap[live])
+    return max(float(np.linalg.norm(a + m @ (vt.T @ coords))), norm_a)
+
+
+def newton_case(kind, rows, cols, g):
+    """``ball_max_case`` plus "clustered": top singular values that differ in
+    their last digits, just above and below the top-eigenspace cutoff."""
+    if kind != "clustered":
+        return ball_max_case(kind, rows, cols, g)
+    k = min(rows, cols)
+    s = np.sort(g.uniform(0.2, 2.0, k))[::-1]
+    s[1:] = np.minimum(s[1:], s[0] * (1.0 - 10.0 ** g.uniform(-15.0, -9.0, k - 1)))
+    u = np.linalg.qr(g.standard_normal((rows, rows)))[0][:, :k]
+    v = np.linalg.qr(g.standard_normal((cols, cols)))[0][:, :k]
+    return g.standard_normal(rows), (u * s) @ v.T
+
+
+NEWTON_KINDS = ["generic", "rank1", "orthogonal", "repeated", "hard", "clustered"]
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(NEWTON_KINDS),
+    st.integers(1, 11),
+    st.integers(1, 16),
+    st.floats(0.1, 3.0),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_ball_max_newton_matches_brentq(seed, kind, rows, cols, r, scale):
+    g = np.random.default_rng(seed)
+    a, m = newton_case(kind, rows, cols, g)
+    a, m = scale * a, scale * m
+    assert max_norm_affine_over_ball(a, m, r) == pytest.approx(brentq_ball_max(a, m, r), rel=1e-13)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(NEWTON_KINDS),
+    st.integers(1, 11),
+    st.integers(1, 16),
+    st.floats(0.1, 3.0),
+    st.sampled_from([1e-150, 1e-100, 1e-3, 1e3, 1e100, 1e150]),
+)
+def test_ball_max_newton_scale_equivariant(seed, kind, rows, cols, r, scale):
+    # f(c a, c M, r) = c f(a, M, r).  At 1e-150 a near-hard case puts the
+    # brentq reference's multiplier among the subnormals, where it loses
+    # digits; Newton works in units of ||beta|| and keeps them.
+    g = np.random.default_rng(seed)
+    a, m = newton_case(kind, rows, cols, g)
+    expected = scale * max_norm_affine_over_ball(a, m, r)
+    assert max_norm_affine_over_ball(scale * a, scale * m, r) == pytest.approx(expected, rel=1e-13)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(NEWTON_KINDS),
+    st.integers(1, 11),
+    st.integers(1, 16),
+    st.floats(0.1, 3.0),
+    st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+)
+def test_ball_max_newton_iterates_rise_inside_bracket(seed, kind, rows, cols, r, scale):
+    g = np.random.default_rng(seed)
+    a, m = newton_case(kind, rows, cols, g)
+    runs, newton = [], linalg._secular_newton
+
+    def recorded(beta, gap, lo):
+        ts = newton(beta, gap, lo)
+        runs.append((ts, lo))
+        return ts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_secular_newton", recorded)
+        max_norm_affine_over_ball(scale * a, scale * m, r)
+    for ts, lo in runs:   # in units of hi, so the bracket is [lo, 1]
+        assert ts[0] == lo
+        assert all(t_next > t for t, t_next in zip(ts, ts[1:]))
+        assert ts[-1] <= 1.0
+        assert len(ts) <= linalg._NEWTON_CAP   # the guard was never reached
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(NEWTON_KINDS),
+    st.integers(1, 11),
+    st.integers(1, 16),
+    st.floats(0.0, 3.0),
+    st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+)
+def test_ball_max_certificate_gap(seed, kind, rows, cols, r, scale):
+    g = np.random.default_rng(seed)
+    a, m = newton_case(kind, rows, cols, g)
+    value, bound = _ball_max_bounds(scale * a, scale * m, r)
+    assert value == max_norm_affine_over_ball(scale * a, scale * m, r)
+    assert abs(bound - value) <= 1e-12 * value
+
+
+def test_ball_max_certificate_at_early_returns():
+    a = np.array([3.0, 4.0])
+    assert _ball_max_bounds(a, np.zeros((2, 3)), 2.0) == (5.0, 5.0)
+    assert _ball_max_bounds(a, np.ones((2, 3)), 0.0) == (5.0, 5.0)
+    assert _ball_max_bounds(a, np.zeros((2, 0)), 1.0) == (5.0, 5.0)
+    # A map below rounding of ||a|| is bounded by the triangle inequality.
+    value, bound = _ball_max_bounds(a, np.full((2, 1), 5e-16), 1.0)
+    assert (value, bound) == (5.0, 5.0 + math.sqrt(2.0) * 5e-16) and bound > 5.0
+
+
+@pytest.mark.parametrize("a, m, r", [
+    (np.ones(2), np.ones((2, 2)), math.nan),
+    (np.ones(2), np.ones((2, 2)), math.inf),
+    (np.array([1.0, math.nan]), np.ones((2, 2)), 1.0),
+    (np.array([1.0, math.inf]), np.ones((2, 2)), 1.0),
+    (np.ones(2), np.array([[1.0, math.nan], [0.0, 1.0]]), 1.0),
+    (np.ones(2), np.array([[1.0, -math.inf], [0.0, 1.0]]), 1.0),
+    (np.array([1.0, math.nan]), np.zeros((2, 2)), 0.0),
+], ids=["r_nan", "r_inf", "a_nan", "a_inf", "m_nan", "m_inf", "a_nan_zero_radius"])
+def test_ball_max_rejects_non_finite_input(a, m, r):
+    with pytest.raises(DomainError):
+        max_norm_affine_over_ball(a, m, r)
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,11 @@ def test_tightening_table_and_csv(tmp_path):
     assert table.p_tilde == pytest.approx(spec.p / 0.95)
     for key, h in table.h_exact.items():
         assert h <= table.h_upper[key] + 1e-9
+    # Each step's h_exact are certified by their S-lemma dual bounds.
+    assert sorted(table.certificate_gap) == [1, 2, 3]
+    assert all(abs(gap) <= 1e-12 for gap in table.certificate_gap.values())
+    assert (tightening_to_json(table)["max_certificate_gap"]
+            == max(table.certificate_gap.values()))
     path = tmp_path / "tightening.csv"
     columns = ("j", "k", "h_exact", "h_upper", "radius")
     rows = tightening_to_json(table)["rows"]
