@@ -464,10 +464,11 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         out = run_stage("identify", lambda: _identify_all(cfg, sys_true, traj))
         if out is not None:
             estimates, gw = out
-            report["estimates"] = [
-                ident.estimate_to_json(est, cfg.ident_settings.delta) for est in estimates
-            ]
-            _write_json(out_dir / "estimates.json", report["estimates"])
+            delta = cfg.ident_settings.delta
+            _write_json(out_dir / "estimates.json",
+                        [ident.estimate_to_json(est, delta) for est in estimates])
+            report["identification_health"] = [ident.estimate_health(est, delta)
+                                               for est in estimates]
 
     table = None
     if estimates is not None:

@@ -448,3 +448,20 @@ def estimate_to_json(est: ParameterEstimate, delta: "float | None" = None) -> di
     if delta is not None:
         doc["delta"] = delta
     return doc
+
+
+def estimate_health(est: ParameterEstimate, delta: float) -> dict:
+    """How well one estimate is identified, without its parameters.
+
+    ``projected_rank`` is the rank the singular residual covariance was
+    projected to (None when the banded Cholesky ran), ``radius`` the
+    ellipsoid radius at ``delta`` and ``sqrt_trace_cov`` = sqrt(tr cov), the
+    root-mean-square size of the parameter error.
+    """
+    return {
+        "k": est.k,
+        "dof": est.dof,
+        "projected_rank": est.projected_rank,
+        "radius": est.radius(delta),
+        "sqrt_trace_cov": math.sqrt(max(float(np.trace(est.cov)), 0.0)),
+    }

@@ -9,9 +9,13 @@ Gaussians (and, as a reference, can count on the fixed true system).
 Both read one law of multi-step predictors: given x0, row j at step k is
 Gaussian with mean z' g and variance z' M z + s_jk^2, where (g, M) are the
 :meth:`ParameterEstimate.row_moments` and s_jk^2 = H_j' Gw_k (I kron
-Sigma_w) Gw_k' H_j is the noise term.  Each sample draws x0 and one
-standard normal per (row, step), and no w, so each (row, step) count has
-its exact binomial law and the exact Clopper-Pearson upper bounds turn the
+Sigma_w) Gw_k' H_j is the noise term, so it is violated with probability
+p_jk(x0) = Q((1 - mean) / sd).  Each sample draws x0 and no w.  A (row,
+step) whose p_jk is small on a ball that holds almost every x0 draw is
+counted by thinning: only candidates drawn at a certified bound of p_jk,
+and the draws outside the ball, cost a probability; the other (row, step)
+pairs draw one standard normal per sample.  Either way each count has its
+exact binomial law, and the exact Clopper-Pearson upper bounds turn the
 counts into one-sided certificates.  Those bounds are beta quantiles,
 computed as ``scipy.special.betaincinv``.  Sampling runs in fixed-size
 batches, each with its own stream derived from the master seed; batches
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
@@ -37,7 +41,7 @@ from .ident import (
     state_space_ls,
     true_theta,
 )
-from .linalg import Rng, psd_sqrt_factor
+from .linalg import Rng, _ball_max_bounds, chi2_quantile, psd_sqrt_factor
 from .ocp import (
     OcpSpec,
     TighteningTable,
@@ -84,6 +88,11 @@ class ViolationReport:
     mode: str                     # "noise_only" | "noise_and_parameters" | "exact"
     n_samples: int
     entries: "list[ViolationEntry]"
+    # How a sampled report was counted, not what it found, so reports compare
+    # by their entries: the (sample, row, step) probabilities computed, and
+    # the (row, step) pairs counted by thinning rather than by normal draws.
+    exact_evaluations: int = field(default=0, compare=False)
+    thinned: "tuple[tuple[int, int], ...]" = field(default=(), compare=False)
 
     @property
     def worst_upper99(self) -> float:
@@ -134,7 +143,10 @@ def estimate_violation(
     noise through the fixed system (its exact predictors with zero parameter
     covariance); a :class:`SampledParameterTruth` adds the Gaussian
     parametric term of the estimate.  Either way each sample draws x0 and,
-    given x0, one Gaussian value per (row, step); no w is drawn.
+    given x0, one Bernoulli(p_jk(x0)) indicator per (row, step), by thinning
+    or by a normal draw (:func:`_make_counter`); no w is drawn.  The report
+    also says how: ``exact_evaluations`` counts the (sample, row, step)
+    probabilities computed and ``thinned`` lists the thinned (row, step).
     """
     if n_samples < 1000:
         raise DimensionMismatch("certification needs at least 1000 samples")
@@ -172,7 +184,9 @@ def estimate_violation(
                     upper99=clopper_pearson_upper(c, n_samples),
                 )
             )
-    return ViolationReport(mode=mode, n_samples=n_samples, entries=entries)
+    # The counts' last row holds the probabilities computed, per constraint row.
+    return ViolationReport(mode=mode, n_samples=n_samples, entries=entries,
+                           exact_evaluations=int(counts[-1].sum()), thinned=count_batch.thinned)
 
 
 def exact_violation(sys: LinearSystem, u: np.ndarray, spec: OcpSpec) -> ViolationReport:
@@ -190,9 +204,7 @@ def exact_violation(sys: LinearSystem, u: np.ndarray, spec: OcpSpec) -> Violatio
     mean = np.concatenate([spec.h_x @ x0_bar, x0_bar @ lin[:n] + lin[n]])
     var = np.concatenate([np.sum((spec.h_x @ factor) ** 2, axis=1),
                           np.sum((lin[:n].T @ factor) ** 2, axis=1) + quad[-1]])
-    sd = np.sqrt(var)
-    score = np.divide(mean - 1.0, sd, out=np.where(mean > 1.0, np.inf, -np.inf), where=sd > 0.0)
-    p = special.ndtr(score).reshape(spec.horizon + 1, spec.n_rows)
+    p = _upper_tail(mean, np.sqrt(var)).reshape(spec.horizon + 1, spec.n_rows)
     entries = [ViolationEntry(j=j, k=k, samples=0, violations=0,
                               rate=float(p[k, j]), upper99=float(p[k, j]))
                for k in range(spec.horizon + 1) for j in range(spec.n_rows)]
@@ -259,31 +271,141 @@ def _conditional_sd(x_aug: np.ndarray, quad: np.ndarray) -> np.ndarray:
     """
     x_t = np.ascontiguousarray(x_aug.T)
     iu, ju = np.triu_indices(x_t.shape[0])
-    return np.sqrt(np.maximum((x_t[iu] * x_t[ju]).T @ quad, 0.0))
+    products = x_t[iu]
+    products *= x_t[ju]
+    var = products.T @ quad
+    return np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+
+
+def _upper_tail(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """P(N(mean, sd^2) > 1) = Q((1 - mean) / sd); a zero sd gives [mean > 1]."""
+    score = np.divide(mean - 1.0, sd, out=np.where(mean > 1.0, np.inf, -np.inf), where=sd > 0.0)
+    return special.ndtr(score)
+
+
+def _variance_forms(quad: np.ndarray, d: int) -> np.ndarray:
+    """Per column c the symmetric d x d matrix G_c with x~' G_c x~ = p' quad[:, c]."""
+    iu, ju = np.triu_indices(d)
+    gram = np.zeros((quad.shape[1], d, d))
+    gram[:, iu, ju] = gram[:, ju, iu] = (quad / (2.0 - (iu == ju))[:, None]).T
+    return gram
+
+
+def _paired_tail(x_aug: np.ndarray, lin: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Violation probability of pair i: sample ``x_aug[i]``, column ``lin[:, i]`` and ``gram[i]``."""
+    var = np.einsum("ia,iab,ib->i", x_aug, gram, x_aug)
+    return _upper_tail(np.einsum("ia,ai->i", x_aug, lin), np.sqrt(np.maximum(var, 0.0)))
+
+
+# An x0 draw lies outside the ball on which the columns' bounds hold with
+# this probability; such a draw has its probabilities computed exactly.
+_BALL_TAIL = 1e-3
+# A column whose bound reaches _THIN_BELOW is drawn as a normal per sample:
+# a candidate's probability costs several normals, so at higher rates
+# thinning loses (3x slower with every column thinned at bounds near 1).
+# Where some column is drawn anyway, the per-sample variance products are
+# paid regardless and a thinned column saves only its own normals; measured
+# on 2 CPUs, thinning then paid only below _THIN_BELOW_MIXED.
+_THIN_BELOW = 1.0 / 16.0
+_THIN_BELOW_MIXED = 1.0 / 256.0
+# Relative round-off margin of the bounds, against the size of the summed terms.
+_BOUND_MARGIN = 1e-12
+
+
+def _violation_bounds(lin: np.ndarray, gram: np.ndarray, mean: np.ndarray,
+                      factor: np.ndarray, radius: float) -> np.ndarray:
+    """Per column c, a bound on p_c = Q((1 - x~' lin_c) / sd_c(x~)) over a ball of x0.
+
+    The ball is x0 = mean + factor z, ||z|| <= radius, with x~ = [x0; 1] =
+    x~_bar + F~ z.  Over it the mean's maximum is exact, x~_bar' lin_c + radius
+    ||F~' lin_c||; the sd is ||L_c' (x~_bar + F~ z)|| with L_c L_c' the
+    variance form ``gram[c]`` (negative eigenvalues clipped, which only
+    raises it), bounded by the S-lemma bound of the ball-max kernel.  Both
+    carry a round-off margin, so the per-sample probabilities the counter
+    computes never exceed them.  A mean bound >= 1 gives 1.
+    """
+    x_mean = np.append(mean, 1.0)
+    x_factor = np.vstack([factor, np.zeros((1, factor.shape[1]))])
+    spread = np.abs(x_mean) + radius * np.linalg.norm(x_factor, axis=1)   # >= |x~_a| on the ball
+    w, v = np.linalg.eigh(gram)
+    roots = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    sd_bar = np.array([max(_ball_max_bounds(root.T @ x_mean, root.T @ x_factor, radius))
+                       for root in roots])
+    mean_bar = (x_mean @ lin + radius * np.linalg.norm(x_factor.T @ lin, axis=0)
+                + _BOUND_MARGIN * (spread @ np.abs(lin)))
+    var_scale = np.einsum("a,cab,b->c", spread, np.abs(gram), spread)
+    sd_bar = np.sqrt(sd_bar**2 + _BOUND_MARGIN * var_scale)
+    return np.where(mean_bar >= 1.0, 1.0, _upper_tail(mean_bar, sd_bar))
 
 
 def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
     """Per-batch counter of H_j' x_k > 1 over all rows j and steps k.
 
-    Draws x0, then one standard normal per (sample, row, step) scaled by the
-    conditional standard deviation of :func:`_conditional_maps`; no w is
-    drawn and no step is looped over.  The standard deviation is a constant
-    per (row, step) when no variance depends on x0 (every M zero, or FIR).
+    Each sample draws x0 first (z0, whitened).  Given x0, column c = (step,
+    row) is violated with probability p_c(x0) = Q((1 - mean) / sd), the law
+    of :func:`_conditional_maps`; no w is drawn and no step is looped over.
+    Columns whose bound p_c_bar (:func:`_violation_bounds`, over the ball
+    ||z0||^2 <= chi2_r(1 - _BALL_TAIL)) reaches ``_THIN_BELOW`` (or, when
+    some column does, ``_THIN_BELOW_MIXED``) draw one normal per sample, as
+    mean + sd * z > 1.  The other columns are thinned
+    (Lewis & Shedler 1979; Devroye 1986, ch. II.3): Binomial(inside,
+    p_c_bar) candidates, uniform without replacement among the samples
+    inside the ball, each kept when U p_c_bar < p_c(x0); every sample
+    outside the ball is kept when U < p_c(x0).  Given x0 every indicator is
+    an independent Bernoulli(p_c(x0)), so every count keeps its exact
+    binomial law, while only candidates and outside samples cost a
+    probability.  The batch's counts are rows k = 0..horizon; one more row
+    counts, per constraint row, the (sample, step) pairs whose probability
+    was computed.  The returned function carries ``thinned``, the (row,
+    step) pairs it thins.
     """
     lin, quad = _conditional_maps(truth, u, spec)
-    const_sd = None if np.any(quad[:-1]) else np.sqrt(quad[-1])
-    x0_factor = spec.init.factor
+    mean, factor, rows = spec.init.mean, spec.init.factor, spec.n_rows
+    r = factor.shape[1]
+    radius = math.sqrt(chi2_quantile(r, 1.0 - _BALL_TAIL)) if r else 0.0
+    gram = _variance_forms(quad, lin.shape[0])
+    p_bar = _violation_bounds(lin, gram, mean, factor, radius)
+    below = _THIN_BELOW if np.all(p_bar < _THIN_BELOW) else _THIN_BELOW_MIXED
+    thin, drawn = np.flatnonzero(p_bar < below), np.flatnonzero(p_bar >= below)
+    lin_d, quad_d = lin[:, drawn], quad[:, drawn]
+    lin_t, gram_t, p_t = lin[:, thin], gram[thin], p_bar[thin]
 
     def count(gen: np.random.Generator, size: int) -> np.ndarray:
-        x0 = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T
-        x_aug = np.column_stack([x0, np.ones(size)])
-        sd = const_sd if const_sd is not None else _conditional_sd(x_aug, quad)
-        value = x_aug @ lin + sd * gen.standard_normal((size, lin.shape[1]))
+        z0 = gen.standard_normal((size, r))
+        x_aug = np.empty((size, mean.size + 1))
+        x_aug[:, -1] = 1.0
+        x0 = np.add(mean, z0 @ factor.T, out=x_aug[:, :-1])
+        hits = np.zeros(lin.shape[1], dtype=np.int64)
+        evaluated = np.zeros(lin.shape[1], dtype=np.int64)
+        if drawn.size:
+            value = gen.standard_normal((size, drawn.size))
+            value *= _conditional_sd(x_aug, quad_d)
+            value += x_aug @ lin_d
+            hits[drawn] = np.count_nonzero(value > 1.0, axis=0)
+        if thin.size:
+            outside = np.einsum("ij,ij->i", z0, z0) > radius**2
+            picks = gen.binomial(size - np.count_nonzero(outside), p_t)
+            x_out = x_aug[outside]
+            var = np.einsum("ia,cab,ib->ic", x_out, gram_t, x_out)
+            p_out = _upper_tail(x_out @ lin_t, np.sqrt(np.maximum(var, 0.0)))
+            hits[thin] = np.count_nonzero(gen.random(p_out.shape) < p_out, axis=0)
+            evaluated[thin] = picks + x_out.shape[0]
+            if picks.any():
+                inside = np.flatnonzero(~outside)
+                cols = np.repeat(np.arange(thin.size), picks)
+                samples = np.concatenate([inside[gen.choice(inside.size, c, replace=False)]
+                                          for c in picks[picks > 0]])
+                # A candidate is kept with probability p / p_bar.
+                kept = gen.random(cols.size) * p_t[cols] < _paired_tail(
+                    x_aug[samples], lin_t[:, cols], gram_t[cols])
+                hits[thin] += np.bincount(cols[kept], minlength=thin.size)
         return np.vstack([
-            np.count_nonzero(x0 @ spec.h_x.T > 1.0, axis=0),
-            np.count_nonzero(value > 1.0, axis=0).reshape(spec.horizon, spec.n_rows),
+            np.count_nonzero(spec.h_x @ x0.T > 1.0, axis=1),
+            hits.reshape(spec.horizon, rows),
+            evaluated.reshape(spec.horizon, rows).sum(axis=0),
         ])
 
+    count.thinned = tuple((int(c % rows), int(c // rows) + 1) for c in thin)
     return count
 
 
@@ -472,12 +594,16 @@ def certification_rows(
 
 
 def violation_report_to_json(report: ViolationReport) -> dict:
-    return {
+    doc = {
         "mode": report.mode,
         "n_samples": report.n_samples,
         "worst_upper99": report.worst_upper99,
-        "entries": [asdict(e) for e in report.entries],
     }
+    if report.mode != "exact":
+        doc["exact_evaluations"] = report.exact_evaluations
+        doc["thinned"] = [list(pair) for pair in report.thinned]
+    doc["entries"] = [asdict(e) for e in report.entries]
+    return doc
 
 
 def equivalence_report_to_json(report: EquivalenceReport) -> dict:

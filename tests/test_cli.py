@@ -205,10 +205,17 @@ def test_identify_writes_estimates(tmp_path):
     cfg = parse_config(quick_config())
     report, ok = cmd_pipeline(cfg, tmp_path, "identify")
     assert ok
-    assert len(report["estimates"]) == 4
     docs = json.loads((tmp_path / "estimates.json").read_text())
     assert [d["k"] for d in docs] == [1, 2, 3, 4]
     assert docs[0]["dof"] == 2 * 2 + 2 * 1  # n^2 + n k m at k = 1
+    # The report holds each estimate's health, not a second copy of it.
+    health = report["identification_health"]
+    assert [h["k"] for h in health] == [1, 2, 3, 4]
+    assert [h["dof"] for h in health] == [d["dof"] for d in docs]
+    for h, d in zip(health, docs):
+        assert h["projected_rank"] == d.get("projected_rank")
+        assert h["sqrt_trace_cov"] == pytest.approx(np.sqrt(np.trace(d["cov"])), rel=1e-12)
+        assert h["radius"] > 0.0
 
 
 def test_pipeline_passes_and_echoes_config(tmp_path):
@@ -394,8 +401,10 @@ def test_stage_files_hold_report_values(tmp_path):
                  tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["certification"]["parametric"] != report["certification"]["true_system"]
+    estimates = json.loads((tmp_path / "estimates.json").read_text())
+    assert [e["k"] for e in estimates] == [h["k"] for h in report["identification_health"]]
     for name, value in (("report.json", report), ("system.json", report["system"]),
-                        ("estimates.json", report["estimates"]),
+                        ("estimates.json", estimates),
                         ("solution_robust.json", report["robust_solution"])):
         assert (tmp_path / name).read_text() == json.dumps(value, indent=2) + "\n"
     for name, entries in (

@@ -13,15 +13,18 @@ import os
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import binom
 from scipy.stats import norm as normal_dist
 
 from mspc.errors import DimensionMismatch
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
-from mspc.linalg import Rng, diag_repeat, psd_sqrt_factor
+from mspc import validate
+from mspc.linalg import Rng, chi2_quantile, diag_repeat, psd_sqrt_factor
 from mspc.ocp import InputBox, OcpSpec, build_nominal_qp_statespace
 from mspc.solver import solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
@@ -35,10 +38,14 @@ from mspc.validate import (
     _conditional_sd,
     _exact_predictors,
     _make_counter,
+    _upper_tail,
+    _variance_forms,
+    _violation_bounds,
     clopper_pearson_interval,
     clopper_pearson_upper,
     estimate_violation,
     exact_violation,
+    violation_report_to_json,
 )
 
 
@@ -372,6 +379,193 @@ def test_conditional_sd_matches_samples_first_products(n, x0_rank, size, seed):
     new = _conditional_sd(x_aug, quad)
     assert new.shape == old.shape
     assert np.all(np.abs(new - old) <= 1e-13 * old)
+
+
+# ---------------------------------------------------------------------------
+# Thinning: bounds on the ball, and the law of the counts
+# ---------------------------------------------------------------------------
+
+
+def _probabilities(x0, lin, quad):
+    """The counter's p_c(x0) = Q((1 - mean) / sd) for each row of ``x0`` and each column."""
+    x_aug = np.column_stack([x0, np.ones(len(x0))])
+    return _upper_tail(x_aug @ lin, _conditional_sd(x_aug, quad))
+
+
+def _sd_maximizers(gram, x_mean, x_factor, radius, starts):
+    """Points z on the sphere ||z|| = radius that locally maximize x~(z)' G x~(z), per column.
+
+    x~(z) = x_mean + x_factor z.  Each step maximizes the linearization over
+    the ball, which never lowers a convex function, so from the given starts
+    the iterates rise to local maxima.
+    """
+    z = np.broadcast_to(starts, (gram.shape[0],) + starts.shape).copy()
+    for _ in range(100):
+        x = x_mean + z @ x_factor.T
+        grad = np.einsum("ra,cab,csb->csr", x_factor.T, gram, x)
+        norm = np.linalg.norm(grad, axis=-1, keepdims=True)
+        z = np.where(norm > 0.0, radius * grad / np.where(norm > 0.0, norm, 1.0), z)
+    return z
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 2),
+    horizon=st.integers(1, 3),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    x0_rank=st.integers(0, 3),
+    theta_rank=st.sampled_from([0, 1, 100]),
+    zero_noise=st.booleans(),
+    tail=st.sampled_from([1e-3, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_violation_bounds_hold_on_the_ball(n, m, horizon, structure, x0_rank, theta_rank,
+                                           zero_noise, tail, seed):
+    # x0_rank < n gives a singular Sigma_x0 and 0 a zero one; zero noise with
+    # theta_rank 0 makes every sd zero, so p is [mean > 1].
+    gen = np.random.default_rng(seed)
+    _, spec, truth, u = _problem(gen, n, m, horizon, structure, min(x0_rank, n), theta_rank,
+                                 rows=3)
+    if zero_noise:
+        truth = replace(truth, sigma_w=np.zeros_like(truth.sigma_w))
+    lin, quad = _conditional_maps(truth, u, spec)
+    mean, factor = spec.init.mean, spec.init.factor
+    r = factor.shape[1]
+    radius = math.sqrt(chi2_quantile(r, 1.0 - tail))
+    gram = _variance_forms(quad, n + 1)
+    p_bar = _violation_bounds(lin, gram, mean, factor, radius)
+    assert p_bar.shape == (lin.shape[1],) and np.all((0.0 <= p_bar) & (p_bar <= 1.0))
+
+    directions = gen.standard_normal((64, r))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    sphere = radius * directions
+    points = [sphere, sphere * gen.random((64, 1)), np.zeros((1, r))]
+    # The maximizer of the mean of each column, and local maximizers of its sd.
+    f_lin = factor.T @ lin[:n]
+    f_norm = np.linalg.norm(f_lin, axis=0)
+    points.append((radius * f_lin / np.where(f_norm > 0.0, f_norm, 1.0)).T)
+    x_factor = np.vstack([factor, np.zeros((1, r))])
+    local = _sd_maximizers(gram, np.append(mean, 1.0), x_factor, radius, sphere[:8])
+    for c in range(lin.shape[1]):
+        p = _probabilities(mean + np.concatenate(points + [local[c]]) @ factor.T, lin, quad)
+        assert np.all(p <= p_bar), (c, p.max(axis=0), p_bar)
+
+
+def _reference_counter(truth, u, spec):
+    """The counter before thinning, verbatim: one normal per (sample, row, step)."""
+    lin, quad = _conditional_maps(truth, u, spec)
+    const_sd = None if np.any(quad[:-1]) else np.sqrt(quad[-1])
+    x0_factor = spec.init.factor
+
+    def count(gen: np.random.Generator, size: int) -> np.ndarray:
+        x0 = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T
+        x_aug = np.column_stack([x0, np.ones(size)])
+        sd = const_sd if const_sd is not None else _conditional_sd(x_aug, quad)
+        value = x_aug @ lin + sd * gen.standard_normal((size, lin.shape[1]))
+        return np.vstack([
+            np.count_nonzero(x0 @ spec.h_x.T > 1.0, axis=0),
+            np.count_nonzero(value > 1.0, axis=0).reshape(spec.horizon, spec.n_rows),
+        ])
+
+    return count
+
+
+def _reference_counts(truth, u, spec, n_samples, rng):
+    count = _reference_counter(truth, u, spec)
+    return sum(count(_batch_generator(rng, b), size)
+               for b, size in enumerate(_batch_sizes(n_samples)))
+
+
+def _assert_same_law(report, reference_counts):
+    """Two independent binomial counts a, b with one p: given a + b, a ~ Binomial(a + b, 1/2)."""
+    for e in report.entries:
+        total = e.violations + int(reference_counts[e.k, e.j])
+        low, high = binom.interval(0.999, total, 0.5)
+        assert low <= e.violations <= high, (e, int(reference_counts[e.k, e.j]))
+
+
+def _scaled_rows(spec):
+    """One row at scales that spread the violation probabilities over about 1e-4 .. 0.9.
+
+    A small Sigma_x0 keeps each column's bound over the ball close to its
+    probability, so that violated columns are thinned too.
+    """
+    scales = np.array([0.1, 0.2, 0.3, 0.5, 1.0, 2.0, -2.0, -6.0])
+    return replace(spec, h_x=np.outer(scales, spec.h_x[0]),
+                   init=GaussianBelief(mean=spec.init.mean, cov=0.05 * spec.init.cov))
+
+
+@pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
+def test_thinned_counts_share_the_reference_law(monkeypatch, structure):
+    # The thresholds choose between two exact counters for speed; at the
+    # higher one next to drawn columns too, violated columns are thinned.
+    monkeypatch.setattr(validate, "_THIN_BELOW_MIXED", validate._THIN_BELOW)
+    gen = np.random.default_rng(801)
+    _, spec, truth, u = _problem(gen, 2, 1, 3, structure, 2, 100, rows=1)
+    spec = _scaled_rows(spec)
+    n_samples = 50_000
+    report = estimate_violation(truth, u, spec, n_samples, Rng(802))
+    reference = _reference_counts(truth, u, spec, n_samples, Rng(803))
+    rates = reference[1:] / n_samples
+    thinned = {(j, k) for j, k in report.thinned}
+    # The premise: thinned columns that are violated, drawn columns, and
+    # probabilities from about 1e-4 to 0.9.
+    assert any(report.entries[k * spec.n_rows + j].violations for j, k in thinned)
+    assert len(thinned) < spec.horizon * spec.n_rows
+    assert rates.max() > 0.5 and 0.0 < rates[rates > 0].min() < 1e-3
+    _assert_same_law(report, reference)
+
+
+@pytest.mark.parametrize("noise_only", [True, False])
+def test_outside_ball_and_drawn_columns(monkeypatch, noise_only):
+    # With half of the x0 draws outside the ball, the exact per-sample path
+    # carries half the samples of every thinned column; a row whose mean
+    # reaches 1 on the ball has p_bar = 1 and is drawn as normals.
+    monkeypatch.setattr(validate, "_BALL_TAIL", 0.5)
+    gen = np.random.default_rng(811)
+    sys_, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100, rows=1)
+    base = _exact_predictors(sys_, spec.horizon) if noise_only else truth
+    lin, _ = _conditional_maps(base, u, replace(spec, h_x=np.eye(2)))
+    state_mean = (np.append(spec.init.mean, 1.0) @ lin)[:2]  # E[x_1 | x0 = mean]
+    i = np.argmax(np.abs(state_mean))
+    # Row 0 has mean 1.2 at k = 1 and x0 = mean.
+    spec = replace(spec, h_x=np.vstack([1.2 * np.eye(2)[i] / state_mean[i],
+                                        0.1 * spec.h_x[0], 0.3 * spec.h_x[0]]))
+    lin, quad = _conditional_maps(base, u, spec)
+    radius = math.sqrt(chi2_quantile(spec.n, 0.5))
+    p_bar = _violation_bounds(lin, _variance_forms(quad, spec.n + 1), spec.init.mean,
+                              spec.init.factor, radius)
+    assert p_bar[0] == 1.0                                  # row 0 at k = 1
+    n_samples = 20_000
+    report = estimate_violation(sys_ if noise_only else truth, u, spec, n_samples, Rng(812))
+    # Row 0 is drawn, so the other columns are thinned below the lower threshold.
+    low = np.flatnonzero(p_bar < validate._THIN_BELOW_MIXED)
+    thinned = [(c % spec.n_rows, c // spec.n_rows + 1) for c in low]
+    assert (0, 1) not in report.thinned and list(report.thinned) == thinned and thinned
+    # About half the samples of each thinned (row, step) are outside the ball.
+    assert report.exact_evaluations >= 0.4 * n_samples * len(thinned)
+    if noise_only:
+        exact = exact_violation(sys_, u, spec)
+        _assert_in_band(report, {(e.j, e.k): e.rate for e in exact.entries})
+    else:
+        _assert_same_law(report, _reference_counts(truth, u, spec, n_samples, Rng(813)))
+
+
+def test_exact_evaluations_reported_for_any_worker_count():
+    gen = np.random.default_rng(821)
+    sys_, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100, rows=1)
+    spec = _scaled_rows(spec)
+    reports = []
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            reports.append(estimate_violation(truth, u, spec, 3 * 4096 + 17, Rng(822)))
+    assert len({(r.exact_evaluations, r.thinned) for r in reports}) == 1
+    assert reports[0].exact_evaluations > 0 and reports[0].thinned
+    doc = violation_report_to_json(reports[0])
+    assert doc["exact_evaluations"] == reports[0].exact_evaluations
+    assert doc["thinned"] == [list(pair) for pair in reports[0].thinned]
+    assert "exact_evaluations" not in violation_report_to_json(exact_violation(sys_, u, spec))
 
 
 # ---------------------------------------------------------------------------
