@@ -528,7 +528,7 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
             # The worker count depends on the machine, so it goes only here.
             timings["validate_sampler"] = {
                 "parametric_s": mid - start, "true_system_s": time.perf_counter() - mid,
-                "workers": validate._workers(cfg.validation.n_samples),
+                "workers": rep_par.workers,
             }
             rows = validate.certification_rows(table, estimates, spec, u, rep_par)
             return rep_par, rep_true, rows

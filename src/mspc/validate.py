@@ -10,17 +10,19 @@ Both read one law of multi-step predictors: given x0, row j at step k is
 Gaussian with mean z' g and variance z' M z + s_jk^2, where (g, M) are the
 :meth:`ParameterEstimate.row_moments` and s_jk^2 = H_j' Gw_k (I kron
 Sigma_w) Gw_k' H_j is the noise term, so it is violated with probability
-p_jk(x0) = Q((1 - mean) / sd).  Each sample draws x0 and no w.  A (row,
-step) whose p_jk is small on a ball that holds almost every x0 draw is
-counted by thinning: only candidates drawn at a certified bound of p_jk,
-and the draws outside the ball, cost a probability; the other (row, step)
-pairs draw one standard normal per sample.  Either way each count has its
-exact binomial law, and the exact Clopper-Pearson upper bounds turn the
-counts into one-sided certificates.  Those bounds are beta quantiles,
-computed as ``scipy.special.betaincinv``.  Sampling runs in fixed-size
-batches, each with its own stream derived from the master seed; batches
-run concurrently on the usable CPUs; their integer counts are summed, so
-reports are byte-identical for any worker count.
+p_jk(x0) = Q((1 - mean) / sd); at step 0 the row is h_j' x0 itself.  No
+sample draws w.  A (row, step) whose p_jk is small on a ball that holds
+almost every x0 draw is counted by thinning: only candidates drawn at a
+certified bound of p_jk, and the draws outside the ball, cost a
+probability; the other (row, step) pairs draw one standard normal per
+sample.  When every pair is thinned, only the samples that some pair can
+count draw an x0 at all.  Either way each count has its exact binomial
+law, and the exact Clopper-Pearson upper bounds turn the counts into
+one-sided certificates.  Those bounds are beta quantiles, computed as
+``scipy.special.betaincinv``.  Sampling runs in batches of a fixed
+expected number of x0 draws, each with its own stream derived from the
+master seed; batches run concurrently on the usable CPUs; their integer
+counts are summed, so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -89,10 +91,13 @@ class ViolationReport:
     n_samples: int
     entries: "list[ViolationEntry]"
     # How a sampled report was counted, not what it found, so reports compare
-    # by their entries: the (sample, row, step) probabilities computed, and
-    # the (row, step) pairs counted by thinning rather than by normal draws.
+    # by their entries: the (sample, row, step) probabilities computed, the
+    # x0 draws, the (row, step) pairs counted by thinning rather than by
+    # normal draws, and the worker threads (which depend on the machine).
     exact_evaluations: int = field(default=0, compare=False)
+    x0_draws: int = field(default=0, compare=False)
     thinned: "tuple[tuple[int, int], ...]" = field(default=(), compare=False)
+    workers: int = field(default=0, compare=False)
 
     @property
     def worst_upper99(self) -> float:
@@ -117,17 +122,19 @@ def _batch_generator(rng: Rng, batch: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def _batch_sizes(n_samples: int) -> "list[int]":
-    sizes = [_BATCH] * (n_samples // _BATCH)
-    if n_samples % _BATCH:
-        sizes.append(n_samples % _BATCH)
+def _batch_sizes(n_samples: int, draw_rate: float) -> "list[int]":
+    """Batches of ``_BATCH`` expected x0 draws, at ``draw_rate`` draws per sample."""
+    batch = n_samples if n_samples * draw_rate <= _BATCH else math.ceil(_BATCH / draw_rate)
+    sizes = [batch] * (n_samples // batch)
+    if n_samples % batch:
+        sizes.append(n_samples % batch)
     return sizes
 
 
-def _workers(n_samples: int) -> int:
-    """Threads for the batches of ``n_samples``: one per usable CPU, at most one per batch."""
+def _workers(n_batches: int) -> int:
+    """Threads for ``n_batches`` batches: one per usable CPU, at most one per batch."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(len(_batch_sizes(n_samples)), cpus or 1)
+    return min(n_batches, cpus or 1)
 
 
 def estimate_violation(
@@ -142,11 +149,13 @@ def estimate_violation(
     ``truth`` selects the sampling mode: a :class:`LinearSystem` propagates
     noise through the fixed system (its exact predictors with zero parameter
     covariance); a :class:`SampledParameterTruth` adds the Gaussian
-    parametric term of the estimate.  Either way each sample draws x0 and,
-    given x0, one Bernoulli(p_jk(x0)) indicator per (row, step), by thinning
-    or by a normal draw (:func:`_make_counter`); no w is drawn.  The report
-    also says how: ``exact_evaluations`` counts the (sample, row, step)
-    probabilities computed and ``thinned`` lists the thinned (row, step).
+    parametric term of the estimate.  Either way, given its x0, each sample
+    has one Bernoulli(p_jk(x0)) indicator per (row, step), by thinning or by
+    a normal draw (:func:`_make_counter`); no w is drawn, and where every
+    (row, step) is thinned only the samples that one can count draw x0.
+    The report also says how: ``exact_evaluations`` counts the (sample, row,
+    step) probabilities computed, ``x0_draws`` the x0 drawn, ``thinned``
+    lists the thinned (row, step) and ``workers`` the threads used.
     """
     if n_samples < 1000:
         raise DimensionMismatch("certification needs at least 1000 samples")
@@ -165,10 +174,12 @@ def estimate_violation(
     # counter calls no public mspc function, so a tracer that wraps those
     # sees every call on the calling thread.
     count_batch = _make_counter(truth, u, spec)
-    sizes = _batch_sizes(n_samples)
-    with ThreadPoolExecutor(_workers(n_samples)) as pool:
-        counts = sum(pool.map(lambda b, size: count_batch(_batch_generator(rng, b), size),
-                              range(len(sizes)), sizes))
+    sizes = _batch_sizes(n_samples, count_batch.draw_rate)
+    workers = _workers(len(sizes))
+    with ThreadPoolExecutor(workers) as pool:
+        parts = pool.map(lambda b, size: count_batch(_batch_generator(rng, b), size),
+                         range(len(sizes)), sizes)
+        counts, evaluated, draws = (sum(part) for part in zip(*parts))
 
     entries = []
     for k in range(0, n_u + 1):
@@ -184,26 +195,26 @@ def estimate_violation(
                     upper99=clopper_pearson_upper(c, n_samples),
                 )
             )
-    # The counts' last row holds the probabilities computed, per constraint row.
     return ViolationReport(mode=mode, n_samples=n_samples, entries=entries,
-                           exact_evaluations=int(counts[-1].sum()), thinned=count_batch.thinned)
+                           exact_evaluations=int(evaluated), x0_draws=int(draws),
+                           thinned=count_batch.thinned, workers=workers)
 
 
 def exact_violation(sys: LinearSystem, u: np.ndarray, spec: OcpSpec) -> ViolationReport:
     """Exact per-(row, step) violation probabilities of H_j' x_k <= 1 on the true system.
 
     H_j' x_k is affine in the Gaussian x0 and w, so p_jk = Q((1 - mean) / sd)
-    with the mean and variance of the maps the sampler draws from, plus the
-    variance of x0 through ``spec.init.factor``.  A zero sd (a deterministic
-    row) gives p_jk = [mean > 1], the sampler's strict inequality.  Entries
-    carry ``samples = violations = 0`` and ``rate = upper99 = p_jk``.
+    with the mean and variance of the maps the sampler draws from (step 0
+    included), plus the variance of x0 through ``spec.init.factor``.  A zero
+    sd (a deterministic row) gives p_jk = [mean > 1], the sampler's strict
+    inequality.  Entries carry ``samples = violations = 0`` and ``rate =
+    upper99 = p_jk``.
     """
     u = _horizon_inputs(u, spec)
     lin, quad = _conditional_maps(_exact_predictors(sys, spec.horizon), u, spec)
     x0_bar, factor, n = spec.init.mean, spec.init.factor, spec.n
-    mean = np.concatenate([spec.h_x @ x0_bar, x0_bar @ lin[:n] + lin[n]])
-    var = np.concatenate([np.sum((spec.h_x @ factor) ** 2, axis=1),
-                          np.sum((lin[:n].T @ factor) ** 2, axis=1) + quad[-1]])
+    mean = x0_bar @ lin[:n] + lin[n]
+    var = np.sum((lin[:n].T @ factor) ** 2, axis=1) + quad[-1]
     p = _upper_tail(mean, np.sqrt(var)).reshape(spec.horizon + 1, spec.n_rows)
     entries = [ViolationEntry(j=j, k=k, samples=0, violations=0,
                               rate=float(p[k, j]), upper99=float(p[k, j]))
@@ -242,21 +253,23 @@ def _conditional_maps(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec
     symmetric in x~ kron x~, so p holds only its products x~_a x~_b with
     a <= b (``np.triu_indices(n + 1)``, the constant 1 last), and quad the
     matching entries with off-diagonals doubled.  Columns run over steps
-    k = 1..horizon, and over rows within a step.
+    k = 0..horizon, and over rows within a step; step 0 is the row h_j' x0,
+    with lin = [h_j; 0] and zero variance.
     """
     n, m, rows = spec.n, spec.m, spec.n_rows
     w_factor = psd_sqrt_factor(truth.sigma_w)
-    lin = np.zeros((n + 1, spec.horizon, rows))
-    quad = np.zeros((n + 1, n + 1, spec.horizon, rows))
+    lin = np.zeros((n + 1, spec.horizon + 1, rows))
+    quad = np.zeros((n + 1, n + 1, spec.horizon + 1, rows))
+    lin[:n, 0] = spec.h_x.T
     for k in range(1, spec.horizon + 1):
         g, m_mats = truth.estimates[k - 1].row_moments(spec.h_x)
         uk = u[: k * m]
         nx = g.shape[0] - uk.size          # n for full structure, 0 for FIR
         h_gw = (spec.h_x @ truth.gw[k - 1]).reshape(rows, k, w_factor.shape[0]) @ w_factor
-        lin[:nx, k - 1], lin[n, k - 1] = g[:nx], uk @ g[nx:]
-        quad[:nx, :nx, k - 1] = m_mats[:, :nx, :nx].transpose(1, 2, 0)
-        quad[:nx, n, k - 1] = quad[n, :nx, k - 1] = (m_mats[:, :nx, nx:] @ uk).T
-        quad[n, n, k - 1] = m_mats[:, nx:, nx:] @ uk @ uk + np.sum(h_gw**2, axis=(1, 2))
+        lin[:nx, k], lin[n, k] = g[:nx], uk @ g[nx:]
+        quad[:nx, :nx, k] = m_mats[:, :nx, :nx].transpose(1, 2, 0)
+        quad[:nx, n, k] = quad[n, :nx, k] = (m_mats[:, :nx, nx:] @ uk).T
+        quad[n, n, k] = m_mats[:, nx:, nx:] @ uk @ uk + np.sum(h_gw**2, axis=(1, 2))
     iu, ju = np.triu_indices(n + 1)
     quad = quad[iu, ju] * (2.0 - (iu == ju))[:, None, None]
     return lin.reshape(n + 1, -1), quad.reshape(iu.size, -1)
@@ -338,74 +351,123 @@ def _violation_bounds(lin: np.ndarray, gram: np.ndarray, mean: np.ndarray,
     return np.where(mean_bar >= 1.0, 1.0, _upper_tail(mean_bar, sd_bar))
 
 
-def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
-    """Per-batch counter of H_j' x_k > 1 over all rows j and steps k.
+def _outside_draws(gen: np.random.Generator, count: int, r: int, tail: float) -> np.ndarray:
+    """``count`` standard normal z in R^r conditioned on ||z||^2 > chi2_r(1 - tail).
 
-    Each sample draws x0 first (z0, whitened).  Given x0, column c = (step,
-    row) is violated with probability p_c(x0) = Q((1 - mean) / sd), the law
-    of :func:`_conditional_maps`; no w is drawn and no step is looped over.
+    ``tail`` is that event's exact probability, P(chi2_r > radius^2): a
+    uniform direction times the radius whose chi-squared tail is uniform on
+    (0, tail].
+    """
+    direction = gen.standard_normal((count, r))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    squared = 2.0 * special.gammainccinv(r / 2.0, (1.0 - gen.random(count)) * tail)
+    return direction * np.sqrt(squared)[:, None]
+
+
+def _inside_draws(gen: np.random.Generator, count: int, r: int, radius: float) -> np.ndarray:
+    """``count`` standard normal z in R^r conditioned on ||z|| <= radius, by rejection."""
+    z = np.empty((0, r))
+    while z.shape[0] < count:
+        more = gen.standard_normal((count - z.shape[0], r))
+        z = np.concatenate([z, more[np.einsum("ij,ij->i", more, more) <= radius**2]])
+    return z
+
+
+def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
+    """Per-batch counter of H_j' x_k > 1 over all rows j and steps k = 0..horizon.
+
+    Given x0 = mean + factor z0, column c = (step, row) is violated with
+    probability p_c(x0) = Q((1 - mean) / sd), the law of
+    :func:`_conditional_maps`; no w is drawn and no step is looped over.
     Columns whose bound p_c_bar (:func:`_violation_bounds`, over the ball
     ||z0||^2 <= chi2_r(1 - _BALL_TAIL)) reaches ``_THIN_BELOW`` (or, when
     some column does, ``_THIN_BELOW_MIXED``) draw one normal per sample, as
-    mean + sd * z > 1.  The other columns are thinned
-    (Lewis & Shedler 1979; Devroye 1986, ch. II.3): Binomial(inside,
-    p_c_bar) candidates, uniform without replacement among the samples
-    inside the ball, each kept when U p_c_bar < p_c(x0); every sample
-    outside the ball is kept when U < p_c(x0).  Given x0 every indicator is
-    an independent Bernoulli(p_c(x0)), so every count keeps its exact
-    binomial law, while only candidates and outside samples cost a
-    probability.  The batch's counts are rows k = 0..horizon; one more row
-    counts, per constraint row, the (sample, step) pairs whose probability
-    was computed.  The returned function carries ``thinned``, the (row,
-    step) pairs it thins.
+    mean + sd * z > 1; a column without variance whose bound is 1 counts
+    mean > 1.  Either way every sample then draws its z0 first.  The other
+    columns are thinned (Lewis & Shedler 1979; Devroye 1986, ch. II.3):
+    every sample outside the ball is kept when U < p_c(x0), and of the
+    samples inside it Binomial(inside, p_c_bar) candidates, uniform without
+    replacement, are kept when U p_c_bar < p_c(x0).
+
+    When every column is thinned, only those samples draw a z0:
+    Binomial(size, S) outside the ball (S its exact tail), and inside it a
+    pool of Binomial(size - outside, p*) at the largest bound p*, from
+    which column c takes Binomial(pool, p_c_bar / p*) candidates.  A sample
+    inside the ball is thus still a candidate of c with probability
+    p_c_bar.  Either way every indicator is a Bernoulli(p_c(x0)) of an x0
+    drawn from its law, so every count keeps its exact binomial law, while
+    only candidates and outside samples cost a probability.
+
+    The batch returns its counts (rows k = 0..horizon), the (sample, row,
+    step) probabilities it computed and its x0 draws.  The returned
+    function carries ``thinned``, the (row, step) pairs it thins, and
+    ``draw_rate``, the expected x0 draws per sample.
     """
     lin, quad = _conditional_maps(truth, u, spec)
     mean, factor, rows = spec.init.mean, spec.init.factor, spec.n_rows
     r = factor.shape[1]
     radius = math.sqrt(chi2_quantile(r, 1.0 - _BALL_TAIL)) if r else 0.0
+    tail = float(special.gammaincc(r / 2.0, radius**2 / 2.0)) if r else 0.0
     gram = _variance_forms(quad, lin.shape[0])
     p_bar = _violation_bounds(lin, gram, mean, factor, radius)
-    below = _THIN_BELOW if np.all(p_bar < _THIN_BELOW) else _THIN_BELOW_MIXED
-    thin, drawn = np.flatnonzero(p_bar < below), np.flatnonzero(p_bar >= below)
-    lin_d, quad_d = lin[:, drawn], quad[:, drawn]
+    # A column without variance (step 0) is [x~' lin > 1] given x0; where its
+    # bound is 1 it is counted on every sample, with no normal draw.
+    fixed = ~np.any(quad, axis=0) & (p_bar == 1.0)
+    below = _THIN_BELOW if np.all(p_bar[~fixed] < _THIN_BELOW) else _THIN_BELOW_MIXED
+    thin, drawn = np.flatnonzero(p_bar < below), np.flatnonzero(~fixed & (p_bar >= below))
+    fixed = np.flatnonzero(fixed)
+    lin_f, lin_d, quad_d = lin[:, fixed], lin[:, drawn], quad[:, drawn]
     lin_t, gram_t, p_t = lin[:, thin], gram[thin], p_bar[thin]
+    every = bool(fixed.size or drawn.size)      # every sample draws x0
+    p_star = 1.0 if every else float(p_t.max())
+    # A sample of the pool is a candidate of thinned column c with this probability.
+    pick_rate = p_t / p_star if p_star > 0.0 else p_t
 
-    def count(gen: np.random.Generator, size: int) -> np.ndarray:
-        z0 = gen.standard_normal((size, r))
-        x_aug = np.empty((size, mean.size + 1))
+    def augmented(z0: np.ndarray) -> np.ndarray:
+        """x~ = [x0; 1] per row of ``z0``."""
+        x_aug = np.empty((z0.shape[0], mean.size + 1))
         x_aug[:, -1] = 1.0
-        x0 = np.add(mean, z0 @ factor.T, out=x_aug[:, :-1])
+        np.add(mean, z0 @ factor.T, out=x_aug[:, :-1])
+        return x_aug
+
+    def count(gen: np.random.Generator, size: int):
         hits = np.zeros(lin.shape[1], dtype=np.int64)
-        evaluated = np.zeros(lin.shape[1], dtype=np.int64)
-        if drawn.size:
-            value = gen.standard_normal((size, drawn.size))
-            value *= _conditional_sd(x_aug, quad_d)
-            value += x_aug @ lin_d
-            hits[drawn] = np.count_nonzero(value > 1.0, axis=0)
-        if thin.size:
+        if every:
+            z0 = gen.standard_normal((size, r))
+            x_aug = augmented(z0)
+            hits[fixed] = np.count_nonzero(x_aug @ lin_f > 1.0, axis=0)
+            if drawn.size:
+                value = gen.standard_normal((size, drawn.size))
+                value *= _conditional_sd(x_aug, quad_d)
+                value += x_aug @ lin_d
+                hits[drawn] = np.count_nonzero(value > 1.0, axis=0)
             outside = np.einsum("ij,ij->i", z0, z0) > radius**2
-            picks = gen.binomial(size - np.count_nonzero(outside), p_t)
-            x_out = x_aug[outside]
+            x_out, x_pool = x_aug[outside], x_aug[~outside]
+            draws = size
+        else:
+            n_out = gen.binomial(size, tail)
+            x_out = augmented(_outside_draws(gen, n_out, r, tail))
+            x_pool = augmented(_inside_draws(gen, gen.binomial(size - n_out, p_star), r, radius))
+            draws = x_out.shape[0] + x_pool.shape[0]
+        evaluated = 0
+        if thin.size:
+            picks = gen.binomial(x_pool.shape[0], pick_rate)
             var = np.einsum("ia,cab,ib->ic", x_out, gram_t, x_out)
             p_out = _upper_tail(x_out @ lin_t, np.sqrt(np.maximum(var, 0.0)))
             hits[thin] = np.count_nonzero(gen.random(p_out.shape) < p_out, axis=0)
-            evaluated[thin] = picks + x_out.shape[0]
+            evaluated = int(picks.sum()) + p_out.size
             if picks.any():
-                inside = np.flatnonzero(~outside)
                 cols = np.repeat(np.arange(thin.size), picks)
-                samples = np.concatenate([inside[gen.choice(inside.size, c, replace=False)]
+                samples = np.concatenate([gen.choice(x_pool.shape[0], c, replace=False)
                                           for c in picks[picks > 0]])
                 # A candidate is kept with probability p / p_bar.
                 kept = gen.random(cols.size) * p_t[cols] < _paired_tail(
-                    x_aug[samples], lin_t[:, cols], gram_t[cols])
+                    x_pool[samples], lin_t[:, cols], gram_t[cols])
                 hits[thin] += np.bincount(cols[kept], minlength=thin.size)
-        return np.vstack([
-            np.count_nonzero(spec.h_x @ x0.T > 1.0, axis=1),
-            hits.reshape(spec.horizon, rows),
-            evaluated.reshape(spec.horizon, rows).sum(axis=0),
-        ])
+        return hits.reshape(spec.horizon + 1, rows), evaluated, draws
 
-    count.thinned = tuple((int(c % rows), int(c // rows) + 1) for c in thin)
+    count.thinned = tuple((int(c % rows), int(c // rows)) for c in thin)
+    count.draw_rate = 1.0 if every else tail + (1.0 - tail) * p_star
     return count
 
 
@@ -601,6 +663,7 @@ def violation_report_to_json(report: ViolationReport) -> dict:
     }
     if report.mode != "exact":
         doc["exact_evaluations"] = report.exact_evaluations
+        doc["x0_draws"] = report.x0_draws
         doc["thinned"] = [list(pair) for pair in report.thinned]
     doc["entries"] = [asdict(e) for e in report.entries]
     return doc

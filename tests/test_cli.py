@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -249,11 +250,12 @@ def test_pipeline_byte_identical_reruns(tmp_path):
 
 def test_pipeline_byte_identical_for_any_worker_count(tmp_path, monkeypatch):
     # The Monte Carlo batches run on a pool sized by the usable CPUs; the
-    # scalar demo's outputs must not depend on that size.
+    # scalar demo's outputs must not depend on that size.  Its sampler runs
+    # more batches than three, so it uses one worker per CPU.
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "scalar.json")
     outputs = []
     for workers in (1, 3):
-        monkeypatch.setattr(validate, "_workers", lambda n_samples, w=workers: w)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
         out_dir = tmp_path / f"workers_{workers}"
         report, _ = cmd_pipeline(cfg, out_dir)
         assert report["passed"]

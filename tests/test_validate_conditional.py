@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 from scipy.stats import binom
 from scipy.stats import norm as normal_dist
 
@@ -106,14 +107,17 @@ def test_conditional_maps_match_row_moments_reference(
     _, spec, truth, u = _problem(gen, n, m, horizon, structure, min(x0_rank, n), theta_rank)
     lin, quad = _conditional_maps(truth, u, spec)
     iu, ju = np.triu_indices(n + 1)
-    assert lin.shape == (n + 1, horizon * spec.n_rows)
-    assert quad.shape == (iu.size, horizon * spec.n_rows)
+    assert lin.shape == (n + 1, (horizon + 1) * spec.n_rows)
+    assert quad.shape == (iu.size, (horizon + 1) * spec.n_rows)
     x0s = spec.init.mean + gen.standard_normal((5, n)) @ np.linalg.cholesky(
         spec.init.cov + np.eye(n))
     for x0 in x0s:
         x_aug = np.append(x0, 1.0)
-        mean = (x_aug @ lin).reshape(horizon, -1)
-        var = ((x_aug[iu] * x_aug[ju]) @ quad).reshape(horizon, -1)
+        mean = (x_aug @ lin).reshape(horizon + 1, -1)
+        var = ((x_aug[iu] * x_aug[ju]) @ quad).reshape(horizon + 1, -1)
+        # Step 0 is the row h_j' x0 itself, with no variance.
+        assert np.all(np.abs(mean[0] - spec.h_x @ x0) <= 1e-12 * (np.abs(spec.h_x) @ np.abs(x0)))
+        assert not np.any(var[0])
         for k in range(1, horizon + 1):
             est = truth.estimates[k - 1]
             z = est.regressor(x0, u[: k * m])
@@ -125,8 +129,8 @@ def test_conditional_maps_match_row_moments_reference(
                 # Tolerances relative to the size of the summed terms.
                 mean_scale = float(np.abs(z) @ np.abs(g[:, j]))
                 var_scale = float(np.abs(z) @ np.abs(m_mats[j]) @ np.abs(z)) + s2
-                assert abs(mean[k - 1, j] - mean_ref) <= 1e-12 * mean_scale
-                assert abs(var[k - 1, j] - var_ref) <= 1e-12 * var_scale
+                assert abs(mean[k, j] - mean_ref) <= 1e-12 * mean_scale
+                assert abs(var[k, j] - var_ref) <= 1e-12 * var_scale
     if theta_rank == 0 or structure == STRUCTURE_FIR:
         # No variance depends on x0, so the counter takes its constant-sd
         # path: only the last product (the constant 1) carries variance, and
@@ -325,8 +329,8 @@ def _sequential_report(truth, u, spec, n_samples, rng):
     noise_only = not isinstance(truth, SampledParameterTruth)
     count = _make_counter(_exact_predictors(truth, spec.horizon) if noise_only else truth,
                           u[: spec.horizon * spec.m], spec)
-    counts = sum(count(_batch_generator(rng, b), size)
-                 for b, size in enumerate(_batch_sizes(n_samples)))
+    counts = sum(count(_batch_generator(rng, b), size)[0]
+                 for b, size in enumerate(_batch_sizes(n_samples, count.draw_rate)))
     entries = [
         ViolationEntry(j=j, k=k, samples=n_samples, violations=int(counts[k, j]),
                        rate=int(counts[k, j]) / n_samples,
@@ -341,8 +345,8 @@ def _sequential_report(truth, u, spec, n_samples, rng):
     n=st.integers(1, 3),
     noise_only=st.booleans(),
     structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
-    # 5000 is two batches, fewer than three or five workers; the others end
-    # in a remainder batch or fill every batch.
+    # At one x0 draw per sample, 5000 is two batches, fewer than three or
+    # five workers; the others end in a remainder batch or fill every batch.
     n_samples=st.sampled_from([1000, 5000, 3 * 4096, 3 * 4096 + 17]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -452,8 +456,11 @@ def test_violation_bounds_hold_on_the_ball(n, m, horizon, structure, x0_rank, th
 
 
 def _reference_counter(truth, u, spec):
-    """The counter before thinning, verbatim: one normal per (sample, row, step)."""
-    lin, quad = _conditional_maps(truth, u, spec)
+    """The counter before thinning, verbatim: one normal per (sample, row, step).
+
+    It counts step 0 from x0 directly, so it reads the maps' steps 1..horizon.
+    """
+    lin, quad = (a[:, spec.n_rows:] for a in _conditional_maps(truth, u, spec))
     const_sd = None if np.any(quad[:-1]) else np.sqrt(quad[-1])
     x0_factor = spec.init.factor
 
@@ -473,7 +480,7 @@ def _reference_counter(truth, u, spec):
 def _reference_counts(truth, u, spec, n_samples, rng):
     count = _reference_counter(truth, u, spec)
     return sum(count(_batch_generator(rng, b), size)
-               for b, size in enumerate(_batch_sizes(n_samples)))
+               for b, size in enumerate(_batch_sizes(n_samples, 1.0)))
 
 
 def _assert_same_law(report, reference_counts):
@@ -535,12 +542,12 @@ def test_outside_ball_and_drawn_columns(monkeypatch, noise_only):
     radius = math.sqrt(chi2_quantile(spec.n, 0.5))
     p_bar = _violation_bounds(lin, _variance_forms(quad, spec.n + 1), spec.init.mean,
                               spec.init.factor, radius)
-    assert p_bar[0] == 1.0                                  # row 0 at k = 1
+    assert p_bar[spec.n_rows] == 1.0                        # row 0 at k = 1
     n_samples = 20_000
     report = estimate_violation(sys_ if noise_only else truth, u, spec, n_samples, Rng(812))
     # Row 0 is drawn, so the other columns are thinned below the lower threshold.
     low = np.flatnonzero(p_bar < validate._THIN_BELOW_MIXED)
-    thinned = [(c % spec.n_rows, c // spec.n_rows + 1) for c in low]
+    thinned = [(c % spec.n_rows, c // spec.n_rows) for c in low]
     assert (0, 1) not in report.thinned and list(report.thinned) == thinned and thinned
     # About half the samples of each thinned (row, step) are outside the ball.
     assert report.exact_evaluations >= 0.4 * n_samples * len(thinned)
@@ -560,12 +567,99 @@ def test_exact_evaluations_reported_for_any_worker_count():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
             reports.append(estimate_violation(truth, u, spec, 3 * 4096 + 17, Rng(822)))
-    assert len({(r.exact_evaluations, r.thinned) for r in reports}) == 1
+    assert len({(r.exact_evaluations, r.x0_draws, r.thinned) for r in reports}) == 1
     assert reports[0].exact_evaluations > 0 and reports[0].thinned
+    # Four batches, so as many workers as CPUs.
+    assert [r.workers for r in reports] == [1, 2, 3]
     doc = violation_report_to_json(reports[0])
     assert doc["exact_evaluations"] == reports[0].exact_evaluations
+    assert doc["x0_draws"] == reports[0].x0_draws
     assert doc["thinned"] == [list(pair) for pair in reports[0].thinned]
-    assert "exact_evaluations" not in violation_report_to_json(exact_violation(sys_, u, spec))
+    assert "workers" not in doc
+    exact_doc = violation_report_to_json(exact_violation(sys_, u, spec))
+    assert "exact_evaluations" not in exact_doc and "x0_draws" not in exact_doc
+
+
+# ---------------------------------------------------------------------------
+# Only the samples that some (row, step) can count draw x0
+# ---------------------------------------------------------------------------
+
+
+def _four_state_like(scale):
+    """Four states, two inputs, horizon 6 and two rows on single states, as in four_state."""
+    gen = np.random.default_rng(841)
+    _, spec, truth, u = _problem(gen, 4, 2, 6, STRUCTURE_FULL, 4, 100)
+    return replace(spec, h_x=scale * np.eye(4)[[0, 2]]), truth, u
+
+
+def test_x0_draws_only_where_counted():
+    n_samples = 200_000
+    spec, truth, u = _four_state_like(0.1)
+    count = _make_counter(truth, u, spec)
+    q = count.draw_rate
+    # The premise: every (row, step) thinned, step 0 included, and a pool.
+    assert len(count.thinned) == (spec.horizon + 1) * spec.n_rows
+    assert 1e-3 < q < 1e-2
+    report = estimate_violation(truth, u, spec, n_samples, Rng(842))
+    # x0_draws ~ Binomial(N, q): each sample is outside the ball or in the pool.
+    assert abs(report.x0_draws - n_samples * q) <= 6.0 * math.sqrt(n_samples * q)
+    # With some (row, step) drawn, every sample draws x0.
+    spec, truth, u = _four_state_like(0.2)
+    assert _make_counter(truth, u, spec).draw_rate == 1.0
+    report = estimate_violation(truth, u, spec, n_samples, Rng(843))
+    assert report.x0_draws == n_samples
+
+
+def _dkw_band(samples, cdf, alpha=1e-3):
+    """The largest distance of the empirical CDF of ``samples`` from ``cdf``, and its DKW bound."""
+    x = np.sort(samples)
+    n = x.size
+    f = cdf(x)
+    gap = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+    return gap, math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_outside_and_pool_draws_follow_the_truncated_law(r):
+    # Outside the ball ||z||^2 follows chi2_r conditioned on > radius^2, and
+    # its direction is uniform: u_1^2 ~ Beta(1/2, (r - 1)/2).  A pool draw
+    # follows chi2_r conditioned on <= radius^2.
+    gen = np.random.default_rng(850 + r)
+    radius = math.sqrt(chi2_quantile(r, 1.0 - 1e-3))
+    tail = float(special.gammaincc(r / 2.0, radius**2 / 2.0))
+    outside = validate._outside_draws(gen, 20_000, r, tail)
+    squared = np.einsum("ij,ij->i", outside, outside)
+    assert outside.shape == (20_000, r) and np.all(squared > radius**2)
+    gap, band = _dkw_band(squared, lambda x: 1.0 - special.gammaincc(r / 2.0, x / 2.0) / tail)
+    assert gap <= band, (gap, band)
+    if r > 1:
+        gap, band = _dkw_band(outside[:, 0] ** 2 / squared,
+                              lambda x: special.betainc(0.5, (r - 1) / 2.0, x))
+        assert gap <= band, (gap, band)
+    pool = validate._inside_draws(gen, 20_000, r, radius)
+    squared = np.einsum("ij,ij->i", pool, pool)
+    assert pool.shape == (20_000, r) and np.all(squared <= radius**2)
+    gap, band = _dkw_band(squared, lambda x: special.gammainc(r / 2.0, x / 2.0) / (1.0 - tail))
+    assert gap <= band, (gap, band)
+
+
+@pytest.mark.parametrize("structure, scales, tail", [(STRUCTURE_FULL, (0.1, 0.15), 0.9),
+                                                     (STRUCTURE_FIR, (0.2, 0.3), 0.5)])
+def test_pooled_counts_share_the_reference_law(monkeypatch, structure, scales, tail):
+    # On a small ball every column's bound stays below 1/16 while the draws
+    # outside it violate, so the pooled draw (q < 1) counts violated thinned
+    # columns; it must match the verbatim old counter.  A FIR row's law does
+    # not depend on x0, so there half of its hits come from pool candidates.
+    monkeypatch.setattr(validate, "_BALL_TAIL", tail)
+    gen = np.random.default_rng(831)
+    _, spec, truth, u = _problem(gen, 2, 1, 3, structure, 2, 100, rows=1)
+    spec = replace(spec, h_x=np.outer(scales, spec.h_x[0]))
+    n_samples = 50_000
+    report = estimate_violation(truth, u, spec, n_samples, Rng(832))
+    assert report.x0_draws < n_samples
+    assert len(report.thinned) == (spec.horizon + 1) * spec.n_rows
+    assert sum(e.violations > 0 for e in report.entries) >= 3
+    _assert_same_law(report, _reference_counts(truth, u, spec, n_samples, Rng(833)))
 
 
 # ---------------------------------------------------------------------------
