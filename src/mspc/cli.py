@@ -5,20 +5,23 @@ identify, tightening, solve_robust, reference, validate, scenario, sweeps.
 Every subcommand runs a prefix of that list: simulate, identify, solve and
 pipeline stop after simulate, identify, solve_robust and validate; compare
 runs all of it, adding the sampled-scenario baseline and the data-length
-and chance-level sweeps.  Each writes report.json and timings.json.  The
-exit code is 0 when every stage it requested succeeded (with the robust
-solve Optimal, the two nominal parametrizations equivalent and the
-certification holding), 2 when the config or a stage rejected its input (a
-typed ``MspcError``, recorded in report.json), and 1 otherwise.
+and chance-level sweeps.  The validate stage certifies the robust solution
+by the exact violation probabilities of the estimated model, with the true
+system's beside them; nothing in it is sampled.  Each subcommand writes
+report.json and timings.json.  The exit code is 0 when every stage it
+requested succeeded (with the robust solve Optimal, the two nominal
+parametrizations equivalent and the certification holding), 2 when the
+config or a stage rejected its input (a typed ``MspcError``, recorded in
+report.json), and 1 otherwise.
 
 A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, the
-validation budget and the comparison studies; an unreadable file, invalid
-JSON, a missing required key, an unknown key, or a value of the wrong type
-or out of range (a fraction, boolean or string where an integer is
-expected, a boolean or string where a number is expected, a negative seed,
-a count, length or horizon below 1, a ``force_zero_cov`` that is not a
-JSON boolean) is a ``ConfigError``.  An output directory that cannot be
+certification margin and the comparison studies; an unreadable file,
+invalid JSON, a missing required key, an unknown key, or a value of the
+wrong type or out of range (a fraction, boolean or string where an integer
+is expected, a boolean or string where a number is expected, a negative
+seed, a count, length or horizon below 1, a ``force_zero_cov`` that is not
+a JSON boolean) is a ``ConfigError``.  An output directory that cannot be
 created or written also exits 2.
 
 This is the only module that writes files: two-space JSON (``_write_json``)
@@ -64,6 +67,8 @@ class IdentSettings:
 
 @dataclass(frozen=True)
 class ValidationSettings:
+    # Certification is exact, so nothing reads n_samples or master_seed; both
+    # stay parsed and range-checked because existing configs set them.
     n_samples: int
     master_seed: int
     margin: float
@@ -75,7 +80,6 @@ class CompareSettings:
     t_sweep: tuple
     sweep_seeds: int
     p_sweep: tuple
-    sweep_samples: int
 
 
 @dataclass(frozen=True)
@@ -140,11 +144,10 @@ def _check_config_keys(doc: dict) -> None:
     _check_keys(doc.get("validation", {}), "validation", (),
                 ("n_samples", "master_seed", "margin"))
     _check_keys(doc.get("compare", {}), "compare", (),
-                ("n_scenarios", "T_sweep", "sweep_seeds", "p_sweep", "sweep_samples"))
+                ("n_scenarios", "T_sweep", "sweep_seeds", "p_sweep"))
 
 
-def parse_config(doc: dict, seed_override: "int | None" = None,
-                 samples_override: "int | None" = None) -> ExperimentConfig:
+def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentConfig:
     """Validate the raw config document; rejects bad keys and delta <= p immediately."""
     _check_config_keys(doc)
     rnd = doc["system"].get("random", {})
@@ -207,8 +210,7 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         raise DomainError("delta = 1 requires force_zero_cov")
     val_doc = doc.get("validation", {})
     validation = ValidationSettings(
-        n_samples=(_integer(samples_override, "--samples", 1) if samples_override is not None
-                   else _integer(val_doc.get("n_samples", 100_000), "validation.n_samples", 1)),
+        n_samples=_integer(val_doc.get("n_samples", 100_000), "validation.n_samples", 1),
         master_seed=_integer(val_doc.get("master_seed", 0), "validation.master_seed", 0),
         margin=_number(val_doc.get("margin", 0.01), "validation.margin"),
     )
@@ -220,8 +222,6 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
         sweep_seeds=_integer(cmp_doc.get("sweep_seeds", 3), "compare.sweep_seeds", 0),
         p_sweep=tuple(_number(p, "compare.p_sweep")
                       for p in cmp_doc.get("p_sweep", (0.6, 0.75, 0.9))),
-        sweep_samples=_integer(cmp_doc.get("sweep_samples", 20_000),
-                               "compare.sweep_samples", 1),
     )
     seed = seed_override if seed_override is not None else doc.get("master_seed", 0)
     master_seed = _integer(seed, "master_seed", 0)
@@ -237,14 +237,10 @@ def parse_config(doc: dict, seed_override: "int | None" = None,
     )
 
 
-def load_config(path: "str | Path", seed_override=None, samples_override=None) -> ExperimentConfig:
+def load_config(path: "str | Path", seed_override=None) -> ExperimentConfig:
     """Read and parse a config file; an unreadable file, bad JSON or a bad value is a ConfigError."""
     try:
-        return parse_config(
-            json.loads(Path(path).read_text()),
-            seed_override=seed_override,
-            samples_override=samples_override,
-        )
+        return parse_config(json.loads(Path(path).read_text()), seed_override=seed_override)
     except MspcError:
         raise
     except (OSError, TypeError, ValueError) as exc:
@@ -375,10 +371,7 @@ def _violation_vs_p(cfg: ExperimentConfig, sys_true: LinearSystem, estimates, gw
             rows.append({"p": p_val, "status": sol.status, "worst_upper99": None})
             continue
         truth = validate.SampledParameterTruth(estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w)
-        rep = validate.estimate_violation(
-            truth, sol.primal[: spec_p.horizon * spec_p.m], spec_p,
-            cfg.compare.sweep_samples, Rng(cfg.validation.master_seed, 3),
-        )
+        rep = validate.exact_violation(truth, sol.primal[: spec_p.horizon * spec_p.m], spec_p)
         rows.append({
             "p": p_val,
             "status": "Optimal",
@@ -518,17 +511,11 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                 estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w
             )
             start = time.perf_counter()
-            # Validation streams: 0 samples the estimate, 3 the p sweep; 1 is unused.
-            rep_par = validate.estimate_violation(
-                truth, u, spec, cfg.validation.n_samples, Rng(cfg.validation.master_seed, 0)
-            )
+            rep_par = validate.exact_violation(truth, u, spec)
             mid = time.perf_counter()
-            # The true system's law is exact, so its probabilities need no samples.
             rep_true = validate.exact_violation(sys_true, u, spec)
-            # The worker count depends on the machine, so it goes only here.
             timings["validate_sampler"] = {
                 "parametric_s": mid - start, "true_system_s": time.perf_counter() - mid,
-                "workers": rep_par.workers,
             }
             rows = validate.certification_rows(table, estimates, spec, u, rep_par)
             return rep_par, rep_true, rows
@@ -614,12 +601,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override the validation sample count")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, seed_override=args.seed, samples_override=args.samples)
+        cfg = load_config(args.config, seed_override=args.seed)
     except MspcError as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 2

@@ -105,6 +105,7 @@ class ParameterEstimate:
     n: int
     m: int
     projected_rank: "int | None" = None   # set when the residual covariance was singular
+    information_condition: "float | None" = None   # of the information matrix, set by the MLE
 
     @property
     def dof(self) -> int:
@@ -310,6 +311,7 @@ def mle_estimate(reg: RegressionProblem, cov: ResidualCovariance) -> ParameterEs
         n=reg.n,
         m=reg.m,
         projected_rank=rank,
+        information_condition=float(eigvals[-1] / eigvals[0]),
     )
 
 
@@ -454,14 +456,17 @@ def estimate_health(est: ParameterEstimate, delta: float) -> dict:
     """How well one estimate is identified, without its parameters.
 
     ``projected_rank`` is the rank the singular residual covariance was
-    projected to (None when the banded Cholesky ran), ``radius`` the
-    ellipsoid radius at ``delta`` and ``sqrt_trace_cov`` = sqrt(tr cov), the
-    root-mean-square size of the parameter error.
+    projected to (None when the banded Cholesky ran),
+    ``information_condition`` the condition number of the information
+    matrix (None for an estimate not made by :func:`mle_estimate`),
+    ``radius`` the ellipsoid radius at ``delta`` and ``sqrt_trace_cov`` =
+    sqrt(tr cov), the root-mean-square size of the parameter error.
     """
     return {
         "k": est.k,
         "dof": est.dof,
         "projected_rank": est.projected_rank,
+        "information_condition": est.information_condition,
         "radius": est.radius(delta),
         "sqrt_trace_cov": math.sqrt(max(float(np.trace(est.cov)), 0.0)),
     }

@@ -1,41 +1,34 @@
 """Violation probabilities of the chance constraints, and other validation.
 
-Certification reports, per constraint row and horizon step, the probability
-that H_j' x_k > 1.  On the true system it is exact: with x0 and w Gaussian,
-every H_j' x_k is Gaussian too, and :func:`exact_violation` writes its
-probability down.  Only the estimated model needs sampling:
-:func:`estimate_violation` draws the per-step predictors from the estimated
-Gaussians (and, as a reference, can count on the fixed true system).
-Both read one law of multi-step predictors: given x0, row j at step k is
-Gaussian with mean z' g and variance z' M z + s_jk^2, where (g, M) are the
-:meth:`ParameterEstimate.row_moments` and s_jk^2 = H_j' Gw_k (I kron
-Sigma_w) Gw_k' H_j is the noise term, so it is violated with probability
-p_jk(x0) = Q((1 - mean) / sd); at step 0 the row is h_j' x0 itself.  No
-sample draws w.  A (row, step) whose p_jk is small on a ball that holds
-almost every x0 draw is counted by thinning: only candidates drawn at a
-certified bound of p_jk, and the draws outside the ball, cost a
-probability; the other (row, step) pairs draw one standard normal per
-sample.  When every pair is thinned, only the samples that some pair can
-count draw an x0 at all.  Either way each count has its exact binomial
-law, and the exact Clopper-Pearson upper bounds turn the counts into
-one-sided certificates.  Those bounds are beta quantiles, computed as
-``scipy.special.betaincinv``.  Sampling runs in batches of a fixed
-expected number of x0 draws, each with its own stream derived from the
-master seed; batches run concurrently on the usable CPUs; their integer
-counts are summed, so reports are byte-identical for any worker count.
+Certification reports, per constraint row j and horizon step k, the
+probability p_jk that H_j' x_k > 1 together with a bound on its error.
+:func:`exact_violation` computes it from the row's exact law, on the true
+system and on the estimated model alike; nothing is sampled.  Given x0, row
+j at step k is Gaussian with mean z' g and variance z' M z + s_jk^2, where
+(g, M) are the :meth:`ParameterEstimate.row_moments` and s_jk^2 = H_j' Gw_k
+(I kron Sigma_w) Gw_k' H_j is the noise term; the true system is the
+estimate with zero covariance, and at step 0 the row is h_j' x0 itself.
+With x0 = x0_bar + F z Gaussian as well, the row is a quadratic form
+c + b' g + g' A g in a standard normal g = (z, eta), whose A holds only the
+bilinear block B = L' F~ (L L' the variance form in x~ = [x0; 1], F~ =
+[F; 0]).  Where B = 0 (step 0, the true system, zero-covariance and FIR
+estimates) the row is Gaussian and p_jk = Q((1 - mean) / sd) in closed
+form.  Elsewhere p_jk is one 1-D Fourier inversion of the form's
+characteristic function (Gil-Pelaez, Biometrika 1951; Imhof, Biometrika
+1961) by Davies' midpoint series (Biometrika 1973; Appl. Stat. 1980, AS
+155), whose aliasing, truncation and round-off errors are bounded per
+column.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import DimensionMismatch, SingularInformation
+from .errors import DimensionMismatch, DomainError, SingularInformation
 from .ident import (
     ParameterEstimate,
     STRUCTURE_FULL,
@@ -43,7 +36,7 @@ from .ident import (
     state_space_ls,
     true_theta,
 )
-from .linalg import Rng, _ball_max_bounds, chi2_quantile, psd_sqrt_factor
+from .linalg import Rng, psd_sqrt_factor
 from .ocp import (
     OcpSpec,
     TighteningTable,
@@ -52,17 +45,6 @@ from .ocp import (
 )
 from .solver import SolverOptions, solve
 from .system import GaussianBelief, LinearSystem, build_multistep, simulate
-
-_BATCH = 4096
-
-
-def clopper_pearson_upper(violations: int, samples: int, confidence: float = 0.99) -> float:
-    """Exact one-sided upper confidence bound for a binomial proportion."""
-    if samples < 1:
-        raise DimensionMismatch("need at least one sample")
-    if violations >= samples:
-        return 1.0
-    return float(special.betaincinv(violations + 1, samples - violations, confidence))
 
 
 def clopper_pearson_interval(hits: int, samples: int, confidence: float = 0.99):
@@ -87,17 +69,9 @@ class ViolationEntry:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    mode: str                     # "noise_only" | "noise_and_parameters" | "exact"
+    mode: str                     # "exact"
     n_samples: int
     entries: "list[ViolationEntry]"
-    # How a sampled report was counted, not what it found, so reports compare
-    # by their entries: the (sample, row, step) probabilities computed, the
-    # x0 draws, the (row, step) pairs counted by thinning rather than by
-    # normal draws, and the worker threads (which depend on the machine).
-    exact_evaluations: int = field(default=0, compare=False)
-    x0_draws: int = field(default=0, compare=False)
-    thinned: "tuple[tuple[int, int], ...]" = field(default=(), compare=False)
-    workers: int = field(default=0, compare=False)
 
     @property
     def worst_upper99(self) -> float:
@@ -110,114 +84,57 @@ class ViolationReport:
 
 @dataclass(frozen=True)
 class SampledParameterTruth:
-    """Sampling model: per-step predictors drawn from the estimated Gaussians."""
+    """The estimated model: per-step predictors distributed as the estimated Gaussians."""
 
     estimates: "list[ParameterEstimate]"
     gw: "list[np.ndarray]"
     sigma_w: np.ndarray
 
 
-def _batch_generator(rng: Rng, batch: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=rng.master_seed, spawn_key=(rng.stream_index, batch))
-    return np.random.default_rng(seq)
+def exact_violation(truth: "LinearSystem | SampledParameterTruth", u: np.ndarray,
+                    spec: OcpSpec) -> ViolationReport:
+    """Per-(row, step) violation probabilities of H_j' x_k <= 1, steps 0..horizon.
 
-
-def _batch_sizes(n_samples: int, draw_rate: float) -> "list[int]":
-    """Batches of ``_BATCH`` expected x0 draws, at ``draw_rate`` draws per sample."""
-    batch = n_samples if n_samples * draw_rate <= _BATCH else math.ceil(_BATCH / draw_rate)
-    sizes = [batch] * (n_samples // batch)
-    if n_samples % batch:
-        sizes.append(n_samples % batch)
-    return sizes
-
-
-def _workers(n_batches: int) -> int:
-    """Threads for ``n_batches`` batches: one per usable CPU, at most one per batch."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(n_batches, cpus or 1)
-
-
-def estimate_violation(
-    truth: "LinearSystem | SampledParameterTruth",
-    u: np.ndarray,
-    spec: OcpSpec,
-    n_samples: int,
-    rng: Rng,
-) -> ViolationReport:
-    """Empirical per-(row, step) violation rates of H_j' x_k <= 1.
-
-    ``truth`` selects the sampling mode: a :class:`LinearSystem` propagates
-    noise through the fixed system (its exact predictors with zero parameter
-    covariance); a :class:`SampledParameterTruth` adds the Gaussian
-    parametric term of the estimate.  Either way, given its x0, each sample
-    has one Bernoulli(p_jk(x0)) indicator per (row, step), by thinning or by
-    a normal draw (:func:`_make_counter`); no w is drawn, and where every
-    (row, step) is thinned only the samples that one can count draw x0.
-    The report also says how: ``exact_evaluations`` counts the (sample, row,
-    step) probabilities computed, ``x0_draws`` the x0 drawn, ``thinned``
-    lists the thinned (row, step) and ``workers`` the threads used.
+    ``truth`` is the true system (its exact predictors, with zero parameter
+    covariance) or the estimated model.  A column whose bilinear block B_c
+    = L_c' F~ is zero is Gaussian: p = Q((1 - mean) / sd), and a zero sd (a
+    deterministic row) gives p = [mean > 1].  Every other column is
+    inverted by :func:`_quadratic_tail` in the coordinates of one batched
+    SVD of B.  Entries carry ``samples = violations = 0``, ``rate = p`` and
+    ``upper99 = min(1, p + bound)``, the bound being 0 on Gaussian columns.
     """
-    if n_samples < 1000:
-        raise DimensionMismatch("certification needs at least 1000 samples")
     u = _horizon_inputs(u, spec)
-    n_u = spec.horizon
     if isinstance(truth, LinearSystem):
-        mode = "noise_only"
-        truth = _exact_predictors(truth, n_u)
-    else:
-        mode = "noise_and_parameters"
-        if len(truth.estimates) < n_u or len(truth.gw) < n_u:
-            raise DimensionMismatch("need one estimate and Gw per horizon step")
-
-    # The batches' streams are independent and numpy releases the GIL, so
-    # threads overlap the draws; the integer counts sum in any order.  The
-    # counter calls no public mspc function, so a tracer that wraps those
-    # sees every call on the calling thread.
-    count_batch = _make_counter(truth, u, spec)
-    sizes = _batch_sizes(n_samples, count_batch.draw_rate)
-    workers = _workers(len(sizes))
-    with ThreadPoolExecutor(workers) as pool:
-        parts = pool.map(lambda b, size: count_batch(_batch_generator(rng, b), size),
-                         range(len(sizes)), sizes)
-        counts, evaluated, draws = (sum(part) for part in zip(*parts))
-
-    entries = []
-    for k in range(0, n_u + 1):
-        for j in range(spec.n_rows):
-            c = int(counts[k, j])
-            entries.append(
-                ViolationEntry(
-                    j=j,
-                    k=k,
-                    samples=n_samples,
-                    violations=c,
-                    rate=c / n_samples,
-                    upper99=clopper_pearson_upper(c, n_samples),
-                )
-            )
-    return ViolationReport(mode=mode, n_samples=n_samples, entries=entries,
-                           exact_evaluations=int(evaluated), x0_draws=int(draws),
-                           thinned=count_batch.thinned, workers=workers)
-
-
-def exact_violation(sys: LinearSystem, u: np.ndarray, spec: OcpSpec) -> ViolationReport:
-    """Exact per-(row, step) violation probabilities of H_j' x_k <= 1 on the true system.
-
-    H_j' x_k is affine in the Gaussian x0 and w, so p_jk = Q((1 - mean) / sd)
-    with the mean and variance of the maps the sampler draws from (step 0
-    included), plus the variance of x0 through ``spec.init.factor``.  A zero
-    sd (a deterministic row) gives p_jk = [mean > 1], the sampler's strict
-    inequality.  Entries carry ``samples = violations = 0`` and ``rate =
-    upper99 = p_jk``.
-    """
-    u = _horizon_inputs(u, spec)
-    lin, quad = _conditional_maps(_exact_predictors(sys, spec.horizon), u, spec)
+        truth = _exact_predictors(truth, spec.horizon)
+    elif len(truth.estimates) < spec.horizon or len(truth.gw) < spec.horizon:
+        raise DimensionMismatch("need one estimate and Gw per horizon step")
+    lin, quad = _conditional_maps(truth, u, spec)
     x0_bar, factor, n = spec.init.mean, spec.init.factor, spec.n
+    x_bar = np.append(x0_bar, 1.0)
+    x_factor = np.vstack([factor, np.zeros((1, factor.shape[1]))])
+    gram = _variance_forms(quad, n + 1)
     mean = x0_bar @ lin[:n] + lin[n]
-    var = np.sum((lin[:n].T @ factor) ** 2, axis=1) + quad[-1]
-    p = _upper_tail(mean, np.sqrt(var)).reshape(spec.horizon + 1, spec.n_rows)
+    var = np.sum((lin[:n].T @ factor) ** 2, axis=1) + np.einsum("a,cab,b->c", x_bar, gram, x_bar)
+    p = _upper_tail(mean, np.sqrt(var))
+    bound = np.zeros_like(p)
+    bilinear = np.flatnonzero(np.any(gram @ x_factor, axis=(1, 2)))   # G_c F~ = 0 iff B_c = 0
+    if bilinear.size:
+        roots = psd_sqrt_factor(gram[bilinear])                # L_c with L_c L_c' = G_c
+        lin_z = lin[:, bilinear].T @ x_factor                  # F~' lin_c
+        lin_eta = x_bar @ roots                                # L_c' x~_bar
+        left, sigma, right_t = np.linalg.svd(np.swapaxes(roots, 1, 2) @ x_factor,
+                                             full_matrices=False)
+        alpha = np.einsum("csr,cr->cs", right_t, lin_z)
+        beta = np.einsum("cqs,cq->cs", left, lin_eta)
+        # The parts of b outside B's singular vectors are one Gaussian term.
+        tau2 = (np.sum((lin_z - np.einsum("csr,cs->cr", right_t, alpha)) ** 2, axis=1)
+                + np.sum((lin_eta - np.einsum("cqs,cs->cq", left, beta)) ** 2, axis=1))
+        p[bilinear], bound[bilinear] = _quadratic_tail(mean[bilinear] - 1.0, alpha, beta,
+                                                       sigma, tau2)
+    p = p.reshape(spec.horizon + 1, spec.n_rows)
+    upper = np.minimum(1.0, p + bound.reshape(p.shape))
     entries = [ViolationEntry(j=j, k=k, samples=0, violations=0,
-                              rate=float(p[k, j]), upper99=float(p[k, j]))
+                              rate=float(p[k, j]), upper99=float(upper[k, j]))
                for k in range(spec.horizon + 1) for j in range(spec.n_rows)]
     return ViolationReport(mode="exact", n_samples=0, entries=entries)
 
@@ -228,6 +145,8 @@ def _horizon_inputs(u: np.ndarray, spec: OcpSpec) -> np.ndarray:
     n_u, m = spec.horizon, spec.m
     if u.size < n_u * m:
         raise DimensionMismatch(f"input sequence must cover {n_u} steps of {m} inputs")
+    if not np.all(np.isfinite(u[: n_u * m])):
+        raise DomainError("input sequence must be finite")
     return u[: n_u * m]
 
 
@@ -275,21 +194,6 @@ def _conditional_maps(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec
     return lin.reshape(n + 1, -1), quad.reshape(iu.size, -1)
 
 
-def _conditional_sd(x_aug: np.ndarray, quad: np.ndarray) -> np.ndarray:
-    """sqrt(p' quad) per sample, p the products x~_a x~_b (a <= b) of each row of ``x_aug``.
-
-    The products are gathered samples-last, from contiguous rows of x_aug',
-    not by fancy-indexing the columns of x_aug; the product with quad takes
-    them transposed, so the result stays samples-first and C-contiguous.
-    """
-    x_t = np.ascontiguousarray(x_aug.T)
-    iu, ju = np.triu_indices(x_t.shape[0])
-    products = x_t[iu]
-    products *= x_t[ju]
-    var = products.T @ quad
-    return np.sqrt(np.maximum(var, 0.0, out=var), out=var)
-
-
 def _upper_tail(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """P(N(mean, sd^2) > 1) = Q((1 - mean) / sd); a zero sd gives [mean > 1]."""
     score = np.divide(mean - 1.0, sd, out=np.where(mean > 1.0, np.inf, -np.inf), where=sd > 0.0)
@@ -304,171 +208,77 @@ def _variance_forms(quad: np.ndarray, d: int) -> np.ndarray:
     return gram
 
 
-def _paired_tail(x_aug: np.ndarray, lin: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Violation probability of pair i: sample ``x_aug[i]``, column ``lin[:, i]`` and ``gram[i]``."""
-    var = np.einsum("ia,iab,ib->i", x_aug, gram, x_aug)
-    return _upper_tail(np.einsum("ia,ai->i", x_aug, lin), np.sqrt(np.maximum(var, 0.0)))
+# Each tail of V - 1 beyond the aliasing half-width has Chernoff bound
+# _ALIAS_TOL.  The series starts at _FIRST_NODES nodes and takes four times
+# as many while the truncation bound exceeds _TRUNCATION_TOL, up to
+# _MAX_NODES; a column that stops there reports its larger bound.
+_ALIAS_TOL = 1e-17
+_TRUNCATION_TOL = 1e-14
+_FIRST_NODES = 32
+_MAX_NODES = 8192
+# Chernoff parameters s, as fractions of the largest usable s, on a log grid.
+_CHERNOFF_GRID = 2.0 ** (-np.arange(1, 49) / 4.0)
 
 
-# An x0 draw lies outside the ball on which the columns' bounds hold with
-# this probability; such a draw has its probabilities computed exactly.
-_BALL_TAIL = 1e-3
-# A column whose bound reaches _THIN_BELOW is drawn as a normal per sample:
-# a candidate's probability costs several normals, so at higher rates
-# thinning loses (3x slower with every column thinned at bounds near 1).
-# Where some column is drawn anyway, the per-sample variance products are
-# paid regardless and a thinned column saves only its own normals; measured
-# on 2 CPUs, thinning then paid only below _THIN_BELOW_MIXED.
-_THIN_BELOW = 1.0 / 16.0
-_THIN_BELOW_MIXED = 1.0 / 256.0
-# Relative round-off margin of the bounds, against the size of the summed terms.
-_BOUND_MARGIN = 1e-12
+def _cumulant(w: np.ndarray, shift, ab2, cross, sigma, tau2) -> np.ndarray:
+    """log E exp(w (V - 1)) per column, at real w with |w| sigma_i < 1 or imaginary w.
 
-
-def _violation_bounds(lin: np.ndarray, gram: np.ndarray, mean: np.ndarray,
-                      factor: np.ndarray, radius: float) -> np.ndarray:
-    """Per column c, a bound on p_c = Q((1 - x~' lin_c) / sd_c(x~)) over a ball of x0.
-
-    The ball is x0 = mean + factor z, ||z|| <= radius, with x~ = [x0; 1] =
-    x~_bar + F~ z.  Over it the mean's maximum is exact, x~_bar' lin_c + radius
-    ||F~' lin_c||; the sd is ||L_c' (x~_bar + F~ z)|| with L_c L_c' the
-    variance form ``gram[c]`` (negative eigenvalues clipped, which only
-    raises it), bounded by the S-lemma bound of the ball-max kernel.  Both
-    carry a round-off margin, so the per-sample probabilities the counter
-    computes never exceed them.  A mean bound >= 1 gives 1.
+    V - 1 = shift + tau N + sum_i (alpha_i a_i + beta_i b_i + sigma_i a_i b_i),
+    all of N, a_i, b_i independent standard normals, with ab2 = alpha^2 +
+    beta^2 and cross = alpha beta per pair.  ``w`` is (points, columns);
+    ``shift`` and ``tau2`` are per column, the others (columns, pairs).
     """
-    x_mean = np.append(mean, 1.0)
-    x_factor = np.vstack([factor, np.zeros((1, factor.shape[1]))])
-    spread = np.abs(x_mean) + radius * np.linalg.norm(x_factor, axis=1)   # >= |x~_a| on the ball
-    w, v = np.linalg.eigh(gram)
-    roots = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    sd_bar = np.array([max(_ball_max_bounds(root.T @ x_mean, root.T @ x_factor, radius))
-                       for root in roots])
-    mean_bar = (x_mean @ lin + radius * np.linalg.norm(x_factor.T @ lin, axis=0)
-                + _BOUND_MARGIN * (spread @ np.abs(lin)))
-    var_scale = np.einsum("a,cab,b->c", spread, np.abs(gram), spread)
-    sd_bar = np.sqrt(sd_bar**2 + _BOUND_MARGIN * var_scale)
-    return np.where(mean_bar >= 1.0, 1.0, _upper_tail(mean_bar, sd_bar))
+    w_pair = w[..., None]
+    rest = 1.0 - (sigma * w_pair) ** 2
+    pairs = (0.5 * w_pair**2 * (ab2 + 2.0 * sigma * w_pair * cross) / rest
+             - 0.5 * np.log(rest))
+    return w * shift + 0.5 * tau2 * w**2 + pairs.sum(axis=-1)
 
 
-def _outside_draws(gen: np.random.Generator, count: int, r: int, tail: float) -> np.ndarray:
-    """``count`` standard normal z in R^r conditioned on ||z||^2 > chi2_r(1 - tail).
+def _quadratic_tail(shift, alpha, beta, sigma, tau2):
+    """P(V > 1) per column and a bound on its error, V as in :func:`_cumulant`.
 
-    ``tail`` is that event's exact probability, P(chi2_r > radius^2): a
-    uniform direction times the radius whose chi-squared tail is uniform on
-    (0, tail].
+    With phi the characteristic function of V - 1, the midpoint series
+    1/2 + sum_k Im phi(t_k) / (pi (k + 1/2)), t_k = (k + 1/2) 2 pi / half,
+    equals P(V > 1) up to P(|V - 1| >= half) (aliasing: the half-width
+    keeps each tail's Chernoff bound from the closed-form mgf at
+    _ALIAS_TOL) and its tail after the last node T (truncation).  |phi|
+    decreases in t, so that tail is at most |phi(T)| / pi times 1 / (tau
+    T)^2, and times prod_S sqrt(1 + (sigma_i T)^-2) / |S| over S = {i :
+    sigma_i T >= 1}.  Round-off is bounded from the size of the terms.
     """
-    direction = gen.standard_normal((count, r))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    squared = 2.0 * special.gammainccinv(r / 2.0, (1.0 - gen.random(count)) * tail)
-    return direction * np.sqrt(squared)[:, None]
-
-
-def _inside_draws(gen: np.random.Generator, count: int, r: int, radius: float) -> np.ndarray:
-    """``count`` standard normal z in R^r conditioned on ||z|| <= radius, by rejection."""
-    z = np.empty((0, r))
-    while z.shape[0] < count:
-        more = gen.standard_normal((count - z.shape[0], r))
-        z = np.concatenate([z, more[np.einsum("ij,ij->i", more, more) <= radius**2]])
-    return z
-
-
-def _make_counter(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
-    """Per-batch counter of H_j' x_k > 1 over all rows j and steps k = 0..horizon.
-
-    Given x0 = mean + factor z0, column c = (step, row) is violated with
-    probability p_c(x0) = Q((1 - mean) / sd), the law of
-    :func:`_conditional_maps`; no w is drawn and no step is looped over.
-    Columns whose bound p_c_bar (:func:`_violation_bounds`, over the ball
-    ||z0||^2 <= chi2_r(1 - _BALL_TAIL)) reaches ``_THIN_BELOW`` (or, when
-    some column does, ``_THIN_BELOW_MIXED``) draw one normal per sample, as
-    mean + sd * z > 1; a column without variance whose bound is 1 counts
-    mean > 1.  Either way every sample then draws its z0 first.  The other
-    columns are thinned (Lewis & Shedler 1979; Devroye 1986, ch. II.3):
-    every sample outside the ball is kept when U < p_c(x0), and of the
-    samples inside it Binomial(inside, p_c_bar) candidates, uniform without
-    replacement, are kept when U p_c_bar < p_c(x0).
-
-    When every column is thinned, only those samples draw a z0:
-    Binomial(size, S) outside the ball (S its exact tail), and inside it a
-    pool of Binomial(size - outside, p*) at the largest bound p*, from
-    which column c takes Binomial(pool, p_c_bar / p*) candidates.  A sample
-    inside the ball is thus still a candidate of c with probability
-    p_c_bar.  Either way every indicator is a Bernoulli(p_c(x0)) of an x0
-    drawn from its law, so every count keeps its exact binomial law, while
-    only candidates and outside samples cost a probability.
-
-    The batch returns its counts (rows k = 0..horizon), the (sample, row,
-    step) probabilities it computed and its x0 draws.  The returned
-    function carries ``thinned``, the (row, step) pairs it thins, and
-    ``draw_rate``, the expected x0 draws per sample.
-    """
-    lin, quad = _conditional_maps(truth, u, spec)
-    mean, factor, rows = spec.init.mean, spec.init.factor, spec.n_rows
-    r = factor.shape[1]
-    radius = math.sqrt(chi2_quantile(r, 1.0 - _BALL_TAIL)) if r else 0.0
-    tail = float(special.gammaincc(r / 2.0, radius**2 / 2.0)) if r else 0.0
-    gram = _variance_forms(quad, lin.shape[0])
-    p_bar = _violation_bounds(lin, gram, mean, factor, radius)
-    # A column without variance (step 0) is [x~' lin > 1] given x0; where its
-    # bound is 1 it is counted on every sample, with no normal draw.
-    fixed = ~np.any(quad, axis=0) & (p_bar == 1.0)
-    below = _THIN_BELOW if np.all(p_bar[~fixed] < _THIN_BELOW) else _THIN_BELOW_MIXED
-    thin, drawn = np.flatnonzero(p_bar < below), np.flatnonzero(~fixed & (p_bar >= below))
-    fixed = np.flatnonzero(fixed)
-    lin_f, lin_d, quad_d = lin[:, fixed], lin[:, drawn], quad[:, drawn]
-    lin_t, gram_t, p_t = lin[:, thin], gram[thin], p_bar[thin]
-    every = bool(fixed.size or drawn.size)      # every sample draws x0
-    p_star = 1.0 if every else float(p_t.max())
-    # A sample of the pool is a candidate of thinned column c with this probability.
-    pick_rate = p_t / p_star if p_star > 0.0 else p_t
-
-    def augmented(z0: np.ndarray) -> np.ndarray:
-        """x~ = [x0; 1] per row of ``z0``."""
-        x_aug = np.empty((z0.shape[0], mean.size + 1))
-        x_aug[:, -1] = 1.0
-        np.add(mean, z0 @ factor.T, out=x_aug[:, :-1])
-        return x_aug
-
-    def count(gen: np.random.Generator, size: int):
-        hits = np.zeros(lin.shape[1], dtype=np.int64)
-        if every:
-            z0 = gen.standard_normal((size, r))
-            x_aug = augmented(z0)
-            hits[fixed] = np.count_nonzero(x_aug @ lin_f > 1.0, axis=0)
-            if drawn.size:
-                value = gen.standard_normal((size, drawn.size))
-                value *= _conditional_sd(x_aug, quad_d)
-                value += x_aug @ lin_d
-                hits[drawn] = np.count_nonzero(value > 1.0, axis=0)
-            outside = np.einsum("ij,ij->i", z0, z0) > radius**2
-            x_out, x_pool = x_aug[outside], x_aug[~outside]
-            draws = size
-        else:
-            n_out = gen.binomial(size, tail)
-            x_out = augmented(_outside_draws(gen, n_out, r, tail))
-            x_pool = augmented(_inside_draws(gen, gen.binomial(size - n_out, p_star), r, radius))
-            draws = x_out.shape[0] + x_pool.shape[0]
-        evaluated = 0
-        if thin.size:
-            picks = gen.binomial(x_pool.shape[0], pick_rate)
-            var = np.einsum("ia,cab,ib->ic", x_out, gram_t, x_out)
-            p_out = _upper_tail(x_out @ lin_t, np.sqrt(np.maximum(var, 0.0)))
-            hits[thin] = np.count_nonzero(gen.random(p_out.shape) < p_out, axis=0)
-            evaluated = int(picks.sum()) + p_out.size
-            if picks.any():
-                cols = np.repeat(np.arange(thin.size), picks)
-                samples = np.concatenate([gen.choice(x_pool.shape[0], c, replace=False)
-                                          for c in picks[picks > 0]])
-                # A candidate is kept with probability p / p_bar.
-                kept = gen.random(cols.size) * p_t[cols] < _paired_tail(
-                    x_pool[samples], lin_t[:, cols], gram_t[cols])
-                hits[thin] += np.bincount(cols[kept], minlength=thin.size)
-        return hits.reshape(spec.horizon + 1, rows), evaluated, draws
-
-    count.thinned = tuple((int(c % rows), int(c // rows)) for c in thin)
-    count.draw_rate = 1.0 if every else tail + (1.0 - tail) * p_star
-    return count
+    args = (shift, alpha**2 + beta**2, alpha * beta, sigma, tau2)
+    sd = np.sqrt(args[1].sum(axis=1) + tau2 + np.sum(sigma**2, axis=1))
+    # P(V - 1 >= a) <= exp(K(s) - s a) and P(V - 1 <= -a) <= exp(K(-s) - s a), s > 0;
+    # the mgf ends at s = 1 / sigma_max, and a Gaussian tail needs s sd of about 9.
+    s = np.minimum(1.0 / sigma[:, 0], 64.0 / sd) * _CHERNOFF_GRID[:, None]
+    reach = [np.min((_cumulant(side * s, *args) - math.log(_ALIAS_TOL)) / s, axis=0)
+             for side in (1.0, -1.0)]
+    step = 2.0 * math.pi / np.maximum(*reach)
+    p, bound = np.empty_like(shift), np.empty_like(shift)
+    todo, nodes = np.arange(shift.size), _FIRST_NODES
+    while todo.size:
+        k = np.arange(nodes) + 0.5
+        t = k[:, None] * step[todo]
+        log_phi = _cumulant(1j * t, *(a[todo] for a in args))
+        weight = np.exp(log_phi.real) / (math.pi * k[:, None])
+        top = sigma[todo] * t[-1, :, None]
+        far = top >= 1.0
+        power = np.divide(np.prod(np.sqrt(1.0 + np.maximum(top, 1.0) ** -2.0), axis=1, where=far),
+                          far.sum(axis=1), out=np.full(todo.size, np.inf), where=far.any(axis=1))
+        gauss = np.divide(1.0, tau2[todo] * t[-1] ** 2, out=np.full(todo.size, np.inf),
+                          where=tau2[todo] > 0.0)
+        truncation = weight[-1] * (nodes - 0.5) * np.minimum(power, gauss)
+        rounding = 16.0 * np.finfo(float).eps * (
+            1.0 + math.log2(nodes)
+            + np.sum(weight * (1.0 + np.abs(log_phi.real) + np.abs(log_phi.imag)), axis=0))
+        done = (truncation <= _TRUNCATION_TOL) | (nodes >= _MAX_NODES)
+        cols = todo[done]
+        p[cols] = np.clip(0.5 + np.sum(weight[:, done] * np.sin(log_phi.imag[:, done]), axis=0),
+                          0.0, 1.0)
+        bound[cols] = 2.0 * _ALIAS_TOL + truncation[done] + rounding[done]
+        todo, nodes = todo[~done], 4 * nodes
+    return p, bound
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +424,13 @@ def certification_rows(
     u: np.ndarray,
     parametric: ViolationReport,
 ) -> "list[dict]":
-    """Per-(row, step) margin of the robust inequality at ``u`` beside its Monte Carlo rate.
+    """Per-(row, step) margin of the robust inequality at ``u`` beside its violation probability.
 
     The robust cone row reads mean_value + parametric_term <= 1 -
     nominal_backoff, so ``slack`` is the margin it leaves at ``u`` (>= 0 up
     to solver tolerance at a feasible point); ``mc_rate`` and ``mc_upper99``
-    are the matching entries of the parametric violation report.
+    are the matching entries of the parametric violation report: the exact
+    probability and that plus its error bound.
     """
     entries = {(e.j, e.k): e for e in parametric.entries}
     x0 = spec.init.mean
@@ -656,17 +467,12 @@ def certification_rows(
 
 
 def violation_report_to_json(report: ViolationReport) -> dict:
-    doc = {
+    return {
         "mode": report.mode,
         "n_samples": report.n_samples,
         "worst_upper99": report.worst_upper99,
+        "entries": [asdict(e) for e in report.entries],
     }
-    if report.mode != "exact":
-        doc["exact_evaluations"] = report.exact_evaluations
-        doc["x0_draws"] = report.x0_draws
-        doc["thinned"] = [list(pair) for pair in report.thinned]
-    doc["entries"] = [asdict(e) for e in report.entries]
-    return doc
 
 
 def equivalence_report_to_json(report: EquivalenceReport) -> dict:

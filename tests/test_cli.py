@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,6 @@ def quick_config(**overrides):
             "T_sweep": [80, 160],
             "sweep_seeds": 2,
             "p_sweep": [0.8, 0.9],
-            "sweep_samples": 2000,
         },
         "master_seed": 11,
         "output_dir": "out",
@@ -107,7 +105,7 @@ def set_random(key, value):
     (set_value("validation", "master_seed", 1.5), "validation.master_seed"),
     (set_value("master_seed", "7"), "master_seed"),
     (set_value("compare", "n_scenarios", 2.9), "n_scenarios"),
-    (set_value("compare", "sweep_samples", 0), "sweep_samples"),
+    (set_value("compare", "sweep_samples", 0), "sweep_samples"),  # a removed key is unknown
     (set_value("ocp", "p", True), "ocp.p"),
     (set_value("identification", "delta", "0.95"), "identification.delta"),
     (set_value("identification", "input_std", False), "input_std"),
@@ -149,10 +147,8 @@ def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--samples", "0"],   # fewer than one sample
-    ["--samples", "-3"],
     ["--seed", "-1"],     # negative master seed
-], ids=["samples_0", "samples_negative", "seed_negative"])
+], ids=["seed_negative"])
 def test_override_flags_rejected(tmp_path, capsys, flags):
     # A bad flag is a config error before any stage runs, as the same value
     # in the config file is.
@@ -163,14 +159,6 @@ def test_override_flags_rejected(tmp_path, capsys, flags):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert not out.exists()
-
-
-@pytest.mark.parametrize("samples", [0, -3, True, 2.5])
-def test_samples_override_checked_like_config_value(tmp_path, samples):
-    path = write_config(tmp_path, quick_config())
-    with pytest.raises(ConfigError, match="--samples"):
-        load_config(path, samples_override=samples)
-    assert load_config(path, samples_override=1).validation.n_samples == 1
 
 
 @pytest.mark.parametrize("out", ["a_file", "a_file/sub"], ids=["file", "under_file"])
@@ -219,6 +207,68 @@ def test_identify_writes_estimates(tmp_path):
         assert h["radius"] > 0.0
 
 
+@pytest.mark.parametrize("singular", [False, True])
+def test_identification_health_reports_conditioning_and_projection(tmp_path, singular):
+    # With no process noise and measurement noise on one state only, the
+    # stacked residuals depend on T + 1 scalars: every k takes the
+    # eigen-projection path and keeps rank T + 1.
+    doc = quick_config()
+    if singular:
+        doc["system"]["inline"]["sigma_w"] = [[0.0, 0.0], [0.0, 0.0]]
+        doc["system"]["inline"]["sigma_eps"] = [[0.0001, 0.0], [0.0, 0.0]]
+    report, ok = cmd_pipeline(parse_config(doc), tmp_path, "identify")
+    assert ok
+    docs = json.loads((tmp_path / "estimates.json").read_text())
+    expected_rank = doc["identification"]["T"] + 1 if singular else None
+    for health, est in zip(report["identification_health"], docs):
+        assert health["projected_rank"] == est.get("projected_rank") == expected_rank
+        # The information matrix is the inverse of the parameter covariance.
+        assert health["information_condition"] == pytest.approx(np.linalg.cond(est["cov"]),
+                                                                rel=1e-6)
+        assert health["information_condition"] >= 1.0
+
+
+def test_samples_flag_is_gone(tmp_path, capsys):
+    # Certification samples nothing, so there is no sample count to override.
+    path = write_config(tmp_path, quick_config())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o"), "--samples", "9"])
+    assert exit_info.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def binding_config():
+    """A two-state design whose robust program has an active cone row.
+
+    It starts far from the origin (x0_mean (1.5, 2.0)), with h_x = diag(0.6,
+    0.45), a costly input (R = 2) and a horizon of 32 steps.
+    """
+    doc = quick_config()
+    doc["identification"]["T"] = 400
+    doc["ocp"].update(horizon=32, R=[[2.0]], x0_mean=[1.5, 2.0],
+                      h_x=[[0.6, 0.0], [0.0, 0.45]])
+    doc["master_seed"] = 202
+    return doc
+
+
+def test_binding_constraint_certified_with_exact_probability(tmp_path):
+    report, ok = cmd_pipeline(parse_config(binding_config()), tmp_path)
+    assert ok and report["certification"]["certified"]
+    rows = report["certification"]["rows"]
+    active = [row for row in rows if row["slack"] <= 1e-6]
+    assert active
+    budget = report["certification"]["budget"]
+    entries = {(e["j"], e["k"]): e for e in report["certification"]["parametric"]["entries"]}
+    for row in active:
+        entry = entries[(row["j"], row["k"])]
+        assert (row["mc_rate"], row["mc_upper99"]) == (entry["rate"], entry["upper99"])
+        # An exact probability with a small bound, well inside the budget:
+        # how conservative the tightening is where it binds.
+        assert 0.0 < row["mc_upper99"] - row["mc_rate"] <= 1e-12
+        assert 1e-2 < row["mc_rate"] < 0.5 * budget
+
+
 def test_pipeline_passes_and_echoes_config(tmp_path):
     doc = quick_config()
     cfg = parse_config(doc)
@@ -246,24 +296,6 @@ def test_pipeline_byte_identical_reruns(tmp_path):
     assert (out1 / "violations_parametric.csv").read_bytes() == (
         out2 / "violations_parametric.csv"
     ).read_bytes()
-
-
-def test_pipeline_byte_identical_for_any_worker_count(tmp_path, monkeypatch):
-    # The Monte Carlo batches run on a pool sized by the usable CPUs; the
-    # scalar demo's outputs must not depend on that size.  Its sampler runs
-    # more batches than three, so it uses one worker per CPU.
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "scalar.json")
-    outputs = []
-    for workers in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
-        out_dir = tmp_path / f"workers_{workers}"
-        report, _ = cmd_pipeline(cfg, out_dir)
-        assert report["passed"]
-        timings = json.loads((out_dir / "timings.json").read_text())
-        assert timings["validate_sampler"]["workers"] == workers
-        outputs.append(out_dir)
-    for name in ("report.json", "violations_parametric.csv", "violations_true.csv"):
-        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
 def test_pipeline_perfect_information_reduction(tmp_path):
@@ -366,33 +398,37 @@ def test_compare_extends_pipeline(full_pipeline_dir, full_compare_dir):
             )
 
 
-def test_pipeline_samples_only_the_estimate(tmp_path, monkeypatch):
-    # The true system's probabilities are exact, so one pipeline run
-    # samples once, on the estimated model.
+def test_pipeline_certifies_both_truths_exactly(tmp_path, monkeypatch):
+    # One exact law serves both truths: the estimated model, which is
+    # certified, and the true system beside it.  Nothing is sampled.
     truths = []
-    sampler = validate.estimate_violation
+    exact = validate.exact_violation
 
     def counting(truth, *args):
         truths.append(truth)
-        return sampler(truth, *args)
+        return exact(truth, *args)
 
-    monkeypatch.setattr(validate, "estimate_violation", counting)
+    monkeypatch.setattr(validate, "exact_violation", counting)
     report, ok = cmd_pipeline(parse_config(quick_config()), tmp_path)
     assert ok
-    assert len(truths) == 1 and isinstance(truths[0], validate.SampledParameterTruth)
-    true_system = report["certification"]["true_system"]
-    assert true_system["mode"] == "exact" and true_system["n_samples"] == 0
-    assert report["certification"]["worst_upper99_true_system"] == true_system["worst_upper99"]
+    assert [type(t).__name__ for t in truths] == ["SampledParameterTruth", "LinearSystem"]
+    certification = report["certification"]
+    for name in ("parametric", "true_system"):
+        rep = certification[name]
+        assert set(rep) == {"mode", "n_samples", "worst_upper99", "entries"}
+        assert rep["mode"] == "exact" and rep["n_samples"] == 0
+        assert all(e["samples"] == e["violations"] == 0 for e in rep["entries"])
+        assert all(e["rate"] <= e["upper99"] <= 1.0 for e in rep["entries"])
+        assert certification[f"worst_upper99_{name}"] == rep["worst_upper99"]
+    # The estimate's parameter uncertainty gives its k >= 1 rows a bound.
+    assert any(e["upper99"] > e["rate"] for e in certification["parametric"]["entries"])
 
 
 def test_timings_record_sampler_calls(full_pipeline_dir):
     timings = json.loads((full_pipeline_dir / "timings.json").read_text())
     sampler = timings["validate_sampler"]
-    assert set(sampler) == {"parametric_s", "true_system_s", "workers"}
+    assert set(sampler) == {"parametric_s", "true_system_s"}
     assert sampler["parametric_s"] > 0.0 and sampler["true_system_s"] > 0.0
-    assert sampler["workers"] == 1  # 2000 samples are one batch
-    # The worker count depends on the machine, so no report carries it.
-    assert "workers" not in (full_pipeline_dir / "report.json").read_text()
 
 
 def test_stage_files_hold_report_values(tmp_path):
@@ -458,8 +494,7 @@ def test_compare_insufficient_data_exits_2(tmp_path, capsys):
 
 def test_main_pipeline_exit_code(tmp_path):
     path = write_config(tmp_path, quick_config())
-    code = main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out"),
-                 "--samples", "2000"])
+    code = main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist, norm as normal_dist
 
+import threading
+
 from mspc.cli import _write_csv
-from mspc.errors import DimensionMismatch
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
 from mspc.linalg import Rng, diag_repeat
 from mspc.ocp import (
@@ -23,10 +24,9 @@ from mspc.validate import (
     SampledParameterTruth,
     clopper_pearson_interval,
     certification_rows,
-    clopper_pearson_upper,
     coverage_experiment,
     equivalence_check,
-    estimate_violation,
+    exact_violation,
     violation_report_to_json,
 )
 
@@ -56,20 +56,21 @@ def scalar_system(a=0.7, b=1.0, sw=0.09, se=0.0):
 
 
 def test_clopper_pearson_upper_validity():
+    # The upper end of the 98% two-sided interval is a one-sided 99% bound.
     rate = 0.1
     n, reps = 500, 1000
     gen = Rng(80).generator()
     covered = 0
     for _ in range(reps):
         k = int(np.sum(gen.uniform(size=n) < rate))
-        if clopper_pearson_upper(k, n) >= rate:
+        if clopper_pearson_interval(k, n, 0.98)[1] >= rate:
             covered += 1
     assert covered >= 0.99 * reps
 
 
 def test_clopper_pearson_edges():
-    assert clopper_pearson_upper(0, 1000) <= 0.006
-    assert clopper_pearson_upper(1000, 1000) == 1.0
+    assert clopper_pearson_interval(0, 1000, 0.98)[1] <= 0.006
+    assert clopper_pearson_interval(1000, 1000)[1] == 1.0
     low, high = clopper_pearson_interval(0, 100)
     assert low == 0.0 and high < 0.06
     low, high = clopper_pearson_interval(100, 100)
@@ -80,13 +81,7 @@ def test_clopper_pearson_edges():
 def test_clopper_pearson_matches_beta_ppf(samples):
     counts = np.unique(np.concatenate([
         np.arange(60), np.linspace(60, samples, 40).astype(int)]))
-    for level in (0.99, 0.005, 0.995, 0.0005, 0.9995):
-        upper = np.array([clopper_pearson_upper(int(c), samples, level) for c in counts])
-        below = counts < samples
-        assert np.array_equal(upper[below],
-                              beta_dist.ppf(level, counts[below] + 1, samples - counts[below]))
-        assert np.all(upper[~below] == 1.0)
-    for confidence in (0.99, 0.999):
+    for confidence in (0.99, 0.999, 0.98):
         alpha = 1.0 - confidence
         bounds = np.array([clopper_pearson_interval(int(c), samples, confidence) for c in counts])
         inner = (counts > 0) & (counts < samples)
@@ -95,22 +90,20 @@ def test_clopper_pearson_matches_beta_ppf(samples):
         assert np.array_equal(bounds[inner, 1], beta_dist.ppf(1.0 - alpha / 2.0, c + 1, samples - c))
         assert tuple(bounds[0]) == (0.0, beta_dist.ppf(1.0 - alpha / 2.0, 1, samples))
         assert tuple(bounds[-1]) == (beta_dist.ppf(alpha / 2.0, samples, 1), 1.0)
-    assert clopper_pearson_upper(samples, samples) == 1.0
-    assert clopper_pearson_upper(samples + 3, samples) == 1.0
 
 
 # ---------------------------------------------------------------------------
-# estimate_violation
+# exact_violation
 # ---------------------------------------------------------------------------
 
 
 def test_violation_never_violated_constraint():
     sys = scalar_system()
     spec = scalar_spec(h=1e-6)
-    report = estimate_violation(sys, np.zeros(2), spec, 1000, Rng(81))
-    assert all(e.violations == 0 for e in report.entries)
-    assert report.worst_upper99 <= 0.006
-    assert report.mode == "noise_only"
+    report = exact_violation(sys, np.zeros(2), spec)
+    assert all(e.violations == 0 and e.samples == 0 for e in report.entries)
+    assert report.worst_upper99 == 0.0
+    assert report.mode == "exact" and report.n_samples == 0
 
 
 def test_violation_matches_gaussian_tail():
@@ -118,16 +111,15 @@ def test_violation_matches_gaussian_tail():
     sys = scalar_system(a=a, b=b, sw=sw)
     spec = scalar_spec(h=h, x0=x0, sx0=sx0)
     u = np.array([0.4, -0.1])
-    n_samples = 40_000
-    report = estimate_violation(sys, u, spec, n_samples, Rng(82))
+    report = exact_violation(sys, u, spec)
     by_k = {(e.j, e.k): e for e in report.entries}
     mean, var = x0, sx0
     for k in (1, 2):
         mean = a * mean + b * u[k - 1]
         var = a * a * var + sw
-        p_true = 1.0 - normal_dist.cdf((1.0 - h * mean) / (h * math.sqrt(var)))
-        se = math.sqrt(max(p_true * (1 - p_true), 1e-9) / n_samples)
-        assert abs(by_k[(0, k)].rate - p_true) <= 4 * se + 1e-4
+        p_true = normal_dist.sf((1.0 - h * mean) / (h * math.sqrt(var)))
+        assert abs(by_k[(0, k)].rate - p_true) <= 1e-13 * p_true
+        assert by_k[(0, k)].upper99 == by_k[(0, k)].rate
 
 
 def test_violation_sampled_parameters_zero_cov_matches_noise_only_law():
@@ -143,34 +135,27 @@ def test_violation_sampled_parameters_zero_cov_matches_noise_only_law():
         gw.append(gwk)
     truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
     u = np.array([0.3, 0.2])
-    rep_par = estimate_violation(truth, u, spec, 40_000, Rng(83))
-    rep_sys = estimate_violation(sys, u, spec, 40_000, Rng(84))
-    assert rep_par.mode == "noise_and_parameters"
-    for e_par, e_sys in zip(rep_par.entries, rep_sys.entries):
-        se = math.sqrt(max(e_sys.rate * (1 - e_sys.rate), 1e-9) / e_sys.samples)
-        assert abs(e_par.rate - e_sys.rate) <= 5 * se + 2e-3
+    # The true system is the estimate with zero covariance: the same report.
+    assert exact_violation(truth, u, spec) == exact_violation(sys, u, spec)
 
 
 def test_violation_deterministic_and_thread_invariant():
     sys = scalar_system()
     spec = scalar_spec()
     u = np.array([0.4, -0.1])
-    r1 = estimate_violation(sys, u, spec, 10_000, Rng(85))
-    r2 = estimate_violation(sys, u, spec, 10_000, Rng(85))
-    r3 = estimate_violation(sys, u, spec, 10_000, Rng(85))
+    r1 = exact_violation(sys, u, spec)
+    r2 = exact_violation(sys, u, spec)
+    on_thread = []
+    worker = threading.Thread(target=lambda: on_thread.append(exact_violation(sys, u, spec)))
+    worker.start()
+    worker.join()
     assert violation_report_to_json(r1) == violation_report_to_json(r2)
-    assert violation_report_to_json(r1) == violation_report_to_json(r3)
-
-
-def test_violation_requires_min_samples():
-    sys = scalar_system()
-    with pytest.raises(DimensionMismatch):
-        estimate_violation(sys, np.zeros(2), scalar_spec(), 10, Rng(86))
+    assert violation_report_to_json(r1) == violation_report_to_json(on_thread[0])
 
 
 def test_violation_csv(tmp_path):
     sys = scalar_system()
-    report = estimate_violation(sys, np.zeros(2), scalar_spec(), 1000, Rng(87))
+    report = exact_violation(sys, np.zeros(2), scalar_spec())
     path = tmp_path / "violations.csv"
     columns = ("j", "k", "samples", "violations", "rate", "upper99")
     entries = violation_report_to_json(report)["entries"]
@@ -285,7 +270,7 @@ def test_coverage_multistep_smoke():
 # ---------------------------------------------------------------------------
 
 
-def robust_rows(sys, ests, spec, delta, rng, n_samples=20_000):
+def robust_rows(sys, ests, spec, delta):
     """Robust solve on ``ests`` and its certification rows, as the pipeline builds them."""
     model = build_multistep(sys, spec.horizon)
     gw = [model.step(k)[2] for k in range(1, spec.horizon + 1)]
@@ -293,7 +278,7 @@ def robust_rows(sys, ests, spec, delta, rng, n_samples=20_000):
     sol = solve(build_robust_socp_multistep(ests, spec, delta, gw, sys.sigma_w, table=table))
     assert sol.status == "Optimal"
     truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
-    rep = estimate_violation(truth, sol.primal, spec, n_samples, rng)
+    rep = exact_violation(truth, sol.primal, spec)
     return rep, certification_rows(table, ests, spec, sol.primal, rep)
 
 
@@ -307,7 +292,7 @@ def test_conservatism_zero_parametric_uncertainty():
         theta = true_theta(g0, gu)
         ests.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
                                       cov=np.zeros((theta.size,) * 2), n=1, m=1))
-    _, rows = robust_rows(sys, ests, spec, 1.0, Rng(93))
+    _, rows = robust_rows(sys, ests, spec, 1.0)
     budget = 1.0 - spec.p
     assert all(r["h_upper"] >= r["h_exact"] - 1e-9 for r in rows)
     for row in rows:
@@ -325,7 +310,7 @@ def test_conservatism_with_uncertainty():
         theta = true_theta(g0, gu)
         ests.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
                                       cov=1e-4 * np.eye(theta.size), n=1, m=1))
-    _, rows = robust_rows(sys, ests, spec, 0.95, Rng(94))
+    _, rows = robust_rows(sys, ests, spec, 0.95)
     budget = 1.0 - spec.p
     assert all(r["h_upper"] >= r["h_exact"] - 1e-9 for r in rows)
     for row in rows:
@@ -355,7 +340,7 @@ def test_certification_rows_slack_at_robust_optimum():
         cov = 1e-4 * (a @ a.T / theta.size + np.eye(theta.size))  # correlated
         ests.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
                                       cov=cov, n=2, m=1))
-    rep, rows = robust_rows(sys, ests, spec, 0.95, Rng(96), n_samples=2000)
+    rep, rows = robust_rows(sys, ests, spec, 0.95)
     assert [(r["j"], r["k"]) for r in rows] == [(j, k) for k in (1, 2, 3) for j in (0, 1)]
     for row in rows:
         # The cone row is exactly the inequality slack >= 0.
@@ -385,16 +370,15 @@ def test_violation_sampled_parameters_analytic_tail():
         estimates=[est], gw=[np.array([[1.0]])], sigma_w=sys.sigma_w
     )
     u = np.array([0.5])
-    n_samples = 60_000
-    report = estimate_violation(truth, u, spec, n_samples, Rng(95))
+    report = exact_violation(truth, u, spec)
     entry = next(e for e in report.entries if (e.j, e.k) == (0, 1))
     h = 0.6
     z = np.array([0.9, 0.5])
     mean = h * float(theta_hat @ z)
     var = h * h * (float(z @ sigma_theta @ z) + sw)
-    p_true = 1.0 - normal_dist.cdf((1.0 - mean) / math.sqrt(var))
-    se = math.sqrt(p_true * (1 - p_true) / n_samples)
-    assert abs(entry.rate - p_true) <= 4 * se + 1e-4, (entry.rate, p_true)
+    p_true = normal_dist.sf((1.0 - mean) / math.sqrt(var))
+    assert abs(entry.rate - p_true) <= 1e-13 * p_true, (entry.rate, p_true)
+    assert entry.upper99 == entry.rate
 
 
 @pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
@@ -402,7 +386,7 @@ def test_violation_sampled_parameters_analytic_tail():
 def test_violation_sampled_parameters_analytic_tail_two_states(structure, horizon):
     # With a deterministic x0, row j at step k is Gaussian with mean h' G_hat z
     # and variance (z kron h)' Sigma_k (z kron h) + h' Gw_k Sigma_w Gw_k' h,
-    # so every (row, step) count has a closed-form law.
+    # so every (row, step) probability has a closed form.
     sys = random_system(2, 1, 1, 0.8, Rng(96), sigma_w=0.05, sigma_eps=0.0)
     spec = OcpSpec(
         horizon=horizon, Q=np.eye(2), R=np.eye(1),
@@ -422,8 +406,7 @@ def test_violation_sampled_parameters_analytic_tail_two_states(structure, horizo
         gw.append(gwk)
     truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
     u = np.array([-1.6, 0.9])[:horizon]
-    n_samples = 20_000
-    report = estimate_violation(truth, u, spec, n_samples, Rng(98))
+    report = exact_violation(truth, u, spec)
     x0 = spec.init.mean
     for e in report.entries:
         h = spec.h_x[e.j]
@@ -436,6 +419,5 @@ def test_violation_sampled_parameters_analytic_tail_two_states(structure, horizo
             mean = float(h @ (est.g0_hat() @ x0 + est.gu_hat() @ uk))
             var = float(np.kron(z, h) @ est.cov @ np.kron(z, h))
             var += float(h @ gw[e.k - 1] @ diag_repeat(sys.sigma_w, e.k) @ gw[e.k - 1].T @ h)
-            p_true = 1.0 - normal_dist.cdf((1.0 - mean) / math.sqrt(var))
-        low, high = clopper_pearson_interval(e.violations, n_samples, confidence=0.999)
-        assert low <= p_true <= high, (e, p_true)
+            p_true = normal_dist.sf((1.0 - mean) / math.sqrt(var))
+        assert abs(e.rate - p_true) <= 1e-13 * p_true and e.upper99 == e.rate, (e, p_true)

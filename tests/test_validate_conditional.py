@@ -1,15 +1,15 @@
-"""The conditional-law Monte Carlo counter against direct references and oracles.
+"""Exact violation probabilities against direct references and oracles.
 
 Given x0, row j at step k of a multi-step predictor is Gaussian with mean
-z' g and variance z' M z + s_jk^2.  The counter samples exactly that law, so
-its moment maps must agree with the per-sample reference and its counts
-with closed-form or quadrature violation probabilities; on the true system
-``exact_violation`` evaluates the same law in closed form.
+z' g and variance z' M z + s_jk^2.  ``exact_violation`` evaluates the
+law of that row with x0 drawn too: its moment maps must agree with the
+per-sample reference, its probabilities with closed forms, Gauss-Hermite
+and adaptive quadrature within the bound it states, and a plain drawn
+counter must hold them in its binomial band.
 """
 
 import inspect
 import math
-import os
 import sys
 import threading
 import warnings
@@ -18,35 +18,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import special
-from scipy.stats import binom
+from scipy import integrate
 from scipy.stats import norm as normal_dist
 
-from mspc.errors import DimensionMismatch
+from mspc.errors import DimensionMismatch, DomainError
 from mspc.ident import STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, true_theta
-from mspc import validate
-from mspc.linalg import Rng, chi2_quantile, diag_repeat, psd_sqrt_factor
+from mspc.linalg import diag_repeat
 from mspc.ocp import InputBox, OcpSpec, build_nominal_qp_statespace
 from mspc.solver import solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
 from mspc.validate import (
     SampledParameterTruth,
-    ViolationEntry,
-    ViolationReport,
-    _batch_generator,
-    _batch_sizes,
     _conditional_maps,
-    _conditional_sd,
     _exact_predictors,
-    _make_counter,
     _upper_tail,
-    _variance_forms,
-    _violation_bounds,
     clopper_pearson_interval,
-    clopper_pearson_upper,
-    estimate_violation,
     exact_violation,
-    violation_report_to_json,
 )
 
 
@@ -132,21 +119,47 @@ def test_conditional_maps_match_row_moments_reference(
                 assert abs(mean[k, j] - mean_ref) <= 1e-12 * mean_scale
                 assert abs(var[k, j] - var_ref) <= 1e-12 * var_scale
     if theta_rank == 0 or structure == STRUCTURE_FIR:
-        # No variance depends on x0, so the counter takes its constant-sd
-        # path: only the last product (the constant 1) carries variance, and
-        # the checks above then hold for quad[-1] alone.
+        # No variance depends on x0, so every column is Gaussian: only the
+        # last product (the constant 1) carries variance, and the checks
+        # above then hold for quad[-1] alone.
         assert not np.any(quad[:-1])
 
 
 # ---------------------------------------------------------------------------
-# Counts against exact violation probabilities, Sigma_x0 != 0
+# A plain drawn counter, the oracle of the binomial bands
 # ---------------------------------------------------------------------------
 
 
-def _assert_in_band(report, p_exact):
-    for e in report.entries:
-        low, high = clopper_pearson_interval(e.violations, e.samples, confidence=0.999)
-        assert low <= p_exact[(e.j, e.k)] <= high, (e, p_exact[(e.j, e.k)])
+def _drawn_counts(truth, u, spec, n_samples, gen):
+    """Violations per (step, row) of a plain sampler: x0, then one normal per column.
+
+    Given x0 each column is N(x~' lin, p' quad) (the maps checked above), so
+    a sample counts mean + sd * N(0, 1) > 1.  Batches of 10,000 keep memory small.
+    """
+    if isinstance(truth, LinearSystem):
+        truth = _exact_predictors(truth, spec.horizon)
+    lin, quad = _conditional_maps(truth, u, spec)
+    iu, ju = np.triu_indices(spec.n + 1)
+    factor = spec.init.factor
+    counts = np.zeros(lin.shape[1], dtype=np.int64)
+    for _ in range(n_samples // 10_000):
+        x0 = spec.init.mean + gen.standard_normal((10_000, factor.shape[1])) @ factor.T
+        x_aug = np.column_stack([x0, np.ones(10_000)])
+        sd = np.sqrt(np.maximum((x_aug[:, iu] * x_aug[:, ju]) @ quad, 0.0))
+        value = x_aug @ lin + sd * gen.standard_normal(sd.shape)
+        counts += np.count_nonzero(value > 1.0, axis=0)
+    return counts.reshape(spec.horizon + 1, spec.n_rows)
+
+
+def _assert_in_band(counts, n_samples, p_exact):
+    for (j, k), p in p_exact.items():
+        low, high = clopper_pearson_interval(int(counts[k, j]), n_samples, confidence=0.999)
+        assert low <= p <= high, ((j, k), int(counts[k, j]), p)
+
+
+# ---------------------------------------------------------------------------
+# The true system: closed form
+# ---------------------------------------------------------------------------
 
 
 def _noise_only_scores(sys, spec, u):
@@ -177,16 +190,15 @@ def _noise_only_scores(sys, spec, u):
 
 @pytest.mark.parametrize("n, x0_rank", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 1)])
 def test_violation_noise_only_in_closed_form_band(n, x0_rank):
-    # x0_rank < n gives a singular Sigma_x0.  The sampler's band must hold
-    # the per-entry closed form and exact_violation's probabilities alike.
+    # x0_rank < n gives a singular Sigma_x0.  The drawn counter's band must
+    # hold the per-entry closed form and exact_violation's probabilities alike.
     gen = np.random.default_rng(700 + n)
     sys, spec, _, u = _problem(gen, n, 1, 3, STRUCTURE_FULL, x0_rank, 0)
-    report = estimate_violation(sys, u, spec, 20_000, Rng(710 + n))
-    assert report.mode == "noise_only"
+    counts = _drawn_counts(sys, u, spec, 20_000, np.random.default_rng(710 + n))
     scores = _noise_only_scores(sys, spec, u)
-    _assert_in_band(report, {key: float(normal_dist.sf(z)) for key, z in scores.items()})
+    _assert_in_band(counts, 20_000, {key: float(normal_dist.sf(z)) for key, z in scores.items()})
     exact = exact_violation(sys, u, spec)
-    _assert_in_band(report, {(e.j, e.k): e.rate for e in exact.entries})
+    _assert_in_band(counts, 20_000, {(e.j, e.k): e.rate for e in exact.entries})
 
 
 @given(
@@ -223,7 +235,7 @@ def test_exact_violation_matches_closed_form(n, m, horizon, x0_rank, seed):
 
 def test_exact_violation_deterministic_rows_without_warnings():
     # With Sigma_x0 = 0 the k = 0 rows have zero sd: their probability is
-    # [h' x0 > 1], strict like the sampler's count, with no division warning.
+    # [h' x0 > 1], strict like the drawn counter's, with no division warning.
     sys = LinearSystem(A=[[0.9]], B=[[1.0]], E=[[1.0]], sigma_w=[[0.01]], sigma_eps=[[0.0]])
     spec = OcpSpec(horizon=2, Q=np.eye(1), R=np.eye(1), h_x=np.array([[0.5], [1.0], [-1.0]]),
                    u_set=None, p=0.9, init=GaussianBelief(mean=[2.0], cov=[[0.0]]))
@@ -237,7 +249,8 @@ def test_exact_violation_deterministic_rows_without_warnings():
 def test_nominal_statespace_active_rows_violate_at_one_minus_p():
     # On the true system the nominal QP backs each row off by exactly
     # Phi^{-1}(p) standard deviations, so a row the optimum makes active is
-    # violated with probability 1 - p, in closed form and by the counter.
+    # violated with probability 1 - p, by the state-space recursion and by
+    # exact_violation alike.
     sys = LinearSystem(A=[[1.0, 0.4], [0.0, 0.9]], B=[[0.0], [1.0]], E=np.eye(2),
                        sigma_w=0.002 * np.eye(2), sigma_eps=np.zeros((2, 2)))
     spec = OcpSpec(
@@ -260,406 +273,181 @@ def test_nominal_statespace_active_rows_violate_at_one_minus_p():
     assert active
     for p_jk in active.values():
         assert abs(p_jk - (1.0 - spec.p)) <= 1e-12
-    report = estimate_violation(sys, u, spec, 100_000, Rng(720))
+    report = exact_violation(sys, u, spec)
     for e in report.entries:
         if (e.j, e.k) in active:
-            low, high = clopper_pearson_interval(e.violations, e.samples, confidence=0.999)
-            assert low <= 1.0 - spec.p <= high, e
+            assert abs(e.rate - active[(e.j, e.k)]) <= 1e-14 and e.upper99 == e.rate, e
+
+
+# ---------------------------------------------------------------------------
+# The estimated model: quadrature oracles and the stated bound
+# ---------------------------------------------------------------------------
+
+
+def _gauss_hermite(truth, spec, u, points=160):
+    """p_jk = E_x0[Q((1 - mean(x0)) / sd(x0))] by tensor Gauss-Hermite quadrature over x0.
+
+    Given x0 the row is Gaussian; x0 = mean + F z with F the non-zero
+    columns of the factor of Sigma_x0, so a singular Sigma_x0 integrates over
+    fewer dimensions.  Forty points per dimension leave errors up to 4e-9
+    on these problems; at 160 the change from 80 points is below 2e-15.
+    """
+    factor = spec.init.factor
+    factor = factor[:, np.any(factor, axis=0)]
+    r = factor.shape[1]
+    t, w = np.polynomial.hermite.hermgauss(points)
+    grid = np.stack(np.meshgrid(*([t] * r), indexing="ij"), axis=-1).reshape(-1, r)
+    weight = np.prod(np.stack(np.meshgrid(*([w] * r), indexing="ij"), axis=-1).reshape(-1, r),
+                     axis=1) / math.pi ** (r / 2)
+    nodes = spec.init.mean + math.sqrt(2.0) * grid @ factor.T
+    p_exact = {}
+    for j, h in enumerate(spec.h_x):
+        # Step 0 is h' x0 itself: Gaussian, or deterministic where h' Sigma_x0 h = 0.
+        p_exact[(j, 0)] = float(_upper_tail(h @ spec.init.mean, math.sqrt(h @ spec.init.cov @ h)))
+        for k in range(1, spec.horizon + 1):
+            est = truth.estimates[k - 1]
+            uk = u[: k * spec.m]
+            z = np.tile(uk, (len(nodes), 1))
+            if est.structure == STRUCTURE_FULL:
+                z = np.hstack([nodes, z])
+            zh = np.einsum("ia,b->iab", z, h).reshape(len(z), -1)
+            mean = nodes @ est.g0_hat().T @ h + h @ est.gu_hat() @ uk
+            var = np.einsum("ia,ab,ib->i", zh, est.cov, zh) + _noise_variance(truth, h, k)
+            p_exact[(j, k)] = float(weight @ normal_dist.sf((1.0 - mean) / np.sqrt(var)))
+    return p_exact
+
+
+def _assert_within_bound(report, p_ref, tol=1e-12, ref_error=1e-15):
+    """Each rate is within ``tol`` of the reference and within its bound plus ``ref_error``."""
+    for e in report.entries:
+        err = abs(e.rate - p_ref[(e.j, e.k)])
+        assert err <= tol, (e, p_ref[(e.j, e.k)])
+        assert err <= e.upper99 - e.rate + ref_error, (e, p_ref[(e.j, e.k)])
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
 def test_violation_parametric_in_gauss_hermite_band(n, structure):
     # With random parameters and x0 both Gaussian the row is no longer
-    # Gaussian, but given x0 it is: p_jk = E_x0[Q((1 - mean(x0)) / sd(x0))],
-    # integrated by tensor Gauss-Hermite quadrature over x0.
+    # Gaussian, but given x0 it is: p_jk = E_x0[Q((1 - mean(x0)) / sd(x0))].
     gen = np.random.default_rng(720 + n)
     _, spec, truth, u = _problem(gen, n, 1, 2, structure, n, 100, theta_scale=0.1)
-    report = estimate_violation(truth, u, spec, 20_000, Rng(730 + n))
-    assert report.mode == "noise_and_parameters"
-    t, w = np.polynomial.hermite.hermgauss(40)
-    grid = np.stack(np.meshgrid(*([t] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    weight = np.prod(np.stack(np.meshgrid(*([w] * n), indexing="ij"), axis=-1).reshape(-1, n),
-                     axis=1) / math.pi ** (n / 2)
-    x0_bar, s_x0 = spec.init.mean, spec.init.cov
-    nodes = x0_bar + math.sqrt(2.0) * grid @ np.linalg.cholesky(s_x0).T
-    p_exact = {}
-    for j, h in enumerate(spec.h_x):
-        p_exact[(j, 0)] = float(normal_dist.sf((1.0 - h @ x0_bar) / math.sqrt(h @ s_x0 @ h)))
-        for k in range(1, spec.horizon + 1):
-            est = truth.estimates[k - 1]
-            uk = u[:k]
-            s2 = _noise_variance(truth, h, k)
-            p = 0.0
-            for x0, wt in zip(nodes, weight):
-                z = uk if structure == STRUCTURE_FIR else np.concatenate([x0, uk])
-                mean = float(h @ (est.g0_hat() @ x0 + est.gu_hat() @ uk))
-                var = float(np.kron(z, h) @ est.cov @ np.kron(z, h)) + s2
-                p += wt * float(normal_dist.sf((1.0 - mean) / math.sqrt(var)))
-            p_exact[(j, k)] = p
-    _assert_in_band(report, p_exact)
-
-
-# ---------------------------------------------------------------------------
-# The k = 0 counts keep the x0 stream
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("mode, expected", [
-    ("noise_only", [149, 435]),
-    ("noise_and_parameters", [149, 435]),
-])
-def test_violation_k0_counts_keep_x0_stream(mode, expected):
-    # x0 is the first draw of every batch, so the k = 0 counts are those the
-    # per-step sampler this counter replaced gave on the same seed.
-    gen = np.random.default_rng(747)
-    sys, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100)
-    report = estimate_violation(sys if mode == "noise_only" else truth, u, spec,
-                                10_000, Rng(748))
-    assert [e.violations for e in report.entries if e.k == 0] == expected
-
-
-# ---------------------------------------------------------------------------
-# Concurrent batches against the sequential reference
-# ---------------------------------------------------------------------------
-
-
-def _sequential_report(truth, u, spec, n_samples, rng):
-    """The report of one pass over the batches, in order, on the calling thread."""
-    noise_only = not isinstance(truth, SampledParameterTruth)
-    count = _make_counter(_exact_predictors(truth, spec.horizon) if noise_only else truth,
-                          u[: spec.horizon * spec.m], spec)
-    counts = sum(count(_batch_generator(rng, b), size)[0]
-                 for b, size in enumerate(_batch_sizes(n_samples, count.draw_rate)))
-    entries = [
-        ViolationEntry(j=j, k=k, samples=n_samples, violations=int(counts[k, j]),
-                       rate=int(counts[k, j]) / n_samples,
-                       upper99=clopper_pearson_upper(int(counts[k, j]), n_samples))
-        for k in range(spec.horizon + 1) for j in range(spec.n_rows)
-    ]
-    return ViolationReport(mode="noise_only" if noise_only else "noise_and_parameters",
-                           n_samples=n_samples, entries=entries)
-
-
-@given(
-    n=st.integers(1, 3),
-    noise_only=st.booleans(),
-    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
-    # At one x0 draw per sample, 5000 is two batches, fewer than three or
-    # five workers; the others end in a remainder batch or fill every batch.
-    n_samples=st.sampled_from([1000, 5000, 3 * 4096, 3 * 4096 + 17]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_counts_identical_for_any_worker_count(n, noise_only, structure, n_samples, seed):
-    gen = np.random.default_rng(seed)
-    sys_, spec, truth, u = _problem(gen, n, 1, 3, structure, n, 100)
-    truth = sys_ if noise_only else truth
-    reference = _sequential_report(truth, u, spec, n_samples, Rng(seed, 2))
-    for cpus in (1, 2, 3, 5):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            report = estimate_violation(truth, u, spec, n_samples, Rng(seed, 2))
-        assert report == reference, cpus
-
-
-@given(
-    n=st.integers(1, 4),
-    x0_rank=st.integers(0, 3),
-    size=st.sampled_from([1, 7, 4096]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_conditional_sd_matches_samples_first_products(n, x0_rank, size, seed):
-    # x0_rank < n gives a singular Sigma_x0; the full-rank parameter
-    # covariance makes every M non-zero, so the sd depends on x0.
-    gen = np.random.default_rng(seed)
-    _, spec, truth, u = _problem(gen, n, 2, 3, STRUCTURE_FULL, min(x0_rank, n), 100)
-    _, quad = _conditional_maps(truth, u, spec)
-    assert np.any(quad[:-1])
-    factor = psd_sqrt_factor(spec.init.cov)
-    x0 = spec.init.mean + gen.standard_normal((size, factor.shape[1])) @ factor.T
-    x_aug = np.column_stack([x0, np.ones(size)])
-    iu, ju = np.triu_indices(n + 1)
-    old = np.sqrt(np.maximum((x_aug[:, iu] * x_aug[:, ju]) @ quad, 0.0))
-    new = _conditional_sd(x_aug, quad)
-    assert new.shape == old.shape
-    assert np.all(np.abs(new - old) <= 1e-13 * old)
-
-
-# ---------------------------------------------------------------------------
-# Thinning: bounds on the ball, and the law of the counts
-# ---------------------------------------------------------------------------
-
-
-def _probabilities(x0, lin, quad):
-    """The counter's p_c(x0) = Q((1 - mean) / sd) for each row of ``x0`` and each column."""
-    x_aug = np.column_stack([x0, np.ones(len(x0))])
-    return _upper_tail(x_aug @ lin, _conditional_sd(x_aug, quad))
-
-
-def _sd_maximizers(gram, x_mean, x_factor, radius, starts):
-    """Points z on the sphere ||z|| = radius that locally maximize x~(z)' G x~(z), per column.
-
-    x~(z) = x_mean + x_factor z.  Each step maximizes the linearization over
-    the ball, which never lowers a convex function, so from the given starts
-    the iterates rise to local maxima.
-    """
-    z = np.broadcast_to(starts, (gram.shape[0],) + starts.shape).copy()
-    for _ in range(100):
-        x = x_mean + z @ x_factor.T
-        grad = np.einsum("ra,cab,csb->csr", x_factor.T, gram, x)
-        norm = np.linalg.norm(grad, axis=-1, keepdims=True)
-        z = np.where(norm > 0.0, radius * grad / np.where(norm > 0.0, norm, 1.0), z)
-    return z
-
-
-@given(
-    n=st.integers(1, 3),
-    m=st.integers(1, 2),
-    horizon=st.integers(1, 3),
-    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
-    x0_rank=st.integers(0, 3),
-    theta_rank=st.sampled_from([0, 1, 100]),
-    zero_noise=st.booleans(),
-    tail=st.sampled_from([1e-3, 0.5]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_violation_bounds_hold_on_the_ball(n, m, horizon, structure, x0_rank, theta_rank,
-                                           zero_noise, tail, seed):
-    # x0_rank < n gives a singular Sigma_x0 and 0 a zero one; zero noise with
-    # theta_rank 0 makes every sd zero, so p is [mean > 1].
-    gen = np.random.default_rng(seed)
-    _, spec, truth, u = _problem(gen, n, m, horizon, structure, min(x0_rank, n), theta_rank,
-                                 rows=3)
-    if zero_noise:
-        truth = replace(truth, sigma_w=np.zeros_like(truth.sigma_w))
-    lin, quad = _conditional_maps(truth, u, spec)
-    mean, factor = spec.init.mean, spec.init.factor
-    r = factor.shape[1]
-    radius = math.sqrt(chi2_quantile(r, 1.0 - tail))
-    gram = _variance_forms(quad, n + 1)
-    p_bar = _violation_bounds(lin, gram, mean, factor, radius)
-    assert p_bar.shape == (lin.shape[1],) and np.all((0.0 <= p_bar) & (p_bar <= 1.0))
-
-    directions = gen.standard_normal((64, r))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    sphere = radius * directions
-    points = [sphere, sphere * gen.random((64, 1)), np.zeros((1, r))]
-    # The maximizer of the mean of each column, and local maximizers of its sd.
-    f_lin = factor.T @ lin[:n]
-    f_norm = np.linalg.norm(f_lin, axis=0)
-    points.append((radius * f_lin / np.where(f_norm > 0.0, f_norm, 1.0)).T)
-    x_factor = np.vstack([factor, np.zeros((1, r))])
-    local = _sd_maximizers(gram, np.append(mean, 1.0), x_factor, radius, sphere[:8])
-    for c in range(lin.shape[1]):
-        p = _probabilities(mean + np.concatenate(points + [local[c]]) @ factor.T, lin, quad)
-        assert np.all(p <= p_bar), (c, p.max(axis=0), p_bar)
-
-
-def _reference_counter(truth, u, spec):
-    """The counter before thinning, verbatim: one normal per (sample, row, step).
-
-    It counts step 0 from x0 directly, so it reads the maps' steps 1..horizon.
-    """
-    lin, quad = (a[:, spec.n_rows:] for a in _conditional_maps(truth, u, spec))
-    const_sd = None if np.any(quad[:-1]) else np.sqrt(quad[-1])
-    x0_factor = spec.init.factor
-
-    def count(gen: np.random.Generator, size: int) -> np.ndarray:
-        x0 = spec.init.mean + gen.standard_normal((size, x0_factor.shape[1])) @ x0_factor.T
-        x_aug = np.column_stack([x0, np.ones(size)])
-        sd = const_sd if const_sd is not None else _conditional_sd(x_aug, quad)
-        value = x_aug @ lin + sd * gen.standard_normal((size, lin.shape[1]))
-        return np.vstack([
-            np.count_nonzero(x0 @ spec.h_x.T > 1.0, axis=0),
-            np.count_nonzero(value > 1.0, axis=0).reshape(spec.horizon, spec.n_rows),
-        ])
-
-    return count
-
-
-def _reference_counts(truth, u, spec, n_samples, rng):
-    count = _reference_counter(truth, u, spec)
-    return sum(count(_batch_generator(rng, b), size)
-               for b, size in enumerate(_batch_sizes(n_samples, 1.0)))
-
-
-def _assert_same_law(report, reference_counts):
-    """Two independent binomial counts a, b with one p: given a + b, a ~ Binomial(a + b, 1/2)."""
-    for e in report.entries:
-        total = e.violations + int(reference_counts[e.k, e.j])
-        low, high = binom.interval(0.999, total, 0.5)
-        assert low <= e.violations <= high, (e, int(reference_counts[e.k, e.j]))
-
-
-def _scaled_rows(spec):
-    """One row at scales that spread the violation probabilities over about 1e-4 .. 0.9.
-
-    A small Sigma_x0 keeps each column's bound over the ball close to its
-    probability, so that violated columns are thinned too.
-    """
-    scales = np.array([0.1, 0.2, 0.3, 0.5, 1.0, 2.0, -2.0, -6.0])
-    return replace(spec, h_x=np.outer(scales, spec.h_x[0]),
-                   init=GaussianBelief(mean=spec.init.mean, cov=0.05 * spec.init.cov))
+    report = exact_violation(truth, u, spec)
+    assert report.mode == "exact" and report.n_samples == 0
+    # The premise: full-structure rows at k >= 1 are not Gaussian.
+    bounds = [e.upper99 - e.rate for e in report.entries if e.k > 0]
+    assert all(bounds) if structure == STRUCTURE_FULL else not any(bounds)
+    _assert_within_bound(report, _gauss_hermite(truth, spec, u))
 
 
 @pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
-def test_thinned_counts_share_the_reference_law(monkeypatch, structure):
-    # The thresholds choose between two exact counters for speed; at the
-    # higher one next to drawn columns too, violated columns are thinned.
-    monkeypatch.setattr(validate, "_THIN_BELOW_MIXED", validate._THIN_BELOW)
-    gen = np.random.default_rng(801)
-    _, spec, truth, u = _problem(gen, 2, 1, 3, structure, 2, 100, rows=1)
-    spec = _scaled_rows(spec)
-    n_samples = 50_000
-    report = estimate_violation(truth, u, spec, n_samples, Rng(802))
-    reference = _reference_counts(truth, u, spec, n_samples, Rng(803))
-    rates = reference[1:] / n_samples
-    thinned = {(j, k) for j, k in report.thinned}
-    # The premise: thinned columns that are violated, drawn columns, and
-    # probabilities from about 1e-4 to 0.9.
-    assert any(report.entries[k * spec.n_rows + j].violations for j, k in thinned)
-    assert len(thinned) < spec.horizon * spec.n_rows
-    assert rates.max() > 0.5 and 0.0 < rates[rates > 0].min() < 1e-3
-    _assert_same_law(report, reference)
+@pytest.mark.parametrize("variances", [(0.3, 0.0), (0.25, 0.0, 0.4)])
+def test_exact_violation_singular_x0_in_gauss_hermite_band(structure, variances):
+    # A diagonal Sigma_x0 with a zero entry is exactly singular, and row 0
+    # reads only that state, so its step-0 column has zero variance.
+    gen = np.random.default_rng(730 + len(variances))
+    n = len(variances)
+    _, spec, truth, u = _problem(gen, n, 2, 2, structure, n, 100, theta_scale=0.1)
+    h_x = np.vstack([2.0 * np.eye(n)[1], spec.h_x[1]])
+    spec = replace(spec, h_x=h_x, init=GaussianBelief(mean=spec.init.mean, cov=np.diag(variances)))
+    report = exact_violation(truth, u, spec)
+    step0 = report.entries[0]
+    assert step0.rate == float(2.0 * spec.init.mean[1] > 1.0) == step0.upper99
+    _assert_within_bound(report, _gauss_hermite(truth, spec, u))
 
 
-@pytest.mark.parametrize("noise_only", [True, False])
-def test_outside_ball_and_drawn_columns(monkeypatch, noise_only):
-    # With half of the x0 draws outside the ball, the exact per-sample path
-    # carries half the samples of every thinned column; a row whose mean
-    # reaches 1 on the ball has p_bar = 1 and is drawn as normals.
-    monkeypatch.setattr(validate, "_BALL_TAIL", 0.5)
-    gen = np.random.default_rng(811)
-    sys_, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100, rows=1)
-    base = _exact_predictors(sys_, spec.horizon) if noise_only else truth
-    lin, _ = _conditional_maps(base, u, replace(spec, h_x=np.eye(2)))
-    state_mean = (np.append(spec.init.mean, 1.0) @ lin)[:2]  # E[x_1 | x0 = mean]
-    i = np.argmax(np.abs(state_mean))
-    # Row 0 has mean 1.2 at k = 1 and x0 = mean.
-    spec = replace(spec, h_x=np.vstack([1.2 * np.eye(2)[i] / state_mean[i],
-                                        0.1 * spec.h_x[0], 0.3 * spec.h_x[0]]))
+@pytest.mark.parametrize("kind", ["system", "zero_cov", "fir"])
+def test_gaussian_columns_equal_closed_form_bit_for_bit(kind):
+    # On these truths every column has a zero bilinear block, so the report
+    # is the closed form that the true system's probabilities always had:
+    # p = Q((1 - mean) / sd) with sd^2 = ||F' lin||^2 + the constant variance.
+    gen = np.random.default_rng(740)
+    structure = STRUCTURE_FIR if kind == "fir" else STRUCTURE_FULL
+    sys_, spec, truth, u = _problem(gen, 3, 2, 3, structure, 2, 0 if kind == "zero_cov" else 100,
+                                    rows=3)
+    base = _exact_predictors(sys_, spec.horizon) if kind == "system" else truth
     lin, quad = _conditional_maps(base, u, spec)
-    radius = math.sqrt(chi2_quantile(spec.n, 0.5))
-    p_bar = _violation_bounds(lin, _variance_forms(quad, spec.n + 1), spec.init.mean,
-                              spec.init.factor, radius)
-    assert p_bar[spec.n_rows] == 1.0                        # row 0 at k = 1
-    n_samples = 20_000
-    report = estimate_violation(sys_ if noise_only else truth, u, spec, n_samples, Rng(812))
-    # Row 0 is drawn, so the other columns are thinned below the lower threshold.
-    low = np.flatnonzero(p_bar < validate._THIN_BELOW_MIXED)
-    thinned = [(c % spec.n_rows, c // spec.n_rows) for c in low]
-    assert (0, 1) not in report.thinned and list(report.thinned) == thinned and thinned
-    # About half the samples of each thinned (row, step) are outside the ball.
-    assert report.exact_evaluations >= 0.4 * n_samples * len(thinned)
-    if noise_only:
-        exact = exact_violation(sys_, u, spec)
-        _assert_in_band(report, {(e.j, e.k): e.rate for e in exact.entries})
-    else:
-        _assert_same_law(report, _reference_counts(truth, u, spec, n_samples, Rng(813)))
+    n = spec.n
+    mean = spec.init.mean @ lin[:n] + lin[n]
+    var = np.sum((lin[:n].T @ spec.init.factor) ** 2, axis=1) + quad[-1]
+    p = _upper_tail(mean, np.sqrt(var))
+    report = exact_violation(sys_ if kind == "system" else truth, u, spec)
+    assert np.array_equal([e.rate for e in report.entries], p)
+    assert np.array_equal([e.upper99 for e in report.entries], p)
 
 
-def test_exact_evaluations_reported_for_any_worker_count():
-    gen = np.random.default_rng(821)
-    sys_, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100, rows=1)
-    spec = _scaled_rows(spec)
-    reports = []
-    for cpus in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            reports.append(estimate_violation(truth, u, spec, 3 * 4096 + 17, Rng(822)))
-    assert len({(r.exact_evaluations, r.x0_draws, r.thinned) for r in reports}) == 1
-    assert reports[0].exact_evaluations > 0 and reports[0].thinned
-    # Four batches, so as many workers as CPUs.
-    assert [r.workers for r in reports] == [1, 2, 3]
-    doc = violation_report_to_json(reports[0])
-    assert doc["exact_evaluations"] == reports[0].exact_evaluations
-    assert doc["x0_draws"] == reports[0].x0_draws
-    assert doc["thinned"] == [list(pair) for pair in reports[0].thinned]
-    assert "workers" not in doc
-    exact_doc = violation_report_to_json(exact_violation(sys_, u, spec))
-    assert "exact_evaluations" not in exact_doc and "x0_draws" not in exact_doc
+def _scalar_truth(a, c_a, s_x0, x0_bar, s_noise, u=0.3, b=1.0):
+    """One step of x1 = a x0 + b u + w, with a ~ N(a, c_a), x0 ~ N(x0_bar, s_x0^2), w ~ N(0, s_noise^2)."""
+    est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=np.array([a, b]),
+                            cov=np.diag([c_a, 0.0]), n=1, m=1)
+    truth = SampledParameterTruth(estimates=[est], gw=[np.array([[1.0]])],
+                                  sigma_w=np.array([[s_noise**2]]))
+    spec = OcpSpec(horizon=1, Q=np.eye(1), R=np.eye(1), h_x=np.array([[1.0]]), u_set=None, p=0.9,
+                   init=GaussianBelief(mean=np.array([x0_bar]), cov=np.array([[s_x0**2]])))
+    return truth, spec, np.array([u])
+
+
+@pytest.mark.parametrize("a, c_a, s_x0, x0_bar, s_noise, largest_bound", [
+    (0.2, 4.0, 1.0, 0.0, 1e-1, 1e-12),
+    (0.2, 4.0, 1.0, 0.0, 1e-2, 1e-10),
+    (0.2, 4.0, 1.0, 0.0, 1e-3, 1e-3),
+    (0.5, 25.0, 0.5, 0.3, 1e-4, 1e-3),
+    (0.0, 100.0, 1.0, 0.0, 0.0, 1e-3),
+    (-0.3, 9.0, 0.2, 2.0, 1e-2, 1e-12),
+    (0.1, 0.04, 0.3, 0.2, 1e-2, 1e-12),
+])
+def test_bound_covers_heavy_bilinear_tails(a, c_a, s_x0, x0_bar, s_noise, largest_bound):
+    # The row is (a + sqrt(c_a) xi) x0 + b u + w: with a large parameter
+    # variance and a small noise term it is close to a product of normals,
+    # whose characteristic function decays only like 1 / t.  The reference
+    # integrates Q((1 - mean(x0)) / sd(x0)) over x0 adaptively.
+    truth, spec, u = _scalar_truth(a, c_a, s_x0, x0_bar, s_noise)
+    entry = exact_violation(truth, u, spec).entries[1]
+
+    def integrand(z):
+        x0 = x0_bar + s_x0 * z
+        mean, sd = a * x0 + u[0], math.sqrt(c_a * x0**2 + s_noise**2)
+        return normal_dist.pdf(z) * (normal_dist.sf((1.0 - mean) / sd) if sd > 0 else mean > 1)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ref, ref_error = integrate.quad(integrand, -45.0, 45.0, epsabs=1e-17, epsrel=1e-14,
+                                        limit=2000, points=sorted({0.0, -x0_bar / s_x0}))
+    bound = entry.upper99 - entry.rate
+    assert 0.0 < bound <= largest_bound
+    assert abs(entry.rate - ref) <= bound + ref_error, (entry, ref, ref_error)
+
+
+def test_drawn_counter_band_holds_parametric_probabilities():
+    # Sigma_x0 inflated fourfold and one row at several scales put bilinear
+    # columns near 1e-2, where 200,000 draws resolve p to about 5%.
+    gen = np.random.default_rng(772)
+    _, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100, rows=1)
+    spec = replace(spec, h_x=np.outer([0.2, 0.3, 0.5, 0.8, 1.2, -0.5, -1.0], spec.h_x[0]),
+                   init=GaussianBelief(mean=spec.init.mean, cov=4.0 * spec.init.cov))
+    report = exact_violation(truth, u, spec)
+    assert any(5e-3 < e.rate < 2e-2 and e.upper99 > e.rate for e in report.entries)
+    counts = _drawn_counts(truth, u, spec, 200_000, np.random.default_rng(773))
+    _assert_in_band(counts, 200_000, {(e.j, e.k): e.rate for e in report.entries})
 
 
 # ---------------------------------------------------------------------------
-# Only the samples that some (row, step) can count draw x0
+# Input checks
 # ---------------------------------------------------------------------------
 
 
-def _four_state_like(scale):
-    """Four states, two inputs, horizon 6 and two rows on single states, as in four_state."""
-    gen = np.random.default_rng(841)
-    _, spec, truth, u = _problem(gen, 4, 2, 6, STRUCTURE_FULL, 4, 100)
-    return replace(spec, h_x=scale * np.eye(4)[[0, 2]]), truth, u
-
-
-def test_x0_draws_only_where_counted():
-    n_samples = 200_000
-    spec, truth, u = _four_state_like(0.1)
-    count = _make_counter(truth, u, spec)
-    q = count.draw_rate
-    # The premise: every (row, step) thinned, step 0 included, and a pool.
-    assert len(count.thinned) == (spec.horizon + 1) * spec.n_rows
-    assert 1e-3 < q < 1e-2
-    report = estimate_violation(truth, u, spec, n_samples, Rng(842))
-    # x0_draws ~ Binomial(N, q): each sample is outside the ball or in the pool.
-    assert abs(report.x0_draws - n_samples * q) <= 6.0 * math.sqrt(n_samples * q)
-    # With some (row, step) drawn, every sample draws x0.
-    spec, truth, u = _four_state_like(0.2)
-    assert _make_counter(truth, u, spec).draw_rate == 1.0
-    report = estimate_violation(truth, u, spec, n_samples, Rng(843))
-    assert report.x0_draws == n_samples
-
-
-def _dkw_band(samples, cdf, alpha=1e-3):
-    """The largest distance of the empirical CDF of ``samples`` from ``cdf``, and its DKW bound."""
-    x = np.sort(samples)
-    n = x.size
-    f = cdf(x)
-    gap = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
-    return gap, math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-
-
-@pytest.mark.parametrize("r", [1, 2, 4])
-def test_outside_and_pool_draws_follow_the_truncated_law(r):
-    # Outside the ball ||z||^2 follows chi2_r conditioned on > radius^2, and
-    # its direction is uniform: u_1^2 ~ Beta(1/2, (r - 1)/2).  A pool draw
-    # follows chi2_r conditioned on <= radius^2.
-    gen = np.random.default_rng(850 + r)
-    radius = math.sqrt(chi2_quantile(r, 1.0 - 1e-3))
-    tail = float(special.gammaincc(r / 2.0, radius**2 / 2.0))
-    outside = validate._outside_draws(gen, 20_000, r, tail)
-    squared = np.einsum("ij,ij->i", outside, outside)
-    assert outside.shape == (20_000, r) and np.all(squared > radius**2)
-    gap, band = _dkw_band(squared, lambda x: 1.0 - special.gammaincc(r / 2.0, x / 2.0) / tail)
-    assert gap <= band, (gap, band)
-    if r > 1:
-        gap, band = _dkw_band(outside[:, 0] ** 2 / squared,
-                              lambda x: special.betainc(0.5, (r - 1) / 2.0, x))
-        assert gap <= band, (gap, band)
-    pool = validate._inside_draws(gen, 20_000, r, radius)
-    squared = np.einsum("ij,ij->i", pool, pool)
-    assert pool.shape == (20_000, r) and np.all(squared <= radius**2)
-    gap, band = _dkw_band(squared, lambda x: special.gammainc(r / 2.0, x / 2.0) / (1.0 - tail))
-    assert gap <= band, (gap, band)
-
-
-@pytest.mark.parametrize("structure, scales, tail", [(STRUCTURE_FULL, (0.1, 0.15), 0.9),
-                                                     (STRUCTURE_FIR, (0.2, 0.3), 0.5)])
-def test_pooled_counts_share_the_reference_law(monkeypatch, structure, scales, tail):
-    # On a small ball every column's bound stays below 1/16 while the draws
-    # outside it violate, so the pooled draw (q < 1) counts violated thinned
-    # columns; it must match the verbatim old counter.  A FIR row's law does
-    # not depend on x0, so there half of its hits come from pool candidates.
-    monkeypatch.setattr(validate, "_BALL_TAIL", tail)
-    gen = np.random.default_rng(831)
-    _, spec, truth, u = _problem(gen, 2, 1, 3, structure, 2, 100, rows=1)
-    spec = replace(spec, h_x=np.outer(scales, spec.h_x[0]))
-    n_samples = 50_000
-    report = estimate_violation(truth, u, spec, n_samples, Rng(832))
-    assert report.x0_draws < n_samples
-    assert len(report.thinned) == (spec.horizon + 1) * spec.n_rows
-    assert sum(e.violations > 0 for e in report.entries) >= 3
-    _assert_same_law(report, _reference_counts(truth, u, spec, n_samples, Rng(833)))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("noise_only", [True, False])
+def test_non_finite_inputs_are_a_domain_error(noise_only, bad):
+    # A NaN input once gave a NaN variance, which the zero-sd branch turned
+    # into p = 0 at every k >= 1: a certificate from no information.
+    gen = np.random.default_rng(750)
+    sys_, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100)
+    u[1] = bad
+    with pytest.raises(DomainError):
+        exact_violation(sys_ if noise_only else truth, u, spec)
+    with pytest.raises(DimensionMismatch):
+        exact_violation(sys_ if noise_only else truth, u[:-1], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +458,8 @@ def test_pooled_counts_share_the_reference_law(monkeypatch, structure, scales, t
 @pytest.mark.parametrize("noise_only", [True, False])
 def test_public_functions_run_on_main_thread(noise_only):
     # A tracer that wraps the public mspc functions in every module namespace
-    # keeps its span stack in a plain list, so those calls must not move to
-    # the sampler's worker threads; only private helpers and numpy may run there.
+    # keeps its span stack in a plain list, so those calls must stay on the
+    # calling thread.
     modules = [mod for name, mod in sorted(sys.modules.items())
                if mod is not None and (name == "mspc" or name.startswith("mspc."))]
     calls = []
@@ -697,13 +485,11 @@ def test_public_functions_run_on_main_thread(noise_only):
     sys_, spec, truth, u = _problem(gen, 2, 1, 3, STRUCTURE_FULL, 2, 100)
     try:
         validate_mod = sys.modules["mspc.validate"]
-        validate_mod.estimate_violation(sys_ if noise_only else truth, u, spec,
-                                        3 * 4096 + 17, Rng(762))
+        validate_mod.exact_violation(sys_ if noise_only else truth, u, spec)
     finally:
         while saved:
             target, attr, value = saved.pop()
             setattr(target, attr, value)
     names = {name for name, _ in calls}
-    assert {"mspc.validate.estimate_violation", "mspc.linalg.psd_sqrt_factor",
-            "mspc.validate.clopper_pearson_upper"} <= names
+    assert {"mspc.validate.exact_violation", "mspc.linalg.psd_sqrt_factor"} <= names
     assert all(on_main for _, on_main in calls), [c for c in calls if not c[1]]
