@@ -6,8 +6,10 @@ Every subcommand runs a prefix of that list: simulate, identify, solve and
 pipeline stop after simulate, identify, solve_robust and validate; compare
 runs all of it, adding the sampled-scenario baseline and the data-length
 and chance-level sweeps.  The validate stage certifies the robust solution
-by the exact violation probabilities of the estimated model, with the true
-system's beside them; nothing in it is sampled.  Each subcommand writes
+by the exact violation probability of each (step, row) on the estimated
+model, with the true system's beside it: per entry the probability
+(``rate``) and that plus its error bound (``upper99``), which must stay
+within 1 - p plus ``validation.margin``.  Each subcommand writes
 report.json and timings.json.  The exit code is 0 when every stage it
 requested succeeded (with the robust solve Optimal, the two nominal
 parametrizations equivalent and the certification holding), 2 when the
@@ -17,12 +19,13 @@ report.json), and 1 otherwise.
 A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, the
 certification margin and the comparison studies; an unreadable file,
-invalid JSON, a missing required key, an unknown key, or a value of the
-wrong type or out of range (a fraction, boolean or string where an integer
-is expected, a boolean or string where a number is expected, a negative
-seed, a count, length or horizon below 1, a ``force_zero_cov`` that is not
-a JSON boolean) is a ``ConfigError``.  An output directory that cannot be
-created or written also exits 2.
+invalid JSON, a NaN, Infinity or number beyond float range anywhere, a
+missing required key, an unknown key, or a value of the wrong type or out
+of range (a fraction, boolean or string where an integer is expected, a
+boolean or string where a number is expected, a negative seed, a count,
+length or horizon below 1, a ``force_zero_cov`` that is not a JSON
+boolean, a margin of at least p) is a ``ConfigError``.  An output
+directory that cannot be created or written also exits 2.
 
 This is the only module that writes files: two-space JSON (``_write_json``)
 and CSV with repr floats (``_write_csv``), each stage file from the value
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys as _sys
 import time
 from dataclasses import dataclass, replace
@@ -67,8 +71,9 @@ class IdentSettings:
 
 @dataclass(frozen=True)
 class ValidationSettings:
-    # Certification is exact, so nothing reads n_samples or master_seed; both
-    # stay parsed and range-checked because existing configs set them.
+    # Certification is exact, so nothing here reads n_samples or master_seed.
+    # Both stay parsed and range-checked only for the benchmark, whose configs
+    # set them and whose harness overrides them.
     n_samples: int
     master_seed: int
     margin: float
@@ -214,6 +219,9 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
         master_seed=_integer(val_doc.get("master_seed", 0), "validation.master_seed", 0),
         margin=_number(val_doc.get("margin", 0.01), "validation.margin"),
     )
+    if validation.margin >= spec.p:
+        raise ConfigError(f"validation.margin {validation.margin} must be below p = {spec.p}: "
+                          "budget + margin would reach 1 and certify anything")
     cmp_doc = doc.get("compare", {})
     compare = CompareSettings(
         n_scenarios=_integer(cmp_doc.get("n_scenarios", 64), "compare.n_scenarios", 1),
@@ -237,13 +245,26 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
     )
 
 
+def _finite_float(text: str) -> float:
+    """``json.loads`` hook for float literals and NaN, Infinity, -Infinity; each must be finite.
+
+    Python's ``json`` reads the three constants, and a literal such as 1e400 as inf.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def load_config(path: "str | Path", seed_override=None) -> ExperimentConfig:
     """Read and parse a config file; an unreadable file, bad JSON or a bad value is a ConfigError."""
     try:
-        return parse_config(json.loads(Path(path).read_text()), seed_override=seed_override)
+        doc = json.loads(Path(path).read_text(), parse_constant=_finite_float,
+                         parse_float=_finite_float)
+        return parse_config(doc, seed_override=seed_override)
     except MspcError:
         raise
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -370,7 +391,7 @@ def _violation_vs_p(cfg: ExperimentConfig, sys_true: LinearSystem, estimates, gw
         if sol.status != "Optimal":
             rows.append({"p": p_val, "status": sol.status, "worst_upper99": None})
             continue
-        truth = validate.SampledParameterTruth(estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w)
+        truth = validate.EstimatedModel(estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w)
         rep = validate.exact_violation(truth, sol.primal[: spec_p.horizon * spec_p.m], spec_p)
         rows.append({
             "p": p_val,
@@ -507,14 +528,14 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
     if sol_robust is not None and sol_robust.primal is not None:
         def _certify():
             u = sol_robust.primal[: spec.horizon * spec.m]
-            truth = validate.SampledParameterTruth(
+            truth = validate.EstimatedModel(
                 estimates=estimates, gw=gw, sigma_w=sys_true.sigma_w
             )
             start = time.perf_counter()
             rep_par = validate.exact_violation(truth, u, spec)
             mid = time.perf_counter()
             rep_true = validate.exact_violation(sys_true, u, spec)
-            timings["validate_sampler"] = {
+            timings["validate_exact"] = {
                 "parametric_s": mid - start, "true_system_s": time.perf_counter() - mid,
             }
             rows = validate.certification_rows(table, estimates, spec, u, rep_par)
@@ -535,13 +556,13 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                 "true_system": validate.violation_report_to_json(rep_true),
                 "rows": rows,
             }
-            columns = ("j", "k", "samples", "violations", "rate", "upper99")
+            columns = ("j", "k", "rate", "upper99")
             _write_csv(out_dir / "violations_parametric.csv", columns,
                        report["certification"]["parametric"]["entries"])
             _write_csv(out_dir / "violations_true.csv", columns,
                        report["certification"]["true_system"]["entries"])
             _write_csv(out_dir / "tightening_vs_k.csv",
-                       ("j", "k", "h_exact", "h_upper", "parametric_term", "mc_upper99"), rows)
+                       ("j", "k", "h_exact", "h_upper", "parametric_term", "upper99"), rows)
 
     if estimates is not None:
         def _scenario():

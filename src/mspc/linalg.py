@@ -18,9 +18,11 @@ from scipy import special
 
 from .errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSymmetric
 
-# Tolerances for symmetry / definiteness checks.
+# Tolerances for symmetry / definiteness checks, relative to the largest
+# entry (symmetry) or eigenvalue (definiteness).
 SYMMETRY_RTOL = 1e-12
 PSD_CLIP_RTOL = 1e-8
+SPD_RTOL = 1e-12
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -44,70 +46,69 @@ def check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np
     return a
 
 
-def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix",
-                    stack: bool = False) -> np.ndarray:
+def check_symmetric(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Return ``a`` as a float array, raising :class:`NotSymmetric` if needed.
 
     With ``stack``, ``a`` may be a stack (..., d, d) and each matrix is
     checked against its own scale.
     """
     a = check_square(a, name, stack)
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
-    if np.any(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0) > rtol * scale):
-        raise NotSymmetric(f"{name} is not symmetric to relative tolerance {rtol:g}")
+    tol = SYMMETRY_RTOL * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    if np.any(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0) > tol):
+        raise NotSymmetric(f"{name} is not symmetric to relative tolerance {SYMMETRY_RTOL:g}")
     return a
 
 
-def assert_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
+def assert_psd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check symmetry and positive semidefiniteness up to tolerance."""
     a = check_symmetric(a, name=name)
     if a.size == 0:
         return a
     w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    if w[0] < -rtol * max(float(w[-1]), 0.0):
+    if w[0] < -PSD_CLIP_RTOL * max(float(w[-1]), 0.0):
         raise IndefiniteMatrix(f"{name} has eigenvalue {w[0]:.6e} below tolerance")
     return a
 
 
-def assert_spd(a: np.ndarray, name: str = "matrix", rtol: float = 1e-12) -> np.ndarray:
+def assert_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Check symmetry and strict positive definiteness."""
     a = check_symmetric(a, name=name)
     w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    if a.size == 0 or w[0] <= rtol * max(float(w[-1]), 0.0):
+    if a.size == 0 or w[0] <= SPD_RTOL * max(float(w[-1]), 0.0):
         raise IndefiniteMatrix(f"{name} must be positive definite (min eig {w[0] if a.size else 'n/a'})")
     return a
 
 
-def _psd_eigh(a: np.ndarray, rtol: float, name: str, stack: bool = False):
+def _psd_eigh(a: np.ndarray, name: str, stack: bool = False):
     """Eigenvalues (clamped at zero) and eigenvectors of a symmetric PSD matrix or stack.
 
-    Eigenvalues in ``[-rtol * lam_max, 0]`` are clamped to zero; anything
+    Eigenvalues in ``[-PSD_CLIP_RTOL * lam_max, 0]`` are clamped to zero; anything
     more negative raises :class:`IndefiniteMatrix`.
     """
     a = check_symmetric(a, name=name, stack=stack)
     w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
     lowest = w.min(axis=-1, initial=0.0)   # eigh sorts ascending; initial covers size 0
-    indefinite = lowest < -rtol * w.max(axis=-1, initial=0.0)
+    indefinite = lowest < -PSD_CLIP_RTOL * w.max(axis=-1, initial=0.0)
     if np.any(indefinite):
         raise IndefiniteMatrix(f"{name} has eigenvalue {lowest[indefinite].min():.6e}, not PSD")
     return np.clip(w, 0.0, None), v
 
 
-def sym_sqrt(a: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
+def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition (see :func:`_psd_eigh`)."""
-    w, v = _psd_eigh(a, rtol, "matrix")
+    w, v = _psd_eigh(a, "matrix")
     s = (v * np.sqrt(w)) @ v.T
     return 0.5 * (s + s.T)
 
 
-def psd_sqrt_factor(cov: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
+def psd_sqrt_factor(cov: np.ndarray) -> np.ndarray:
     """A (not necessarily symmetric) factor L with L @ L.T = cov.
 
     Uses the eigendecomposition so that singular covariances are accepted.
     ``cov`` may be a stack (..., d, d); each matrix is checked and factored
     on its own, by one stacked ``eigh``.
     """
-    w, v = _psd_eigh(cov, rtol, "covariance", stack=True)
+    w, v = _psd_eigh(cov, "covariance", stack=True)
     return v * np.sqrt(w)[..., None, :]
 
 

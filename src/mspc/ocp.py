@@ -66,32 +66,28 @@ class InputBox:
         hi = np.asarray(self.hi, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise DimensionMismatch("lo and hi must have the same length")
-        if np.any(lo >= hi):
-            raise DomainError("input box must have nonempty interior (lo < hi)")
+        if not np.all(lo < hi):
+            raise DomainError("input box must have nonempty interior (lo < hi, neither NaN)")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
 
 @dataclass(frozen=True)
 class InputPolytope:
-    """General polytope H u <= h applied at every step."""
+    """General polytope H u <= h applied at every step; u = 0 must be strictly inside."""
 
     h_mat: np.ndarray
     h_vec: np.ndarray
-    interior_point: "np.ndarray | None" = None
 
     def __post_init__(self):
         h_mat = np.asarray(self.h_mat, dtype=float)
         h_vec = np.asarray(self.h_vec, dtype=float).ravel()
         if h_mat.ndim != 2 or h_mat.shape[0] != h_vec.size:
             raise DimensionMismatch("polytope rows and offsets are inconsistent")
-        point = self.interior_point
-        point = np.zeros(h_mat.shape[1]) if point is None else np.asarray(point, float).ravel()
-        if np.any(h_mat @ point >= h_vec):
-            raise DomainError("interior point does not strictly satisfy the polytope")
+        if not np.all(h_vec > 0.0):
+            raise DomainError("u = 0 must strictly satisfy the polytope (every h > 0)")
         object.__setattr__(self, "h_mat", h_mat)
         object.__setattr__(self, "h_vec", h_vec)
-        object.__setattr__(self, "interior_point", point)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,6 @@ class SolverOptions:
     max_iterations: int = 200
     gap_tolerance: float = 1e-9
     feasibility_tolerance: float = 1e-9
-    polish: bool = True
-    init_margin: float = 1.0   # inflation of the initial cone point (internal)
 
     def __post_init__(self):
         if self.gap_tolerance <= 0 or self.feasibility_tolerance <= 0:
@@ -334,12 +332,7 @@ def _solve_once(prog: ConicProgram, opts: SolverOptions) -> Solution:
         sol = _solve_unconstrained(prog, canon)
     else:
         sol = _interior_point(prog, canon, opts)
-        if (
-            opts.polish
-            and sol.status == "Optimal"
-            and not canon.cone.soc_sizes
-            and sol.primal is not None
-        ):
+        if sol.status == "Optimal" and not canon.cone.soc_sizes and sol.primal is not None:
             polished = _polish_linear(prog, canon, sol, opts)
             if polished is not None:
                 sol = polished
@@ -470,11 +463,8 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
     s = -resid.copy()
     lam = resid.copy()
     e = cone.unit()
-    margin = max(opts.init_margin, 1e-3)
-    shift_p = cone.interior_violation(s)
-    s = s + (max(0.0, 1.0 + shift_p) + (margin - 1.0)) * e
-    shift_d = cone.interior_violation(lam)
-    lam = lam + (max(0.0, 1.0 + shift_d) + (margin - 1.0)) * e
+    s = s + max(0.0, 1.0 + cone.interior_violation(s)) * e
+    lam = lam + max(0.0, 1.0 + cone.interior_violation(lam)) * e
     if cone.interior_violation(s) >= 0 or cone.interior_violation(lam) >= 0:
         s = e.copy()
         lam = e.copy()

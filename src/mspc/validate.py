@@ -1,9 +1,10 @@
 """Violation probabilities of the chance constraints, and other validation.
 
-Certification reports, per constraint row j and horizon step k, the
-probability p_jk that H_j' x_k > 1 together with a bound on its error.
-:func:`exact_violation` computes it from the row's exact law, on the true
-system and on the estimated model alike; nothing is sampled.  Given x0, row
+Certification computes, per horizon step k and constraint row j, the
+probability p_jk that H_j' x_k > 1 and a bound on its error.
+:func:`exact_violation` returns both as a :class:`ViolationReport`, two
+(horizon + 1) x rows arrays ``rate`` and ``upper99`` indexed [k, j], on the
+true system and on the :class:`EstimatedModel` alike.  Given x0, row
 j at step k is Gaussian with mean z' g and variance z' M z + s_jk^2, where
 (g, M) are the :meth:`ParameterEstimate.row_moments` and s_jk^2 = H_j' Gw_k
 (I kron Sigma_w) Gw_k' H_j is the noise term; the true system is the
@@ -43,7 +44,7 @@ from .ocp import (
     build_nominal_qp_multistep,
     build_nominal_qp_statespace,
 )
-from .solver import SolverOptions, solve
+from .solver import solve
 from .system import GaussianBelief, LinearSystem, build_multistep, simulate
 
 
@@ -58,32 +59,23 @@ def clopper_pearson_interval(hits: int, samples: int, confidence: float = 0.99):
 
 
 @dataclass(frozen=True)
-class ViolationEntry:
-    j: int
-    k: int
-    samples: int
-    violations: int
-    rate: float
-    upper99: float
-
-
-@dataclass(frozen=True)
 class ViolationReport:
-    mode: str                     # "exact"
-    n_samples: int
-    entries: "list[ViolationEntry]"
+    """Per-(step, row) violation probabilities, both arrays indexed [k, j]."""
+
+    rate: np.ndarray              # (horizon + 1, n_rows) exact probability
+    upper99: np.ndarray           # rate plus its error bound, at most 1
 
     @property
     def worst_upper99(self) -> float:
-        return max((e.upper99 for e in self.entries), default=0.0)
+        return float(self.upper99.max(initial=0.0))
 
     def certifies(self, budget: float, margin: float = 0.0) -> bool:
         """True when every per-row upper bound stays within budget + margin."""
-        return all(e.upper99 <= budget + margin for e in self.entries)
+        return bool(np.all(self.upper99 <= budget + margin))
 
 
 @dataclass(frozen=True)
-class SampledParameterTruth:
+class EstimatedModel:
     """The estimated model: per-step predictors distributed as the estimated Gaussians."""
 
     estimates: "list[ParameterEstimate]"
@@ -91,7 +83,7 @@ class SampledParameterTruth:
     sigma_w: np.ndarray
 
 
-def exact_violation(truth: "LinearSystem | SampledParameterTruth", u: np.ndarray,
+def exact_violation(truth: "LinearSystem | EstimatedModel", u: np.ndarray,
                     spec: OcpSpec) -> ViolationReport:
     """Per-(row, step) violation probabilities of H_j' x_k <= 1, steps 0..horizon.
 
@@ -100,8 +92,8 @@ def exact_violation(truth: "LinearSystem | SampledParameterTruth", u: np.ndarray
     = L_c' F~ is zero is Gaussian: p = Q((1 - mean) / sd), and a zero sd (a
     deterministic row) gives p = [mean > 1].  Every other column is
     inverted by :func:`_quadratic_tail` in the coordinates of one batched
-    SVD of B.  Entries carry ``samples = violations = 0``, ``rate = p`` and
-    ``upper99 = min(1, p + bound)``, the bound being 0 on Gaussian columns.
+    SVD of B.  The report holds ``rate = p`` and ``upper99 = min(1, p +
+    bound)``, the bound being 0 on Gaussian columns.
     """
     u = _horizon_inputs(u, spec)
     if isinstance(truth, LinearSystem):
@@ -132,11 +124,7 @@ def exact_violation(truth: "LinearSystem | SampledParameterTruth", u: np.ndarray
         p[bilinear], bound[bilinear] = _quadratic_tail(mean[bilinear] - 1.0, alpha, beta,
                                                        sigma, tau2)
     p = p.reshape(spec.horizon + 1, spec.n_rows)
-    upper = np.minimum(1.0, p + bound.reshape(p.shape))
-    entries = [ViolationEntry(j=j, k=k, samples=0, violations=0,
-                              rate=float(p[k, j]), upper99=float(upper[k, j]))
-               for k in range(spec.horizon + 1) for j in range(spec.n_rows)]
-    return ViolationReport(mode="exact", n_samples=0, entries=entries)
+    return ViolationReport(rate=p, upper99=np.minimum(1.0, p + bound.reshape(p.shape)))
 
 
 def _horizon_inputs(u: np.ndarray, spec: OcpSpec) -> np.ndarray:
@@ -150,7 +138,7 @@ def _horizon_inputs(u: np.ndarray, spec: OcpSpec) -> np.ndarray:
     return u[: n_u * m]
 
 
-def _exact_predictors(sys: LinearSystem, horizon: int) -> SampledParameterTruth:
+def _exact_predictors(sys: LinearSystem, horizon: int) -> EstimatedModel:
     """The true system's k-step predictors as estimates with zero covariance."""
     model = build_multistep(sys, horizon)
     estimates = []
@@ -160,10 +148,10 @@ def _exact_predictors(sys: LinearSystem, horizon: int) -> SampledParameterTruth:
         estimates.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
                                            cov=np.zeros((theta.size, theta.size)),
                                            n=sys.n, m=sys.m))
-    return SampledParameterTruth(estimates=estimates, gw=model.gw, sigma_w=sys.sigma_w)
+    return EstimatedModel(estimates=estimates, gw=model.gw, sigma_w=sys.sigma_w)
 
 
-def _conditional_maps(truth: SampledParameterTruth, u: np.ndarray, spec: OcpSpec):
+def _conditional_maps(truth: EstimatedModel, u: np.ndarray, spec: OcpSpec):
     """Maps lin ((n+1) x horizon*rows) and quad in x~ = [x0; 1].
 
     Given x0, row j at step k has mean x~' lin and variance p' quad, i.e.
@@ -286,6 +274,9 @@ def _quadratic_tail(shift, alpha, beta, sigma, tau2):
 # ---------------------------------------------------------------------------
 
 
+EQUIVALENCE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     input_diff: float
@@ -295,17 +286,15 @@ class EquivalenceReport:
     passed: bool
 
 
-def equivalence_check(
-    sys: LinearSystem,
-    spec: OcpSpec,
-    opts: "SolverOptions | None" = None,
-    tol: float = 1e-6,
-) -> EquivalenceReport:
-    """Solve the two nominal programs built from the same system and compare."""
+def equivalence_check(sys: LinearSystem, spec: OcpSpec) -> EquivalenceReport:
+    """Solve the two nominal programs built from the same system and compare.
+
+    They pass when both are Optimal with inputs within ``EQUIVALENCE_TOL``.
+    """
     prog_ss = build_nominal_qp_statespace(sys, spec)
     prog_ms = build_nominal_qp_multistep(build_multistep(sys, spec.horizon), spec)
-    sol_ss = solve(prog_ss, opts)
-    sol_ms = solve(prog_ms, opts)
+    sol_ss = solve(prog_ss)
+    sol_ms = solve(prog_ms)
     if sol_ss.primal is None or sol_ms.primal is None:
         return EquivalenceReport(
             input_diff=math.inf,
@@ -317,7 +306,7 @@ def equivalence_check(
     diff = float(np.abs(sol_ss.primal - sol_ms.primal).max())
     denom = max(1.0, abs(sol_ss.objective))
     value_rel = abs(sol_ss.objective - sol_ms.objective) / denom
-    passed = sol_ss.status == "Optimal" and sol_ms.status == "Optimal" and diff <= tol
+    passed = sol_ss.status == "Optimal" and sol_ms.status == "Optimal" and diff <= EQUIVALENCE_TOL
     return EquivalenceReport(
         input_diff=diff,
         value_rel_diff=value_rel,
@@ -428,11 +417,9 @@ def certification_rows(
 
     The robust cone row reads mean_value + parametric_term <= 1 -
     nominal_backoff, so ``slack`` is the margin it leaves at ``u`` (>= 0 up
-    to solver tolerance at a feasible point); ``mc_rate`` and ``mc_upper99``
-    are the matching entries of the parametric violation report: the exact
-    probability and that plus its error bound.
+    to solver tolerance at a feasible point); ``rate`` and ``upper99`` are
+    the parametric report's exact probability and that plus its error bound.
     """
-    entries = {(e.j, e.k): e for e in parametric.entries}
     x0 = spec.init.mean
     rows = []
     for k in range(1, spec.horizon + 1):
@@ -443,7 +430,6 @@ def certification_rows(
             mean_value = float(z @ g)
             parametric_term = table.radius[k] * math.sqrt(max(float(z @ m_mat @ z), 0.0))
             nominal_backoff = table.c_ptilde * table.h_exact[(j, k)]
-            entry = entries[(j, k)]
             rows.append(
                 {
                     "j": j,
@@ -454,8 +440,8 @@ def certification_rows(
                     "parametric_term": parametric_term,
                     "mean_value": mean_value,
                     "slack": 1.0 - nominal_backoff - parametric_term - mean_value,
-                    "mc_rate": entry.rate,
-                    "mc_upper99": entry.upper99,
+                    "rate": float(parametric.rate[k, j]),
+                    "upper99": float(parametric.upper99[k, j]),
                 }
             )
     return rows
@@ -467,12 +453,10 @@ def certification_rows(
 
 
 def violation_report_to_json(report: ViolationReport) -> dict:
-    return {
-        "mode": report.mode,
-        "n_samples": report.n_samples,
-        "worst_upper99": report.worst_upper99,
-        "entries": [asdict(e) for e in report.entries],
-    }
+    """One entry per (step k, row j), rows within a step."""
+    rate, upper = report.rate, report.upper99
+    return {"entries": [{"j": j, "k": k, "rate": float(rate[k, j]), "upper99": float(upper[k, j])}
+                        for k in range(rate.shape[0]) for j in range(rate.shape[1])]}
 
 
 def equivalence_report_to_json(report: EquivalenceReport) -> dict:

@@ -33,7 +33,7 @@ def quick_config(**overrides):
             "x0_mean": [1.2, 0.3],
             "sigma_x0": [[0.01, 0.0], [0.0, 0.01]],
         },
-        "validation": {"n_samples": 2000, "master_seed": 7, "margin": 0.01},
+        "validation": {"margin": 0.01},
         "compare": {
             "n_scenarios": 4,
             "T_sweep": [80, 160],
@@ -122,6 +122,16 @@ def set_random(key, value):
     (set_random("sigma_eps", False), "system.random.sigma_eps"),
     (set_value("identification", "structure", "FIR"), "identification.structure"),
     (set_value("identification", "covariance", "Oracle"), "identification.covariance"),
+    (set_value("identification", "delta", float("nan")), "NaN"),   # json reads NaN and
+    (set_value("identification", "input_std", float("inf")), "Infinity"),  # Infinity
+    (set_value("ocp", "x0_mean", [float("nan")] * 2), "NaN"),
+    (set_value("ocp", "h_x", [[0.5, float("-inf")]]), "-Infinity"),
+    (set_value("ocp", "u_min", [float("nan")]), "NaN"),           # would drop the bound
+    (set_value("validation", "margin", float("inf")), "Infinity"),  # would certify anything
+    (lambda doc: json.dumps(doc).replace('"h_x": [[0.5, 0.0]]', '"h_x": [[0.5, 1e400]]'),
+     "1e400"),                                                 # json reads inf
+    (set_value("identification", "delta", 10**400), "OverflowError"),  # no float holds it
+    (set_value("validation", "margin", 0.9), "validation.margin"),  # budget + margin = 1
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
         "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
         "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
@@ -131,7 +141,9 @@ def set_random(key, value):
         "input_std_bool", "margin_string", "p_sweep_bool", "random_n_fraction",
         "random_n_zero", "random_m_bool", "random_q_string", "random_seed_bool",
         "random_seed_negative", "random_spectral_radius_string", "random_sigma_w_string",
-        "random_sigma_eps_bool", "structure_typo", "covariance_typo"])
+        "random_sigma_eps_bool", "structure_typo", "covariance_typo", "delta_nan",
+        "input_std_infinity", "x0_mean_nan", "h_x_minus_infinity", "u_min_nan",
+        "margin_infinity", "float_overflow", "int_overflow", "margin_at_p"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"
@@ -262,11 +274,11 @@ def test_binding_constraint_certified_with_exact_probability(tmp_path):
     entries = {(e["j"], e["k"]): e for e in report["certification"]["parametric"]["entries"]}
     for row in active:
         entry = entries[(row["j"], row["k"])]
-        assert (row["mc_rate"], row["mc_upper99"]) == (entry["rate"], entry["upper99"])
+        assert (row["rate"], row["upper99"]) == (entry["rate"], entry["upper99"])
         # An exact probability with a small bound, well inside the budget:
         # how conservative the tightening is where it binds.
-        assert 0.0 < row["mc_upper99"] - row["mc_rate"] <= 1e-12
-        assert 1e-2 < row["mc_rate"] < 0.5 * budget
+        assert 0.0 < row["upper99"] - row["rate"] <= 1e-12
+        assert 1e-2 < row["rate"] < 0.5 * budget
 
 
 def test_pipeline_passes_and_echoes_config(tmp_path):
@@ -411,24 +423,25 @@ def test_pipeline_certifies_both_truths_exactly(tmp_path, monkeypatch):
     monkeypatch.setattr(validate, "exact_violation", counting)
     report, ok = cmd_pipeline(parse_config(quick_config()), tmp_path)
     assert ok
-    assert [type(t).__name__ for t in truths] == ["SampledParameterTruth", "LinearSystem"]
+    assert [type(t).__name__ for t in truths] == ["EstimatedModel", "LinearSystem"]
     certification = report["certification"]
     for name in ("parametric", "true_system"):
         rep = certification[name]
-        assert set(rep) == {"mode", "n_samples", "worst_upper99", "entries"}
-        assert rep["mode"] == "exact" and rep["n_samples"] == 0
-        assert all(e["samples"] == e["violations"] == 0 for e in rep["entries"])
+        assert list(rep) == ["entries"]
+        assert [(e["k"], e["j"]) for e in rep["entries"]] == [(k, 0) for k in range(5)]
+        assert all(list(e) == ["j", "k", "rate", "upper99"] for e in rep["entries"])
         assert all(e["rate"] <= e["upper99"] <= 1.0 for e in rep["entries"])
-        assert certification[f"worst_upper99_{name}"] == rep["worst_upper99"]
+        worst = max(e["upper99"] for e in rep["entries"])
+        assert certification[f"worst_upper99_{name}"] == worst
     # The estimate's parameter uncertainty gives its k >= 1 rows a bound.
     assert any(e["upper99"] > e["rate"] for e in certification["parametric"]["entries"])
 
 
-def test_timings_record_sampler_calls(full_pipeline_dir):
+def test_timings_record_exact_certification(full_pipeline_dir):
     timings = json.loads((full_pipeline_dir / "timings.json").read_text())
-    sampler = timings["validate_sampler"]
-    assert set(sampler) == {"parametric_s", "true_system_s"}
-    assert sampler["parametric_s"] > 0.0 and sampler["true_system_s"] > 0.0
+    exact = timings["validate_exact"]
+    assert set(exact) == {"parametric_s", "true_system_s"}
+    assert exact["parametric_s"] > 0.0 and exact["true_system_s"] > 0.0
 
 
 def test_stage_files_hold_report_values(tmp_path):
@@ -469,14 +482,14 @@ def test_pipeline_certification_rows_match_violation_csv(full_pipeline_dir):
         table = list(csv.DictReader(fh))
     assert len(rows) == len(table) == 4  # one row, horizon 4
     for row, line in zip(rows, table):
-        assert row["mc_upper99"] == upper[(row["j"], row["k"])]
+        assert row["upper99"] == upper[(row["j"], row["k"])]
         assert row["slack"] == (
             1.0 - row["nominal_backoff"] - row["parametric_term"] - row["mean_value"]
         )
         assert row["slack"] >= -1e-8
         assert [float(line[col]) for col in ("h_exact", "h_upper", "parametric_term",
-                                             "mc_upper99")] == [
-            row["h_exact"], row["h_upper"], row["parametric_term"], row["mc_upper99"]
+                                             "upper99")] == [
+            row["h_exact"], row["h_upper"], row["parametric_term"], row["upper99"]
         ]
 
 

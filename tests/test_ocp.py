@@ -1079,3 +1079,21 @@ def test_input_rows_match_loop_reference(m, horizon, kind, extra, seed):
     assert lin_a.shape == ref_a.shape and np.array_equal(lin_a, ref_a)
     assert not np.any(np.signbit(lin_a) & (lin_a == 0.0))   # no -0.0 in the JSON
     assert np.array_equal(lin_b, ref_b)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([np.nan], [2.0]), ([-2.0], [np.nan]), ([1.0], [1.0]), ([-1.0, 3.0], [1.0, 2.0]),
+], ids=["nan_lo", "nan_hi", "empty", "inverted"])
+def test_input_box_rejects_nan_and_empty_bounds(lo, hi):
+    # A NaN bound compares False both ways; accepted, _input_rows would drop
+    # its row as non-finite and leave the input unbounded.
+    with pytest.raises(DomainError, match="nonempty interior"):
+        InputBox(lo=lo, hi=hi)
+    box = InputBox(lo=[-np.inf, -1.0], hi=[2.0, np.inf])   # infinite bounds stay allowed
+    assert np.array_equal(box.hi, [2.0, np.inf])
+
+
+@pytest.mark.parametrize("h", [[1.0, 0.0], [1.0, -0.5], [1.0, np.nan]])
+def test_input_polytope_needs_zero_strictly_inside(h):
+    with pytest.raises(DomainError, match="strictly"):
+        InputPolytope(h_mat=np.eye(2), h_vec=h)

@@ -152,26 +152,6 @@ def test_scaling_invariance_of_argmin():
     assert np.abs(s1.primal - s2.primal).max() < 1e-8
 
 
-def test_reinitialization_stability_strictly_convex():
-    gen = Rng(41).generator()
-    f = gen.standard_normal((4, 4))
-    p = f @ f.T + 2.0 * np.eye(4)
-    q = gen.standard_normal(4)
-    lin_a = gen.standard_normal((6, 4))
-    lin_b = np.abs(gen.standard_normal(6)) + 0.2
-    soc = SocRow(
-        f_mat=gen.standard_normal((3, 4)),
-        g_vec=0.1 * gen.standard_normal(3),
-        c_vec=np.zeros(4),
-        d_off=3.0,
-    )
-    prog = make_program(p=p, q=q, lin_a=lin_a, lin_b=lin_b, soc_rows=[soc])
-    s1 = solve(prog, SolverOptions(init_margin=1.0))
-    s2 = solve(prog, SolverOptions(init_margin=6.0))
-    assert s1.status == s2.status == "Optimal"
-    assert np.abs(s1.primal - s2.primal).max() <= 1e-7
-
-
 def test_presolve_constant_norm_soc_row():
     # ||g|| <= c'z + d with F = 0 acts as the linear row -c'z <= d - ||g||.
     prog = make_program(
@@ -276,7 +256,7 @@ def test_iteration_limit_status():
     prog = make_program(
         p=[[2.0]], q=[-6.0], lin_a=[[1.0]], lin_b=[1.0], constant=9.0
     )
-    sol = solve(prog, SolverOptions(max_iterations=1, polish=False))
+    sol = solve(prog, SolverOptions(max_iterations=1))
     assert sol.status in ("IterationLimit", "Optimal")
     assert sol.iterations <= 1
 

@@ -21,7 +21,7 @@ from mspc.solver import solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
 from mspc.validate import (
     CoverageConfig,
-    SampledParameterTruth,
+    EstimatedModel,
     clopper_pearson_interval,
     certification_rows,
     coverage_experiment,
@@ -101,9 +101,9 @@ def test_violation_never_violated_constraint():
     sys = scalar_system()
     spec = scalar_spec(h=1e-6)
     report = exact_violation(sys, np.zeros(2), spec)
-    assert all(e.violations == 0 and e.samples == 0 for e in report.entries)
+    assert report.rate.shape == report.upper99.shape == (spec.horizon + 1, spec.n_rows)
+    assert not np.any(report.rate) and not np.any(report.upper99)
     assert report.worst_upper99 == 0.0
-    assert report.mode == "exact" and report.n_samples == 0
 
 
 def test_violation_matches_gaussian_tail():
@@ -112,14 +112,13 @@ def test_violation_matches_gaussian_tail():
     spec = scalar_spec(h=h, x0=x0, sx0=sx0)
     u = np.array([0.4, -0.1])
     report = exact_violation(sys, u, spec)
-    by_k = {(e.j, e.k): e for e in report.entries}
     mean, var = x0, sx0
     for k in (1, 2):
         mean = a * mean + b * u[k - 1]
         var = a * a * var + sw
         p_true = normal_dist.sf((1.0 - h * mean) / (h * math.sqrt(var)))
-        assert abs(by_k[(0, k)].rate - p_true) <= 1e-13 * p_true
-        assert by_k[(0, k)].upper99 == by_k[(0, k)].rate
+        assert abs(report.rate[k, 0] - p_true) <= 1e-13 * p_true
+        assert report.upper99[k, 0] == report.rate[k, 0]
 
 
 def test_violation_sampled_parameters_zero_cov_matches_noise_only_law():
@@ -133,10 +132,12 @@ def test_violation_sampled_parameters_zero_cov_matches_noise_only_law():
         ests.append(ParameterEstimate(k=k, structure=STRUCTURE_FULL, theta=theta,
                                       cov=np.zeros((theta.size,) * 2), n=1, m=1))
         gw.append(gwk)
-    truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
+    truth = EstimatedModel(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
     u = np.array([0.3, 0.2])
     # The true system is the estimate with zero covariance: the same report.
-    assert exact_violation(truth, u, spec) == exact_violation(sys, u, spec)
+    on_estimate, on_system = exact_violation(truth, u, spec), exact_violation(sys, u, spec)
+    assert np.array_equal(on_estimate.rate, on_system.rate)
+    assert np.array_equal(on_estimate.upper99, on_system.upper99)
 
 
 def test_violation_deterministic_and_thread_invariant():
@@ -157,15 +158,17 @@ def test_violation_csv(tmp_path):
     sys = scalar_system()
     report = exact_violation(sys, np.zeros(2), scalar_spec())
     path = tmp_path / "violations.csv"
-    columns = ("j", "k", "samples", "violations", "rate", "upper99")
-    entries = violation_report_to_json(report)["entries"]
-    assert all(tuple(entry) == columns for entry in entries)
-    _write_csv(path, columns, entries)
+    columns = ("j", "k", "rate", "upper99")
+    doc = violation_report_to_json(report)
+    assert list(doc) == ["entries"]
+    assert all(tuple(entry) == columns for entry in doc["entries"])
+    _write_csv(path, columns, doc["entries"])
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,k,samples,violations,rate,upper99"
-    assert len(lines) == 1 + len(report.entries)
-    for line, e in zip(lines[1:], report.entries):
-        assert line == f"{e.j},{e.k},{e.samples},{e.violations},{e.rate!r},{e.upper99!r}"
+    assert lines[0] == "j,k,rate,upper99"
+    assert len(lines) == 1 + report.rate.size
+    for line, (k, j) in zip(lines[1:], np.ndindex(report.rate.shape)):   # rows within a step
+        rate, upper = float(report.rate[k, j]), float(report.upper99[k, j])
+        assert line == f"{j},{k},{rate!r},{upper!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ def test_equivalence_random_active_constraints():
         p=0.9,
         init=GaussianBelief(mean=np.array([1.2, -0.5, 0.8]), cov=0.01 * np.eye(3)),
     )
-    report = equivalence_check(sys, spec, tol=1e-6)
+    report = equivalence_check(sys, spec)
     assert report.passed, report
     assert report.value_rel_diff <= 1e-6
 
@@ -277,7 +280,7 @@ def robust_rows(sys, ests, spec, delta):
     table = build_tightening_table(spec, ests, gw, sys.sigma_w, delta)
     sol = solve(build_robust_socp_multistep(ests, spec, delta, gw, sys.sigma_w, table=table))
     assert sol.status == "Optimal"
-    truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
+    truth = EstimatedModel(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
     rep = exact_violation(truth, sol.primal, spec)
     return rep, certification_rows(table, ests, spec, sol.primal, rep)
 
@@ -297,7 +300,7 @@ def test_conservatism_zero_parametric_uncertainty():
     assert all(r["h_upper"] >= r["h_exact"] - 1e-9 for r in rows)
     for row in rows:
         assert row["parametric_term"] == 0.0
-        assert row["mc_upper99"] <= budget + 0.01
+        assert row["upper99"] <= budget + 0.01
 
 
 def test_conservatism_with_uncertainty():
@@ -315,7 +318,7 @@ def test_conservatism_with_uncertainty():
     assert all(r["h_upper"] >= r["h_exact"] - 1e-9 for r in rows)
     for row in rows:
         assert row["h_upper"] >= row["h_exact"] - 1e-9
-        assert row["mc_upper99"] <= budget + 0.01
+        assert row["upper99"] <= budget + 0.01
 
 
 def test_certification_rows_slack_at_robust_optimum():
@@ -350,10 +353,9 @@ def test_certification_rows_slack_at_robust_optimum():
         assert row["slack"] >= -1e-8, row
         assert row["nominal_backoff"] > 0.0 and row["parametric_term"] > 0.0
     assert min(r["slack"] for r in rows if r["j"] == 1) <= 1e-6  # active rows
-    entries = {(e.j, e.k): e for e in rep.entries}
     for row in rows:
-        entry = entries[(row["j"], row["k"])]
-        assert (row["mc_rate"], row["mc_upper99"]) == (entry.rate, entry.upper99)
+        k, j = row["k"], row["j"]
+        assert (row["rate"], row["upper99"]) == (rep.rate[k, j], rep.upper99[k, j])
 
 
 def test_violation_sampled_parameters_analytic_tail():
@@ -366,19 +368,19 @@ def test_violation_sampled_parameters_analytic_tail():
     sigma_theta = np.diag([0.02, 0.01])
     est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=theta_hat,
                             cov=sigma_theta, n=1, m=1)
-    truth = SampledParameterTruth(
+    truth = EstimatedModel(
         estimates=[est], gw=[np.array([[1.0]])], sigma_w=sys.sigma_w
     )
     u = np.array([0.5])
     report = exact_violation(truth, u, spec)
-    entry = next(e for e in report.entries if (e.j, e.k) == (0, 1))
+    rate = report.rate[1, 0]
     h = 0.6
     z = np.array([0.9, 0.5])
     mean = h * float(theta_hat @ z)
     var = h * h * (float(z @ sigma_theta @ z) + sw)
     p_true = normal_dist.sf((1.0 - mean) / math.sqrt(var))
-    assert abs(entry.rate - p_true) <= 1e-13 * p_true, (entry.rate, p_true)
-    assert entry.upper99 == entry.rate
+    assert abs(rate - p_true) <= 1e-13 * p_true, (rate, p_true)
+    assert report.upper99[1, 0] == rate
 
 
 @pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
@@ -404,20 +406,21 @@ def test_violation_sampled_parameters_analytic_tail_two_states(structure, horizo
         ests.append(ParameterEstimate(k=k, structure=structure, theta=theta, cov=cov,
                                       n=2, m=1))
         gw.append(gwk)
-    truth = SampledParameterTruth(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
+    truth = EstimatedModel(estimates=ests, gw=gw, sigma_w=sys.sigma_w)
     u = np.array([-1.6, 0.9])[:horizon]
     report = exact_violation(truth, u, spec)
     x0 = spec.init.mean
-    for e in report.entries:
-        h = spec.h_x[e.j]
-        if e.k == 0:
+    for (k, j), rate in np.ndenumerate(report.rate):
+        h = spec.h_x[j]
+        if k == 0:
             p_true = float(h @ x0 > 1.0)
         else:
-            est = ests[e.k - 1]
-            uk = u[: e.k]
+            est = ests[k - 1]
+            uk = u[:k]
             z = uk if structure == STRUCTURE_FIR else np.concatenate([x0, uk])
             mean = float(h @ (est.g0_hat() @ x0 + est.gu_hat() @ uk))
             var = float(np.kron(z, h) @ est.cov @ np.kron(z, h))
-            var += float(h @ gw[e.k - 1] @ diag_repeat(sys.sigma_w, e.k) @ gw[e.k - 1].T @ h)
+            var += float(h @ gw[k - 1] @ diag_repeat(sys.sigma_w, k) @ gw[k - 1].T @ h)
             p_true = normal_dist.sf((1.0 - mean) / math.sqrt(var))
-        assert abs(e.rate - p_true) <= 1e-13 * p_true and e.upper99 == e.rate, (e, p_true)
+        assert abs(rate - p_true) <= 1e-13 * p_true and report.upper99[k, j] == rate, (
+            (j, k), rate, p_true)

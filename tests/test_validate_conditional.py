@@ -28,7 +28,7 @@ from mspc.ocp import InputBox, OcpSpec, build_nominal_qp_statespace
 from mspc.solver import solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
 from mspc.validate import (
-    SampledParameterTruth,
+    EstimatedModel,
     _conditional_maps,
     _exact_predictors,
     _upper_tail,
@@ -43,7 +43,7 @@ def _low_rank_cov(gen, dim, rank, scale):
 
 
 def _problem(gen, n, m, horizon, structure, x0_rank, theta_rank, rows=2, theta_scale=0.05):
-    """Random system, spec and sampled-parameter truth with the given covariance ranks."""
+    """Random system, spec and estimated model with the given covariance ranks."""
     q = max(n - 1, 1)
     sys = random_system(n, m, q, 0.8, gen, sigma_w=_low_rank_cov(gen, q, q, 0.05),
                         sigma_eps=0.0)
@@ -60,7 +60,7 @@ def _problem(gen, n, m, horizon, structure, x0_rank, theta_rank, rows=2, theta_s
         theta = true_theta(g0, gu, structure)
         cov = _low_rank_cov(gen, theta.size, min(theta_rank, theta.size), theta_scale)
         ests.append(ParameterEstimate(k=k, structure=structure, theta=theta, cov=cov, n=n, m=m))
-    truth = SampledParameterTruth(estimates=ests, gw=model.gw, sigma_w=sys.sigma_w)
+    truth = EstimatedModel(estimates=ests, gw=model.gw, sigma_w=sys.sigma_w)
     u = gen.standard_normal(horizon * m)
     return sys, spec, truth, u
 
@@ -152,7 +152,8 @@ def _drawn_counts(truth, u, spec, n_samples, gen):
 
 
 def _assert_in_band(counts, n_samples, p_exact):
-    for (j, k), p in p_exact.items():
+    """Each p_exact[k, j] lies in the 99.9% band of counts[k, j] of n_samples draws."""
+    for (k, j), p in np.ndenumerate(p_exact):
         low, high = clopper_pearson_interval(int(counts[k, j]), n_samples, confidence=0.999)
         assert low <= p <= high, ((j, k), int(counts[k, j]), p)
 
@@ -163,7 +164,7 @@ def _assert_in_band(counts, n_samples, p_exact):
 
 
 def _noise_only_scores(sys, spec, u):
-    """The score z_jk with p_jk = Q(z_jk) per (row, step) on the true system, entry by entry.
+    """The scores z[k, j] with p_jk = Q(z_jk) per (step, row) on the true system, entry by entry.
 
     h' x_k = h' G0_k x0 + h' Gu_k u + h' Gw_k w is affine in the Gaussian x0
     and w, so z_jk = (1 - a' x0_bar - c) / sqrt(a' S a + s^2), also for a
@@ -177,14 +178,14 @@ def _noise_only_scores(sys, spec, u):
         mean, sd = float(a @ x0_bar) + c, math.sqrt(float(a @ s_x0 @ a) + s2)
         return (1.0 - mean) / sd if sd > 0.0 else (-math.inf if mean > 1.0 else math.inf)
 
-    scores = {}
+    scores = np.empty((spec.horizon + 1, spec.n_rows))
     for j, h in enumerate(spec.h_x):
-        scores[(j, 0)] = score(h, 0.0, 0.0)
+        scores[0, j] = score(h, 0.0, 0.0)
         for k in range(1, spec.horizon + 1):
             g0, gu, gw = model.step(k)
             c = float(h @ gu @ u[: k * spec.m])
             s2 = float(h @ gw @ diag_repeat(sys.sigma_w, k) @ gw.T @ h)
-            scores[(j, k)] = score(g0.T @ h, c, s2)
+            scores[k, j] = score(g0.T @ h, c, s2)
     return scores
 
 
@@ -196,9 +197,8 @@ def test_violation_noise_only_in_closed_form_band(n, x0_rank):
     sys, spec, _, u = _problem(gen, n, 1, 3, STRUCTURE_FULL, x0_rank, 0)
     counts = _drawn_counts(sys, u, spec, 20_000, np.random.default_rng(710 + n))
     scores = _noise_only_scores(sys, spec, u)
-    _assert_in_band(counts, 20_000, {key: float(normal_dist.sf(z)) for key, z in scores.items()})
-    exact = exact_violation(sys, u, spec)
-    _assert_in_band(counts, 20_000, {(e.j, e.k): e.rate for e in exact.entries})
+    _assert_in_band(counts, 20_000, normal_dist.sf(scores))
+    _assert_in_band(counts, 20_000, exact_violation(sys, u, spec).rate)
 
 
 @given(
@@ -213,14 +213,11 @@ def test_exact_violation_matches_closed_form(n, m, horizon, x0_rank, seed):
     gen = np.random.default_rng(seed)
     sys, spec, _, u = _problem(gen, n, m, horizon, STRUCTURE_FULL, min(x0_rank, n), 0, rows=3)
     report = exact_violation(sys, u, spec)
-    assert report.mode == "exact" and report.n_samples == 0
-    assert [(e.k, e.j) for e in report.entries] == [
-        (k, j) for k in range(horizon + 1) for j in range(spec.n_rows)
-    ]
+    assert report.rate.shape == (horizon + 1, spec.n_rows)
+    assert np.array_equal(report.upper99, report.rate)
     scores = _noise_only_scores(sys, spec, u)
-    for e in report.entries:
-        assert e.samples == 0 and e.violations == 0 and e.rate == e.upper99
-        z = scores[(e.j, e.k)]
+    for (k, j), rate in np.ndenumerate(report.rate):
+        z = scores[k, j]
         p = float(normal_dist.sf(z))
         # Q's relative condition number at z is about 1 + z^2, so round-off
         # in the score moves p by about 1e-15 z^2 relative (both this
@@ -228,7 +225,7 @@ def test_exact_violation_matches_closed_form(n, m, horizon, x0_rank, seed):
         # z = 29).  1e-12 relative holds up to |z| = 10 and grows with z^2
         # beyond; where both underflow, 1e-300 absolute.
         rel = 1e-12 * max(1.0, (z / 10.0) ** 2) if math.isfinite(z) else 0.0
-        assert abs(e.rate - p) <= max(rel * p, 1e-300), (e, p)
+        assert abs(rate - p) <= max(rel * p, 1e-300), ((j, k), rate, p)
     with pytest.raises(DimensionMismatch):
         exact_violation(sys, u[:-1], spec)
 
@@ -242,8 +239,8 @@ def test_exact_violation_deterministic_rows_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = exact_violation(sys, np.zeros(2), spec)
-    assert [e.rate for e in report.entries if e.k == 0] == [0.0, 1.0, 0.0]
-    assert all(0.0 < e.rate < 1.0 for e in report.entries if e.k > 0)
+    assert report.rate[0].tolist() == [0.0, 1.0, 0.0]
+    assert np.all((0.0 < report.rate[1:]) & (report.rate[1:] < 1.0))
 
 
 def test_nominal_statespace_active_rows_violate_at_one_minus_p():
@@ -274,9 +271,9 @@ def test_nominal_statespace_active_rows_violate_at_one_minus_p():
     for p_jk in active.values():
         assert abs(p_jk - (1.0 - spec.p)) <= 1e-12
     report = exact_violation(sys, u, spec)
-    for e in report.entries:
-        if (e.j, e.k) in active:
-            assert abs(e.rate - active[(e.j, e.k)]) <= 1e-14 and e.upper99 == e.rate, e
+    for (j, k), p_jk in active.items():
+        rate = report.rate[k, j]
+        assert abs(rate - p_jk) <= 1e-14 and report.upper99[k, j] == rate, ((j, k), rate)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +316,10 @@ def _gauss_hermite(truth, spec, u, points=160):
 
 def _assert_within_bound(report, p_ref, tol=1e-12, ref_error=1e-15):
     """Each rate is within ``tol`` of the reference and within its bound plus ``ref_error``."""
-    for e in report.entries:
-        err = abs(e.rate - p_ref[(e.j, e.k)])
-        assert err <= tol, (e, p_ref[(e.j, e.k)])
-        assert err <= e.upper99 - e.rate + ref_error, (e, p_ref[(e.j, e.k)])
+    for (k, j), rate in np.ndenumerate(report.rate):
+        err = abs(rate - p_ref[(j, k)])
+        assert err <= tol, ((j, k), rate, p_ref[(j, k)])
+        assert err <= report.upper99[k, j] - rate + ref_error, ((j, k), rate, p_ref[(j, k)])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -333,10 +330,9 @@ def test_violation_parametric_in_gauss_hermite_band(n, structure):
     gen = np.random.default_rng(720 + n)
     _, spec, truth, u = _problem(gen, n, 1, 2, structure, n, 100, theta_scale=0.1)
     report = exact_violation(truth, u, spec)
-    assert report.mode == "exact" and report.n_samples == 0
     # The premise: full-structure rows at k >= 1 are not Gaussian.
-    bounds = [e.upper99 - e.rate for e in report.entries if e.k > 0]
-    assert all(bounds) if structure == STRUCTURE_FULL else not any(bounds)
+    bounds = (report.upper99 - report.rate)[1:]
+    assert np.all(bounds) if structure == STRUCTURE_FULL else not np.any(bounds)
     _assert_within_bound(report, _gauss_hermite(truth, spec, u))
 
 
@@ -351,8 +347,7 @@ def test_exact_violation_singular_x0_in_gauss_hermite_band(structure, variances)
     h_x = np.vstack([2.0 * np.eye(n)[1], spec.h_x[1]])
     spec = replace(spec, h_x=h_x, init=GaussianBelief(mean=spec.init.mean, cov=np.diag(variances)))
     report = exact_violation(truth, u, spec)
-    step0 = report.entries[0]
-    assert step0.rate == float(2.0 * spec.init.mean[1] > 1.0) == step0.upper99
+    assert report.rate[0, 0] == float(2.0 * spec.init.mean[1] > 1.0) == report.upper99[0, 0]
     _assert_within_bound(report, _gauss_hermite(truth, spec, u))
 
 
@@ -372,15 +367,15 @@ def test_gaussian_columns_equal_closed_form_bit_for_bit(kind):
     var = np.sum((lin[:n].T @ spec.init.factor) ** 2, axis=1) + quad[-1]
     p = _upper_tail(mean, np.sqrt(var))
     report = exact_violation(sys_ if kind == "system" else truth, u, spec)
-    assert np.array_equal([e.rate for e in report.entries], p)
-    assert np.array_equal([e.upper99 for e in report.entries], p)
+    assert np.array_equal(report.rate.ravel(), p)
+    assert np.array_equal(report.upper99.ravel(), p)
 
 
 def _scalar_truth(a, c_a, s_x0, x0_bar, s_noise, u=0.3, b=1.0):
     """One step of x1 = a x0 + b u + w, with a ~ N(a, c_a), x0 ~ N(x0_bar, s_x0^2), w ~ N(0, s_noise^2)."""
     est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=np.array([a, b]),
                             cov=np.diag([c_a, 0.0]), n=1, m=1)
-    truth = SampledParameterTruth(estimates=[est], gw=[np.array([[1.0]])],
+    truth = EstimatedModel(estimates=[est], gw=[np.array([[1.0]])],
                                   sigma_w=np.array([[s_noise**2]]))
     spec = OcpSpec(horizon=1, Q=np.eye(1), R=np.eye(1), h_x=np.array([[1.0]]), u_set=None, p=0.9,
                    init=GaussianBelief(mean=np.array([x0_bar]), cov=np.array([[s_x0**2]])))
@@ -402,7 +397,8 @@ def test_bound_covers_heavy_bilinear_tails(a, c_a, s_x0, x0_bar, s_noise, larges
     # whose characteristic function decays only like 1 / t.  The reference
     # integrates Q((1 - mean(x0)) / sd(x0)) over x0 adaptively.
     truth, spec, u = _scalar_truth(a, c_a, s_x0, x0_bar, s_noise)
-    entry = exact_violation(truth, u, spec).entries[1]
+    report = exact_violation(truth, u, spec)
+    rate, upper = report.rate[1, 0], report.upper99[1, 0]
 
     def integrand(z):
         x0 = x0_bar + s_x0 * z
@@ -413,9 +409,9 @@ def test_bound_covers_heavy_bilinear_tails(a, c_a, s_x0, x0_bar, s_noise, larges
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         ref, ref_error = integrate.quad(integrand, -45.0, 45.0, epsabs=1e-17, epsrel=1e-14,
                                         limit=2000, points=sorted({0.0, -x0_bar / s_x0}))
-    bound = entry.upper99 - entry.rate
+    bound = upper - rate
     assert 0.0 < bound <= largest_bound
-    assert abs(entry.rate - ref) <= bound + ref_error, (entry, ref, ref_error)
+    assert abs(rate - ref) <= bound + ref_error, (rate, upper, ref, ref_error)
 
 
 def test_drawn_counter_band_holds_parametric_probabilities():
@@ -426,9 +422,9 @@ def test_drawn_counter_band_holds_parametric_probabilities():
     spec = replace(spec, h_x=np.outer([0.2, 0.3, 0.5, 0.8, 1.2, -0.5, -1.0], spec.h_x[0]),
                    init=GaussianBelief(mean=spec.init.mean, cov=4.0 * spec.init.cov))
     report = exact_violation(truth, u, spec)
-    assert any(5e-3 < e.rate < 2e-2 and e.upper99 > e.rate for e in report.entries)
+    assert np.any((5e-3 < report.rate) & (report.rate < 2e-2) & (report.upper99 > report.rate))
     counts = _drawn_counts(truth, u, spec, 200_000, np.random.default_rng(773))
-    _assert_in_band(counts, 200_000, {(e.j, e.k): e.rate for e in report.entries})
+    _assert_in_band(counts, 200_000, report.rate)
 
 
 # ---------------------------------------------------------------------------
