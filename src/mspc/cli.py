@@ -23,9 +23,11 @@ invalid JSON, a NaN, Infinity or number beyond float range anywhere, a
 missing required key, an unknown key, or a value of the wrong type or out
 of range (a fraction, boolean or string where an integer is expected, a
 boolean or string where a number is expected, a negative seed, a count,
-length or horizon below 1, a ``force_zero_cov`` that is not a JSON
-boolean, a margin of at least p) is a ``ConfigError``.  An output
-directory that cannot be created or written also exits 2.
+length or horizon below 1, a system block without exactly one of
+``inline`` and ``random``, an inline matrix that is not a list of
+equal-length lists of numbers, a margin of at least p) is a
+``ConfigError``.  An output directory that cannot be created or written
+also exits 2.
 
 This is the only module that writes files: two-space JSON (``_write_json``)
 and CSV with repr floats (``_write_csv``), each stage file from the value
@@ -66,7 +68,6 @@ class IdentSettings:
     input_std: float
     x0_mean: "np.ndarray | None"
     sigma_x0: "np.ndarray | None"
-    force_zero_cov: bool
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,6 @@ class CompareSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
-    system_block: dict
     ident_settings: IdentSettings
     ocp_spec: ocp.OcpSpec
     validation: ValidationSettings
@@ -132,16 +132,29 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _check_matrix(value, where: str) -> None:
+    """Reject anything but a non-empty list of equal-length lists of JSON numbers."""
+    if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)
+            and len({len(row) for row in value}) == 1):
+        raise ConfigError(f"{where} must be a list of equal-length lists of numbers")
+    for row in value:
+        for entry in row:
+            _number(entry, where)
+
+
 def _check_config_keys(doc: dict) -> None:
     _check_keys(doc, "config", ("system", "identification", "ocp"),
                 ("validation", "compare", "master_seed", "output_dir"))
     system_doc = _check_keys(doc["system"], "system", (), ("inline", "random"))
+    if len(system_doc) != 1:
+        raise ConfigError("system must hold exactly one of inline and random")
     if "random" in system_doc:
         _check_keys(system_doc["random"], "system.random", ("n", "m", "q"),
                     ("spectral_radius", "seed", "sigma_w", "sigma_eps"))
+    else:
+        _check_keys(system_doc["inline"], "system.inline", ("A", "B", "E", "sigma_w", "sigma_eps"))
     _check_keys(doc["identification"], "identification", ("T", "delta"),
-                ("structure", "covariance", "input_std", "x0_mean", "sigma_x0",
-                 "force_zero_cov"))
+                ("structure", "covariance", "input_std", "x0_mean", "sigma_x0"))
     ocp_doc = _check_keys(doc["ocp"], "ocp", ("horizon", "Q", "R", "p"),
                           ("h_x", "u_min", "u_max", "input_polytope", "x0_mean", "sigma_x0"))
     if "input_polytope" in ocp_doc:
@@ -162,6 +175,8 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
     for key in ("spectral_radius", "sigma_w", "sigma_eps"):
         if key in rnd:
             _number(rnd[key], f"system.random.{key}")
+    for key, value in doc["system"].get("inline", {}).items():
+        _check_matrix(value, f"system.inline.{key}")
     ocp_doc = doc["ocp"]
     n = len(ocp_doc["Q"])
     m = len(ocp_doc["R"])
@@ -190,8 +205,6 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
         ),
     )
     ident_doc = doc["identification"]
-    if not isinstance(ident_doc.get("force_zero_cov", False), bool):
-        raise ConfigError("identification.force_zero_cov must be true or false")
     for key, allowed in (("structure", ident.STRUCTURES), ("covariance", ident.COVARIANCE_MODES)):
         if key in ident_doc and ident_doc[key] not in allowed:
             raise ConfigError(f"identification.{key} must be one of {allowed}, got {ident_doc[key]!r}")
@@ -203,16 +216,13 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
         input_std=_number(ident_doc.get("input_std", 1.0), "identification.input_std"),
         x0_mean=_matrix(ident_doc, "x0_mean"),
         sigma_x0=_matrix(ident_doc, "sigma_x0"),
-        force_zero_cov=ident_doc.get("force_zero_cov", False),
     )
     if ident_settings.delta <= spec.p:
         raise DeltaTooSmall(
             f"identification delta {ident_settings.delta} must exceed p = {spec.p}"
         )
-    if ident_settings.delta > 1.0:
-        raise DomainError("delta cannot exceed 1")
-    if ident_settings.delta == 1.0 and not ident_settings.force_zero_cov:
-        raise DomainError("delta = 1 requires force_zero_cov")
+    if ident_settings.delta >= 1.0:
+        raise DomainError(f"identification delta {ident_settings.delta} must be below 1")
     val_doc = doc.get("validation", {})
     validation = ValidationSettings(
         n_samples=_integer(val_doc.get("n_samples", 100_000), "validation.n_samples", 1),
@@ -235,7 +245,6 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
     master_seed = _integer(seed, "master_seed", 0)
     return ExperimentConfig(
         raw=doc,
-        system_block=doc["system"],
         ident_settings=ident_settings,
         ocp_spec=spec,
         validation=validation,
@@ -269,21 +278,19 @@ def load_config(path: "str | Path", seed_override=None) -> ExperimentConfig:
 
 
 def make_system(cfg: ExperimentConfig) -> LinearSystem:
-    block = cfg.system_block
+    block = cfg.raw["system"]
     if "inline" in block:
         return system.system_from_json(block["inline"])
-    if "random" in block:
-        rnd = block["random"]
-        return system.random_system(
-            n=rnd["n"],
-            m=rnd["m"],
-            q=rnd["q"],
-            spectral_radius_max=rnd.get("spectral_radius", 0.9),
-            rng=Rng(rnd.get("seed", 0)),
-            sigma_w=rnd.get("sigma_w", 0.1),
-            sigma_eps=rnd.get("sigma_eps", 0.0),
-        )
-    raise DomainError("system block must contain 'inline' or 'random'")
+    rnd = block["random"]
+    return system.random_system(
+        n=rnd["n"],
+        m=rnd["m"],
+        q=rnd["q"],
+        spectral_radius_max=rnd.get("spectral_radius", 0.9),
+        rng=Rng(rnd.get("seed", 0)),
+        sigma_w=rnd.get("sigma_w", 0.1),
+        sigma_eps=rnd.get("sigma_eps", 0.0),
+    )
 
 
 def _ident_init(cfg: ExperimentConfig, n: int) -> GaussianBelief:
@@ -318,8 +325,6 @@ def _identify_all(cfg: ExperimentConfig, sys_true: LinearSystem,
             covariance=cfg.ident_settings.covariance,
             g0_true=g0_k,
         )
-        if cfg.ident_settings.force_zero_cov:
-            est = replace(est, cov=np.zeros_like(est.cov))
         estimates.append(est)
         gw.append(gw_k)
     return estimates, gw

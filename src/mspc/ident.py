@@ -285,6 +285,18 @@ def _whiten(reg: RegressionProblem, cov: ResidualCovariance):
     return phi_w, y_w, int(np.count_nonzero(keep))
 
 
+def _normal_equations(phi: np.ndarray, y: np.ndarray):
+    """The solution of (phi' phi) theta = phi' y, the inverse of phi' phi and its eigenvalues."""
+    info = phi.T @ phi
+    info = 0.5 * (info + info.T)
+    eigvals = np.linalg.eigvalsh(info)
+    if eigvals[0] <= _INFORMATION_RTOL * max(float(eigvals[-1]), 0.0):
+        raise SingularInformation(f"information matrix nearly singular (min eig {eigvals[0]:.3e})")
+    chol = scipy.linalg.cho_factor(info)
+    return (scipy.linalg.cho_solve(chol, phi.T @ y),
+            scipy.linalg.cho_solve(chol, np.eye(info.shape[0])), eigvals)
+
+
 def mle_estimate(reg: RegressionProblem, cov: ResidualCovariance) -> ParameterEstimate:
     """Weighted least squares with the residual band covariance as weight.
 
@@ -293,16 +305,7 @@ def mle_estimate(reg: RegressionProblem, cov: ResidualCovariance) -> ParameterEs
     not exciting enough.
     """
     phi_w, y_w, rank = _whiten(reg, cov)
-    info = phi_w.T @ phi_w
-    info = 0.5 * (info + info.T)
-    eigvals = np.linalg.eigvalsh(info)
-    if eigvals[0] <= _INFORMATION_RTOL * max(float(eigvals[-1]), 0.0):
-        raise SingularInformation(
-            f"information matrix nearly singular (min eig {eigvals[0]:.3e})"
-        )
-    chol = scipy.linalg.cho_factor(info)
-    theta = scipy.linalg.cho_solve(chol, phi_w.T @ y_w)
-    cov_theta = scipy.linalg.cho_solve(chol, np.eye(info.shape[0]))
+    theta, cov_theta, eigvals = _normal_equations(phi_w, y_w)
     return ParameterEstimate(
         k=reg.k,
         structure=reg.structure,
@@ -358,16 +361,11 @@ def naive_ls(reg: RegressionProblem) -> ParameterEstimate:
     intended as a diagnostic baseline only.
     """
     phi, y = reg.regressor, reg.targets
-    info = phi.T @ phi
-    eigvals = np.linalg.eigvalsh(0.5 * (info + info.T))
-    if eigvals[0] <= _INFORMATION_RTOL * max(float(eigvals[-1]), 0.0):
-        raise SingularInformation("regressor is rank deficient")
-    chol = scipy.linalg.cho_factor(0.5 * (info + info.T))
-    theta = scipy.linalg.cho_solve(chol, phi.T @ y)
+    theta, info_inv, _ = _normal_equations(phi, y)
     resid = y - phi @ theta
     dof_resid = max(reg.rows - reg.dof, 1)
     noise_var = float(resid @ resid) / dof_resid
-    cov_theta = noise_var * scipy.linalg.cho_solve(chol, np.eye(info.shape[0]))
+    cov_theta = noise_var * info_inv
     return ParameterEstimate(
         k=reg.k,
         structure=reg.structure,
@@ -435,7 +433,7 @@ def model_from_estimates(
 # ---------------------------------------------------------------------------
 
 
-def estimate_to_json(est: ParameterEstimate, delta: "float | None" = None) -> dict:
+def estimate_to_json(est: ParameterEstimate, delta: float) -> dict:
     doc = {
         "k": est.k,
         "structure": est.structure,
@@ -447,8 +445,7 @@ def estimate_to_json(est: ParameterEstimate, delta: "float | None" = None) -> di
     }
     if est.projected_rank is not None:
         doc["projected_rank"] = est.projected_rank
-    if delta is not None:
-        doc["delta"] = delta
+    doc["delta"] = delta
     return doc
 
 

@@ -149,8 +149,15 @@ def _check_dof(dof: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
-    """Exact maximum of ``||a + M z||`` over the ball ``||z|| <= r``.
+# Guard on the Newton iterations of the secular equation; the iterates stop
+# rising after a handful of steps, far below it.
+_NEWTON_CAP = 100
+# Inputs whose largest entry lies outside [2^-64, 2^64] are rescaled into it.
+_SCALE_EXPONENT_MAX = 64
+
+
+def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> tuple[float, float]:
+    """Exact maximum of ``||a + M z||`` over the ball ``||z|| <= r``, and an upper bound on it.
 
     The squared objective is a convex quadratic, so the maximum lies on the
     sphere.  With r absorbed into M = U diag(s) V', beta = diag(s) U' a and
@@ -163,18 +170,6 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> float:
     with no bisection and no tolerance.
     When beta has no top-eigenspace component and ||z(0)|| <= 1 (the "hard"
     case), the rest of the unit length goes along the top singular direction.
-    Non-finite input raises :class:`DomainError`.
-    """
-    return _ball_max_bounds(a, m, r)[0]
-
-
-# Guard on the Newton iterations of the secular equation; the iterates stop
-# rising after a handful of steps, far below it.
-_NEWTON_CAP = 100
-
-
-def _ball_max_bounds(a: np.ndarray, m: np.ndarray, r: float) -> tuple[float, float]:
-    """The maximum of :func:`max_norm_affine_over_ball` and an upper bound on it.
 
     The bound is the S-lemma (Lagrangian) dual at lambda = t + s_1^2:
     ||a + M z||^2 <= ||a + M z||^2 + lambda (1 - ||z||^2) <= ||a||^2 + lambda
@@ -182,6 +177,7 @@ def _ball_max_bounds(a: np.ndarray, m: np.ndarray, r: float) -> tuple[float, flo
     Nemirovski, Lectures on Modern Convex Optimization).  At the root it meets
     the maximum, and it stays finite in the hard case, where t = 0 and every
     beta_i with gap_i = 0 vanishes.  So the two numbers certify each other.
+    Non-finite input raises :class:`DomainError`.
     """
     a = np.asarray(a, dtype=float).ravel()
     m = np.asarray(m, dtype=float)
@@ -193,14 +189,20 @@ def _ball_max_bounds(a: np.ndarray, m: np.ndarray, r: float) -> tuple[float, flo
         raise DomainError("offset, map and radius must be finite")
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
-    norm_a = float(np.linalg.norm(a))
-    if r == 0.0 or m.size == 0 or not np.any(m):
-        return norm_a, norm_a
     # Absorb the radius into the map: max over the unit ball of ||a + (rM) y||.
     m = r * m
+    # As LAPACK's drivers do, bring an extreme scale near 1 first, by a power
+    # of two, which is exact.  Otherwise the squares and the rounding-level
+    # components of beta turn subnormal and lose their digits, or overflow.
+    shift = math.frexp(max(np.abs(a).max(initial=0.0), np.abs(m).max(initial=0.0)))[1]
+    shift = shift if abs(shift) > _SCALE_EXPONENT_MAX else 0
+    a, m = np.ldexp(a, -shift), np.ldexp(m, -shift)
+    norm_a = float(np.linalg.norm(a))
+    if not np.any(m):
+        return math.ldexp(norm_a, shift), math.ldexp(norm_a, shift)
     _, sig, vt = np.linalg.svd(m, full_matrices=False)
     if sig[0] <= np.finfo(float).eps * norm_a:
-        return norm_a, norm_a + float(sig[0])
+        return math.ldexp(norm_a, shift), math.ldexp(norm_a + float(sig[0]), shift)
     d = sig**2
     beta = vt @ (m.T @ a)
     gap = d[0] - d
@@ -219,7 +221,7 @@ def _ball_max_bounds(a: np.ndarray, m: np.ndarray, r: float) -> tuple[float, flo
         coords[0] += math.sqrt(max(1.0 - float(np.sum(coords**2)), 0.0))
     value = max(float(np.linalg.norm(a + m @ (vt.T @ coords))), norm_a)
     bound = math.sqrt(norm_a**2 + float(d[0]) + hi * (t + float(beta_live @ coords[live])))
-    return value, bound
+    return math.ldexp(value, shift), math.ldexp(bound, shift)
 
 
 def _secular_newton(beta: np.ndarray, gap: np.ndarray, lo: float) -> list[float]:

@@ -37,7 +37,6 @@ from .errors import (
 from .ident import ParameterEstimate, STRUCTURE_FIR, STRUCTURE_FULL, model_from_estimates
 from .linalg import (
     Rng,
-    _ball_max_bounds,
     assert_spd,
     chi2_quantile,
     diag_repeat,
@@ -74,7 +73,7 @@ class InputBox:
 
 @dataclass(frozen=True)
 class InputPolytope:
-    """General polytope H u <= h applied at every step; u = 0 must be strictly inside."""
+    """Polytope H u <= h, with H and h finite, applied at every step; u = 0 strictly inside."""
 
     h_mat: np.ndarray
     h_vec: np.ndarray
@@ -84,8 +83,9 @@ class InputPolytope:
         h_vec = np.asarray(self.h_vec, dtype=float).ravel()
         if h_mat.ndim != 2 or h_mat.shape[0] != h_vec.size:
             raise DimensionMismatch("polytope rows and offsets are inconsistent")
-        if not np.all(h_vec > 0.0):
-            raise DomainError("u = 0 must strictly satisfy the polytope (every h > 0)")
+        if not (np.all(np.isfinite(h_mat)) and np.all(np.isfinite(h_vec)) and np.all(h_vec > 0.0)):
+            raise DomainError("the polytope must be finite, and u = 0 must strictly satisfy it "
+                              "(every h > 0)")
         object.__setattr__(self, "h_mat", h_mat)
         object.__setattr__(self, "h_vec", h_vec)
 
@@ -468,7 +468,7 @@ def tightening_constant_exact(
     """
     return max_norm_affine_over_ball(*_row_terms(
         h_row, gw_k, g0_hat, sigma_w, sigma_x0, sigma_theta_half, structure
-    ), radius)
+    ), radius)[0]
 
 
 def tightening_constant_upper(
@@ -527,7 +527,7 @@ def build_tightening_table(
         upper = _upper_backoff(base, direction, radius[k])
         gaps = []
         for j in range(spec.n_rows):
-            h, bound = _ball_max_bounds(base[j], direction[j], radius[k])
+            h, bound = max_norm_affine_over_ball(base[j], direction[j], radius[k])
             h_exact[(j, k)] = h
             h_upper[(j, k)] = float(upper[j])
             gaps.append((bound - h) / h if h else 0.0)

@@ -23,10 +23,6 @@ returned with zero duals on the dropped rows and checked against the full
 program.  An Infeasible round makes the full program Infeasible; any other
 round that is not Optimal is followed by one solve of the full program,
 and the solution says so (``fallback``).
-
-The module is deliberately self-contained so that an external solver can be
-substituted: any callable with the ``solve(prog, opts)`` signature returning
-a :class:`Solution` satisfies the backend contract.
 """
 
 from __future__ import annotations

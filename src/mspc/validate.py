@@ -100,11 +100,10 @@ def exact_violation(truth: "LinearSystem | EstimatedModel", u: np.ndarray,
         truth = _exact_predictors(truth, spec.horizon)
     elif len(truth.estimates) < spec.horizon or len(truth.gw) < spec.horizon:
         raise DimensionMismatch("need one estimate and Gw per horizon step")
-    lin, quad = _conditional_maps(truth, u, spec)
+    lin, gram = _conditional_maps(truth, u, spec)
     x0_bar, factor, n = spec.init.mean, spec.init.factor, spec.n
     x_bar = np.append(x0_bar, 1.0)
     x_factor = np.vstack([factor, np.zeros((1, factor.shape[1]))])
-    gram = _variance_forms(quad, n + 1)
     mean = x0_bar @ lin[:n] + lin[n]
     var = np.sum((lin[:n].T @ factor) ** 2, axis=1) + np.einsum("a,cab,b->c", x_bar, gram, x_bar)
     p = _upper_tail(mean, np.sqrt(var))
@@ -152,21 +151,19 @@ def _exact_predictors(sys: LinearSystem, horizon: int) -> EstimatedModel:
 
 
 def _conditional_maps(truth: EstimatedModel, u: np.ndarray, spec: OcpSpec):
-    """Maps lin ((n+1) x horizon*rows) and quad in x~ = [x0; 1].
+    """Mean maps lin ((n+1) x columns) and variance forms gram (columns x (n+1) x (n+1)).
 
-    Given x0, row j at step k has mean x~' lin and variance p' quad, i.e.
-    z' g and z' M z + s_jk^2 with z the regressor, (g, M) the row moments
-    and s_jk = ||H_j' Gw_k (I_k kron Sigma_w^1/2)||.  The variance is
-    symmetric in x~ kron x~, so p holds only its products x~_a x~_b with
-    a <= b (``np.triu_indices(n + 1)``, the constant 1 last), and quad the
-    matching entries with off-diagonals doubled.  Columns run over steps
-    k = 0..horizon, and over rows within a step; step 0 is the row h_j' x0,
+    Columns run over steps k = 0..horizon, and over rows within a step.
+    Given x0, with x~ = [x0; 1], column c has mean x~' lin[:, c] and
+    variance x~' gram[c] x~, i.e. z' g and z' M z + s_jk^2 with z the
+    regressor, (g, M) the row moments and s_jk = ||H_j' Gw_k (I_k kron
+    Sigma_w^1/2)||.  Each gram[c] is symmetric.  Step 0 is the row h_j' x0,
     with lin = [h_j; 0] and zero variance.
     """
     n, m, rows = spec.n, spec.m, spec.n_rows
     w_factor = psd_sqrt_factor(truth.sigma_w)
     lin = np.zeros((n + 1, spec.horizon + 1, rows))
-    quad = np.zeros((n + 1, n + 1, spec.horizon + 1, rows))
+    gram = np.zeros((spec.horizon + 1, rows, n + 1, n + 1))
     lin[:n, 0] = spec.h_x.T
     for k in range(1, spec.horizon + 1):
         g, m_mats = truth.estimates[k - 1].row_moments(spec.h_x)
@@ -174,26 +171,16 @@ def _conditional_maps(truth: EstimatedModel, u: np.ndarray, spec: OcpSpec):
         nx = g.shape[0] - uk.size          # n for full structure, 0 for FIR
         h_gw = (spec.h_x @ truth.gw[k - 1]).reshape(rows, k, w_factor.shape[0]) @ w_factor
         lin[:nx, k], lin[n, k] = g[:nx], uk @ g[nx:]
-        quad[:nx, :nx, k] = m_mats[:, :nx, :nx].transpose(1, 2, 0)
-        quad[:nx, n, k] = quad[n, :nx, k] = (m_mats[:, :nx, nx:] @ uk).T
-        quad[n, n, k] = m_mats[:, nx:, nx:] @ uk @ uk + np.sum(h_gw**2, axis=(1, 2))
-    iu, ju = np.triu_indices(n + 1)
-    quad = quad[iu, ju] * (2.0 - (iu == ju))[:, None, None]
-    return lin.reshape(n + 1, -1), quad.reshape(iu.size, -1)
+        gram[k, :, :nx, :nx] = m_mats[:, :nx, :nx]
+        gram[k, :, :nx, n] = gram[k, :, n, :nx] = m_mats[:, :nx, nx:] @ uk
+        gram[k, :, n, n] = m_mats[:, nx:, nx:] @ uk @ uk + np.sum(h_gw**2, axis=(1, 2))
+    return lin.reshape(n + 1, -1), gram.reshape(-1, n + 1, n + 1)
 
 
 def _upper_tail(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """P(N(mean, sd^2) > 1) = Q((1 - mean) / sd); a zero sd gives [mean > 1]."""
     score = np.divide(mean - 1.0, sd, out=np.where(mean > 1.0, np.inf, -np.inf), where=sd > 0.0)
     return special.ndtr(score)
-
-
-def _variance_forms(quad: np.ndarray, d: int) -> np.ndarray:
-    """Per column c the symmetric d x d matrix G_c with x~' G_c x~ = p' quad[:, c]."""
-    iu, ju = np.triu_indices(d)
-    gram = np.zeros((quad.shape[1], d, d))
-    gram[:, iu, ju] = gram[:, ju, iu] = (quad / (2.0 - (iu == ju))[:, None]).T
-    return gram
 
 
 # Each tail of V - 1 beyond the aliasing half-width has Chernoff bound

@@ -7,7 +7,7 @@ import pytest
 
 from mspc import validate
 from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_pipeline, load_config, main, parse_config
-from mspc.errors import ConfigError, DeltaTooSmall
+from mspc.errors import ConfigError, DeltaTooSmall, DomainError
 
 
 def quick_config(**overrides):
@@ -76,6 +76,15 @@ def set_value(*path_and_value):
     return edit
 
 
+def drop_inline(key):
+    """Config text whose inline system lacks ``key``."""
+    def edit(doc):
+        del doc["system"]["inline"][key]
+        return json.dumps(doc)
+
+    return edit
+
+
 def set_random(key, value):
     """Config text whose system is a seeded random draw with ``key`` set to ``value``."""
     return set_value("system", {"random": {"n": 2, "m": 1, "q": 2, "seed": 3, key: value}})
@@ -132,6 +141,13 @@ def set_random(key, value):
      "1e400"),                                                 # json reads inf
     (set_value("identification", "delta", 10**400), "OverflowError"),  # no float holds it
     (set_value("validation", "margin", 0.9), "validation.margin"),  # budget + margin = 1
+    (drop_inline("sigma_w"), "sigma_w"),                      # was a KeyError traceback
+    (set_value("system", "inline", "A", "x"), "system.inline.A"),  # was a ValueError traceback
+    (set_value("system", "inline", "A", [[0.85, 0.25], [-0.12]]), "system.inline.A"),  # ragged
+    (set_value("system", "inline", "B", [["0.3"], [1.0]]), "system.inline.B"),
+    (set_value("system", "inline", "sigma_W", [[0.02, 0.0], [0.0, 0.02]]), "sigma_W"),  # typo
+    (set_value("system", "random", {"n": 2, "m": 1, "q": 2}), "exactly one"),  # inline won
+    (set_value("system", {}), "exactly one"),
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
         "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
         "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
@@ -143,7 +159,9 @@ def set_random(key, value):
         "random_seed_negative", "random_spectral_radius_string", "random_sigma_w_string",
         "random_sigma_eps_bool", "structure_typo", "covariance_typo", "delta_nan",
         "input_std_infinity", "x0_mean_nan", "h_x_minus_infinity", "u_min_nan",
-        "margin_infinity", "float_overflow", "int_overflow", "margin_at_p"])
+        "margin_infinity", "float_overflow", "int_overflow", "margin_at_p",
+        "inline_missing_sigma_w", "inline_string_matrix", "inline_ragged_matrix",
+        "inline_string_entry", "inline_unknown_key", "inline_and_random", "no_system"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"
@@ -310,23 +328,43 @@ def test_pipeline_byte_identical_reruns(tmp_path):
     ).read_bytes()
 
 
-def test_pipeline_perfect_information_reduction(tmp_path):
-    doc = quick_config()
-    doc["identification"]["force_zero_cov"] = True
-    doc["identification"]["delta"] = 1.0
-    cfg = parse_config(doc)
-    report, ok = cmd_pipeline(cfg, tmp_path)
-    assert ok
-    robust_cost = report["robust_solution"]["objective"]
-    nominal_cost = report["nominal_on_estimated_model"]["objective"]
-    assert abs(robust_cost - nominal_cost) <= 1e-9 * max(1.0, abs(nominal_cost))
+def test_delta_one_rejected():
+    # delta = 1 leaves no parameter uncertainty to robustify against: the
+    # robust program would be the reference stage's nominal one.
+    for delta in (1.0, 1.5):
+        doc = quick_config()
+        doc["identification"]["delta"] = delta
+        with pytest.raises(DomainError, match="below 1"):
+            parse_config(doc)
 
 
-def test_delta_one_without_zero_cov_rejected():
+def plugin_two_state():
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "two_state.json")
+                     .read_text())
+    doc["identification"]["covariance"] = "plugin"
+    return doc
+
+
+def polytope_inputs():
     doc = quick_config()
-    doc["identification"]["delta"] = 1.0
-    with pytest.raises(Exception):
-        parse_config(doc)
+    del doc["ocp"]["u_min"], doc["ocp"]["u_max"]
+    doc["ocp"]["input_polytope"] = {"H": [[1.0], [-1.0]], "h": [2.0, 2.0]}
+    return doc
+
+
+def unbounded_inputs():
+    doc = quick_config()
+    del doc["ocp"]["u_min"], doc["ocp"]["u_max"]
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [plugin_two_state, polytope_inputs, unbounded_inputs],
+                         ids=["plugin_two_state", "input_polytope", "no_input_bounds"])
+def test_pipeline_config_variants_pass(tmp_path, make_doc):
+    report, ok = cmd_pipeline(parse_config(make_doc()), tmp_path)
+    assert ok, report["stages"]
+    assert report["robust_solution"]["status"] == "Optimal"
+    assert report["certification"]["certified"]
 
 
 @pytest.fixture(scope="module")

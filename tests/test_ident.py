@@ -330,7 +330,7 @@ def test_mle_projection_invariant_to_zero_variance_block(monkeypatch):
                       property(lambda self: pytest.fail("dense covariance built")))
         est0 = mle_estimate(reg, base_cov)
     assert est0.projected_rank is None
-    assert "projected_rank" not in estimate_to_json(est0)
+    assert "projected_rank" not in estimate_to_json(est0, 0.95)
 
     extra = 4
     reg_aug = RegressionProblem(
@@ -344,7 +344,7 @@ def test_mle_projection_invariant_to_zero_variance_block(monkeypatch):
     aug = np.pad(base_cov.band, ((0, 0), (0, extra)))
     est1 = mle_estimate(reg_aug, ResidualCovariance(k=1, band=aug))
     assert est1.projected_rank == reg.rows
-    assert estimate_to_json(est1)["projected_rank"] == reg.rows
+    assert estimate_to_json(est1, 0.95)["projected_rank"] == reg.rows
     assert_allclose(est1.theta, est0.theta, atol=1e-10)
     assert_allclose(est1.cov, est0.cov, atol=1e-10)
 

@@ -1,11 +1,14 @@
-"""Importing the package must import neither scipy.stats nor scipy.optimize.
+"""Import hygiene of the package.
+
+Importing the package must import neither scipy.stats nor scipy.optimize.
 
 ``scipy.stats`` was once imported for one beta quantile, and ``scipy.optimize``
 for one scalar root of the back-off's secular equation; each import was a
-large part of the package's start-up time and memory.  Each check runs in a
-fresh interpreter, so imports made by the test session do not count.
+large part of the package's start-up time and memory.  Each of these checks
+runs in a fresh interpreter, so imports made by the test session do not count.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +31,16 @@ def test_import_leaves_out_heavy_scipy_modules(module):
     origin, loaded = proc.stdout.splitlines()
     assert Path(origin).resolve().is_relative_to(SRC)
     assert loaded == ""
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # The benchmark's tracer times public names only, so a private kernel
+    # imported across modules runs untimed.
+    private = []
+    for path in sorted((SRC / "mspc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                            f"import {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -1093,7 +1093,12 @@ def test_input_box_rejects_nan_and_empty_bounds(lo, hi):
     assert np.array_equal(box.hi, [2.0, np.inf])
 
 
-@pytest.mark.parametrize("h", [[1.0, 0.0], [1.0, -0.5], [1.0, np.nan]])
-def test_input_polytope_needs_zero_strictly_inside(h):
+@pytest.mark.parametrize("h_mat, h", [
+    (np.eye(2), [1.0, 0.0]), (np.eye(2), [1.0, -0.5]), (np.eye(2), [1.0, np.nan]),
+    ([[1.0, np.nan], [0.0, 1.0]], [1.0, 1.0]), ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    ([[-np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]), (np.eye(2), [1.0, np.inf]),
+], ids=["h0", "h1", "h2", "h_mat_nan", "h_mat_inf", "h_mat_minus_inf", "h_inf"])
+def test_input_polytope_needs_zero_strictly_inside(h_mat, h):
+    # A non-finite entry would reach the solver and end in scipy's ValueError.
     with pytest.raises(DomainError, match="strictly"):
-        InputPolytope(h_mat=np.eye(2), h_vec=h)
+        InputPolytope(h_mat=h_mat, h_vec=h)

@@ -92,16 +92,16 @@ def test_conditional_maps_match_row_moments_reference(
     # parameter covariance, and theta_rank 0 every M zero.
     gen = np.random.default_rng(seed)
     _, spec, truth, u = _problem(gen, n, m, horizon, structure, min(x0_rank, n), theta_rank)
-    lin, quad = _conditional_maps(truth, u, spec)
-    iu, ju = np.triu_indices(n + 1)
+    lin, gram = _conditional_maps(truth, u, spec)
     assert lin.shape == (n + 1, (horizon + 1) * spec.n_rows)
-    assert quad.shape == (iu.size, (horizon + 1) * spec.n_rows)
+    assert gram.shape == ((horizon + 1) * spec.n_rows, n + 1, n + 1)
+    assert np.array_equal(gram, np.swapaxes(gram, 1, 2))
     x0s = spec.init.mean + gen.standard_normal((5, n)) @ np.linalg.cholesky(
         spec.init.cov + np.eye(n))
     for x0 in x0s:
         x_aug = np.append(x0, 1.0)
         mean = (x_aug @ lin).reshape(horizon + 1, -1)
-        var = ((x_aug[iu] * x_aug[ju]) @ quad).reshape(horizon + 1, -1)
+        var = np.einsum("a,cab,b->c", x_aug, gram, x_aug).reshape(horizon + 1, -1)
         # Step 0 is the row h_j' x0 itself, with no variance.
         assert np.all(np.abs(mean[0] - spec.h_x @ x0) <= 1e-12 * (np.abs(spec.h_x) @ np.abs(x0)))
         assert not np.any(var[0])
@@ -120,9 +120,9 @@ def test_conditional_maps_match_row_moments_reference(
                 assert abs(var[k, j] - var_ref) <= 1e-12 * var_scale
     if theta_rank == 0 or structure == STRUCTURE_FIR:
         # No variance depends on x0, so every column is Gaussian: only the
-        # last product (the constant 1) carries variance, and the checks
-        # above then hold for quad[-1] alone.
-        assert not np.any(quad[:-1])
+        # product of the constant 1 with itself carries variance, and the
+        # checks above then hold for gram[:, n, n] alone.
+        assert not np.any(gram[:, :n]) and not np.any(gram[:, n, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +133,18 @@ def test_conditional_maps_match_row_moments_reference(
 def _drawn_counts(truth, u, spec, n_samples, gen):
     """Violations per (step, row) of a plain sampler: x0, then one normal per column.
 
-    Given x0 each column is N(x~' lin, p' quad) (the maps checked above), so
+    Given x0 each column is N(x~' lin, x~' gram x~) (the maps checked above), so
     a sample counts mean + sd * N(0, 1) > 1.  Batches of 10,000 keep memory small.
     """
     if isinstance(truth, LinearSystem):
         truth = _exact_predictors(truth, spec.horizon)
-    lin, quad = _conditional_maps(truth, u, spec)
-    iu, ju = np.triu_indices(spec.n + 1)
+    lin, gram = _conditional_maps(truth, u, spec)
     factor = spec.init.factor
     counts = np.zeros(lin.shape[1], dtype=np.int64)
     for _ in range(n_samples // 10_000):
         x0 = spec.init.mean + gen.standard_normal((10_000, factor.shape[1])) @ factor.T
         x_aug = np.column_stack([x0, np.ones(10_000)])
-        sd = np.sqrt(np.maximum((x_aug[:, iu] * x_aug[:, ju]) @ quad, 0.0))
+        sd = np.sqrt(np.maximum(np.einsum("sa,cab,sb->sc", x_aug, gram, x_aug), 0.0))
         value = x_aug @ lin + sd * gen.standard_normal(sd.shape)
         counts += np.count_nonzero(value > 1.0, axis=0)
     return counts.reshape(spec.horizon + 1, spec.n_rows)
@@ -361,10 +360,10 @@ def test_gaussian_columns_equal_closed_form_bit_for_bit(kind):
     sys_, spec, truth, u = _problem(gen, 3, 2, 3, structure, 2, 0 if kind == "zero_cov" else 100,
                                     rows=3)
     base = _exact_predictors(sys_, spec.horizon) if kind == "system" else truth
-    lin, quad = _conditional_maps(base, u, spec)
+    lin, gram = _conditional_maps(base, u, spec)
     n = spec.n
     mean = spec.init.mean @ lin[:n] + lin[n]
-    var = np.sum((lin[:n].T @ spec.init.factor) ** 2, axis=1) + quad[-1]
+    var = np.sum((lin[:n].T @ spec.init.factor) ** 2, axis=1) + gram[:, n, n]
     p = _upper_tail(mean, np.sqrt(var))
     report = exact_violation(sys_ if kind == "system" else truth, u, spec)
     assert np.array_equal(report.rate.ravel(), p)
