@@ -99,9 +99,19 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _matrix(doc, key, default=None):
+def _matrix(doc, key, where: str, default=None):
+    """``doc[key]`` as a float matrix once every entry is checked; ``default`` if absent."""
     if key not in doc:
         return default
+    _check_matrix(doc[key], f"{where}.{key}")
+    return np.asarray(doc[key], dtype=float)
+
+
+def _vector(doc, key, where: str, default=None):
+    """``doc[key]`` as a float vector once every entry is checked; ``default`` if absent."""
+    if key not in doc:
+        return default
+    _check_vector(doc[key], f"{where}.{key}")
     return np.asarray(doc[key], dtype=float)
 
 
@@ -132,14 +142,21 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _check_vector(value, where: str) -> None:
+    """Reject anything but a non-empty list of JSON numbers."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{where} must be a non-empty list of numbers")
+    for entry in value:
+        _number(entry, where)
+
+
 def _check_matrix(value, where: str) -> None:
     """Reject anything but a non-empty list of equal-length lists of JSON numbers."""
     if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)
             and len({len(row) for row in value}) == 1):
         raise ConfigError(f"{where} must be a list of equal-length lists of numbers")
     for row in value:
-        for entry in row:
-            _number(entry, where)
+        _check_vector(row, where)
 
 
 def _check_config_keys(doc: dict) -> None:
@@ -178,30 +195,28 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
     for key, value in doc["system"].get("inline", {}).items():
         _check_matrix(value, f"system.inline.{key}")
     ocp_doc = doc["ocp"]
-    n = len(ocp_doc["Q"])
-    m = len(ocp_doc["R"])
+    q_mat = _matrix(ocp_doc, "Q", "ocp")
+    r_mat = _matrix(ocp_doc, "R", "ocp")
+    n, m = len(q_mat), len(r_mat)
     if "input_polytope" in ocp_doc:
-        u_set = ocp.InputPolytope(
-            h_mat=np.asarray(ocp_doc["input_polytope"]["H"], dtype=float),
-            h_vec=np.asarray(ocp_doc["input_polytope"]["h"], dtype=float),
-        )
+        poly_doc = ocp_doc["input_polytope"]
+        u_set = ocp.InputPolytope(h_mat=_matrix(poly_doc, "H", "ocp.input_polytope"),
+                                  h_vec=_vector(poly_doc, "h", "ocp.input_polytope"))
     elif "u_min" in ocp_doc or "u_max" in ocp_doc:
-        u_set = ocp.InputBox(
-            lo=np.asarray(ocp_doc.get("u_min", [-np.inf] * m), dtype=float),
-            hi=np.asarray(ocp_doc.get("u_max", [np.inf] * m), dtype=float),
-        )
+        u_set = ocp.InputBox(lo=_vector(ocp_doc, "u_min", "ocp", np.full(m, -np.inf)),
+                             hi=_vector(ocp_doc, "u_max", "ocp", np.full(m, np.inf)))
     else:
         u_set = None
     spec = ocp.OcpSpec(
         horizon=_integer(ocp_doc["horizon"], "ocp.horizon", 1),
-        Q=_matrix(ocp_doc, "Q"),
-        R=_matrix(ocp_doc, "R"),
-        h_x=_matrix(ocp_doc, "h_x", np.zeros((0, n))),
+        Q=q_mat,
+        R=r_mat,
+        h_x=_matrix(ocp_doc, "h_x", "ocp", np.zeros((0, n))),
         u_set=u_set,
         p=_number(ocp_doc["p"], "ocp.p"),
         init=GaussianBelief(
-            mean=_matrix(ocp_doc, "x0_mean", np.zeros(n)),
-            cov=_matrix(ocp_doc, "sigma_x0", np.zeros((n, n))),
+            mean=_vector(ocp_doc, "x0_mean", "ocp", np.zeros(n)),
+            cov=_matrix(ocp_doc, "sigma_x0", "ocp", np.zeros((n, n))),
         ),
     )
     ident_doc = doc["identification"]
@@ -214,8 +229,8 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
         structure=ident_doc.get("structure", ident.STRUCTURE_FULL),
         covariance=ident_doc.get("covariance", "oracle"),
         input_std=_number(ident_doc.get("input_std", 1.0), "identification.input_std"),
-        x0_mean=_matrix(ident_doc, "x0_mean"),
-        sigma_x0=_matrix(ident_doc, "sigma_x0"),
+        x0_mean=_vector(ident_doc, "x0_mean", "identification"),
+        sigma_x0=_matrix(ident_doc, "sigma_x0", "identification"),
     )
     if ident_settings.delta <= spec.p:
         raise DeltaTooSmall(

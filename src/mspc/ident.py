@@ -286,7 +286,8 @@ def _whiten(reg: RegressionProblem, cov: ResidualCovariance):
 
 
 def _normal_equations(phi: np.ndarray, y: np.ndarray):
-    """The solution of (phi' phi) theta = phi' y, the inverse of phi' phi and its eigenvalues."""
+    """The solution of (phi' phi) theta = phi' y (a column per column of a matrix y), the
+    inverse of phi' phi and its eigenvalues."""
     info = phi.T @ phi
     info = 0.5 * (info + info.T)
     eigvals = np.linalg.eigvalsh(info)
@@ -335,13 +336,8 @@ def state_space_ls(data: Trajectory, sigma_w: np.ndarray, e_mat: np.ndarray) -> 
     if eigvals[0] <= 1e-12 * max(float(eigvals[-1]), 0.0):
         raise SingularInformation("per-step residual covariance E sigma_w E' is singular")
     z = np.hstack([data.measurements[:t_len], data.inputs])   # (T, n+m)
-    gram = z.T @ z
-    geig = np.linalg.eigvalsh(gram)
-    if geig[0] <= _INFORMATION_RTOL * max(float(geig[-1]), 0.0):
-        raise SingularInformation("regressors are not exciting enough")
-    cross = data.measurements[1: t_len + 1].T @ z             # (n, n+m)
-    gram_inv = np.linalg.inv(gram)
-    theta_mat = cross @ gram_inv                              # [A_hat, B_hat]
+    theta_t, gram_inv, _ = _normal_equations(z, data.measurements[1: t_len + 1])
+    theta_mat = theta_t.T                                     # [A_hat, B_hat]
     cov_theta = np.kron(gram_inv, s_w)
     return ParameterEstimate(
         k=1,

@@ -150,8 +150,9 @@ class ConicProgram:
     """Quadratic cost with linear and second-order cone constraint rows.
 
     Objective convention: f(z) = 0.5 z' P z + q' z + constant.
-    ``start_set`` holds the (linear, cone) row indices a solve may start
-    from and grow by the rows its solution violates; ``None`` means all rows.
+    ``start_set`` holds the (linear, cone) row indices the solver's first
+    round keeps; each further round adds the rows its solution violates.
+    The default is no rows, so the first round is the unconstrained minimum.
     """
 
     p_mat: np.ndarray
@@ -161,7 +162,8 @@ class ConicProgram:
     lin_b: np.ndarray    # (n_lin,)
     soc_rows: "list[SocRow]" = field(default_factory=list)
     variable_map: dict = field(default_factory=dict)
-    start_set: "tuple[np.ndarray, np.ndarray] | None" = None
+    start_set: "tuple[np.ndarray, np.ndarray]" = field(
+        default_factory=lambda: (np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
 
     @property
     def dim(self) -> int:
@@ -182,10 +184,9 @@ class ConicProgram:
                 raise DimensionMismatch("cone row shape mismatch")
             if row.f_mat.shape[0] != row.g_vec.size:
                 raise DimensionMismatch("cone row offset shape mismatch")
-        if self.start_set is not None:
-            for index, count in zip(self.start_set, (self.lin_b.size, len(self.soc_rows))):
-                if np.any((index < 0) | (index >= count)):
-                    raise DimensionMismatch("start set row index out of range")
+        for index, count in zip(self.start_set, (self.lin_b.size, len(self.soc_rows))):
+            if np.any((index < 0) | (index >= count)):
+                raise DimensionMismatch("start set row index out of range")
 
 
 @dataclass(frozen=True)
@@ -328,19 +329,14 @@ def _state_rows(phi: list, gamma: list, spec: OcpSpec, backoffs: np.ndarray):
 
 
 def _program(spec: OcpSpec, cost: tuple, state_a: np.ndarray, state_b: np.ndarray,
-             soc_rows: list, start_set: "tuple | None" = None, **variable_map) -> ConicProgram:
+             soc_rows: list, start_cones: tuple = (), **variable_map) -> ConicProgram:
     """Assemble a program: cost, state rows, the input rows of ``spec``, and cone rows.
 
     The decision holds the stacked inputs first; ``variable_map`` follows the "u" entry.
-    ``start_set`` = (state rows, cone rows) declares the program's start set,
-    to which every input row belongs; ``None`` solves all rows at once.
+    The solve starts from the cone rows ``start_cones`` and no linear row.
     """
     p_mat, q_vec, constant = cost
     input_a, input_b = _input_rows(spec, q_vec.size)
-    if start_set is not None:
-        state, cones = start_set
-        start_set = (np.concatenate([state, state_b.size + np.arange(input_b.size)]),
-                     np.asarray(cones))
     prog = ConicProgram(
         p_mat=p_mat,
         q_vec=q_vec,
@@ -349,7 +345,7 @@ def _program(spec: OcpSpec, cost: tuple, state_a: np.ndarray, state_b: np.ndarra
         lin_b=np.concatenate([state_b, input_b]),
         soc_rows=soc_rows,
         variable_map={"u": {"horizon": spec.horizon, "m": spec.m, "offset": 0}, **variable_map},
-        start_set=start_set,
+        start_set=(np.zeros(0, dtype=int), np.asarray(start_cones, dtype=int)),
     )
     prog.check_shapes()
     return prog
@@ -614,9 +610,9 @@ def formulate_minmax_statespace(
     variance are propagated per scenario, constraints are enforced at the
     inflated level for every scenario, and a worst-case cost epigraph
     (including the per-scenario trace terms) is minimized.  The program's
-    start set is scenario 0's state rows, the input rows and cone 0: few
-    rows are active at the optimum, so the solver grows this working set by
-    violated rows instead of handing all scenarios to one solve.  This is
+    start set is cone 0 alone: the epigraph objective has no curvature, so
+    a start without a cone is unbounded below, and each further scenario
+    enters the solve only once the solution violates one of its rows.  This is
     only a baseline restricted to the sampled parameters; it carries no
     robustness guarantee.  ``delta = 1`` is accepted only for an exactly
     zero parameter covariance, as in :func:`build_tightening_table`.
@@ -680,7 +676,7 @@ def formulate_minmax_statespace(
     q_vec[t_index] = 1.0
     return _program(
         spec, (np.zeros((dim, dim)), q_vec, 0.0), lin_a_state.reshape(-1, dim), offs.ravel(),
-        soc_rows, start_set=(np.arange(rows.shape[1]), np.zeros(1, dtype=int)),
+        soc_rows, start_cones=(0,),
         epigraph_index=t_index, kind="minmax_scenarios", robust=False,
         n_scenarios=n_scenarios, p=spec.p, delta=delta, p_tilde=p_tilde,
     )

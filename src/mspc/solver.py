@@ -12,23 +12,24 @@ is assembled from the factors and solved by Cholesky.  Purely linear programs
 get an active-set polish solve at the end, which pins the primal down to
 machine precision on nondegenerate problems.
 
-A program that declares a start set (``ConicProgram.start_set``, such as
-the scenario baseline's first scenario) is solved by constraint generation
-(a cutting-set method, Mutapcic & Boyd 2009): solve the working set,
-evaluate every dropped row at its solution, add every violated linear row
-and the most violated cone row, and solve again until no dropped row is
-violated by more than the feasibility tolerance.  The working set is a
-relaxation, so its solution is then optimal for the full program; it is
-returned with zero duals on the dropped rows and checked against the full
-program.  An Infeasible round makes the full program Infeasible; any other
-round that is not Optimal is followed by one solve of the full program,
-and the solution says so (``fallback``).
+Every program is solved by constraint generation (a cutting-set method,
+Mutapcic & Boyd 2009) from its start set (``ConicProgram.start_set``, by
+default no rows): solve the working set, evaluate every dropped row at its
+solution, add every violated linear row and the most violated cone row, and
+solve again until no dropped row is violated by more than the feasibility
+tolerance.  A working set without rows takes one Cholesky solve and no
+interior-point iteration.  The working set is a relaxation, so its solution
+is then optimal for the full program; it is returned with zero duals on the
+dropped rows and checked against the full program.  An Infeasible round
+makes the full program Infeasible; any other round that is not Optimal is
+followed by one solve of the full program (``fallback``), unless it spent
+``SolverOptions.max_iterations``, the cap on all rounds together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -72,7 +73,7 @@ class Solution:
     kkt: "KktResiduals | None" = None
     iterations: int = 0              # summed over rounds
     gap: "float | None" = None
-    rounds: int = 1                  # interior-point solves behind this solution
+    rounds: int = 1                  # working-set solves behind this solution, fallback included
     working_set: "tuple[int, int]" = (0, 0)   # (linear, cone) rows of the last solve
     fallback: bool = False           # a working-set round failed; the full program was solved
 
@@ -313,16 +314,8 @@ def _factor_reduced(k_mat: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
-    """Solve the program; deterministic for fixed inputs (no randomization)."""
-    opts = opts or SolverOptions()
-    if prog.start_set is None:
-        return _solve_once(prog, opts)
-    return _solve_working_set(prog, opts)
-
-
 def _solve_once(prog: ConicProgram, opts: SolverOptions) -> Solution:
-    """One interior-point solve of all rows of ``prog``."""
+    """One solve of all rows of ``prog``: a round, the fallback, or a test's reference."""
     canon = _canonicalize(prog)
     if canon.cone.dim == 0:
         sol = _solve_unconstrained(prog, canon)
@@ -345,8 +338,9 @@ def _certify(prog: ConicProgram, sol: Solution, opts: SolverOptions) -> None:
             sol.status = "IterationLimit"
 
 
-def _solve_working_set(prog: ConicProgram, opts: SolverOptions) -> Solution:
+def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
     """Constraint generation from ``prog.start_set``; returns a solution of all of ``prog``."""
+    opts = opts or SolverOptions()
     prog.check_shapes()
     lin = np.zeros(prog.lin_b.size, dtype=bool)
     soc = np.zeros(len(prog.soc_rows), dtype=bool)
@@ -360,14 +354,16 @@ def _solve_working_set(prog: ConicProgram, opts: SolverOptions) -> Solution:
             lin_a=prog.lin_a[lin], lin_b=prog.lin_b[lin],
             soc_rows=[row for row, keep in zip(prog.soc_rows, soc) if keep],
         )
-        sol = _solve_once(sub, opts)
+        sol = _solve_once(sub, replace(opts, max_iterations=opts.max_iterations - iterations))
         rounds += 1
         iterations += sol.iterations
-        if sol.status == "Infeasible":   # a relaxation of prog is infeasible, so prog is
-            return Solution(status="Infeasible", primal=None, objective=None,
+        spent = iterations >= opts.max_iterations   # the round's status then stands for prog
+        # An Infeasible relaxation of prog makes prog Infeasible.
+        if sol.status == "Infeasible" or (spent and sol.primal is None):
+            return Solution(status=sol.status, primal=None, objective=None,
                             iterations=iterations, rounds=rounds, working_set=sol.working_set)
-        if sol.status != "Optimal":
-            full = _solve_once(prog, opts)
+        if sol.status != "Optimal" and not spent:
+            full = _solve_once(prog, replace(opts, max_iterations=opts.max_iterations - iterations))
             full.iterations += iterations
             full.rounds = rounds + 1
             full.fallback = True
@@ -381,7 +377,7 @@ def _solve_working_set(prog: ConicProgram, opts: SolverOptions) -> Solution:
         ])
         worst = int(np.argmax(soc_viol)) if soc_viol.size else None
         soc_new = worst is not None and soc_viol[worst] > tol
-        if not (lin_new.any() or soc_new):
+        if spent or not (lin_new.any() or soc_new):
             break
         lin |= lin_new
         if soc_new:
@@ -393,7 +389,7 @@ def _solve_working_set(prog: ConicProgram, opts: SolverOptions) -> Solution:
     dual_soc = [next(sub_duals) if keep
                 else np.zeros(1 if _constant_norm(row) else 1 + row.g_vec.size)
                 for row, keep in zip(prog.soc_rows, soc)]
-    full = Solution(status="Optimal", primal=z, objective=prog.objective(z), dual_lin=dual_lin,
+    full = Solution(status=sol.status, primal=z, objective=prog.objective(z), dual_lin=dual_lin,
                     dual_soc=dual_soc, iterations=iterations, gap=sol.gap, rounds=rounds,
                     working_set=sol.working_set)
     _certify(prog, full, opts)
@@ -640,7 +636,10 @@ def _polish_linear(
     tol = 10.0 * opts.feasibility_tolerance * max(1.0, float(np.abs(h_vec).max(initial=0.0)))
     feasible = bool(np.all(g_mat @ z_new <= h_vec + tol))
     multipliers_ok = bool(np.all(nu >= -1e-7))
-    better = prog.objective(z_new) <= prog.objective(z) + 1e-9 * max(1.0, abs(sol.objective or 1.0))
+    # An interior point inside the tolerance may undercut the optimum by its
+    # dual-weighted violation, so that much is not counted against the polish.
+    better = prog.objective(z_new) <= prog.objective(z) + float(lam @ np.maximum(-slack, 0.0)) \
+        + 1e-9 * max(1.0, abs(sol.objective or 1.0))
     if not (feasible and multipliers_ok and better and np.all(np.isfinite(z_new))):
         return None
     dual = np.zeros(g_mat.shape[0])

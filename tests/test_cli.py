@@ -148,6 +148,21 @@ def set_random(key, value):
     (set_value("system", "inline", "sigma_W", [[0.02, 0.0], [0.0, 0.02]]), "sigma_W"),  # typo
     (set_value("system", "random", {"n": 2, "m": 1, "q": 2}), "exactly one"),  # inline won
     (set_value("system", {}), "exactly one"),
+    (set_value("ocp", "h_x", [["0.5", 0.0]]), "ocp.h_x"),        # would load as 0.5
+    (set_value("ocp", "R", [[True]]), "ocp.R"),                   # would load as 1.0
+    (set_value("ocp", "Q", [[1.0, 0.0], [0.0, "1"]]), "ocp.Q"),
+    (set_value("ocp", "sigma_x0", [[0.01, 0.0], [0.0, False]]), "ocp.sigma_x0"),
+    (set_value("ocp", "x0_mean", [1.2, "0.3"]), "ocp.x0_mean"),
+    (set_value("ocp", "x0_mean", 1.2), "ocp.x0_mean"),           # not a list
+    (set_value("ocp", "u_min", [True]), "ocp.u_min"),
+    (set_value("ocp", "u_max", ["2"]), "ocp.u_max"),
+    (set_value("ocp", "input_polytope", {"H": [["1"], [-1.0]], "h": [2.0, 2.0]}),
+     "ocp.input_polytope.H"),
+    (set_value("ocp", "input_polytope", {"H": [[1.0], [-1.0]], "h": [2.0, True]}),
+     "ocp.input_polytope.h"),
+    (set_value("identification", "x0_mean", [0.0, "0"]), "identification.x0_mean"),
+    (set_value("identification", "sigma_x0", [[0.01, 0.0], [0.0, "0.01"]]),
+     "identification.sigma_x0"),
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
         "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
         "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
@@ -161,7 +176,11 @@ def set_random(key, value):
         "input_std_infinity", "x0_mean_nan", "h_x_minus_infinity", "u_min_nan",
         "margin_infinity", "float_overflow", "int_overflow", "margin_at_p",
         "inline_missing_sigma_w", "inline_string_matrix", "inline_ragged_matrix",
-        "inline_string_entry", "inline_unknown_key", "inline_and_random", "no_system"])
+        "inline_string_entry", "inline_unknown_key", "inline_and_random", "no_system",
+        "h_x_string_entry", "R_bool_entry", "Q_string_entry", "sigma_x0_bool_entry",
+        "x0_mean_string_entry", "x0_mean_scalar", "u_min_bool_entry", "u_max_string_entry",
+        "polytope_H_string_entry", "polytope_h_bool_entry", "ident_x0_mean_string_entry",
+        "ident_sigma_x0_string_entry"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"
@@ -285,6 +304,9 @@ def binding_config():
 def test_binding_constraint_certified_with_exact_probability(tmp_path):
     report, ok = cmd_pipeline(parse_config(binding_config()), tmp_path)
     assert ok and report["certification"]["certified"]
+    # The active cone row enters the solve in a later round than the first.
+    robust = report["robust_solution"]
+    assert robust["status"] == "Optimal" and robust["rounds"] >= 2 and not robust["fallback"]
     rows = report["certification"]["rows"]
     active = [row for row in rows if row["slack"] <= 1e-6]
     assert active
@@ -297,6 +319,20 @@ def test_binding_constraint_certified_with_exact_probability(tmp_path):
         # how conservative the tightening is where it binds.
         assert 0.0 < row["upper99"] - row["rate"] <= 1e-12
         assert 1e-2 < row["rate"] < 0.5 * budget
+
+
+@pytest.mark.parametrize("name", ["scalar", "two_state", "four_state"])
+def test_demo_solves_take_one_round_without_iterations(tmp_path, name):
+    # No row is active at either optimum: the first round, the unconstrained
+    # minimum, already satisfies every row, so no interior-point iteration runs.
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    _, ok = cmd_pipeline(load_config(config), tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert ok and report["certification"]["certified"]
+    for key in ("robust_solution", "nominal_on_estimated_model"):
+        sol = report[key]
+        assert sol["status"] == "Optimal", key
+        assert (sol["rounds"], sol["iterations"], sol["fallback"]) == (1, 0, False), key
 
 
 def test_pipeline_passes_and_echoes_config(tmp_path):

@@ -799,9 +799,9 @@ def test_scenario_working_set_matches_full_solve(n, m, horizon, rows, n_scenario
                                            sys.E, sys.sigma_w)
     except InfeasibleInitialState:
         return
-    assert prog.start_set[0].size == horizon * rows + 2 * horizon * m
+    assert prog.start_set[0].size == 0 and list(prog.start_set[1]) == [0]
     sol = solve(prog)
-    ref = solve(replace(prog, start_set=None))
+    ref = solver._solve_once(prog, SolverOptions())
     assert sol.status == ref.status
     assert not sol.fallback
     if ref.status == "Optimal":
@@ -819,28 +819,31 @@ def binding_later_scenario_program():
 
 def test_scenario_working_set_adds_binding_later_scenario_row():
     prog, spec = binding_later_scenario_program()
-    start = prog.start_set[0]
+    assert prog.start_set[0].size == 0 and list(prog.start_set[1]) == [0]
     sol = solve(prog)
     assert sol.status == "Optimal"
-    assert sol.rounds >= 2 and sol.working_set[0] > start.size
+    assert sol.rounds >= 2 and sol.working_set[0] > 0
     # Row 5 is scenario 1's second step: outside the start set, active at the optimum.
     later = spec.horizon * spec.n_rows + 1
-    assert later not in start and sol.dual_lin[later] > 1.0
+    assert sol.dual_lin[later] > 1.0
     assert abs(prog.lin_a[later] @ sol.primal - prog.lin_b[later]) <= 1e-7
-    ref = solve(replace(prog, start_set=None))
+    ref = solver._solve_once(prog, SolverOptions())
     assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
     assert_certified_for_full_program(prog, sol)
 
 
 def test_scenario_round_not_optimal_solves_full_program():
+    # The epigraph cost has no curvature (P = 0): a first round without a cone
+    # is unbounded below, so it fails and the full program is solved instead.
     prog, _ = binding_later_scenario_program()
-    opts = SolverOptions(max_iterations=1)
-    sol = solve(prog, opts)
-    ref = solve(replace(prog, start_set=None), opts)
+    prog = replace(prog, start_set=(np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
+    assert not np.any(prog.p_mat)
+    sol = solve(prog)
+    ref = solver._solve_once(prog, SolverOptions())
     assert sol.fallback and not ref.fallback
-    assert sol.rounds == 2 and sol.iterations == 2
+    assert sol.rounds == 2 and sol.iterations == ref.iterations
     assert sol.working_set == (prog.lin_b.size, len(prog.soc_rows))
-    assert sol.status == ref.status
+    assert sol.status == ref.status == "Optimal"
     assert np.array_equal(sol.primal, ref.primal)
 
 
@@ -857,6 +860,77 @@ def test_scenario_solve_enters_public_solve_once(monkeypatch):
     sol = solver.solve(prog)
     assert sol.rounds >= 2
     assert len(calls) == 1
+
+
+def spec_with_active_rows(sys, horizon, gen):
+    """A spec whose unconstrained optimum violates a state row and an input row.
+
+    As in the nominal-equivalence criterion: a state row just below the peak
+    of the unconstrained mean trajectory, and the input box inside its inputs.
+    """
+    n, m = sys.n, sys.m
+    spec = OcpSpec(horizon=horizon, Q=np.eye(n), R=0.5 * np.eye(m), h_x=np.zeros((0, n)),
+                   u_set=None, p=0.9,
+                   init=GaussianBelief(mean=gen.standard_normal(n), cov=1e-4 * np.eye(n)))
+    phi, gamma = _mean_maps(sys.A, sys.B, horizon)
+    p_mat, q_vec, _ = _stacked_cost(phi, gamma, spec)
+    u_unc = np.linalg.solve(p_mat, -q_vec)
+    h_dir = gen.standard_normal(n)
+    along = np.array([h_dir @ (f @ spec.init.mean + g @ u_unc) for f, g in zip(phi, gamma)])
+    if along.max() < -along.min():
+        h_dir, along = -h_dir, -along
+    u_lim = 0.9 * max(float(np.abs(u_unc).max()), 1e-3)
+    return replace(spec, h_x=h_dir[None, :] / (0.97 * max(float(along.max()), 1e-3)),
+                   u_set=InputBox(lo=-u_lim * np.ones(m), hi=u_lim * np.ones(m)))
+
+
+def builder_program(kind, binding, horizon, sigma_theta, seed):
+    """One program of the builder ``kind``, on a random system with active rows or,
+    with ``binding``, on the two-state design far from the origin: x0 (1.5, 2.0),
+    h_x = diag(0.6, 0.45), R = 2 and |u| <= 2."""
+    gen = np.random.default_rng(seed)
+    if binding:
+        sys = LinearSystem(A=np.array([[0.85, 0.25], [-0.12, 0.78]]), B=np.array([[0.3], [1.0]]),
+                           E=np.eye(2), sigma_w=0.02 * np.eye(2), sigma_eps=1e-4 * np.eye(2))
+        spec = OcpSpec(horizon=horizon, Q=np.eye(2), R=np.array([[2.0]]),
+                       h_x=np.diag([0.6, 0.45]), u_set=InputBox(lo=[-2.0], hi=[2.0]), p=0.9,
+                       init=GaussianBelief(mean=np.array([1.5, 2.0]), cov=0.01 * np.eye(2)))
+    else:
+        n = int(gen.integers(1, 4))
+        sys = random_system(n, int(gen.integers(1, 3)), n, 0.9, gen, sigma_w=1e-4)
+        spec = spec_with_active_rows(sys, horizon, gen)
+    if kind == "nominal_statespace":
+        return build_nominal_qp_statespace(sys, spec)
+    if kind == "nominal_multistep":
+        return build_nominal_qp_multistep(build_multistep(sys, horizon), spec)
+    ests, gw = perfect_estimates(sys, horizon)
+    ests = [replace(e, cov=_estimate_cov(gen, e.dof, "full") * sigma_theta / 0.01) for e in ests]
+    if kind == "robust":
+        return build_robust_socp_multistep(ests, spec, 0.95, gw, sys.sigma_w)
+    return formulate_minmax_statespace(ests[0], spec, 0.95, 5, Rng(seed % 1000), sys.E,
+                                       sys.sigma_w)
+
+
+@given(
+    kind=st.sampled_from(["nominal_statespace", "nominal_multistep", "robust", "scenario"]),
+    binding=st.booleans(),
+    horizon=st.integers(2, 8),
+    sigma_theta=st.sampled_from([0.0, 1e-5, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_agrees_with_one_full_solve(kind, binding, horizon, sigma_theta, seed):
+    try:
+        prog = builder_program(kind, binding, horizon, sigma_theta, seed)
+    except InfeasibleInitialState:
+        return
+    sol = solve(prog)
+    ref = solver._solve_once(prog, SolverOptions())
+    assert sol.status == ref.status
+    if ref.status == "Optimal":
+        assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        assert_certified_for_full_program(prog, sol)
+    for k in range(1, 6):
+        assert solve(prog, SolverOptions(max_iterations=k)).iterations <= k
 
 
 # ---------------------------------------------------------------------------
