@@ -16,7 +16,10 @@ beyond lag k vanish) and whitened through its banded Cholesky factor, in
 time and memory linear in the record length.  Only a numerically singular
 covariance (the banded Cholesky fails or leaves a tiny pivot) is expanded
 to a dense matrix, for the eigen-projection fallback that
-``ParameterEstimate.projected_rank`` records.
+``ParameterEstimate.projected_rank`` records.  scipy is used for the band
+alone (``cholesky_banded`` and ``dtbtrs``), which numpy lacks; every dense
+factorization goes through numpy, whose BLAS thread pool is then the only
+busy one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,14 @@ from .errors import (
     InsufficientData,
     SingularInformation,
 )
-from .linalg import chi2_quantile, check_symmetric, diag_repeat, unvec, vec
+from .linalg import (
+    check_symmetric,
+    chi2_quantile,
+    inverse_cholesky_factor,
+    times_diag_repeat,
+    unvec,
+    vec,
+)
 from .system import MultiStepModel, Trajectory
 
 STRUCTURE_FULL = "full"
@@ -233,11 +243,10 @@ def residual_covariance(
         raise DimensionMismatch(f"record length {t_len} < prediction step {k}")
 
     windows = t_len - k + 1
-    lag_blocks = [gw_k @ diag_repeat(sigma_w, k) @ gw_k.T + g0_k @ sigma_eps @ g0_k.T + sigma_eps]
-    for i in range(1, k):
-        shift = np.zeros((k * q, k * q))
-        shift[i * q:, : (k - i) * q] = diag_repeat(sigma_w, k - i)
-        lag_blocks.append(gw_k @ shift @ gw_k.T)
+    # Block i is Gw_k[:, iq:] (I kron sigma_w) Gw_k[:, :(k-i)q]', read off H = Gw_k (I kron sigma_w).
+    weighted = times_diag_repeat(gw_k, sigma_w)
+    lag_blocks = [gw_k[:, i * q:] @ weighted[:, : (k - i) * q].T for i in range(k)]
+    lag_blocks[0] = lag_blocks[0] + g0_k @ sigma_eps @ g0_k.T + sigma_eps
     lag_blocks.append(-sigma_eps @ g0_k.T)
 
     # Window w+i against window w: S[(w+i)n + r, wn + c] = block_i[c, r], the
@@ -293,9 +302,8 @@ def _normal_equations(phi: np.ndarray, y: np.ndarray):
     eigvals = np.linalg.eigvalsh(info)
     if eigvals[0] <= _INFORMATION_RTOL * max(float(eigvals[-1]), 0.0):
         raise SingularInformation(f"information matrix nearly singular (min eig {eigvals[0]:.3e})")
-    chol = scipy.linalg.cho_factor(info)
-    return (scipy.linalg.cho_solve(chol, phi.T @ y),
-            scipy.linalg.cho_solve(chol, np.eye(info.shape[0])), eigvals)
+    inv_factor = inverse_cholesky_factor(info)
+    return (inv_factor @ (inv_factor.T @ (phi.T @ y)), inv_factor @ inv_factor.T, eigvals)
 
 
 def mle_estimate(reg: RegressionProblem, cov: ResidualCovariance) -> ParameterEstimate:

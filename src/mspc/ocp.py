@@ -44,6 +44,7 @@ from .linalg import (
     max_norm_affine_over_ball,
     psd_sqrt_factor,
     sym_sqrt,
+    times_diag_repeat,
 )
 from .system import GaussianBelief, LinearSystem, MultiStepModel
 
@@ -386,7 +387,7 @@ def build_nominal_qp_statespace(sys: LinearSystem, spec: OcpSpec) -> ConicProgra
 def build_nominal_qp_multistep(model: MultiStepModel, spec: OcpSpec) -> ConicProgram:
     """Tightened QP with moments taken from the multi-step matrices."""
     phi, gamma = _multistep_maps(model, spec)
-    covs = [g0 @ spec.init.cov @ g0.T + gw @ diag_repeat(model.sigma_w, k) @ gw.T
+    covs = [g0 @ spec.init.cov @ g0.T + times_diag_repeat(gw, model.sigma_w) @ gw.T
             for k, g0, gw in zip(range(1, spec.horizon + 1), model.g0, model.gw)]
     return _nominal_program(phi, gamma, covs, spec, "nominal_multistep")
 

@@ -8,7 +8,8 @@ with K a product of a nonnegative orthant and second-order cones.  Scaling
 uses the Nesterov-Todd point per cone block, stored as rank-one factors per
 block so that every cone operation is one array pass over all blocks.  Steps
 use a Mehrotra predictor-corrector, and the (small, dense) reduced KKT system
-is assembled from the factors and solved by Cholesky.  Purely linear programs
+is assembled from the factors and solved by Cholesky, through the inverse
+factor of :func:`~mspc.linalg.inverse_cholesky_factor`.  Purely linear programs
 get an active-set polish solve at the end, which pins the primal down to
 machine precision on nondegenerate problems.
 
@@ -32,9 +33,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch
+from .linalg import inverse_cholesky_factor
 from .ocp import ConicProgram, SocRow
 
 _DIVERGENCE_THRESHOLD = 1e8
@@ -298,15 +299,18 @@ def _kkt_blocks(cone: _Cone, g_mat: np.ndarray):
     return g_lin, g_blk, np.einsum("bmi,bm,bmj->bij", g_blk, cone.jmask, g_blk)
 
 
-def _factor_reduced(k_mat: np.ndarray):
-    """Cholesky of the reduced KKT matrix P + G' W^{-2} G with escalating regularization."""
+def _factor_reduced(k_mat: np.ndarray) -> np.ndarray:
+    """Inverse Cholesky factor of the reduced KKT matrix P + G' W^{-2} G, with escalating
+    regularization; a non-finite matrix raises ``np.linalg.LinAlgError`` at once."""
+    if not np.isfinite(k_mat).all():
+        raise np.linalg.LinAlgError("reduced KKT matrix is not finite")
     for reg in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
         try:
             shifted = k_mat + reg * np.eye(k_mat.shape[0]) * max(1.0, np.trace(k_mat))
-            return scipy.linalg.cho_factor(shifted)
-        except scipy.linalg.LinAlgError:
+            return inverse_cholesky_factor(shifted)
+        except np.linalg.LinAlgError:
             continue
-    raise scipy.linalg.LinAlgError("reduced KKT matrix could not be factorized")
+    raise np.linalg.LinAlgError("reduced KKT matrix could not be factorized")
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +420,9 @@ def _solve_unconstrained(prog: ConicProgram, canon: _Canonical) -> Solution:
         z = np.zeros(prog.dim)
     else:
         try:
-            z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(p_mat), -q_vec)
-        except scipy.linalg.LinAlgError:
+            factor = inverse_cholesky_factor(p_mat)
+            z = factor @ (factor.T @ -q_vec)
+        except np.linalg.LinAlgError:
             z, *_ = np.linalg.lstsq(p_mat, -q_vec, rcond=None)
             if float(np.linalg.norm(p_mat @ z + q_vec)) > 1e-8 * max(
                 1.0, float(np.linalg.norm(q_vec))
@@ -445,12 +450,10 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
     # Initial point: solve the KKT system with identity scaling, then push
     # the slack/dual blocks into the cone interior.
     try:
-        k0 = scipy.linalg.cho_factor(
-            p_mat + g_mat.T @ g_mat + 1e-12 * np.eye(d), lower=True
-        )
-    except scipy.linalg.LinAlgError:
+        k0 = inverse_cholesky_factor(p_mat + g_mat.T @ g_mat + 1e-12 * np.eye(d))
+    except np.linalg.LinAlgError:
         return Solution(status="NumericalFailure", primal=None, objective=None)
-    z = scipy.linalg.cho_solve(k0, -q_vec + g_mat.T @ h_vec)
+    z = k0 @ (k0.T @ (-q_vec + g_mat.T @ h_vec))
     resid = g_mat @ z - h_vec
     s = -resid.copy()
     lam = resid.copy()
@@ -501,20 +504,20 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
         try:
             scaling = _Scaling(cone, s, lam)
             factor = _factor_reduced(scaling.reduced_kkt(p_mat, *kkt_blocks))
-        except (scipy.linalg.LinAlgError, FloatingPointError, ValueError):
+        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
             break
 
         zeta = scaling.apply(lam)
 
         def newton(bx, bz):
-            dz = scipy.linalg.cho_solve(factor, bx + g_mat.T @ scaling.apply_inv2(bz))
+            dz = factor @ (factor.T @ (bx + g_mat.T @ scaling.apply_inv2(bz)))
             dlam = scaling.apply_inv2(g_mat @ dz - bz)
             # Iterative refinement on the full block system keeps both the
             # primal and the dual equations accurate as scaling degenerates.
             for _ in range(2):
                 r1 = bx - (p_mat @ dz + g_mat.T @ dlam)
                 r2 = bz - (g_mat @ dz - scaling.apply(scaling.apply(dlam)))
-                cz = scipy.linalg.cho_solve(factor, r1 + g_mat.T @ scaling.apply_inv2(r2))
+                cz = factor @ (factor.T @ (r1 + g_mat.T @ scaling.apply_inv2(r2)))
                 clam = scaling.apply_inv2(g_mat @ cz - r2)
                 dz = dz + cz
                 dlam = dlam + clam
@@ -534,7 +537,7 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
             d_vec = sigma * mu * e - _jordan_product(cone, zeta, zeta) - correction
             d_tilde = _jordan_solve(cone, zeta, d_vec)
             dz, dlam, ds = newton(-rx, -rz - scaling.apply(d_tilde))
-        except (scipy.linalg.LinAlgError, ValueError, FloatingPointError):
+        except (np.linalg.LinAlgError, ValueError, FloatingPointError):
             break
         alpha = min(
             1.0,
@@ -628,8 +631,8 @@ def _polish_linear(
     kkt[d:, :d] = a_act
     rhs = np.concatenate([-canon.q_vec, h_vec[active]])
     try:
-        sol_vec = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError):
+        sol_vec = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
         sol_vec, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     z_new = sol_vec[:d]
     nu = sol_vec[d:]

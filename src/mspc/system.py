@@ -19,9 +19,9 @@ from .errors import DimensionMismatch, DomainError
 from .linalg import (
     Rng,
     assert_psd,
-    diag_repeat,
     generator_of,
     psd_sqrt_factor,
+    times_diag_repeat,
 )
 
 
@@ -303,7 +303,7 @@ def propagate_moments_multistep(
     for k in range(1, u.shape[0] + 1):
         g0, gu, gw = model.step(k)
         mean = gu @ u_flat[: k * model.m] + g0 @ init.mean
-        cov = g0 @ init.cov @ g0.T + gw @ diag_repeat(model.sigma_w, k) @ gw.T
+        cov = g0 @ init.cov @ g0.T + times_diag_repeat(gw, model.sigma_w) @ gw.T
         beliefs.append(GaussianBelief(mean=mean, cov=0.5 * (cov + cov.T)))
     return beliefs
 

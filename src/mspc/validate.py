@@ -27,7 +27,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionMismatch, DomainError, SingularInformation
 from .ident import (
@@ -49,7 +48,14 @@ from .system import GaussianBelief, LinearSystem, build_multistep, simulate
 
 
 def clopper_pearson_interval(hits: int, samples: int, confidence: float = 0.99):
-    """Exact two-sided confidence interval for a binomial proportion."""
+    """Exact two-sided confidence interval for a binomial proportion.
+
+    Its ends are beta quantiles, ``scipy.special.betaincinv``.  Only the
+    coverage experiment calls it, so scipy.special is imported here, not by
+    the pipeline.
+    """
+    from scipy import special
+
     alpha = 1.0 - confidence
     low = 0.0 if hits == 0 else float(special.betaincinv(hits, samples - hits + 1, alpha / 2.0))
     high = 1.0 if hits == samples else float(
@@ -178,9 +184,12 @@ def _conditional_maps(truth: EstimatedModel, u: np.ndarray, spec: OcpSpec):
 
 
 def _upper_tail(mean: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """P(N(mean, sd^2) > 1) = Q((1 - mean) / sd); a zero sd gives [mean > 1]."""
-    score = np.divide(mean - 1.0, sd, out=np.where(mean > 1.0, np.inf, -np.inf), where=sd > 0.0)
-    return special.ndtr(score)
+    """P(N(mean, sd^2) > 1) = Q((1 - mean) / sd) = erfc((1 - mean) / (sd sqrt 2)) / 2.
+
+    A zero sd gives [mean > 1].
+    """
+    score = np.divide(1.0 - mean, sd, out=np.where(mean > 1.0, -np.inf, np.inf), where=sd > 0.0)
+    return 0.5 * np.vectorize(math.erfc, otypes=[float])(score * math.sqrt(0.5))
 
 
 # Each tail of V - 1 beyond the aliasing half-width has Chernoff bound

@@ -571,9 +571,9 @@ def test_criterion_9_solver_certification():
 def test_criterion_10_reproducibility(tmp_path):
     config = REPO / "configs" / "scalar.json"
     outputs = []
-    for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+    for tag, threads in (("a", "1"), ("b", "2"), ("c", "1")):
         out_dir = tmp_path / tag
-        env = dict(os.environ, MSPC_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "mspc", "pipeline",
              "--config", str(config), "--out", str(out_dir)],

@@ -176,6 +176,39 @@ def test_residual_covariance_band_is_zero_beyond_lag_k():
             assert cov[j, j + i] == 0.0
 
 
+def kron_lag_blocks(gw, g0, sigma_w, sigma_eps, k):
+    """Reference lag blocks: Gw_k (I_k kron sigma_w) Gw_k' + G0_k sigma_eps G0_k' + sigma_eps at
+    lag 0, Gw_k J_i Gw_k' at lag i < k with J_i the (I_(k-i) kron sigma_w) block shifted down
+    by i blocks, and -sigma_eps G0_k' at lag k."""
+    q = sigma_w.shape[0]
+    blocks = [gw @ np.kron(np.eye(k), sigma_w) @ gw.T + g0 @ sigma_eps @ g0.T + sigma_eps]
+    for i in range(1, k):
+        shift = np.zeros((k * q, k * q))
+        shift[i * q:, : (k - i) * q] = np.kron(np.eye(k - i), sigma_w)
+        blocks.append(gw @ shift @ gw.T)
+    return blocks + [-sigma_eps @ g0.T]
+
+
+@pytest.mark.parametrize("structure", [STRUCTURE_FULL, STRUCTURE_FIR])
+def test_residual_covariance_matches_kron_lag_blocks(structure):
+    # A full, non-diagonal sigma_w with q != n, at every step k of the horizon.
+    n, q, horizon, t_len = 3, 2, 10, 24
+    gen = Rng(13).generator()
+    root = gen.standard_normal((q, q))
+    sys = replace(random_system(n, 2, q, 0.9, gen, sigma_eps=0.05), sigma_w=root @ root.T)
+    model = build_multistep(sys, horizon)
+    for k in range(1, horizon + 1):
+        g0, _, gw = model.step(k)
+        g0 = np.zeros((n, n)) if structure == STRUCTURE_FIR else g0
+        s = residual_covariance(gw, g0, sys.sigma_w, sys.sigma_eps, k, t_len).matrix
+        blocks = kron_lag_blocks(gw, g0, sys.sigma_w, sys.sigma_eps, k)
+        scale = float(np.abs(blocks[0]).max())
+        for i, block in enumerate(blocks):
+            for w in range(t_len - k + 1 - i):   # window w + i against window w
+                got = s[(w + i) * n: (w + i + 1) * n, w * n: (w + 1) * n]
+                assert_allclose(got, block.T, rtol=0, atol=1e-14 * scale)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_residual_covariance_matches_simulation_scalar(k):
     a, e, sw, se = 0.7, 1.0, 0.3, 0.05

@@ -1,11 +1,16 @@
 """Import hygiene of the package.
 
-Importing the package must import neither scipy.stats nor scipy.optimize.
+Importing the package must import none of scipy.stats, scipy.optimize and
+scipy.special, and scipy.linalg only for the banded whitening in ``ident``.
 
-``scipy.stats`` was once imported for one beta quantile, and ``scipy.optimize``
-for one scalar root of the back-off's secular equation; each import was a
-large part of the package's start-up time and memory.  Each of these checks
-runs in a fresh interpreter, so imports made by the test session do not count.
+``scipy.stats`` was once imported for one beta quantile, ``scipy.optimize``
+for one scalar root of the back-off's secular equation and ``scipy.special``
+for the chi-squared quantile and the normal tail; each import was a large
+part of the package's start-up time and memory.  scipy and numpy each load
+their own OpenBLAS with its own thread pool, so every dense factorization
+goes through numpy, and scipy.linalg keeps only the band routines.  The
+import checks run in a fresh interpreter, so imports made by the test
+session do not count.
 """
 
 import ast
@@ -17,7 +22,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-LEFT_OUT = ("scipy.stats", "scipy.optimize")
+LEFT_OUT = ("scipy.stats", "scipy.optimize", "scipy.special")
 
 
 @pytest.mark.parametrize("module", ["mspc", "mspc.cli"])
@@ -44,3 +49,31 @@ def test_no_module_imports_a_private_name_of_another():
                             f"import {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def scipy_imports(tree: ast.AST, scope: str = "<module>") -> set:
+    """(scope, module) for every import of scipy in ``tree``; scope is the enclosing function."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= scipy_imports(node, node.name)
+            continue
+        if isinstance(node, ast.Import):
+            found |= {(scope, alias.name) for alias in node.names if alias.name.split(".")[0] == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+            found |= {(scope, f"{node.module}.{alias.name}") if node.module == "scipy"
+                      else (scope, node.module) for alias in node.names}
+        found |= scipy_imports(node, scope)
+    return found
+
+
+def test_scipy_is_imported_for_the_band_alone():
+    # ident's banded whitening is the one use of scipy on the pipeline's path.
+    # The Clopper-Pearson interval of the coverage experiment imports
+    # scipy.special when it is called, since its beta quantile has no numpy form.
+    found = {path.name: scipy_imports(ast.parse(path.read_text()))
+             for path in sorted((SRC / "mspc").glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "ident.py": {("<module>", "scipy.linalg")},
+        "validate.py": {("clopper_pearson_interval", "scipy.special")},
+    }

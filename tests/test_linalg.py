@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate, optimize, stats
+import scipy.linalg
+from scipy import integrate, optimize, special, stats
 from scipy.special import gammaln
 
 from mspc import linalg
@@ -15,9 +16,11 @@ from mspc.linalg import (
     check_symmetric,
     chi2_quantile,
     diag_repeat,
+    inverse_cholesky_factor,
     max_norm_affine_over_ball,
     psd_sqrt_factor,
     sym_sqrt,
+    times_diag_repeat,
     unvec,
     vec,
 )
@@ -287,6 +290,47 @@ def test_chi2_quantile_dof1_quadrature_oracle():
 def test_chi2_quantile_matches_quadrature(dof, prob):
     q = chi2_quantile(dof, prob)
     assert_allclose(chi2_cdf_quadrature(dof, q), prob, atol=1e-9)
+
+
+CHI2_GRID_DOFS = [*range(1, 150), 200, 300, 400]
+CHI2_GRID_PROBS = [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99,
+                   0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6]
+
+
+def test_chi2_quantile_matches_gammaincinv():
+    # scipy is the oracle here only.  The residual is taken on the tail that
+    # the quantile solves for, where 1 - prob is exact.
+    for dof in CHI2_GRID_DOFS:
+        for prob in CHI2_GRID_PROBS:
+            q = chi2_quantile(dof, prob)
+            ref = 2.0 * special.gammaincinv(dof / 2.0, prob)
+            assert abs(q - ref) <= 1e-14 * ref, (dof, prob, q, ref)
+            if prob <= 0.5:
+                assert abs(special.gammainc(dof / 2.0, q / 2.0) - prob) <= 1e-13, (dof, prob)
+            else:
+                assert abs(special.gammaincc(dof / 2.0, q / 2.0) - (1.0 - prob)) <= 1e-13, (dof, prob)
+
+
+@pytest.mark.parametrize("prob", [1e-6, 0.1, 0.5, 0.6, 0.85, 0.95, 0.99, 1 - 1e-6])
+def test_chi2_quantile_dof1_is_the_erf_root(prob):
+    # At dof 1 the tails are erf and erfc of sqrt(q/2), accurate to an ulp or
+    # two, so the residual must be what a few ulps of q and of the tail
+    # explain: q f(q) is the tail's change per unit relative change of q.  At
+    # prob 0.85, 2 gammaincinv(1/2, prob) is itself 2e-14 off this root and
+    # leaves 13 times this residual, which is why the grid above leaves 0.85 out.
+    q = chi2_quantile(1, prob)
+    target = prob if prob <= 0.5 else 1.0 - prob
+    tail = math.erf(math.sqrt(q / 2.0)) if prob <= 0.5 else math.erfc(math.sqrt(q / 2.0))
+    q_density = math.sqrt(q / (2.0 * math.pi)) * math.exp(-q / 2.0)
+    assert abs(tail - target) <= 4.0 * np.finfo(float).eps * (q_density + target)
+
+
+def test_chi2_quantile_extreme_probabilities():
+    assert chi2_quantile(1, 1e-300) == 0.0   # 1.6e-600 underflows
+    assert_allclose(chi2_quantile(1, 1e-20), math.pi / 2.0 * 1e-40, rtol=1e-12)
+    for dof, prob in ((400, 1e-300), (5, 1.0 - 2.0**-53), (10_000, 0.5), (100_000, 0.95)):
+        assert_allclose(chi2_quantile(dof, prob), 2.0 * special.gammaincinv(dof / 2.0, prob),
+                        rtol=1e-13)
 
 
 def test_chi2_quantile_domain_errors():
@@ -676,3 +720,26 @@ def test_diag_repeat():
     assert_allclose(out[:2, :2], block)
     assert_allclose(out[2:, 2:], block)
     assert_allclose(out[:2, 2:], 0.0)
+
+
+@pytest.mark.parametrize("rows,k,q", [(1, 1, 1), (2, 3, 2), (4, 6, 3), (3, 0, 2)])
+def test_times_diag_repeat_matches_kron(rows, k, q):
+    gen = Rng(43).generator()
+    a = gen.standard_normal((rows, k * q))
+    block = gen.standard_normal((q, q))
+    assert_allclose(times_diag_repeat(a, block), a @ diag_repeat(block, k), rtol=0, atol=1e-14)
+    with pytest.raises(DimensionMismatch):
+        times_diag_repeat(np.ones((rows, 3)), np.eye(2))
+
+
+def test_inverse_cholesky_factor_solves_like_cho_solve():
+    gen = Rng(44).generator()
+    root = gen.standard_normal((7, 7))
+    a = root @ root.T + 0.1 * np.eye(7)
+    factor = inverse_cholesky_factor(a)
+    assert np.array_equal(factor, np.triu(factor))
+    b = gen.standard_normal((7, 3))
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)   # scipy as the oracle only
+    assert_allclose(factor @ (factor.T @ b), ref, rtol=1e-12, atol=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        inverse_cholesky_factor(np.diag([1.0, -1.0]))

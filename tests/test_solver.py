@@ -1,17 +1,28 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
+from mspc import cli, solver
 from mspc.errors import DimensionMismatch
 from mspc.linalg import Rng
-from mspc.ocp import ConicProgram, SocRow
+from mspc.ocp import (
+    ConicProgram,
+    SocRow,
+    build_robust_socp_multistep,
+    formulate_minmax_statespace,
+)
 from mspc.solver import (
     SolverOptions,
     _classify_divergence,
     _Cone,
+    _factor_reduced,
     _jordan_product,
     _jordan_solve,
     _kkt_blocks,
@@ -259,6 +270,70 @@ def test_iteration_limit_status():
     sol = solve(prog, SolverOptions(max_iterations=1))
     assert sol.status in ("IterationLimit", "Optimal")
     assert sol.iterations <= 1
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def identified_programs(cfg, kind):
+    """The robust or 64-scenario program at p = 0.9, delta = 0.95 on ``cfg``'s identified model."""
+    sys_true = cli.make_system(cfg)
+    ests, gw = cli._identify_all(cfg, sys_true, cli._probe_and_simulate(cfg, sys_true))
+    spec = replace(cfg.ocp_spec, p=0.9)
+    if kind == "robust":
+        return build_robust_socp_multistep(ests, spec, 0.95, gw, sys_true.sigma_w)
+    return formulate_minmax_statespace(ests[0], spec, 0.95, 64, Rng(cfg.master_seed, 1),
+                                       sys_true.E, sys_true.sigma_w)
+
+
+def binding_variant(r):
+    """two_state far from the origin: x0_mean (1.5, 2.0), h_x = diag(0.6, 0.45), horizon 32."""
+    doc = json.loads((REPO / "configs" / "two_state.json").read_text())
+    doc["identification"]["T"] = 400
+    doc["ocp"].update(horizon=32, R=[[r]], x0_mean=[1.5, 2.0], h_x=[[0.6, 0.0], [0.0, 0.45]])
+    return cli.parse_config(doc)
+
+
+def test_reduced_kkt_solve_matches_cho_solve(monkeypatch):
+    # Every reduced KKT matrix of the design_sweep scenario solve and of the
+    # binding variant's robust solves (R = 2 and R = 20, several rounds each),
+    # solved through the inverted factor and by scipy's triangular solves.
+    recorded = []
+
+    def record(k_mat):
+        recorded.append(k_mat.copy())
+        return _factor_reduced(k_mat)
+
+    monkeypatch.setattr(solver, "_factor_reduced", record)
+    design = cli.load_config(REPO / "perfbench" / "configs" / "design_sweep.json")
+    programs = [identified_programs(design, "scenario"),
+                identified_programs(binding_variant(2.0), "robust"),
+                identified_programs(binding_variant(20.0), "robust")]
+    for prog in programs:
+        assert solve(prog).status == "Optimal"
+    assert len(recorded) > 40
+    gen = np.random.default_rng(5)
+    for k_mat in recorded:
+        b = gen.standard_normal(k_mat.shape[0])
+        factor = _factor_reduced(k_mat)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(k_mat), b)
+        assert np.linalg.norm(factor @ (factor.T @ b) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reduced_kkt_leaves_through_the_factorization_exit(monkeypatch, bad):
+    with pytest.raises(np.linalg.LinAlgError):
+        _factor_reduced(np.array([[1.0, 0.0], [0.0, bad]]))
+    prog = make_program(p=np.eye(2), q=[-1.0, -2.0], lin_a=[[1.0, 1.0]], lin_b=[1.0],
+                        soc_rows=[SocRow(f_mat=np.eye(2), g_vec=np.zeros(2), c_vec=np.zeros(2),
+                                         d_off=2.0)])
+    assert solver._solve_once(prog, SolverOptions()).status == "Optimal"
+    reduced = _Scaling.reduced_kkt
+    monkeypatch.setattr(_Scaling, "reduced_kkt",
+                        lambda self, *args: np.full_like(reduced(self, *args), bad))
+    # The first factorization fails: the interior point stops there and keeps its start.
+    sol = solver._solve_once(prog, SolverOptions())
+    assert sol.status == "IterationLimit" and sol.iterations == 1
 
 
 def test_working_set_duals_follow_the_full_program_rows():

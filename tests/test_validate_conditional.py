@@ -18,7 +18,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from numpy.testing import assert_allclose
+from scipy import integrate, special
 from scipy.stats import norm as normal_dist
 
 from mspc.errors import DimensionMismatch, DomainError
@@ -368,6 +369,26 @@ def test_gaussian_columns_equal_closed_form_bit_for_bit(kind):
     report = exact_violation(sys_ if kind == "system" else truth, u, spec)
     assert np.array_equal(report.rate.ravel(), p)
     assert np.array_equal(report.upper99.ravel(), p)
+
+
+def test_upper_tail_matches_ndtr():
+    # scipy is the oracle here only: Q((1 - mean) / sd) = ndtr((mean - 1) / sd),
+    # down to 1e-299.  In the far tail ndtr itself drifts to 6e-14 relative
+    # (math.erfc stays within 2e-16 of a 30-digit reference there).
+    scores = np.concatenate([np.linspace(-37.0, 9.0, 4601), [0.0, -0.0]])
+    for sd in (1.0, 1e-3, 250.0):
+        mean = 1.0 + sd * scores
+        assert_allclose(_upper_tail(mean, np.full_like(mean, sd)),
+                        special.ndtr((mean - 1.0) / sd), rtol=1e-13, atol=0.0)
+    # A zero sd gives the indicator [mean > 1]; scores that overflow are +-inf.
+    mean = np.array([2.0, 0.5, 1.0, 1e308, -1e308])
+    sd = np.array([0.0, 0.0, 0.0, 1e-300, 1e-300])
+    with np.errstate(over="ignore"):
+        ref = special.ndtr(np.divide(mean - 1.0, sd, out=np.where(mean > 1.0, np.inf, -np.inf),
+                                     where=sd > 0.0))
+        assert np.array_equal(_upper_tail(mean, sd), ref)
+    assert np.array_equal(ref, [1.0, 0.0, 0.0, 1.0, 0.0])
+    assert float(_upper_tail(1.2, 0.1)) == special.ndtr(2.0)
 
 
 def _scalar_truth(a, c_a, s_x0, x0_bar, s_noise, u=0.3, b=1.0):
