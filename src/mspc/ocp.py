@@ -195,7 +195,6 @@ class TighteningTable:
     """Constant back-off terms of the robust program, per constraint and step."""
 
     delta: float
-    p: float
     p_tilde: float
     c_ptilde: float
     radius: dict            # k -> sqrt(chi2_{dof_k}(delta))
@@ -531,7 +530,6 @@ def build_tightening_table(
         certificate_gap[k] = max(gaps, default=0.0)
     return TighteningTable(
         delta=delta,
-        p=spec.p,
         p_tilde=spec.p / delta,
         c_ptilde=gaussian_backoff(spec.p / delta),
         radius=radius,

@@ -11,7 +11,9 @@ use a Mehrotra predictor-corrector, and the (small, dense) reduced KKT system
 is assembled from the factors and solved by Cholesky, through the inverse
 factor of :func:`~mspc.linalg.inverse_cholesky_factor`.  Purely linear programs
 get an active-set polish solve at the end, which pins the primal down to
-machine precision on nondegenerate problems.
+machine precision on nondegenerate problems.  Cone rows are solved as written,
+F = 0 included: :mod:`mspc.ocp` alone decides which rows are cones.  The
+tolerances are fixed; ``SolverOptions`` holds the iteration cap alone.
 
 Every program is solved by constraint generation (a cutting-set method,
 Mutapcic & Boyd 2009) from its start set (``ConicProgram.start_set``, by
@@ -34,24 +36,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainError
 from .linalg import inverse_cholesky_factor
-from .ocp import ConicProgram, SocRow
+from .ocp import ConicProgram
 
 _DIVERGENCE_THRESHOLD = 1e8
 _FARKAS_CONE_TOLERANCE = 1e-9
+_FEASIBILITY_TOLERANCE = 1e-9   # relative to the largest |h| (primal) or |q| (dual)
+_GAP_TOLERANCE = 1e-9           # relative to the objective
 _STEP_FRACTION = 0.99       # share of the step to the cone boundary that is taken
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_iterations: int = 200
-    gap_tolerance: float = 1e-9
-    feasibility_tolerance: float = 1e-9
+    max_iterations: int = 200   # cap on the interior-point iterations of all rounds together
 
     def __post_init__(self):
-        if self.gap_tolerance <= 0 or self.feasibility_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise DomainError(f"max_iterations must be an integer >= 0, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -249,48 +252,21 @@ class _Canonical:
     g_mat: np.ndarray
     h_vec: np.ndarray
     cone: _Cone
-    n_lin_orig: int
-    soc_map: list     # per original SOC row: ("soc", block_idx) or ("lin", row_idx)
 
 
 def _canonicalize(prog: ConicProgram) -> _Canonical:
+    """Linear rows first, then one block (d + c'z, g + F z) per cone row, as written."""
     prog.check_shapes()
-    d = prog.dim
-    lin_a = [np.asarray(prog.lin_a, dtype=float).reshape(-1, d)]
-    lin_b = [np.asarray(prog.lin_b, dtype=float).ravel()]
-    n_lin = prog.lin_b.size
-    soc_rows: list[SocRow] = []
-    soc_map = []
-    for row in prog.soc_rows:
-        if _constant_norm(row):   # the row degrades to a linear one
-            lin_a.append(-row.c_vec[None, :])
-            lin_b.append(np.asarray([row.d_off - float(np.linalg.norm(row.g_vec))]))
-            soc_map.append(("lin", n_lin))
-            n_lin += 1
-        else:
-            soc_map.append(("soc", len(soc_rows)))
-            soc_rows.append(row)
-    g_parts = [np.vstack(lin_a)]
-    h_parts = [np.concatenate(lin_b)]
-    soc_sizes = []
-    for row in soc_rows:
-        g_parts.append(np.vstack([-row.c_vec[None, :], -row.f_mat]))
-        h_parts.append(np.concatenate([[row.d_off], row.g_vec]))
-        soc_sizes.append(1 + row.f_mat.shape[0])
+    rows = prog.soc_rows
     return _Canonical(
         p_mat=0.5 * (prog.p_mat + prog.p_mat.T),
         q_vec=np.asarray(prog.q_vec, dtype=float).ravel(),
-        g_mat=np.vstack(g_parts),
-        h_vec=np.concatenate(h_parts),
-        cone=_Cone(n_lin, soc_sizes),
-        n_lin_orig=prog.lin_b.size,
-        soc_map=soc_map,
+        g_mat=np.vstack([np.asarray(prog.lin_a, dtype=float).reshape(-1, prog.dim),
+                         *(np.vstack([-row.c_vec, -row.f_mat]) for row in rows)]),
+        h_vec=np.concatenate([np.asarray(prog.lin_b, dtype=float).ravel(),
+                              *(np.append(row.d_off, row.g_vec) for row in rows)]),
+        cone=_Cone(prog.lin_b.size, [1 + row.g_vec.size for row in rows]),
     )
-
-
-def _constant_norm(row: SocRow) -> bool:
-    """The norm argument does not depend on the decision: presolved to a linear row."""
-    return row.f_mat.size == 0 or not np.any(row.f_mat)
 
 
 def _kkt_blocks(cone: _Cone, g_mat: np.ndarray):
@@ -326,7 +302,7 @@ def _solve_once(prog: ConicProgram, opts: SolverOptions) -> Solution:
     else:
         sol = _interior_point(prog, canon, opts)
         if sol.status == "Optimal" and not canon.cone.soc_sizes and sol.primal is not None:
-            polished = _polish_linear(prog, canon, sol, opts)
+            polished = _polish_linear(prog, canon, sol)
             if polished is not None:
                 sol = polished
         _certify(prog, sol, opts)
@@ -350,7 +326,7 @@ def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
     soc = np.zeros(len(prog.soc_rows), dtype=bool)
     lin[prog.start_set[0]] = True
     soc[prog.start_set[1]] = True
-    tol = opts.feasibility_tolerance * max(1.0, float(np.abs(prog.lin_b).max(initial=0.0)))
+    tol = _FEASIBILITY_TOLERANCE * max(1.0, float(np.abs(prog.lin_b).max(initial=0.0)))
     rounds = iterations = 0
     while True:
         sub = ConicProgram(
@@ -388,10 +364,9 @@ def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
             soc[worst] = True
     dual_lin = np.zeros(prog.lin_b.size)
     dual_lin[lin] = sol.dual_lin
-    # Zero duals on the dropped rows, sized as a full solve sizes them (1 if presolved).
+    # Zero duals on the dropped rows, sized as a full solve sizes them.
     sub_duals = iter(sol.dual_soc)
-    dual_soc = [next(sub_duals) if keep
-                else np.zeros(1 if _constant_norm(row) else 1 + row.g_vec.size)
+    dual_soc = [next(sub_duals) if keep else np.zeros(1 + row.g_vec.size)
                 for row, keep in zip(prog.soc_rows, soc)]
     full = Solution(status=sol.status, primal=z, objective=prog.objective(z), dual_lin=dual_lin,
                     dual_soc=dual_soc, iterations=iterations, gap=sol.gap, rounds=rounds,
@@ -401,14 +376,15 @@ def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
 
 
 def _kkt_acceptable(prog: ConicProgram, sol: Solution, opts: SolverOptions) -> bool:
+    """The residual contract of every solve; it is the same under any ``opts``."""
     scale_d = max(1.0, float(np.abs(prog.q_vec).max(initial=0.0)))
     scale_p = max(1.0, float(np.abs(prog.lin_b).max(initial=0.0)))
     obj_scale = max(1.0, abs(sol.objective or 0.0))
     kkt = sol.kkt
     return (
-        kkt.stationarity <= 10.0 * opts.feasibility_tolerance * scale_d
-        and kkt.primal <= 10.0 * opts.feasibility_tolerance * scale_p
-        and kkt.complementarity <= 10.0 * opts.gap_tolerance * obj_scale
+        kkt.stationarity <= 10.0 * _FEASIBILITY_TOLERANCE * scale_d
+        and kkt.primal <= 10.0 * _FEASIBILITY_TOLERANCE * scale_p
+        and kkt.complementarity <= 10.0 * _GAP_TOLERANCE * obj_scale
     )
 
 
@@ -486,9 +462,9 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
         pres = float(np.abs(rz).max(initial=0.0))
         dres = float(np.abs(rx).max(initial=0.0))
         score = max(
-            pres / (opts.feasibility_tolerance * scale_p),
-            dres / (opts.feasibility_tolerance * scale_d),
-            gap / (opts.gap_tolerance * max(1.0, abs(pobj))),
+            pres / (_FEASIBILITY_TOLERANCE * scale_p),
+            dres / (_FEASIBILITY_TOLERANCE * scale_d),
+            gap / (_GAP_TOLERANCE * max(1.0, abs(pobj))),
         )
         if score < best_score:
             best_score = score
@@ -565,7 +541,7 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
         status = "Optimal" if best_score <= 10.0 else "IterationLimit"
     else:
         gap = float(s @ lam)
-    dual_lin, dual_soc = _split_duals(canon, lam)
+    dual_lin, dual_soc = _split_duals(cone, lam)
     return Solution(
         status=status,
         primal=z,
@@ -597,29 +573,16 @@ def _classify_divergence(g_mat: np.ndarray, h_vec: np.ndarray, cone: _Cone,
     return "NumericalFailure"
 
 
-def _split_duals(canon: _Canonical, lam: np.ndarray):
-    """Map the concatenated dual back onto the original program rows."""
-    n_lin_orig = canon.n_lin_orig
-    dual_lin = lam[:n_lin_orig].copy()
-    dual_soc = []
-    for kind, idx in canon.soc_map:
-        if kind == "soc":
-            start = canon.cone._starts[idx]
-            size = canon.cone.soc_sizes[idx]
-            dual_soc.append(lam[start: start + size].copy())
-        else:
-            # Presolved to a linear row: reconstruct the conic dual.
-            nu = float(lam[idx])
-            dual_soc.append(np.asarray([nu]))
-    return dual_lin, dual_soc
+def _split_duals(cone: _Cone, lam: np.ndarray):
+    """The concatenated dual cut into the program's linear rows and cone blocks."""
+    return lam[: cone.l].copy(), [lam[start: start + size].copy()
+                                  for start, size in zip(cone._starts, cone.soc_sizes)]
 
 
-def _polish_linear(
-    prog: ConicProgram, canon: _Canonical, sol: Solution, opts: SolverOptions
-) -> "Solution | None":
-    """Re-solve on the detected active set; exact for nondegenerate QPs."""
+def _polish_linear(prog: ConicProgram, canon: _Canonical, sol: Solution) -> "Solution | None":
+    """Re-solve on the detected active set; exact for nondegenerate QPs without cone rows."""
     z = sol.primal
-    lam = np.concatenate([sol.dual_lin, *[d for d in sol.dual_soc]]) if sol.dual_soc else sol.dual_lin
+    lam = sol.dual_lin
     g_mat, h_vec = canon.g_mat, canon.h_vec
     slack = h_vec - g_mat @ z
     active = np.where(lam > slack)[0]
@@ -636,7 +599,7 @@ def _polish_linear(
         sol_vec, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     z_new = sol_vec[:d]
     nu = sol_vec[d:]
-    tol = 10.0 * opts.feasibility_tolerance * max(1.0, float(np.abs(h_vec).max(initial=0.0)))
+    tol = 10.0 * _FEASIBILITY_TOLERANCE * max(1.0, float(np.abs(h_vec).max(initial=0.0)))
     feasible = bool(np.all(g_mat @ z_new <= h_vec + tol))
     multipliers_ok = bool(np.all(nu >= -1e-7))
     # An interior point inside the tolerance may undercut the optimum by its
@@ -647,13 +610,12 @@ def _polish_linear(
         return None
     dual = np.zeros(g_mat.shape[0])
     dual[active] = np.maximum(nu, 0.0)
-    dual_lin, dual_soc = _split_duals(canon, dual)
     return Solution(
         status="Optimal",
         primal=z_new,
         objective=prog.objective(z_new),
-        dual_lin=dual_lin,
-        dual_soc=dual_soc,
+        dual_lin=dual,
+        dual_soc=[],
         iterations=sol.iterations,
         gap=float(abs(nu @ (h_vec[active] - a_act @ z_new))),
     )
@@ -679,18 +641,16 @@ def check_kkt(prog: ConicProgram, sol: Solution) -> KktResiduals:
         primal = max(primal, float(np.max(-slack, initial=0.0)))
         comp = max(comp, float(np.abs(dual_lin * slack).max(initial=0.0)))
     for row, dual in zip(prog.soc_rows, sol.dual_soc or [None] * len(prog.soc_rows)):
-        resid = row.f_mat @ z + row.g_vec if row.f_mat.size else row.g_vec
+        resid = row.f_mat @ z + row.g_vec
         lhs = float(np.linalg.norm(resid))
         rhs = float(row.c_vec @ z + row.d_off)
         primal = max(primal, lhs - rhs)
-        if dual is None or dual.size == 0:
+        if dual is None:
             continue
-        lam0 = float(dual[0])
-        lam1 = dual[1:] if dual.size > 1 else np.zeros(row.f_mat.shape[0])
-        if dual.size == 1 and lhs > 0:
-            # Dual reconstructed from a presolved (constant-norm) row.
-            lam1 = -lam0 * resid / max(lhs, 1e-300)
-        grad = grad - row.c_vec * lam0 - (row.f_mat.T @ lam1 if row.f_mat.size else 0.0)
+        if dual.size != 1 + row.g_vec.size:
+            raise DimensionMismatch("cone dual has the wrong length")
+        lam0, lam1 = float(dual[0]), dual[1:]
+        grad = grad - row.c_vec * lam0 - row.f_mat.T @ lam1
         comp = max(comp, abs(rhs * lam0 + float(resid @ lam1)))
     return KktResiduals(
         stationarity=float(np.abs(grad).max(initial=0.0)),

@@ -77,3 +77,47 @@ def test_scipy_is_imported_for_the_band_alone():
         "ident.py": {("<module>", "scipy.linalg")},
         "validate.py": {("clopper_pearson_interval", "scipy.special")},
     }
+
+
+def annotation_names(node: ast.AST) -> set:
+    """Names read by an annotation, those inside string annotations included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def unused_imports(tree: ast.AST) -> set:
+    """Names that ``tree`` imports and never reads, in its code or in its annotations."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used |= annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= annotation_names(node.annotation)
+    return imported - used
+
+
+def test_every_import_is_used():
+    # No linter runs on the package; __init__.py imports its modules to re-export them.
+    found = {path.name: unused_imports(ast.parse(path.read_text()))
+             for path in sorted((SRC / "mspc").glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_import_check_reads_code_and_string_annotations():
+    code = ("from __future__ import annotations\n"
+            "import numpy as np\nimport os.path\nfrom .ocp import SocRow, ConicProgram\n"
+            "def f(x: 'SocRow | None') -> 'np.ndarray':\n    return x\n")
+    assert unused_imports(ast.parse(code)) == {"os", "ConicProgram"}

@@ -38,7 +38,7 @@ from mspc.ocp import (
     tightening_to_json,
 )
 from mspc import solver
-from mspc.solver import SolverOptions, _kkt_acceptable, check_kkt, solve
+from mspc.solver import _FEASIBILITY_TOLERANCE, SolverOptions, _kkt_acceptable, check_kkt, solve
 from mspc.system import GaussianBelief, LinearSystem, build_multistep, random_system
 
 
@@ -761,7 +761,7 @@ def test_minmax_delta_one_needs_zero_covariance():
 def assert_certified_for_full_program(prog, sol):
     """Every row holds at the returned point, and the full-program KKT check passes."""
     opts = SolverOptions()
-    tol = opts.feasibility_tolerance * max(1.0, np.abs(prog.lin_b).max(initial=0.0))
+    tol = _FEASIBILITY_TOLERANCE * max(1.0, np.abs(prog.lin_b).max(initial=0.0))
     z = sol.primal
     assert np.all(prog.lin_a @ z - prog.lin_b <= tol)
     for row in prog.soc_rows:

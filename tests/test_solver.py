@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc import cli, solver
-from mspc.errors import DimensionMismatch
+from mspc.errors import DimensionMismatch, DomainError
 from mspc.linalg import Rng
 from mspc.ocp import (
     ConicProgram,
@@ -216,6 +216,21 @@ def test_check_kkt_zero_program():
     assert kkt.complementarity == 0.0
 
 
+def test_check_kkt_rejects_a_cone_dual_of_the_wrong_length():
+    # A cone row with g of length m has a dual of length 1 + m, F = 0 or not.
+    from mspc.solver import Solution
+
+    row = SocRow(f_mat=np.zeros((2, 1)), g_vec=np.array([0.3, 0.4]), c_vec=np.array([1.0]),
+                 d_off=0.0)
+    prog = make_program(p=[[2.0]], q=[0.0], soc_rows=[row])
+    for dual in (np.array([1.0]), np.zeros(4)):
+        sol = Solution(status="Optimal", primal=np.array([0.5]), objective=0.25,
+                       dual_lin=np.zeros(0), dual_soc=[dual])
+        with pytest.raises(DimensionMismatch):
+            check_kkt(prog, sol)
+    assert check_kkt(prog, solve(prog)).max() <= 1e-8
+
+
 def test_degenerate_soc_vertex_delta_like_row():
     # A cone row whose argument vanishes at the optimum; presolve is not
     # triggered (F is nonzero) so the cone path must handle the vertex.
@@ -352,7 +367,7 @@ def test_working_set_duals_follow_the_full_program_rows():
     assert sol.status == ref.status == "Optimal"
     assert sol.rounds == 2 and sol.working_set == (0, 2) and not sol.fallback
     assert_allclose(sol.primal, [2.0, 0.0], atol=1e-8)
-    assert [d.shape for d in sol.dual_soc] == [d.shape for d in ref.dual_soc] == [(1,), (3,), (1,)]
+    assert [d.shape for d in sol.dual_soc] == [d.shape for d in ref.dual_soc] == [(2,), (3,), (2,)]
     assert_allclose(sol.dual_soc[0], ref.dual_soc[0], atol=1e-7)
     assert np.all(sol.dual_soc[2] == 0.0) and np.all(sol.dual_lin == 0.0)
     assert sol.kkt.max() <= 1e-8
@@ -374,6 +389,101 @@ def test_working_set_rejects_start_rows_out_of_range():
         prog.start_set = start
         with pytest.raises(DimensionMismatch):
             solve(prog)
+
+
+def presolved(prog, constant):
+    """``prog`` with each constant-norm cone row ||g|| <= c'z + d, whose index is in
+    ``constant``, written as the linear row -c'z <= d - ||g||."""
+    rows = [prog.soc_rows[i] for i in constant]
+    return make_program(
+        p=prog.p_mat, q=prog.q_vec, constant=prog.constant,
+        lin_a=np.vstack([prog.lin_a, *(-row.c_vec for row in rows)]),
+        lin_b=np.concatenate([prog.lin_b, [row.d_off - np.linalg.norm(row.g_vec) for row in rows]]),
+        soc_rows=[row for i, row in enumerate(prog.soc_rows) if i not in constant],
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 3),
+    n_lin=st.integers(0, 2),
+    n_cones=st.integers(0, 2),
+    # Per constant-norm row: rows of F (0 gives F of shape (0, dim)), g = 0, and
+    # whether the row cuts off the unconstrained minimum.
+    constant_rows=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()),
+                           min_size=1, max_size=3),
+)
+@example(seed=0, dim=2, n_lin=0, n_cones=2, constant_rows=[(0, False, True)])
+@example(seed=1, dim=3, n_lin=1, n_cones=1, constant_rows=[(2, True, True), (1, False, False)])
+@example(seed=2228570508, dim=3, n_lin=0, n_cones=0, constant_rows=[(0, False, True)])
+def test_constant_norm_rows_solve_as_cones_like_their_linear_form(seed, dim, n_lin, n_cones,
+                                                                  constant_rows):
+    # Every row holds strictly at z = 0, so each program is feasible, and P >= I
+    # makes its minimum unique.
+    gen = np.random.default_rng(seed)
+    f = gen.standard_normal((dim, dim))
+    p_mat = f @ f.T + np.eye(dim)
+    z_free = gen.standard_normal(dim) * 2.0
+    cones = [SocRow(f_mat=gen.standard_normal((rows, dim)), g_vec=g, c_vec=0.3 * gen.standard_normal(dim),
+                    d_off=float(np.linalg.norm(g)) + gen.uniform(0.5, 2.0))
+             for rows in gen.integers(1, 4, size=n_cones)
+             for g in [gen.standard_normal(rows)]]
+    constant = []
+    for rows, zero_g, cuts in constant_rows:
+        g = np.zeros(rows) if zero_g else gen.standard_normal(rows)
+        c = gen.standard_normal(dim)
+        c *= (-1.0 if cuts else 1.0) * np.sign(c @ z_free)
+        # Slack at z = 0 is t; at the unconstrained minimum it is c'z + t, below 0 if the row cuts.
+        t = gen.uniform(0.1, 0.9) * abs(c @ z_free) if cuts else gen.uniform(0.1, 2.0)
+        constant.append(SocRow(f_mat=np.zeros((rows, dim)), g_vec=g, c_vec=c,
+                               d_off=float(np.linalg.norm(g)) + t))
+    order = gen.permutation(n_cones + len(constant))
+    soc_rows = [(cones + constant)[i] for i in order]
+    constant_idx = np.argsort(order)[n_cones:].tolist()
+    prog = make_program(p=p_mat, q=-p_mat @ z_free, soc_rows=soc_rows,
+                        lin_a=gen.standard_normal((n_lin, dim)), lin_b=gen.uniform(0.5, 2.0, n_lin))
+
+    # Either form is solved to the contract, which accepts a gap of
+    # 1e-8 max(1, |f|), and so, as P >= I, to a primal distance of
+    # sqrt(2 * 1e-8 max(1, |f|)): an interior point pins a point on a curved
+    # cone boundary down to only about the square root of its gap, and the
+    # linear form of a program without ordinary cone rows is polished to
+    # machine precision while its cone form is not.
+    ref = solve(presolved(prog, constant_idx))
+    sol = solve(prog)
+    tol_f = 1e-8 * max(1.0, abs(ref.objective))
+    assert sol.status == ref.status == "Optimal"
+    assert np.abs(sol.primal - ref.primal).max() <= math.sqrt(2.0 * tol_f)
+    assert abs(sol.objective - ref.objective) <= tol_f
+    assert solver._kkt_acceptable(prog, sol, SolverOptions())
+    assert [d.shape for d in sol.dual_soc] == [(1 + row.g_vec.size,) for row in soc_rows]
+
+    # Started from every row but the constant-norm rows clearly slack at the
+    # optimum, one round solves the program, and each row left out gets a zero dual.
+    slack = {i for i in constant_idx
+             if soc_rows[i].c_vec @ ref.primal + soc_rows[i].d_off
+             - np.linalg.norm(soc_rows[i].g_vec) > 1e-3}
+    prog.start_set = (np.arange(n_lin), np.array([i for i in range(len(soc_rows)) if i not in slack],
+                                                 dtype=int))
+    started = solve(prog)
+    assert started.status == "Optimal" and started.rounds == 1
+    assert np.abs(started.primal - ref.primal).max() <= math.sqrt(2.0 * tol_f)
+    assert solver._kkt_acceptable(prog, started, SolverOptions())
+    for i in slack:
+        assert np.array_equal(started.dual_soc[i], np.zeros(1 + soc_rows[i].g_vec.size))
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, True, "3", None])
+def test_max_iterations_must_be_a_count(bad):
+    with pytest.raises(DomainError):
+        SolverOptions(max_iterations=bad)
+
+
+@pytest.mark.parametrize("cap", [0, np.int64(3)])
+def test_max_iterations_takes_any_integer_count(cap):
+    prog = make_program(p=[[2.0]], q=[-6.0], lin_a=[[1.0]], lin_b=[1.0], constant=9.0)
+    sol = solve(prog, SolverOptions(max_iterations=cap))
+    assert sol.iterations <= cap
 
 
 # ---------------------------------------------------------------------------
