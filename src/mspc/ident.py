@@ -16,10 +16,10 @@ beyond lag k vanish) and whitened through its banded Cholesky factor, in
 time and memory linear in the record length.  Only a numerically singular
 covariance (the banded Cholesky fails or leaves a tiny pivot) is expanded
 to a dense matrix, for the eigen-projection fallback that
-``ParameterEstimate.projected_rank`` records.  scipy is used for the band
-alone (``cholesky_banded`` and ``dtbtrs``), which numpy lacks; every dense
-factorization goes through numpy, whose BLAS thread pool is then the only
-busy one.
+``ParameterEstimate.projected_rank`` records.  The band routines, which
+numpy's Python API lacks, are bound from the OpenBLAS that numpy itself
+loads (``linalg.banded_cholesky_solve``), so every factorization runs in one
+BLAS library and one thread pool.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -37,6 +36,7 @@ from .errors import (
     SingularInformation,
 )
 from .linalg import (
+    banded_cholesky_solve,
     check_symmetric,
     chi2_quantile,
     inverse_cholesky_factor,
@@ -271,18 +271,13 @@ def _whiten(reg: RegressionProblem, cov: ResidualCovariance):
         raise DimensionMismatch(
             f"residual covariance has {cov.size} rows, regression has {reg.rows}"
         )
-    try:
-        chol = scipy.linalg.cholesky_banded(cov.band, lower=True)
+    factored = banded_cholesky_solve(cov.band, np.column_stack([reg.regressor, reg.targets]))
+    if factored is not None:
+        chol, white = factored
         # A tiny pivot means the factorization "succeeded" on a numerically
         # singular matrix; treat that the same as an outright failure.
         if float(np.min(chol[0])) ** 2 > _RESIDUAL_COV_RTOL * float(np.max(cov.band[0])):
-            white, info = scipy.linalg.lapack.dtbtrs(
-                chol, np.column_stack([reg.regressor, reg.targets]), uplo="L"
-            )
-            if info == 0:
-                return white[:, :-1], white[:, -1], None
-    except scipy.linalg.LinAlgError:
-        pass
+            return white[:, :-1], white[:, -1], None
     w, u = np.linalg.eigh(cov.matrix)
     keep = w > _RESIDUAL_COV_RTOL * max(float(w[-1]), 0.0)
     if not np.any(keep):
@@ -311,8 +306,13 @@ def mle_estimate(reg: RegressionProblem, cov: ResidualCovariance) -> ParameterEs
 
     Solves the normal equations of the whitened problem via Cholesky of the
     information matrix; raises :class:`SingularInformation` when the data is
-    not exciting enough.
+    not exciting enough, and :class:`DomainError` when the band, the regressor
+    or the targets hold a non-finite number.
     """
+    for name, values in (("residual covariance", cov.band), ("regressor", reg.regressor),
+                         ("targets", reg.targets)):
+        if not np.isfinite(values).all():
+            raise DomainError(f"{name} is not finite")
     phi_w, y_w, rank = _whiten(reg, cov)
     theta, cov_theta, eigvals = _normal_equations(phi_w, y_w)
     return ParameterEstimate(

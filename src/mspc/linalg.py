@@ -7,13 +7,17 @@ dof invert the finite-sum and series forms of the distribution's tails by
 monotone Newton steps.  The exact maximum of an affine norm over a ball
 solves the trust-region secular equation by monotone Newton steps and comes
 with its S-lemma dual bound, which certifies it on every call.  The module
-needs numpy alone.
+needs numpy alone, save for the band routines where numpy's wheel OpenBLAS
+is not found.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -118,6 +122,66 @@ def inverse_cholesky_factor(a: np.ndarray) -> np.ndarray:
     is not positive definite.
     """
     return np.linalg.inv(np.linalg.cholesky(a).T)
+
+
+@functools.cache
+def _band_lapack():
+    """``dpbtrf`` and ``dtbtrs`` of the OpenBLAS in numpy's wheel, or None where it is absent.
+
+    numpy has loaded that library already, so binding it maps no second BLAS
+    and starts no second thread pool.  Its file name, its ``scipy_`` symbol
+    prefix and its 64-bit integers belong to the wheel build; a numpy built
+    against another BLAS has neither, and the band routines then come from
+    scipy.linalg.
+    """
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            dpbtrf, dtbtrs = lib.scipy_dpbtrf_64_, lib.scipy_dtbtrs_64_
+        except (OSError, AttributeError):
+            continue
+        # Fortran passes every argument by reference and each character
+        # argument's length after the others.
+        int_ref, ptr, length = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_size_t
+        dpbtrf.argtypes = [ctypes.c_char_p, int_ref, int_ref, ptr, int_ref, int_ref, length]
+        dtbtrs.argtypes = ([ctypes.c_char_p] * 3 + [int_ref] * 3 + [ptr, int_ref, ptr, int_ref, int_ref]
+                           + [length] * 3)
+        dpbtrf.restype = dtbtrs.restype = None
+        return dpbtrf, dtbtrs
+    return None
+
+
+def banded_cholesky_solve(band: np.ndarray,
+                          rhs: np.ndarray) -> "tuple[np.ndarray, np.ndarray] | None":
+    """``(L, L^{-1} rhs)`` for the Cholesky factor L of a symmetric band matrix S = L L',
+    or None when S is not positive definite.
+
+    ``band`` holds S in LAPACK's lower band storage, band[i, j] = S[i + j, j],
+    and L comes back in that storage, its diagonal in row 0; ``rhs`` is
+    (len(S), r).  Both results are new Fortran-ordered arrays.  The routines
+    are LAPACK's ``dpbtrf`` and ``dtbtrs``, from numpy's OpenBLAS when it is
+    found (:func:`_band_lapack`) and from scipy.linalg otherwise.  The inputs
+    are not checked for finiteness.
+    """
+    ab = np.array(band, dtype=float, order="F")
+    b = np.array(rhs, dtype=float, order="F")
+    if ab.ndim != 2 or not ab.shape[0] or b.ndim != 2 or b.shape[0] != ab.shape[1]:
+        raise DimensionMismatch(f"band {ab.shape} and right-hand side {b.shape} do not fit")
+    lapack = _band_lapack()
+    if lapack is None:
+        from scipy.linalg import lapack as scipy_lapack
+
+        ab, info = scipy_lapack.dpbtrf(ab, lower=1)
+        if info == 0:
+            b, info = scipy_lapack.dtbtrs(ab, b, uplo="L")
+        return None if info else (ab, b)
+    dpbtrf, dtbtrs = lapack
+    n, kd, nrhs = (ctypes.c_int64(v) for v in (ab.shape[1], ab.shape[0] - 1, b.shape[1]))
+    ldab, ldb, info = ctypes.c_int64(ab.shape[0]), ctypes.c_int64(max(1, b.shape[0])), ctypes.c_int64()
+    dpbtrf(b"L", n, kd, ab.ctypes.data, ldab, info, 1)
+    if info.value == 0:
+        dtbtrs(b"L", b"N", b"N", n, kd, nrhs, ab.ctypes.data, ldab, b.ctypes.data, ldb, info, 1, 1, 1)
+    return None if info.value else (ab, b)
 
 
 def diag_repeat(block: np.ndarray, k: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
-from mspc.cli import _write_json
+from mspc import linalg
+from mspc.cli import _identify_all, _probe_and_simulate, _write_json, load_config, make_system
 from mspc.errors import DomainError, InsufficientData, SingularInformation
 from mspc.ident import (
     STRUCTURE_FIR,
@@ -380,6 +382,66 @@ def test_mle_projection_invariant_to_zero_variance_block(monkeypatch):
     assert estimate_to_json(est1, 0.95)["projected_rank"] == reg.rows
     assert_allclose(est1.theta, est0.theta, atol=1e-10)
     assert_allclose(est1.cov, est0.cov, atol=1e-10)
+
+
+@pytest.mark.parametrize("binding", ["numpy", "scipy"])
+@pytest.mark.parametrize("pad", [1e-12, -1.0])
+def test_singular_band_reaches_projection_on_either_binding(monkeypatch, binding, pad):
+    # Rows of variance 1e-12 (relative) leave a tiny pivot; rows of variance
+    # -1 make the band indefinite.  Both are projected out, whichever library
+    # holds the band routines.
+    if binding == "scipy":
+        monkeypatch.setattr(linalg, "_band_lapack", lambda: None)
+    sys = random_system(1, 1, 1, 0.8, Rng(20), sigma_w=0.3, sigma_eps=0.0)
+    traj = noise_free_data(sys, 30, seed=21)
+    reg = build_regression(traj, 1)
+    base_cov = residual_covariance(sys.E, sys.A, sys.sigma_w, sys.sigma_eps, 1, traj.T)
+    est0 = mle_estimate(reg, base_cov)
+    extra = 4
+    reg_aug = replace(reg, regressor=np.vstack([reg.regressor, np.zeros((extra, reg.dof))]),
+                      targets=np.concatenate([reg.targets, np.zeros(extra)]))
+    aug = np.pad(base_cov.band, ((0, 0), (0, extra)))
+    aug[0, reg.rows:] = pad * float(base_cov.band[0].max())
+    factored = linalg.banded_cholesky_solve(aug, np.ones((aug.shape[1], 1)))
+    assert (factored is None) == (pad < 0)
+    est1 = mle_estimate(reg_aug, ResidualCovariance(k=1, band=aug))
+    assert est1.projected_rank == reg.rows
+    assert_allclose(est1.theta, est0.theta, atol=1e-10)
+    assert_allclose(est1.cov, est0.cov, atol=1e-10)
+
+
+def test_scipy_fallback_identifies_like_numpy_binding(monkeypatch):
+    # Where numpy's wheel OpenBLAS is not found, scipy.linalg factors the band;
+    # on the two-state demo both give the same estimates to rounding.
+    assert linalg._band_lapack() is not None   # this environment takes the numpy binding
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "two_state.json")
+    sys_true = make_system(cfg)
+    traj = _probe_and_simulate(cfg, sys_true)
+    bound, _ = _identify_all(cfg, sys_true, traj)
+    monkeypatch.setattr(linalg, "_band_lapack", lambda: None)
+    fallback, _ = _identify_all(cfg, sys_true, traj)
+    assert len(bound) == len(fallback) == cfg.ocp_spec.horizon
+    for est, ref in zip(fallback, bound):
+        assert est.projected_rank == ref.projected_rank
+        assert_allclose(est.theta, ref.theta, rtol=0, atol=1e-13 * float(np.abs(ref.theta).max()))
+        assert_allclose(est.cov, ref.cov, rtol=0, atol=1e-13 * float(np.abs(ref.cov).max()))
+
+
+@pytest.mark.parametrize("part", ["band", "regressor", "targets"])
+def test_mle_rejects_non_finite_input(part):
+    sys = random_system(2, 1, 1, 0.9, Rng(16), sigma_w=0.2, sigma_eps=0.02)
+    reg = build_regression(noise_free_data(sys, 40, seed=17), 2)
+    band = np.ones((1, reg.rows))
+    regressor, targets = reg.regressor.copy(), reg.targets.copy()
+    if part == "band":
+        band[0, 3] = np.nan
+    elif part == "regressor":
+        regressor[5, 1] = np.inf
+    else:
+        targets[7] = np.nan
+    with pytest.raises(DomainError, match="not finite"):
+        mle_estimate(replace(reg, regressor=regressor, targets=targets),
+                     ResidualCovariance(k=2, band=band))
 
 
 def test_equivariance_under_input_scaling():

@@ -1,16 +1,15 @@
 """Import hygiene of the package.
 
-Importing the package must import none of scipy.stats, scipy.optimize and
-scipy.special, and scipy.linalg only for the banded whitening in ``ident``.
-
-``scipy.stats`` was once imported for one beta quantile, ``scipy.optimize``
-for one scalar root of the back-off's secular equation and ``scipy.special``
-for the chi-squared quantile and the normal tail; each import was a large
-part of the package's start-up time and memory.  scipy and numpy each load
-their own OpenBLAS with its own thread pool, so every dense factorization
-goes through numpy, and scipy.linalg keeps only the band routines.  The
-import checks run in a fresh interpreter, so imports made by the test
-session do not count.
+No module of the package imports scipy when it is loaded, so importing the
+package loads no scipy module.  Each scipy subpackage it once imported
+(stats, optimize, special, linalg) was a large part of its start-up time and
+memory, and scipy.linalg loaded a second OpenBLAS whose idle thread pool
+spun while numpy's worked.  Two functions import part of scipy when called:
+the Clopper-Pearson interval of the coverage experiment (``scipy.special``,
+for a beta quantile numpy has no form of), and the band routines of
+``linalg`` where numpy's wheel OpenBLAS is not found (``scipy.linalg``).  A
+pipeline run maps one OpenBLAS library.  The checks run in a fresh
+interpreter, so imports made by the test session do not count.
 """
 
 import ast
@@ -22,20 +21,38 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-LEFT_OUT = ("scipy.stats", "scipy.optimize", "scipy.special")
+ROOT = SRC.parent
+
+
+def run_fresh(code: str, *args: str) -> list:
+    """The lines that ``code`` prints, run in a fresh interpreter that finds the package in src/."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, cwd=ROOT)
+    return proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("module", ["mspc", "mspc.cli"])
 def test_import_leaves_out_heavy_scipy_modules(module):
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    code = (f"import sys, {module}; print({module}.__file__); "
-            f"print(*sorted(m for m in sys.modules "
-            f"if any(m == p or m.startswith(p + '.') for p in {LEFT_OUT!r})))")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    origin, loaded = proc.stdout.splitlines()
+    origin, loaded = run_fresh(f"import sys, {module}; print({module}.__file__); "
+                               f"print(*sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert Path(origin).resolve().is_relative_to(SRC)
     assert loaded == ""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_pipeline_maps_one_openblas(tmp_path):
+    # numpy's OpenBLAS does every factorization, the band routines included,
+    # so a pipeline run starts one BLAS thread pool.
+    code = ("import sys\nfrom pathlib import Path\nfrom mspc.cli import main\n"
+            "assert main(['pipeline', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "maps = Path('/proc/self/maps').read_text().splitlines()\n"
+            "paths = {line.split()[-1] for line in maps if len(line.split()) == 6}\n"
+            "print(*sorted('BLAS ' + p for p in paths "
+            "if Path(p).name.startswith(('libscipy_openblas', 'libopenblas'))), sep='\\n')\n")
+    blas = [line for line in run_fresh(code, "configs/two_state.json", str(tmp_path))
+            if line.startswith("BLAS ")]
+    assert len(blas) == 1, blas
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -67,14 +84,13 @@ def scipy_imports(tree: ast.AST, scope: str = "<module>") -> set:
     return found
 
 
-def test_scipy_is_imported_for_the_band_alone():
-    # ident's banded whitening is the one use of scipy on the pipeline's path.
-    # The Clopper-Pearson interval of the coverage experiment imports
-    # scipy.special when it is called, since its beta quantile has no numpy form.
+def test_scipy_is_imported_at_load_by_no_module():
+    # Only two functions import scipy, when called: the coverage experiment's
+    # beta quantile and the band routines where numpy's OpenBLAS is not found.
     found = {path.name: scipy_imports(ast.parse(path.read_text()))
              for path in sorted((SRC / "mspc").glob("*.py"))}
     assert {name: imports for name, imports in found.items() if imports} == {
-        "ident.py": {("<module>", "scipy.linalg")},
+        "linalg.py": {("banded_cholesky_solve", "scipy.linalg")},
         "validate.py": {("clopper_pearson_interval", "scipy.special")},
     }
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mspc.errors import DimensionMismatch, DomainError, IndefiniteMatrix, NotSym
 from mspc.linalg import (
     PSD_CLIP_RTOL,
     Rng,
+    banded_cholesky_solve,
     check_symmetric,
     chi2_quantile,
     diag_repeat,
@@ -743,3 +745,57 @@ def test_inverse_cholesky_factor_solves_like_cho_solve():
     assert_allclose(factor @ (factor.T @ b), ref, rtol=1e-12, atol=0.0)
     with pytest.raises(np.linalg.LinAlgError):
         inverse_cholesky_factor(np.diag([1.0, -1.0]))
+
+
+# The two bindings of the band routines agree with scipy's to this relative
+# error, taken against the largest entry of the reference.
+BAND_RTOL = 1e-13
+
+
+def band_solve_by(binding: str, band, rhs):
+    """banded_cholesky_solve through numpy's OpenBLAS or, with none found, through scipy."""
+    if binding == "numpy":
+        return banded_cholesky_solve(band, rhs)
+    with mock.patch.object(linalg, "_band_lapack", lambda: None):
+        return banded_cholesky_solve(band, rhs)
+
+
+@settings(max_examples=60)
+@given(
+    size=st.integers(1, 200),
+    height=st.one_of(st.integers(1, 12), st.none()),
+    nrhs=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_cholesky_solve_matches_scipy(size, height, nrhs, seed):
+    # height None stores a band as tall as the matrix, as a record with at
+    # most k+1 windows does.  Diagonal dominance makes the matrix positive definite.
+    height = size if height is None else min(height, size)
+    gen = Rng(seed).generator()
+    band = gen.uniform(-1.0, 1.0, (height, size))
+    for i in range(1, height):
+        band[i, size - i:] = 0.0
+    row_sums = np.abs(band[1:]).sum(axis=0)   # off-diagonal |S| below, then left of, the diagonal
+    for i in range(1, height):
+        row_sums[i:] += np.abs(band[i, : size - i])
+    band[0] = row_sums + gen.uniform(0.5, 2.0, size)
+    rhs = gen.standard_normal((size, nrhs))
+    chol_ref = scipy.linalg.cholesky_banded(band, lower=True)
+    white_ref, info = scipy.linalg.lapack.dtbtrs(chol_ref, rhs, uplo="L")
+    assert info == 0
+    for binding in ("numpy", "scipy"):
+        chol, white = band_solve_by(binding, band, rhs)
+        assert white.shape == rhs.shape and chol.shape == band.shape
+        assert np.abs(chol[0] - chol_ref[0]).max() <= BAND_RTOL * np.abs(chol_ref[0]).max()
+        assert np.abs(chol - chol_ref).max() <= BAND_RTOL * np.abs(chol_ref).max()
+        assert np.abs(white - white_ref).max() <= BAND_RTOL * np.abs(white_ref).max()
+
+
+@pytest.mark.parametrize("binding", ["numpy", "scipy"])
+def test_banded_cholesky_solve_rejects_indefinite_and_misfit_input(binding):
+    band = np.array([[1.0, 1.0, 1.0], [2.0, 0.5, 0.0]])   # leading 2x2 block [[1, 2], [2, 1]]
+    assert band_solve_by(binding, band, np.ones((3, 1))) is None
+    with pytest.raises(DimensionMismatch):
+        band_solve_by(binding, band, np.ones((2, 1)))
+    with pytest.raises(DimensionMismatch):
+        band_solve_by(binding, np.ones(3), np.ones((3, 1)))
