@@ -18,16 +18,20 @@ report.json), and 1 otherwise.
 
 A single JSON config describes the system (inline matrices or a seeded
 random draw), the identification experiment, the control problem, the
-certification margin and the comparison studies; an unreadable file,
-invalid JSON, a NaN, Infinity or number beyond float range anywhere, a
-missing required key, an unknown key, or a value of the wrong type or out
-of range (a fraction, boolean or string where an integer is expected, a
-boolean or string where a number is expected, a negative seed, a count,
-length or horizon below 1, a system block without exactly one of
+certification margin and the comparison studies; ``CONFIG`` and the tables
+it nests give each key's reader and default.  An unreadable file, invalid
+JSON, a NaN, Infinity or number beyond float range anywhere, a missing
+required key, an unknown key, or a value of the wrong type or out of range
+(a fraction, boolean or string where an integer is expected, a boolean or
+string where a number is expected, a negative seed, a count, length or
+horizon below 1, a ``compare.p_sweep`` entry outside (0, 1), an
+``output_dir`` that is not a string, a system block without exactly one of
 ``inline`` and ``random``, an inline matrix that is not a list of
 equal-length lists of numbers, a margin of at least p) is a
-``ConfigError``.  An output directory that cannot be created or written
-also exits 2.
+``ConfigError``.  The system, the control problem and both initial states
+are built at load: what their constructors reject (an indefinite
+``sigma_w``, a ``spectral_radius`` <= 0) also exits 2, before any output is
+written.  So does an output directory that cannot be created or written.
 
 This is the only module that writes files: two-space JSON (``_write_json``)
 and CSV with repr floats (``_write_csv``), each stage file from the value
@@ -58,7 +62,6 @@ _STREAM_PROBING = 0
 _STREAM_SCENARIOS = 1
 
 
-# parse_config fills every field, so their defaults are written only there.
 @dataclass(frozen=True)
 class IdentSettings:
     T: int
@@ -66,8 +69,7 @@ class IdentSettings:
     structure: str
     covariance: str
     input_std: float
-    x0_mean: "np.ndarray | None"
-    sigma_x0: "np.ndarray | None"
+    init: GaussianBelief   # state of the identification record at time 0
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,15 @@ class ValidationSettings:
 @dataclass(frozen=True)
 class CompareSettings:
     n_scenarios: int
-    t_sweep: tuple
+    T_sweep: tuple
     sweep_seeds: int
     p_sweep: tuple
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict
+    raw: dict   # the document as read, echoed as report["config"]
+    system: LinearSystem
     ident_settings: IdentSettings
     ocp_spec: ocp.OcpSpec
     validation: ValidationSettings
@@ -99,174 +102,167 @@ class ExperimentConfig:
     output_dir: str
 
 
-def _matrix(doc, key, where: str, default=None):
-    """``doc[key]`` as a float matrix once every entry is checked; ``default`` if absent."""
-    if key not in doc:
-        return default
-    _check_matrix(doc[key], f"{where}.{key}")
-    return np.asarray(doc[key], dtype=float)
+# A config block is read by a table of (key, reader, default) rows.  A set key
+# is read by its reader, and so is the default of an unset one, written as a
+# config would write it.  A key whose default is None stays out of the values
+# unless set; the block's builder fills it.  A REQUIRED key must be set.
+REQUIRED = object()
 
 
-def _vector(doc, key, where: str, default=None):
-    """``doc[key]`` as a float vector once every entry is checked; ``default`` if absent."""
-    if key not in doc:
-        return default
-    _check_vector(doc[key], f"{where}.{key}")
-    return np.asarray(doc[key], dtype=float)
-
-
-def _check_keys(doc, where: str, required: tuple = (), optional: tuple = ()) -> dict:
-    """Return the config block ``doc``; reject a missing required key or an unknown key."""
+def _block(doc, where: str, fields: tuple) -> dict:
+    """Each key of ``fields`` read from config block ``doc``; rejects missing and unknown keys."""
+    name, prefix = (where, f"{where}.") if where else ("config", "")
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object")
-    missing = [key for key in required if key not in doc]
+        raise ConfigError(f"{name} must be an object")
+    missing = [key for key, _, default in fields if default is REQUIRED and key not in doc]
     if missing:
-        raise ConfigError(f"{where}: missing key(s) {', '.join(missing)}")
-    unknown = sorted(set(doc) - set(required) - set(optional))
+        raise ConfigError(f"{name}: missing key(s) {', '.join(missing)}")
+    unknown = sorted(set(doc) - {key for key, _, _ in fields})
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    return doc
+        raise ConfigError(f"{name}: unknown key(s) {', '.join(unknown)}")
+    return {key: reader(doc.get(key, default), prefix + key)
+            for key, reader, default in fields if key in doc or default is not None}
 
 
-def _integer(value, where: str, minimum: int) -> int:
-    """``value`` if it is a JSON integer of at least ``minimum``; otherwise a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
-    return value
+def _fields(fields: tuple, build=dict):
+    """Reader of a sub-block by the table ``fields``; ``build`` takes its values as keywords."""
+    return lambda doc, where: build(**_block(doc, where, fields))
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a float if it is a JSON int or float (not a bool); otherwise a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number (int or float), got {value!r}")
-    return float(value)
+def _reader(ok, what: str, convert=None):
+    """Reader of a value that ``ok`` accepts, converted by ``convert``; else "must be ``what``"."""
+    def read(value, where: str):
+        if not ok(value):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+    return read
 
 
-def _check_vector(value, where: str) -> None:
-    """Reject anything but a non-empty list of JSON numbers."""
-    if not (isinstance(value, list) and value):
-        raise ConfigError(f"{where} must be a non-empty list of numbers")
-    for entry in value:
-        _number(entry, where)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_matrix(value, where: str) -> None:
-    """Reject anything but a non-empty list of equal-length lists of JSON numbers."""
-    if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)
-            and len({len(row) for row in value}) == 1):
-        raise ConfigError(f"{where} must be a list of equal-length lists of numbers")
-    for row in value:
-        _check_vector(row, where)
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(_is_number, value))
 
 
-def _check_config_keys(doc: dict) -> None:
-    _check_keys(doc, "config", ("system", "identification", "ocp"),
-                ("validation", "compare", "master_seed", "output_dir"))
-    system_doc = _check_keys(doc["system"], "system", (), ("inline", "random"))
-    if len(system_doc) != 1:
-        raise ConfigError("system must hold exactly one of inline and random")
-    if "random" in system_doc:
-        _check_keys(system_doc["random"], "system.random", ("n", "m", "q"),
-                    ("spectral_radius", "seed", "sigma_w", "sigma_eps"))
-    else:
-        _check_keys(system_doc["inline"], "system.inline", ("A", "B", "E", "sigma_w", "sigma_eps"))
-    _check_keys(doc["identification"], "identification", ("T", "delta"),
-                ("structure", "covariance", "input_std", "x0_mean", "sigma_x0"))
-    ocp_doc = _check_keys(doc["ocp"], "ocp", ("horizon", "Q", "R", "p"),
-                          ("h_x", "u_min", "u_max", "input_polytope", "x0_mean", "sigma_x0"))
-    if "input_polytope" in ocp_doc:
-        _check_keys(ocp_doc["input_polytope"], "ocp.input_polytope", ("H", "h"))
-    _check_keys(doc.get("validation", {}), "validation", (),
-                ("n_samples", "master_seed", "margin"))
-    _check_keys(doc.get("compare", {}), "compare", (),
-                ("n_scenarios", "T_sweep", "sweep_seeds", "p_sweep"))
+def _integer(minimum: int):
+    return _reader(lambda value: _is_number(value) and isinstance(value, int) and value >= minimum,
+                   f"an integer >= {minimum}")
+
+
+def _one_of(allowed: tuple):
+    return _reader(lambda value: value in allowed, f"one of {allowed}")
+
+
+def _list(reader):
+    """Reader of a JSON list as the tuple of its entries, each read by ``reader``."""
+    is_list = _reader(lambda value: isinstance(value, list), "a list")
+    return lambda value, where: tuple(reader(entry, where) for entry in is_list(value, where))
+
+
+_number = _reader(_is_number, "a number (int or float)", float)
+_fraction = _reader(lambda value: _is_number(value) and 0.0 < value < 1.0,
+                    "a number (int or float) in (0, 1)", float)   # a chance level's range
+_string = _reader(lambda value: isinstance(value, str), "a string")
+_vector = _reader(_is_numbers, "a non-empty list of numbers", lambda value: np.array(value, float))
+_matrix = _reader(lambda value: (isinstance(value, list) and bool(value)
+                                 and all(map(_is_numbers, value)) and len(set(map(len, value))) == 1),
+                  "a list of equal-length lists of numbers", lambda value: np.array(value, float))
+
+
+def _belief(block: dict, n: int) -> GaussianBelief:
+    """The state that ``block``'s x0_mean and sigma_x0, taken out of it, describe; zero if unset."""
+    return GaussianBelief(mean=block.pop("x0_mean", np.zeros(n)),
+                          cov=block.pop("sigma_x0", np.zeros((n, n))))
+
+
+def _system(doc, where: str) -> LinearSystem:
+    """The true system: inline matrices, or a random draw from its seed."""
+    block = _block(doc, where, SYSTEM)
+    if len(doc) != 1:
+        raise ConfigError(f"{where} must hold exactly one of inline and random")
+    if "inline" in doc:
+        return system.system_from_json(block["inline"])
+    rnd = block["random"]
+    return system.random_system(rnd["n"], rnd["m"], rnd["q"], rnd["spectral_radius"],
+                                Rng(rnd["seed"]), rnd["sigma_w"], rnd["sigma_eps"])
+
+
+def _ocp_spec(doc, where: str) -> ocp.OcpSpec:
+    """The control problem; its inputs keep to the polytope if one is set, else to the box."""
+    block = _block(doc, where, OCP)
+    n, m = len(block["Q"]), len(block["R"])
+    u_set, lo, hi = (block.pop(key, None) for key in ("input_polytope", "u_min", "u_max"))
+    if u_set is None and (lo is not None or hi is not None):
+        u_set = ocp.InputBox(lo=np.full(m, -np.inf) if lo is None else lo,
+                             hi=np.full(m, np.inf) if hi is None else hi)
+    block.setdefault("h_x", np.zeros((0, n)))
+    init = _belief(block, n)
+    return ocp.OcpSpec(u_set=u_set, init=init, **block)
+
+
+SYSTEM = (
+    ("inline", _fields(tuple((key, _matrix, REQUIRED)
+                             for key in ("A", "B", "E", "sigma_w", "sigma_eps"))), None),
+    ("random", _fields((
+        ("n", _integer(1), REQUIRED), ("m", _integer(1), REQUIRED), ("q", _integer(1), REQUIRED),
+        ("spectral_radius", _number, 0.9), ("seed", _integer(0), 0),
+        ("sigma_w", _number, 0.1), ("sigma_eps", _number, 0.0),
+    )), None),
+)
+OCP = (
+    ("horizon", _integer(1), REQUIRED), ("Q", _matrix, REQUIRED), ("R", _matrix, REQUIRED),
+    ("p", _number, REQUIRED), ("h_x", _matrix, None),
+    ("u_min", _vector, None), ("u_max", _vector, None),
+    ("input_polytope", _fields((("H", _matrix, REQUIRED), ("h", _vector, REQUIRED)),
+                               lambda H, h: ocp.InputPolytope(h_mat=H, h_vec=h)), None),
+    ("x0_mean", _vector, None), ("sigma_x0", _matrix, None),
+)
+CONFIG = (
+    ("system", _system, REQUIRED),
+    ("identification", _fields((
+        ("T", _integer(1), REQUIRED), ("delta", _number, REQUIRED),
+        ("structure", _one_of(ident.STRUCTURES), ident.STRUCTURE_FULL),
+        ("covariance", _one_of(ident.COVARIANCE_MODES), "oracle"),
+        ("input_std", _number, 1.0), ("x0_mean", _vector, None), ("sigma_x0", _matrix, None),
+    )), REQUIRED),
+    ("ocp", _ocp_spec, REQUIRED),
+    ("validation", _fields((
+        ("n_samples", _integer(1), 100_000), ("master_seed", _integer(0), 0),
+        ("margin", _number, 0.01),
+    ), ValidationSettings), {}),
+    ("compare", _fields((
+        ("n_scenarios", _integer(1), 64), ("T_sweep", _list(_integer(1)), [100, 200, 400]),
+        ("sweep_seeds", _integer(0), 3), ("p_sweep", _list(_fraction), [0.6, 0.75, 0.9]),
+    ), CompareSettings), {}),
+    ("master_seed", _integer(0), 0),
+    ("output_dir", _string, "out"),
+)
 
 
 def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentConfig:
-    """Validate the raw config document; rejects bad keys and delta <= p immediately."""
-    _check_config_keys(doc)
-    rnd = doc["system"].get("random", {})
-    for key, minimum in (("n", 1), ("m", 1), ("q", 1), ("seed", 0)):
-        if key in rnd:
-            _integer(rnd[key], f"system.random.{key}", minimum)
-    for key in ("spectral_radius", "sigma_w", "sigma_eps"):
-        if key in rnd:
-            _number(rnd[key], f"system.random.{key}")
-    for key, value in doc["system"].get("inline", {}).items():
-        _check_matrix(value, f"system.inline.{key}")
-    ocp_doc = doc["ocp"]
-    q_mat = _matrix(ocp_doc, "Q", "ocp")
-    r_mat = _matrix(ocp_doc, "R", "ocp")
-    n, m = len(q_mat), len(r_mat)
-    if "input_polytope" in ocp_doc:
-        poly_doc = ocp_doc["input_polytope"]
-        u_set = ocp.InputPolytope(h_mat=_matrix(poly_doc, "H", "ocp.input_polytope"),
-                                  h_vec=_vector(poly_doc, "h", "ocp.input_polytope"))
-    elif "u_min" in ocp_doc or "u_max" in ocp_doc:
-        u_set = ocp.InputBox(lo=_vector(ocp_doc, "u_min", "ocp", np.full(m, -np.inf)),
-                             hi=_vector(ocp_doc, "u_max", "ocp", np.full(m, np.inf)))
-    else:
-        u_set = None
-    spec = ocp.OcpSpec(
-        horizon=_integer(ocp_doc["horizon"], "ocp.horizon", 1),
-        Q=q_mat,
-        R=r_mat,
-        h_x=_matrix(ocp_doc, "h_x", "ocp", np.zeros((0, n))),
-        u_set=u_set,
-        p=_number(ocp_doc["p"], "ocp.p"),
-        init=GaussianBelief(
-            mean=_vector(ocp_doc, "x0_mean", "ocp", np.zeros(n)),
-            cov=_matrix(ocp_doc, "sigma_x0", "ocp", np.zeros((n, n))),
-        ),
-    )
-    ident_doc = doc["identification"]
-    for key, allowed in (("structure", ident.STRUCTURES), ("covariance", ident.COVARIANCE_MODES)):
-        if key in ident_doc and ident_doc[key] not in allowed:
-            raise ConfigError(f"identification.{key} must be one of {allowed}, got {ident_doc[key]!r}")
-    ident_settings = IdentSettings(
-        T=_integer(ident_doc["T"], "identification.T", 1),
-        delta=_number(ident_doc["delta"], "identification.delta"),
-        structure=ident_doc.get("structure", ident.STRUCTURE_FULL),
-        covariance=ident_doc.get("covariance", "oracle"),
-        input_std=_number(ident_doc.get("input_std", 1.0), "identification.input_std"),
-        x0_mean=_vector(ident_doc, "x0_mean", "identification"),
-        sigma_x0=_matrix(ident_doc, "sigma_x0", "identification"),
-    )
-    if ident_settings.delta <= spec.p:
-        raise DeltaTooSmall(
-            f"identification delta {ident_settings.delta} must exceed p = {spec.p}"
-        )
-    if ident_settings.delta >= 1.0:
-        raise DomainError(f"identification delta {ident_settings.delta} must be below 1")
-    val_doc = doc.get("validation", {})
-    validation = ValidationSettings(
-        n_samples=_integer(val_doc.get("n_samples", 100_000), "validation.n_samples", 1),
-        master_seed=_integer(val_doc.get("master_seed", 0), "validation.master_seed", 0),
-        margin=_number(val_doc.get("margin", 0.01), "validation.margin"),
-    )
+    """Read the config document by ``CONFIG``, building the system and the control problem.
+
+    A bad key or value is a ConfigError and delta <= p a DeltaTooSmall; a
+    system or problem that its constructor rejects raises that MspcError.
+    """
+    cfg = _block(doc if seed_override is None else {**doc, "master_seed": seed_override},
+                 "", CONFIG)
+    spec, ident_doc, validation = cfg["ocp"], cfg["identification"], cfg["validation"]
+    init = _belief(ident_doc, cfg["system"].n)
+    ident_settings = IdentSettings(init=init, **ident_doc)
+    delta = ident_settings.delta
+    if delta <= spec.p:
+        raise DeltaTooSmall(f"identification delta {delta} must exceed p = {spec.p}")
+    if delta >= 1.0:
+        raise DomainError(f"identification delta {delta} must be below 1")
     if validation.margin >= spec.p:
         raise ConfigError(f"validation.margin {validation.margin} must be below p = {spec.p}: "
                           "budget + margin would reach 1 and certify anything")
-    cmp_doc = doc.get("compare", {})
-    compare = CompareSettings(
-        n_scenarios=_integer(cmp_doc.get("n_scenarios", 64), "compare.n_scenarios", 1),
-        t_sweep=tuple(_integer(t, "compare.T_sweep", 1)
-                      for t in cmp_doc.get("T_sweep", (100, 200, 400))),
-        sweep_seeds=_integer(cmp_doc.get("sweep_seeds", 3), "compare.sweep_seeds", 0),
-        p_sweep=tuple(_number(p, "compare.p_sweep")
-                      for p in cmp_doc.get("p_sweep", (0.6, 0.75, 0.9))),
-    )
-    seed = seed_override if seed_override is not None else doc.get("master_seed", 0)
-    master_seed = _integer(seed, "master_seed", 0)
-    return ExperimentConfig(
-        raw=doc,
-        ident_settings=ident_settings,
-        ocp_spec=spec,
-        validation=validation,
-        compare=compare,
-        master_seed=master_seed,
-        output_dir=doc.get("output_dir", "out"),
-    )
+    return ExperimentConfig(raw=doc, system=cfg["system"], ident_settings=ident_settings,
+                            ocp_spec=spec, validation=validation, compare=cfg["compare"],
+                            master_seed=cfg["master_seed"], output_dir=cfg["output_dir"])
 
 
 def _finite_float(text: str) -> float:
@@ -293,34 +289,14 @@ def load_config(path: "str | Path", seed_override=None) -> ExperimentConfig:
 
 
 def make_system(cfg: ExperimentConfig) -> LinearSystem:
-    block = cfg.raw["system"]
-    if "inline" in block:
-        return system.system_from_json(block["inline"])
-    rnd = block["random"]
-    return system.random_system(
-        n=rnd["n"],
-        m=rnd["m"],
-        q=rnd["q"],
-        spectral_radius_max=rnd.get("spectral_radius", 0.9),
-        rng=Rng(rnd.get("seed", 0)),
-        sigma_w=rnd.get("sigma_w", 0.1),
-        sigma_eps=rnd.get("sigma_eps", 0.0),
-    )
-
-
-def _ident_init(cfg: ExperimentConfig, n: int) -> GaussianBelief:
-    mean = cfg.ident_settings.x0_mean
-    cov = cfg.ident_settings.sigma_x0
-    return GaussianBelief(
-        mean=np.zeros(n) if mean is None else mean,
-        cov=np.zeros((n, n)) if cov is None else cov,
-    )
+    """The true system, built when the config was parsed."""
+    return cfg.system
 
 
 def _probe_and_simulate(cfg: ExperimentConfig, sys_true: LinearSystem) -> system.Trajectory:
     gen = Rng(cfg.master_seed, _STREAM_PROBING).generator()
     u = cfg.ident_settings.input_std * gen.standard_normal((cfg.ident_settings.T, sys_true.m))
-    return system.simulate(sys_true, _ident_init(cfg, sys_true.n), u, gen)
+    return system.simulate(sys_true, cfg.ident_settings.init, u, gen)
 
 
 def _identify_all(cfg: ExperimentConfig, sys_true: LinearSystem,
@@ -358,7 +334,7 @@ def _cost_vs_t(cfg: ExperimentConfig, sys_true: LinearSystem) -> "list[dict]":
     """
     delta = cfg.ident_settings.delta
     rows = []
-    for t_len in cfg.compare.t_sweep:
+    for t_len in cfg.compare.T_sweep:
         for seed in range(cfg.compare.sweep_seeds):
             sub = replace(
                 cfg,
@@ -482,16 +458,14 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         finally:
             timings[name] = time.perf_counter() - start
 
+    # The system is built with the config, so this stage cannot fail.
     sys_true = run_stage("system", lambda: make_system(cfg))
-    if sys_true is not None:
-        report["system"] = system.system_to_json(sys_true)
-        _write_json(out_dir / "system.json", report["system"])
+    report["system"] = system.system_to_json(sys_true)
+    _write_json(out_dir / "system.json", report["system"])
 
-    traj = None
-    if sys_true is not None:
-        traj = run_stage("simulate", lambda: _probe_and_simulate(cfg, sys_true))
-        if traj is not None:
-            _write_csv(out_dir / "trajectory.csv", *system.trajectory_rows(traj))
+    traj = run_stage("simulate", lambda: _probe_and_simulate(cfg, sys_true))
+    if traj is not None:
+        _write_csv(out_dir / "trajectory.csv", *system.trajectory_rows(traj))
 
     estimates = gw = None
     if traj is not None:

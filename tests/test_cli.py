@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from mspc import validate
-from mspc.cli import PREFIX_COMMANDS, STAGES, cmd_pipeline, load_config, main, parse_config
-from mspc.errors import ConfigError, DeltaTooSmall, DomainError
+from mspc.cli import (PREFIX_COMMANDS, STAGES, cmd_pipeline, load_config, main, make_system,
+                      parse_config)
+from mspc.errors import ConfigError, DeltaTooSmall, DomainError, MspcError
+from mspc.linalg import Rng
+from mspc.system import random_system, system_to_json
 
 
 def quick_config(**overrides):
@@ -163,6 +166,9 @@ def set_random(key, value):
     (set_value("identification", "x0_mean", [0.0, "0"]), "identification.x0_mean"),
     (set_value("identification", "sigma_x0", [[0.01, 0.0], [0.0, "0.01"]]),
      "identification.sigma_x0"),
+    (set_value("output_dir", 5), "output_dir"),              # was a TypeError traceback
+    (set_value("compare", "p_sweep", [0.8, -0.5]), "compare.p_sweep"),  # failed the sweeps stage
+    (set_value("compare", "p_sweep", [1.5]), "compare.p_sweep"),  # was silently dropped
 ], ids=["missing", "unknown", "no_file", "bad_json", "bad_type", "negative_seed",
         "negative_validation_seed", "k_max_string", "k_max_fraction", "k_max_zero",
         "negative_T", "force_zero_cov_string", "T_sweep_string", "T_sweep_negative",
@@ -180,7 +186,8 @@ def set_random(key, value):
         "h_x_string_entry", "R_bool_entry", "Q_string_entry", "sigma_x0_bool_entry",
         "x0_mean_string_entry", "x0_mean_scalar", "u_min_bool_entry", "u_max_string_entry",
         "polytope_H_string_entry", "polytope_h_bool_entry", "ident_x0_mean_string_entry",
-        "ident_sigma_x0_string_entry"])
+        "ident_sigma_x0_string_entry", "output_dir_number", "p_sweep_negative",
+        "p_sweep_above_one"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"
@@ -193,6 +200,57 @@ def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     assert key in err and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert not (tmp_path / "o").exists()
+
+
+def scalar_with_system(system_doc):
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "scalar.json")
+                     .read_text())
+    doc["system"] = system_doc
+    return doc
+
+
+@pytest.mark.parametrize("doc, error", [
+    (scalar_with_system({"inline": {"A": [[0.7]], "B": [[1.0]], "E": [[1.0]],
+                                    "sigma_w": [[-0.04]], "sigma_eps": [[0.0001]]}}),
+     "IndefiniteMatrix"),
+    (scalar_with_system({"random": {"n": 1, "m": 1, "q": 1, "spectral_radius": -1}}),
+     "DomainError"),
+], ids=["inline_indefinite_sigma_w", "random_negative_spectral_radius"])
+def test_system_errors_surface_at_load(tmp_path, capsys, doc, error):
+    # The system is built as the config is read, so a system that its
+    # constructor rejects stops the run before any stage or output.
+    path = write_config(tmp_path, doc)
+    with pytest.raises(MspcError) as info:
+        load_config(path)
+    assert type(info.value).__name__ == error and not isinstance(info.value, ConfigError)
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {error}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_defaults():
+    # Every optional key of a minimal config takes the default of its table row.
+    doc = {
+        "system": {"random": {"n": 2, "m": 1, "q": 2}},
+        "identification": {"T": 50, "delta": 0.95},
+        "ocp": {"horizon": 3, "Q": [[1, 0], [0, 1]], "R": [[1]], "p": 0.9},
+    }
+    cfg = parse_config(doc)
+    drawn = random_system(2, 1, 2, 0.9, Rng(0), sigma_w=0.1, sigma_eps=0.0)
+    assert system_to_json(make_system(cfg)) == system_to_json(drawn)
+    ident_settings = cfg.ident_settings
+    assert (ident_settings.structure, ident_settings.covariance, ident_settings.input_std) == (
+        "full", "oracle", 1.0)
+    spec = cfg.ocp_spec
+    assert spec.h_x.shape == (0, 2) and spec.u_set is None
+    for init in (ident_settings.init, spec.init):
+        assert np.array_equal(init.mean, np.zeros(2)) and np.array_equal(init.cov, np.zeros((2, 2)))
+    assert (cfg.validation.n_samples, cfg.validation.master_seed, cfg.validation.margin) == (
+        100_000, 0, 0.01)
+    assert (cfg.compare.n_scenarios, cfg.compare.T_sweep, cfg.compare.sweep_seeds,
+            cfg.compare.p_sweep) == (64, (100, 200, 400), 3, (0.6, 0.75, 0.9))
+    assert (cfg.master_seed, cfg.output_dir, cfg.raw) == (0, "out", doc)
 
 
 @pytest.mark.parametrize("flags", [
