@@ -30,8 +30,9 @@ horizon below 1, a ``compare.p_sweep`` entry outside (0, 1), an
 equal-length lists of numbers, a margin of at least p) is a
 ``ConfigError``.  The system, the control problem and both initial states
 are built at load: what their constructors reject (an indefinite
-``sigma_w``, a ``spectral_radius`` <= 0) also exits 2, before any output is
-written.  So does an output directory that cannot be created or written.
+``sigma_w``, a ``spectral_radius`` <= 0, an initial state or ``h_x`` whose
+dimension is not the state's) also exits 2, before any output is written.
+So does an output directory that cannot be created or written.
 
 This is the only module that writes files: two-space JSON (``_write_json``)
 and CSV with repr floats (``_write_csv``), each stage file from the value
@@ -54,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ident, ocp, solver, system, validate
-from .errors import ConfigError, DeltaTooSmall, DomainError, MspcError
+from .errors import ConfigError, DeltaTooSmall, DimensionMismatch, DomainError, MspcError
 from .linalg import Rng
 from .system import GaussianBelief, LinearSystem
 
@@ -251,6 +252,9 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
                  "", CONFIG)
     spec, ident_doc, validation = cfg["ocp"], cfg["identification"], cfg["validation"]
     init = _belief(ident_doc, cfg["system"].n)
+    if init.mean.size != cfg["system"].n:
+        raise DimensionMismatch(f"identification.x0_mean has {init.mean.size} entries, "
+                                f"the system has {cfg['system'].n} states")
     ident_settings = IdentSettings(init=init, **ident_doc)
     delta = ident_settings.delta
     if delta <= spec.p:

@@ -109,10 +109,12 @@ class OcpSpec:
         q = assert_spd(np.asarray(self.Q, dtype=float), name="Q")
         r = assert_spd(np.asarray(self.R, dtype=float), name="R")
         h_x = np.asarray(self.h_x, dtype=float)
-        if h_x.ndim != 2:
-            h_x = h_x.reshape(-1, q.shape[0]) if h_x.size else np.zeros((0, q.shape[0]))
-        if h_x.shape[1] != q.shape[0]:
-            raise DimensionMismatch("state constraint rows must match the state dimension")
+        if h_x.ndim != 2 or h_x.shape[1] != q.shape[0]:
+            raise DimensionMismatch(f"h_x must be a matrix with {q.shape[0]} columns, "
+                                    f"got shape {h_x.shape}")
+        if self.init.mean.size != q.shape[0]:
+            raise DimensionMismatch(f"initial state has {self.init.mean.size} entries, "
+                                    f"the state dimension is {q.shape[0]}")
         if not (0.0 < self.p < 1.0):
             raise DomainError(f"p must lie in (0, 1), got {self.p}")
         if isinstance(self.u_set, InputBox) and self.u_set.lo.size != r.shape[0]:

@@ -11,9 +11,25 @@ use a Mehrotra predictor-corrector, and the (small, dense) reduced KKT system
 is assembled from the factors and solved by Cholesky, through the inverse
 factor of :func:`~mspc.linalg.inverse_cholesky_factor`.  Purely linear programs
 get an active-set polish solve at the end, which pins the primal down to
-machine precision on nondegenerate problems.  Cone rows are solved as written,
-F = 0 included: :mod:`mspc.ocp` alone decides which rows are cones.  The
-tolerances are fixed; ``SolverOptions`` holds the iteration cap alone.
+machine precision on nondegenerate problems; a singular active set keeps the
+interior-point solution.  Cone rows are solved as written, F = 0 included:
+:mod:`mspc.ocp` alone decides which rows are cones.  The tolerances are fixed;
+``SolverOptions`` holds the iteration cap alone.
+
+The interior point returns the iterate it stopped at, under the status of
+the exit it took:
+
+- the scaled residuals and gap within the tolerances: Optimal;
+- diverging iterates: Infeasible when the normalized dual is a Farkas
+  certificate, else NumericalFailure, with no primal either way;
+- a non-finite iterate: NumericalFailure, with no primal;
+- a failed factorization or Newton solve (the reduced KKT matrix is
+  factorized unshifted), a non-finite or zero step, three stalled steps, or
+  the iteration cap: IterationLimit, with the last iterate, which is finite.
+
+An Optimal outside the KKT residual contract (``_kkt_acceptable``) becomes
+IterationLimit.  A program without rows is one Cholesky solve of P z = -q,
+NumericalFailure when P is not positive definite.
 
 Every program is solved by constraint generation (a cutting-set method,
 Mutapcic & Boyd 2009) from its start set (``ConicProgram.start_set``, by
@@ -276,17 +292,11 @@ def _kkt_blocks(cone: _Cone, g_mat: np.ndarray):
 
 
 def _factor_reduced(k_mat: np.ndarray) -> np.ndarray:
-    """Inverse Cholesky factor of the reduced KKT matrix P + G' W^{-2} G, with escalating
-    regularization; a non-finite matrix raises ``np.linalg.LinAlgError`` at once."""
+    """Inverse Cholesky factor of the reduced KKT matrix P + G' W^{-2} G, unshifted; a
+    non-finite or not positive definite matrix raises ``np.linalg.LinAlgError``."""
     if not np.isfinite(k_mat).all():
         raise np.linalg.LinAlgError("reduced KKT matrix is not finite")
-    for reg in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
-        try:
-            shifted = k_mat + reg * np.eye(k_mat.shape[0]) * max(1.0, np.trace(k_mat))
-            return inverse_cholesky_factor(shifted)
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("reduced KKT matrix could not be factorized")
+    return inverse_cholesky_factor(k_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +399,12 @@ def _kkt_acceptable(prog: ConicProgram, sol: Solution, opts: SolverOptions) -> b
 
 
 def _solve_unconstrained(prog: ConicProgram, canon: _Canonical) -> Solution:
-    p_mat, q_vec = canon.p_mat, canon.q_vec
-    if not np.any(p_mat):
-        if np.any(q_vec):
-            return Solution(status="NumericalFailure", primal=None, objective=None)
-        z = np.zeros(prog.dim)
-    else:
-        try:
-            factor = inverse_cholesky_factor(p_mat)
-            z = factor @ (factor.T @ -q_vec)
-        except np.linalg.LinAlgError:
-            z, *_ = np.linalg.lstsq(p_mat, -q_vec, rcond=None)
-            if float(np.linalg.norm(p_mat @ z + q_vec)) > 1e-8 * max(
-                1.0, float(np.linalg.norm(q_vec))
-            ):
-                return Solution(status="NumericalFailure", primal=None, objective=None)
+    """One Cholesky solve of P z = -q; a P that is not positive definite is a NumericalFailure."""
+    try:
+        factor = inverse_cholesky_factor(canon.p_mat)
+    except np.linalg.LinAlgError:
+        return Solution(status="NumericalFailure", primal=None, objective=None)
+    z = factor @ (factor.T @ -canon.q_vec)
     sol = Solution(
         status="Optimal",
         primal=z,
@@ -442,14 +443,15 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
 
     scale_p = max(1.0, float(np.abs(h_vec).max(initial=0.0)))
     scale_d = max(1.0, float(np.abs(q_vec).max(initial=0.0)))
-    status = "IterationLimit"
-    iterations = 0
-    best = None          # (score, z, s, lam, gap)
-    best_score = math.inf
     stalls = 0
 
-    for it in range(opts.max_iterations):
-        iterations = it + 1
+    def stop(status: str, iterations: int) -> Solution:
+        """The current iterate under ``status``; it is finite at every exit that keeps it."""
+        dual_lin, dual_soc = _split_duals(cone, lam)
+        return Solution(status=status, primal=z, objective=prog.objective(z), dual_lin=dual_lin,
+                        dual_soc=dual_soc, iterations=iterations, gap=float(s @ lam))
+
+    for it in range(1, opts.max_iterations + 1):
         rx = p_mat @ z + q_vec + g_mat.T @ lam
         rz = g_mat @ z + s - h_vec
         gap = float(s @ lam)
@@ -457,31 +459,23 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
         pobj = float(0.5 * z @ p_mat @ z + q_vec @ z) + prog.constant
 
         if not np.all(np.isfinite(z)) or not math.isfinite(gap):
-            status = "NumericalFailure"
-            break
-        pres = float(np.abs(rz).max(initial=0.0))
-        dres = float(np.abs(rx).max(initial=0.0))
+            return Solution(status="NumericalFailure", primal=None, objective=None, iterations=it)
         score = max(
-            pres / (_FEASIBILITY_TOLERANCE * scale_p),
-            dres / (_FEASIBILITY_TOLERANCE * scale_d),
+            float(np.abs(rz).max(initial=0.0)) / (_FEASIBILITY_TOLERANCE * scale_p),
+            float(np.abs(rx).max(initial=0.0)) / (_FEASIBILITY_TOLERANCE * scale_d),
             gap / (_GAP_TOLERANCE * max(1.0, abs(pobj))),
         )
-        if score < best_score:
-            best_score = score
-            best = (z.copy(), s.copy(), lam.copy(), gap)
         if score <= 1.0:
-            status = "Optimal"
-            break
-
+            return stop("Optimal", it)
         if max(np.abs(lam).max(initial=0.0), np.abs(s).max(initial=0.0)) > _DIVERGENCE_THRESHOLD:
-            status = _classify_divergence(g_mat, h_vec, cone, lam)
-            break
+            return Solution(status=_classify_divergence(g_mat, h_vec, cone, lam), primal=None,
+                            objective=None, iterations=it)
 
         try:
             scaling = _Scaling(cone, s, lam)
             factor = _factor_reduced(scaling.reduced_kkt(p_mat, *kkt_blocks))
         except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-            break
+            return stop("IterationLimit", it)
 
         zeta = scaling.apply(lam)
 
@@ -514,43 +508,20 @@ def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) 
             d_tilde = _jordan_solve(cone, zeta, d_vec)
             dz, dlam, ds = newton(-rx, -rz - scaling.apply(d_tilde))
         except (np.linalg.LinAlgError, ValueError, FloatingPointError):
-            break
+            return stop("IterationLimit", it)
         alpha = min(
             1.0,
             _STEP_FRACTION * cone.max_step(s, ds),
             _STEP_FRACTION * cone.max_step(lam, dlam),
         )
-        if not math.isfinite(alpha) or alpha <= 0.0:
-            break
         stalls = stalls + 1 if alpha < 1e-7 else 0
-        if stalls >= 3:
-            break
+        if not math.isfinite(alpha) or alpha <= 0.0 or stalls >= 3:
+            return stop("IterationLimit", it)
         z = z + alpha * dz
         s = s + alpha * ds
         lam = lam + alpha * dlam
 
-    if status == "NumericalFailure" and best is None:
-        return Solution(status=status, primal=None, objective=None, iterations=iterations)
-    if status == "Infeasible":
-        return Solution(status=status, primal=None, objective=None, iterations=iterations)
-
-    if status != "Optimal" and best is not None:
-        # Stalled or hit the limit: restore the best iterate seen and accept
-        # it as Optimal only within the 10x contract on the residuals.
-        z, s, lam, gap = best
-        status = "Optimal" if best_score <= 10.0 else "IterationLimit"
-    else:
-        gap = float(s @ lam)
-    dual_lin, dual_soc = _split_duals(cone, lam)
-    return Solution(
-        status=status,
-        primal=z,
-        objective=prog.objective(z),
-        dual_lin=dual_lin,
-        dual_soc=dual_soc,
-        iterations=iterations,
-        gap=gap,
-    )
+    return stop("IterationLimit", opts.max_iterations)
 
 
 def _classify_divergence(g_mat: np.ndarray, h_vec: np.ndarray, cone: _Cone,
@@ -560,10 +531,7 @@ def _classify_divergence(g_mat: np.ndarray, h_vec: np.ndarray, cone: _Cone,
     The normalized dual must give h'lam < 0 and G'lam = 0 (to 1e-6) and lie in
     the self-dual cone K (to _FARKAS_CONE_TOLERANCE).
     """
-    scale = float(np.linalg.norm(lam))
-    if scale <= 0:
-        return "NumericalFailure"
-    lam_hat = lam / scale
+    lam_hat = lam / np.linalg.norm(lam)
     if (
         float(h_vec @ lam_hat) < -1e-8
         and float(np.abs(g_mat.T @ lam_hat).max(initial=0.0)) <= 1e-6
@@ -595,8 +563,8 @@ def _polish_linear(prog: ConicProgram, canon: _Canonical, sol: Solution) -> "Sol
     rhs = np.concatenate([-canon.q_vec, h_vec[active]])
     try:
         sol_vec = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol_vec, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    except np.linalg.LinAlgError:   # a singular active set keeps the interior-point solution
+        return None
     z_new = sol_vec[:d]
     nu = sol_vec[d:]
     tol = 10.0 * _FEASIBILITY_TOLERANCE * max(1.0, float(np.abs(h_vec).max(initial=0.0)))

@@ -1,13 +1,14 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mspc import validate
-from mspc.cli import (PREFIX_COMMANDS, STAGES, cmd_pipeline, load_config, main, make_system,
-                      parse_config)
+from mspc.cli import (PREFIX_COMMANDS, STAGES, _identify_all, _probe_and_simulate,
+                      _violation_vs_p, cmd_pipeline, load_config, main, make_system, parse_config)
 from mspc.errors import ConfigError, DeltaTooSmall, DomainError, MspcError
 from mspc.linalg import Rng
 from mspc.system import random_system, system_to_json
@@ -209,13 +210,24 @@ def scalar_with_system(system_doc):
     return doc
 
 
+def two_state_with_x0(block):
+    """configs/two_state.json with a three-state initial state in ``block``."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "two_state.json")
+                     .read_text())
+    doc[block].update(x0_mean=[1.0, 2.0, 3.0], sigma_x0=(0.01 * np.eye(3)).tolist())
+    return doc
+
+
 @pytest.mark.parametrize("doc, error", [
     (scalar_with_system({"inline": {"A": [[0.7]], "B": [[1.0]], "E": [[1.0]],
                                     "sigma_w": [[-0.04]], "sigma_eps": [[0.0001]]}}),
      "IndefiniteMatrix"),
     (scalar_with_system({"random": {"n": 1, "m": 1, "q": 1, "spectral_radius": -1}}),
      "DomainError"),
-], ids=["inline_indefinite_sigma_w", "random_negative_spectral_radius"])
+    (two_state_with_x0("ocp"), "DimensionMismatch"),
+    (two_state_with_x0("identification"), "DimensionMismatch"),
+], ids=["inline_indefinite_sigma_w", "random_negative_spectral_radius", "ocp_x0_of_three_states",
+        "identification_x0_of_three_states"])
 def test_system_errors_surface_at_load(tmp_path, capsys, doc, error):
     # The system is built as the config is read, so a system that its
     # constructor rejects stops the run before any stage or output.
@@ -526,6 +538,22 @@ def test_compare_outputs(full_compare_dir):
     assert doc["scenario_baseline"]["status"] == "Optimal"
     assert doc["scenario_baseline"]["robust_cost"] == doc["robust_solution"]["objective"]
     assert not (full_compare_dir / "compare.json").exists()
+
+
+@pytest.mark.parametrize("config, p_sweep, status", [
+    ("two_state", (0.94, 0.95, 0.99), "InfeasibleInitialState"),
+    ("narrow_binding_config", (0.6, 0.95), "Infeasible"),
+], ids=["typed_error", "not_optimal"])
+def test_violation_sweep_records_failed_chance_levels(request, config, p_sweep, status):
+    # Levels at or above delta = 0.95 are skipped; the one level below it
+    # fails, by a typed error in building its program or by the solve's status.
+    cfg = (load_config(Path(__file__).resolve().parents[1] / "configs" / "two_state.json")
+           if config == "two_state" else request.getfixturevalue(config))
+    cfg = replace(cfg, compare=replace(cfg.compare, p_sweep=p_sweep))
+    sys_true = make_system(cfg)
+    estimates, gw = _identify_all(cfg, sys_true, _probe_and_simulate(cfg, sys_true))
+    rows = _violation_vs_p(cfg, sys_true, estimates, gw, None)
+    assert rows == [{"p": p_sweep[0], "status": status, "worst_upper99": None}]
 
 
 def test_compare_extends_pipeline(full_pipeline_dir, full_compare_dir):

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc.cli import _write_csv, _write_json
-from mspc.errors import DeltaTooSmall, DomainError, InfeasibleInitialState
+from mspc.errors import DeltaTooSmall, DimensionMismatch, DomainError, InfeasibleInitialState
 from mspc.ident import (
     STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, model_from_estimates, true_theta,
 )
@@ -933,6 +933,17 @@ def test_solve_agrees_with_one_full_solve(kind, binding, horizon, sigma_theta, s
         assert solve(prog, SolverOptions(max_iterations=k)).iterations <= k
 
 
+def test_diverging_full_solve_without_certificate_keeps_no_iterate():
+    # The duals of one full solve diverge with no Farkas certificate, so it
+    # ends NumericalFailure with no primal; constraint generation proves the
+    # program Infeasible on a working set of 10 rows and 2 cones.
+    prog = builder_program("robust", False, 5, 1e-3, 1279503877)
+    ref = solver._solve_once(prog, SolverOptions())
+    assert ref.status == "NumericalFailure" and ref.primal is None and ref.iterations == 14
+    sol = solve(prog)
+    assert sol.status == "Infeasible" and sol.primal is None and sol.rounds == 3
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -1165,6 +1176,20 @@ def test_input_box_rejects_nan_and_empty_bounds(lo, hi):
         InputBox(lo=lo, hi=hi)
     box = InputBox(lo=[-np.inf, -1.0], hi=[2.0, np.inf])   # infinite bounds stay allowed
     assert np.array_equal(box.hi, [2.0, np.inf])
+
+
+@pytest.mark.parametrize("h_x", [[1.0, 2.0, 3.0], np.ones((2, 2, 1)), np.ones((1, 3))],
+                         ids=["flat", "three_dimensional", "three_columns"])
+def test_spec_takes_h_x_only_as_a_matrix_with_n_columns(h_x):
+    sys = random_system(2, 1, 1, 0.85, Rng(3), sigma_w=0.05, sigma_eps=0.0)
+    with pytest.raises(DimensionMismatch, match="h_x"):
+        replace(make_spec(sys), h_x=h_x)
+
+
+def test_spec_rejects_an_initial_state_of_another_dimension():
+    sys = random_system(2, 1, 1, 0.85, Rng(3), sigma_w=0.05, sigma_eps=0.0)
+    with pytest.raises(DimensionMismatch, match="initial state"):
+        replace(make_spec(sys), init=GaussianBelief(mean=np.ones(3), cov=0.01 * np.eye(3)))
 
 
 @pytest.mark.parametrize("h_mat, h", [

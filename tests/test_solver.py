@@ -351,6 +351,39 @@ def test_non_finite_reduced_kkt_leaves_through_the_factorization_exit(monkeypatc
     assert sol.status == "IterationLimit" and sol.iterations == 1
 
 
+@pytest.mark.parametrize("k_mat", [-np.eye(2), np.diag([1.0, 0.0])], ids=["indefinite", "singular"])
+def test_reduced_kkt_not_positive_definite_leaves_through_the_factorization_exit(monkeypatch,
+                                                                                 k_mat):
+    # The reduced KKT matrix is factorized as it is, with no diagonal shift.
+    with pytest.raises(np.linalg.LinAlgError):
+        _factor_reduced(k_mat)
+    prog = make_program(p=np.eye(2), q=[-1.0, -2.0], lin_a=[[1.0, 1.0]], lin_b=[1.0],
+                        soc_rows=[SocRow(f_mat=np.eye(2), g_vec=np.zeros(2), c_vec=np.zeros(2),
+                                         d_off=2.0)])
+    monkeypatch.setattr(_Scaling, "reduced_kkt", lambda self, *args: k_mat)
+    sol = solver._solve_once(prog, SolverOptions())
+    assert sol.status == "IterationLimit" and sol.iterations == 1
+    assert sol.primal is not None and np.all(np.isfinite(sol.primal))
+
+
+def test_program_without_rows_and_singular_p_is_a_numerical_failure():
+    # One Cholesky solve of P z = -q; a singular P has no least-squares stand-in.
+    sol = solve(make_program(p=np.diag([1.0, 0.0]), q=[-1.0, 0.0]))
+    assert sol.status == "NumericalFailure" and sol.primal is None and sol.fallback
+
+
+def test_singular_active_set_keeps_the_interior_point_solution():
+    # z <= 1 twice: the active-set KKT matrix is singular, so the polish gives way.
+    prog = make_program(p=[[2.0]], q=[-6.0], lin_a=[[1.0], [1.0]], lin_b=[1.0, 1.0], constant=9.0)
+    canon = solver._canonicalize(prog)
+    interior = solver._interior_point(prog, canon, SolverOptions())
+    assert interior.status == "Optimal"
+    assert solver._polish_linear(prog, canon, interior) is None
+    sol = solver._solve_once(prog, SolverOptions())
+    assert sol.status == "Optimal" and np.array_equal(sol.primal, interior.primal)
+    assert_allclose(sol.primal, [1.0], atol=1e-9)
+
+
 def test_working_set_duals_follow_the_full_program_rows():
     # min ||z - (3, 0)||^2 over rows z2 <= 1, z1 <= 2 (a constant-norm cone row),
     # ||z|| <= 10 and z1 <= 5 (constant-norm), starting from the disc alone.

@@ -203,6 +203,14 @@ def test_equivalence_random_active_constraints():
     assert report.value_rel_diff <= 1e-6
 
 
+def test_equivalence_fails_when_a_program_has_no_solution(narrow_binding_config):
+    # Both nominal programs are Infeasible, so there are no inputs to compare.
+    cfg = narrow_binding_config
+    report = equivalence_check(cfg.system, cfg.ocp_spec)
+    assert report.status_statespace == report.status_multistep == "Infeasible"
+    assert report.input_diff == report.value_rel_diff == math.inf and not report.passed
+
+
 def test_equivalence_negative_control_mismatched_models():
     sys = random_system(2, 1, 1, 0.85, Rng(89), sigma_w=0.05, sigma_eps=0.0)
     spec = OcpSpec(
