@@ -251,10 +251,14 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
     cfg = _block(doc if seed_override is None else {**doc, "master_seed": seed_override},
                  "", CONFIG)
     spec, ident_doc, validation = cfg["ocp"], cfg["identification"], cfg["validation"]
-    init = _belief(ident_doc, cfg["system"].n)
-    if init.mean.size != cfg["system"].n:
+    sys_true = cfg["system"]
+    if (spec.n, spec.m) != (sys_true.n, sys_true.m):
+        raise DimensionMismatch(f"the ocp block has {spec.n} states and {spec.m} inputs, "
+                                f"the system {sys_true.n} and {sys_true.m}")
+    init = _belief(ident_doc, sys_true.n)
+    if init.mean.size != sys_true.n:
         raise DimensionMismatch(f"identification.x0_mean has {init.mean.size} entries, "
-                                f"the system has {cfg['system'].n} states")
+                                f"the system has {sys_true.n} states")
     ident_settings = IdentSettings(init=init, **ident_doc)
     delta = ident_settings.delta
     if delta <= spec.p:
@@ -264,7 +268,7 @@ def parse_config(doc: dict, seed_override: "int | None" = None) -> ExperimentCon
     if validation.margin >= spec.p:
         raise ConfigError(f"validation.margin {validation.margin} must be below p = {spec.p}: "
                           "budget + margin would reach 1 and certify anything")
-    return ExperimentConfig(raw=doc, system=cfg["system"], ident_settings=ident_settings,
+    return ExperimentConfig(raw=doc, system=sys_true, ident_settings=ident_settings,
                             ocp_spec=spec, validation=validation, compare=cfg["compare"],
                             master_seed=cfg["master_seed"], output_dir=cfg["output_dir"])
 

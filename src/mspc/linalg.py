@@ -79,13 +79,13 @@ def assert_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _psd_eigh(a: np.ndarray, name: str, stack: bool = False):
+def _psd_eigh(a: np.ndarray, name: str):
     """Eigenvalues (clamped at zero) and eigenvectors of a symmetric PSD matrix or stack.
 
     Eigenvalues in ``[-PSD_CLIP_RTOL * lam_max, 0]`` are clamped to zero; anything
     more negative raises :class:`IndefiniteMatrix`.
     """
-    a = check_symmetric(a, name=name, stack=stack)
+    a = check_symmetric(a, name=name, stack=True)
     w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
     lowest = w.min(axis=-1, initial=0.0)   # eigh sorts ascending; initial covers size 0
     indefinite = lowest < -PSD_CLIP_RTOL * w.max(axis=-1, initial=0.0)
@@ -95,10 +95,13 @@ def _psd_eigh(a: np.ndarray, name: str, stack: bool = False):
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (see :func:`_psd_eigh`)."""
+    """Symmetric PSD square root via eigendecomposition (see :func:`_psd_eigh`).
+
+    ``a`` may be a stack (..., d, d), as for :func:`psd_sqrt_factor`.
+    """
     w, v = _psd_eigh(a, "matrix")
-    s = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (s + s.T)
+    s = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def psd_sqrt_factor(cov: np.ndarray) -> np.ndarray:
@@ -108,7 +111,7 @@ def psd_sqrt_factor(cov: np.ndarray) -> np.ndarray:
     ``cov`` may be a stack (..., d, d); each matrix is checked and factored
     on its own, by one stacked ``eigh``.
     """
-    w, v = _psd_eigh(cov, "covariance", stack=True)
+    w, v = _psd_eigh(cov, "covariance")
     return v * np.sqrt(w)[..., None, :]
 
 
@@ -302,7 +305,7 @@ def _check_dof(dof: int) -> None:
 _SCALE_EXPONENT_MAX = 64
 
 
-def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> tuple[float, float]:
+def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: "float | np.ndarray"):
     """Exact maximum of ``||a + M z||`` over the ball ``||z|| <= r``, and an upper bound on it.
 
     The squared objective is a convex quadratic, so the maximum lies on the
@@ -323,76 +326,93 @@ def max_norm_affine_over_ball(a: np.ndarray, m: np.ndarray, r: float) -> tuple[f
     Nemirovski, Lectures on Modern Convex Optimization).  At the root it meets
     the maximum, and it stays finite in the hard case, where t = 0 and every
     beta_i with gap_i = 0 vanishes.  So the two numbers certify each other.
-    Non-finite input raises :class:`DomainError`.
+
+    ``a`` (..., p), ``M`` (..., p, c) and ``r``, a scalar or (...), may carry
+    leading stack axes.  Every pair is solved on its own, through one stacked
+    SVD, and the value and bound come back as arrays of the stack's shape; a
+    1-D ``a`` gives two floats.  Non-finite input raises :class:`DomainError`.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"M must be a matrix, got shape {m.shape}")
-    if m.shape[0] != a.size:
-        raise DimensionMismatch(f"incompatible shapes: a has {a.size} rows, M has {m.shape[0]}")
-    if not (math.isfinite(r) and np.isfinite(a).all() and np.isfinite(m).all()):
+    a, m, r = (np.asarray(x, dtype=float) for x in (a, m, r))
+    stack = a.shape[:-1]
+    if a.ndim < 1 or m.shape != a.shape + m.shape[-1:] or r.shape not in ((), stack):
+        raise DimensionMismatch(f"offset {a.shape}, map {m.shape} and radius {r.shape} "
+                                "are not one stack of (p,), (p, c) and ()")
+    if not (np.isfinite(r).all() and np.isfinite(a).all() and np.isfinite(m).all()):
         raise DomainError("offset, map and radius must be finite")
-    if r < 0.0:
+    if np.any(r < 0.0):
         raise DomainError("radius must be nonnegative")
+    pairs = math.prod(stack)
+    a, m = a.reshape(pairs, a.shape[-1]), m.reshape((pairs,) + m.shape[-2:])
     # Absorb the radius into the map: max over the unit ball of ||a + (rM) y||.
-    m = r * m
-    # As LAPACK's drivers do, bring an extreme scale near 1 first, by a power
-    # of two, which is exact.  Otherwise the squares and the rounding-level
-    # components of beta turn subnormal and lose their digits, or overflow.
-    shift = math.frexp(max(np.abs(a).max(initial=0.0), np.abs(m).max(initial=0.0)))[1]
-    shift = shift if abs(shift) > _SCALE_EXPONENT_MAX else 0
-    a, m = np.ldexp(a, -shift), np.ldexp(m, -shift)
-    norm_a = float(np.linalg.norm(a))
-    if not np.any(m):
-        return math.ldexp(norm_a, shift), math.ldexp(norm_a, shift)
+    m = np.broadcast_to(r, stack).reshape(pairs, 1, 1) * m
+    # As LAPACK's dgesvd does, bring each pair's extreme scale into range
+    # first, here by a power of two, which is exact.  Otherwise the squares and the
+    # rounding-level components of beta turn subnormal and lose their digits,
+    # or overflow.
+    shift = np.frexp(np.maximum(np.abs(a).max(axis=-1, initial=0.0),
+                                np.abs(m).max(axis=(-2, -1), initial=0.0)))[1]
+    shift = np.where(np.abs(shift) > _SCALE_EXPONENT_MAX, shift, 0)
+    a, m = np.ldexp(a, -shift[:, None]), np.ldexp(m, -shift[:, None, None])
+    norm_a = np.linalg.norm(a, axis=-1)
     _, sig, vt = np.linalg.svd(m, full_matrices=False)
-    if sig[0] <= np.finfo(float).eps * norm_a:
-        return math.ldexp(norm_a, shift), math.ldexp(norm_a + float(sig[0]), shift)
-    d = sig**2
-    beta = vt @ (m.T @ a)
-    gap = d[0] - d
-    top = gap <= 1e-12 * float(d[0])   # relative, so scaling a and M together scales the result
-    gap[top] = 0.0
-    live = beta != 0.0   # z_i(t) = 0 for every t where beta_i = 0
-    lo = math.hypot(*beta[top])   # hypot, unlike np.linalg.norm, does not underflow
-    hi = math.hypot(*beta)
-    # From here t, beta and gap are in units of hi, so that neither t nor
-    # z(t) = beta / (t + gap) leaves the normal range at extreme scales.
-    beta_live, gap_live = beta[live] / hi, gap[live] / hi   # empty when hi = 0
-    t = _secular_newton(beta_live, gap_live, lo / hi)[-1] if beta_live.size else 0.0
-    coords = np.zeros_like(beta)
-    coords[live] = beta_live / (t + gap_live)
-    if t == 0.0:   # the hard case
-        coords[0] += math.sqrt(max(1.0 - float(np.sum(coords**2)), 0.0))
-    value = max(float(np.linalg.norm(a + m @ (vt.T @ coords))), norm_a)
-    bound = math.sqrt(norm_a**2 + float(d[0]) + hi * (t + float(beta_live @ coords[live])))
-    return math.ldexp(value, shift), math.ldexp(bound, shift)
+    sig_top = sig[:, 0] if sig.shape[-1] else np.zeros(pairs)
+    # A map below rounding of ||a||, zero or empty, is bounded by the triangle inequality.
+    value, bound = norm_a.copy(), norm_a + sig_top
+    solve = sig_top > np.finfo(float).eps * norm_a
+    if solve.any():
+        a, m, vt, d, norm_a = a[solve], m[solve], vt[solve], sig[solve] ** 2, norm_a[solve]
+        beta = (vt @ (np.swapaxes(m, -1, -2) @ a[:, :, None]))[:, :, 0]
+        gap = d[:, :1] - d
+        top = gap <= 1e-12 * d[:, :1]   # relative, so scaling a and M together scales the result
+        gap[top] = 0.0
+        lo = np.hypot.reduce(np.where(top, beta, 0.0), axis=-1)   # hypot does not underflow
+        hi = np.hypot.reduce(beta, axis=-1)
+        # From here t, beta and gap are in units of hi, so that neither t nor
+        # z(t) = beta / (t + gap) leaves the normal range at extreme scales.  A
+        # unit gap where beta_i = 0 keeps z_i(t) = 0 and every division finite.
+        unit = np.where(hi > 0.0, hi, 1.0)
+        beta, lo = beta / unit[:, None], lo / unit
+        gap = np.where(beta != 0.0, gap / unit[:, None], 1.0)
+        t = _secular_newton(beta, gap, lo)[-1]
+        coords = beta / (t[:, None] + gap)
+        hard = t == 0.0   # the hard case
+        coords[hard, 0] += np.sqrt(np.maximum(1.0 - np.sum(coords[hard] ** 2, axis=-1), 0.0))
+        reached = a + (m @ (np.swapaxes(vt, -1, -2) @ coords[:, :, None]))[:, :, 0]
+        value[solve] = np.maximum(np.linalg.norm(reached, axis=-1), norm_a)
+        bound[solve] = np.sqrt(norm_a**2 + d[:, 0] + hi * (t + np.sum(beta * coords, axis=-1)))
+    value, bound = (np.ldexp(x, shift).reshape(stack) for x in (value, bound))
+    return (float(value), float(bound)) if not stack else (value, bound)
 
 
-def _secular_newton(beta: np.ndarray, gap: np.ndarray, lo: float) -> list[float]:
-    """Newton iterates for ||z(t)|| = 1 on [lo, 1], from lo; the last is the multiplier.
+def _secular_newton(beta: np.ndarray, gap: np.ndarray, lo: np.ndarray) -> "list[np.ndarray]":
+    """Newton iterates for ||z(t)|| = 1 on [lo, 1], one pair per row; the last is the multiplier.
 
-    The arguments are in units of hi = ||beta||, which keeps the cubes below
-    from under- or overflowing; ``beta`` and ``gap`` hold the live terms
-    (beta_i != 0).  The step of g(t) = 1/||z(t)|| - 1 is (||z|| - 1) ||z||^2 /
-    sum_i beta_i^2 / (t + gap_i)^3.  g is increasing and concave, so each
-    tangent meets zero at or below the root: the iterates rise, never pass
-    it, and stop when a step no longer increases t.  So ||z(lo)|| <= 1 gives
-    lo alone (at lo = 0 the hard case), and ||z(1)|| >= 1 ends at the clip 1.
+    The arguments are in units of hi = ||beta|| of their row, which keeps the
+    cubes below from under- or overflowing; a row's zero beta_i come with a
+    positive gap_i, and a row of zeros stays at lo = 0.  The step of g(t) =
+    1/||z(t)|| - 1 is (||z|| - 1) ||z||^2 / sum_i beta_i^2 / (t + gap_i)^3.
+    g is increasing and concave, so each tangent meets zero at or below the
+    root: a pair's iterates rise from lo, never pass it, and stop when a step no
+    longer increases t.  A stopped pair keeps its t, which its next step
+    would not move either; the loop ends when no pair moves.  So ||z(lo)|| <= 1
+    gives lo alone (at lo = 0 the hard case), and ||z(1)|| >= 1 ends at the
+    clip 1.
     """
     ts = [lo]
     for _ in range(_NEWTON_CAP):
         t = ts[-1]
-        w = 1.0 / (t + gap)
+        w = 1.0 / (t[:, None] + gap)
         z = beta * w
         z *= z
-        norm_sq = float(z.sum())
-        step = (math.sqrt(norm_sq) - 1.0) * norm_sq / float(z @ w)
-        t_next = min(t + step, 1.0)
-        if not t_next > t:
+        norm_sq = z.sum(axis=-1)
+        slope = (z * w).sum(axis=-1)
+        step = np.divide((np.sqrt(norm_sq) - 1.0) * norm_sq, slope,
+                         out=np.zeros_like(t), where=slope > 0.0)
+        t_next = np.minimum(t + step, 1.0)
+        rise = t_next > t
+        if not rise.any():
             break
-        ts.append(t_next)
+        ts.append(np.where(rise, t_next, t))
     return ts
 
 

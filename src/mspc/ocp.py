@@ -13,8 +13,10 @@ maximum and its S-lemma dual bound, so every table certifies itself.  Only
 the G0 block of theta_k moves that norm, so the ellipsoid enters through
 its n^2-dimensional image: any factor F whose first n^2 rows satisfy
 F F' = cov_k[:n^2, :n^2] serves, and the tightening table keeps the
-symmetric root of that block.  All four programs share one assembly
-path: per-step maps, ``_state_rows``, ``_stacked_cost``, ``_program``.
+symmetric root of that block.  The disturbance part enters through its
+norm alone, so each (row, step) pair is a problem in 1 + n rows, and the
+whole table is solved in one kernel call.  All four programs share one
+assembly path: per-step maps, ``_state_rows``, ``_stacked_cost``, ``_program``.
 The robust program is the nominal multi-step program on the estimated
 model, with robust back-offs and cone terms.  Maps, covariances and rows
 carry leading batch axes, so the scenario baseline builds all its
@@ -410,16 +412,18 @@ def _tightening_terms(
     """Constant vectors and parameter-direction matrices of the back-off norms.
 
     The worst-case standard deviation in direction H_j stacks the
-    disturbance part (I_k kron sigma_w^{1/2}) Gw' H_j (independent of the
-    parameters) on top of the initial-state part sigma_x0^{1/2} G0' H_j,
-    which is affine in the parameter error through its first n^2
+    disturbance part (I_k kron sigma_w^{1/2}) Gw' H_j on top of the
+    initial-state part sigma_x0^{1/2} G0' H_j.  No parameter moves the
+    first, so it enters through its norm alone: ||[v; y]|| = ||[||v||; y]||.
+    The second is affine in the parameter error through its first n^2
     coordinates (the G0 block) only: the direction is
     kron(sigma_x0^{1/2}, H_j') F for any factor F F' of the top-left
     n^2 x n^2 block of the parameter covariance, since the image of the
     ball depends on F only through F F'.  ``sw_half``/``sx_half`` are the
     symmetric square roots of sigma_w and sigma_x0.  All rows ``h_rows``
-    (rows, n) are done at once: base is (rows, k q + n) and direction
-    (rows, k q + n, columns of F), empty for FIR or without F.
+    (rows, n) are done at once: base is (rows, 1 + n) and direction
+    (rows, 1 + n, columns of F) with a zero first row, empty for FIR or
+    without F.
     """
     h_rows = np.asarray(h_rows, dtype=float)
     n = g0_hat.shape[0]
@@ -429,13 +433,14 @@ def _tightening_terms(
         raise DimensionMismatch("inconsistent tightening inputs")
     rows = h_rows.shape[0]
     noise = ((h_rows @ gw_k).reshape(rows, k, q) @ sw_half).reshape(rows, k * q)
-    base = np.hstack([noise, h_rows @ g0_hat @ sx_half])
+    base = np.hstack([np.linalg.norm(noise, axis=1, keepdims=True), h_rows @ g0_hat @ sx_half])
     if structure == STRUCTURE_FIR or g0_factor is None:
         return base, np.zeros(base.shape + (0,))
     cols = g0_factor.shape[1]
-    par = (np.kron(sx_half, h_rows) @ g0_factor).reshape(n, rows, cols)
+    # kron(sx_half, h_rows) F, without forming the Kronecker product.
+    par = sx_half @ (h_rows @ g0_factor.reshape(n, n, cols)).reshape(n, rows * cols)
     direction = np.zeros(base.shape + (cols,))
-    direction[:, k * q:] = np.swapaxes(par, 0, 1)
+    direction[:, 1:] = np.swapaxes(par.reshape(n, rows, cols), 0, 1)
     return base, direction
 
 
@@ -485,10 +490,10 @@ def tightening_constant_upper(
     ), radius))
 
 
-def _upper_backoff(base: np.ndarray, direction: np.ndarray, radius: float) -> np.ndarray:
-    """||base|| + radius ||direction||_2, over any leading row axes."""
+def _upper_backoff(base: np.ndarray, direction: np.ndarray, radius) -> np.ndarray:
+    """||base|| + radius ||direction||_2, over any leading axes, which ``radius`` broadcasts to."""
     bound = np.linalg.norm(base, axis=-1)
-    if direction.shape[-1] and radius > 0.0:
+    if direction.shape[-1]:
         bound = bound + radius * np.linalg.norm(direction, 2, axis=(-2, -1))
     return bound
 
@@ -509,27 +514,33 @@ def build_tightening_table(
         raise DeltaTooSmall(f"delta must exceed p = {spec.p}, got {delta}")
     if len(estimates) < spec.horizon or len(gw) < spec.horizon:
         raise DimensionMismatch("need one estimate and one Gw per horizon step")
-    radius, g0_factors, h_exact, h_upper, certificate_gap = {}, {}, {}, {}, {}
-    sw_half = sym_sqrt(np.asarray(sigma_w, dtype=float))
-    sx_half = sym_sqrt(spec.init.cov)
-    n_g0 = spec.n * spec.n
-    for k in range(1, spec.horizon + 1):
-        est = estimates[k - 1]
+    n_u, n_g0 = spec.horizon, spec.n * spec.n
+    radius = {}
+    for k, est in enumerate(estimates[:n_u], start=1):
         if est.k != k:
             raise DimensionMismatch(f"estimate at position {k} is for step {est.k}")
         radius[k] = est.radius(delta)
-        g0_factors[k] = (sym_sqrt(est.cov[:n_g0, :n_g0]) if est.structure == STRUCTURE_FULL
-                         else None)
-        base, direction = _tightening_terms(spec.h_x, gw[k - 1], est.g0_hat(), sw_half, sx_half,
-                                            g0_factors[k], est.structure)
-        upper = _upper_backoff(base, direction, radius[k])
-        gaps = []
-        for j in range(spec.n_rows):
-            h, bound = max_norm_affine_over_ball(base[j], direction[j], radius[k])
-            h_exact[(j, k)] = h
-            h_upper[(j, k)] = float(upper[j])
-            gaps.append((bound - h) / h if h else 0.0)
-        certificate_gap[k] = max(gaps, default=0.0)
+    # The G0-block factors of all full-structure steps, from one stacked eigh.
+    full = [k for k in radius if estimates[k - 1].structure == STRUCTURE_FULL]
+    blocks = np.array([estimates[k - 1].cov[:n_g0, :n_g0] for k in full]).reshape(-1, n_g0, n_g0)
+    g0_factors = dict.fromkeys(radius)
+    g0_factors.update(zip(full, sym_sqrt(blocks)))
+    sw_half = sym_sqrt(np.asarray(sigma_w, dtype=float))
+    sx_half = sym_sqrt(spec.init.cov)
+    # Each (step, row) pair is a problem in 1 + n rows; a step without F has a zero direction.
+    base = np.zeros((n_u, spec.n_rows, 1 + spec.n))
+    direction = np.zeros(base.shape + (n_g0,))
+    for k, est in enumerate(estimates[:n_u], start=1):
+        base[k - 1], terms = _tightening_terms(spec.h_x, gw[k - 1], est.g0_hat(), sw_half, sx_half,
+                                               g0_factors[k], est.structure)
+        direction[k - 1, ..., : terms.shape[-1]] = terms
+    radii = np.array(list(radius.values()))[:, None]
+    h, bound = max_norm_affine_over_ball(base, direction, np.broadcast_to(radii, base.shape[:2]))
+    gaps = np.divide(bound - h, h, out=np.zeros_like(h), where=h != 0.0)
+    pairs = [(j, k) for k in radius for j in range(spec.n_rows)]
+    h_exact = dict(zip(pairs, h.ravel().tolist()))
+    h_upper = dict(zip(pairs, _upper_backoff(base, direction, radii).ravel().tolist()))
+    certificate_gap = {k: max(row, default=0.0) for k, row in enumerate(gaps.tolist(), start=1)}
     return TighteningTable(
         delta=delta,
         p_tilde=spec.p / delta,

@@ -218,6 +218,14 @@ def two_state_with_x0(block):
     return doc
 
 
+def two_state_with_ocp(**block):
+    """configs/two_state.json with the ``ocp`` entries of ``block`` replaced."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "two_state.json")
+                     .read_text())
+    doc["ocp"].update(block)
+    return doc
+
+
 @pytest.mark.parametrize("doc, error", [
     (scalar_with_system({"inline": {"A": [[0.7]], "B": [[1.0]], "E": [[1.0]],
                                     "sigma_w": [[-0.04]], "sigma_eps": [[0.0001]]}}),
@@ -226,8 +234,14 @@ def two_state_with_x0(block):
      "DomainError"),
     (two_state_with_x0("ocp"), "DimensionMismatch"),
     (two_state_with_x0("identification"), "DimensionMismatch"),
+    # An ocp block that is consistent in itself but not with the system.
+    (two_state_with_ocp(Q=np.eye(3).tolist(), h_x=[[0.5, 0.0, 0.0], [0.0, 0.5, 0.5]],
+                        x0_mean=[1.0, 0.4, 0.0], sigma_x0=(0.01 * np.eye(3)).tolist()),
+     "DimensionMismatch"),
+    (two_state_with_ocp(R=(0.2 * np.eye(2)).tolist(), u_min=[-2.0, -2.0], u_max=[2.0, 2.0]),
+     "DimensionMismatch"),
 ], ids=["inline_indefinite_sigma_w", "random_negative_spectral_radius", "ocp_x0_of_three_states",
-        "identification_x0_of_three_states"])
+        "identification_x0_of_three_states", "ocp_of_three_states", "ocp_of_two_inputs"])
 def test_system_errors_surface_at_load(tmp_path, capsys, doc, error):
     # The system is built as the config is read, so a system that its
     # constructor rejects stops the run before any stage or output.

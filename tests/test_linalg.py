@@ -261,8 +261,11 @@ def test_psd_sqrt_factor_stack_checks_each_matrix():
         psd_sqrt_factor(np.stack([good, np.array([[1.0, 2.0], [0.0, 1.0]])]))
     with pytest.raises(DimensionMismatch):
         psd_sqrt_factor(np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        sym_sqrt(np.stack([good, good]))   # only the factor takes a stack
+    with pytest.raises(IndefiniteMatrix):
+        sym_sqrt(np.stack([good, np.diag([1.0, -0.5]), good]))
+    # The symmetric root takes a stack too, and roots each matrix as on its own.
+    stack = np.stack([good, np.diag([4.0, 0.0]), np.array([[2.0, 1.0], [1.0, 2.0]])])
+    assert np.array_equal(sym_sqrt(stack), np.stack([sym_sqrt(a) for a in stack]))
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +690,64 @@ def test_ball_max_certificate_at_early_returns():
     # A map below rounding of ||a|| is bounded by the triangle inequality.
     value, bound = max_norm_affine_over_ball(a, np.full((2, 1), 5e-16), 1.0)
     assert (value, bound) == (5.0, 5.0 + math.sqrt(2.0) * 5e-16) and bound > 5.0
+
+
+STACK_SCALES = [1e-200, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e200]
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+def test_ball_max_stack_matches_single_pairs(seed, rows, cols):
+    # One stack of every Newton kind at every scale, with a zero map, a zero
+    # radius and a zero offset beside them: each pair is rescaled and solved
+    # on its own, so a rescale applied to the whole stack shows here.
+    g = np.random.default_rng(seed)
+    cases = [newton_case(kind, rows, cols, g) for kind in NEWTON_KINDS]
+    cases += [(g.standard_normal(rows), np.zeros((rows, cols))),
+              (np.zeros(rows), g.standard_normal((rows, cols)))]
+    a = np.array([[scale * a for scale in STACK_SCALES] for a, _ in cases])
+    m = np.array([[scale * m for scale in STACK_SCALES] for _, m in cases])
+    r = g.uniform(0.0, 3.0, a.shape[:-1])
+    r[0, 0] = 0.0
+    runs, newton = [], linalg._secular_newton
+
+    def recorded(beta, gap, lo):
+        ts = newton(beta, gap, lo)
+        runs.append((np.array(ts), lo))
+        return ts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_secular_newton", recorded)
+        value, bound = max_norm_affine_over_ball(a, m, r)
+    assert value.shape == bound.shape == r.shape and len(runs) == 1
+    for index in np.ndindex(r.shape):
+        single = max_norm_affine_over_ball(a[index], m[index], float(r[index]))
+        assert (value[index], bound[index]) == pytest.approx(single, rel=1e-14, abs=0.0)
+    # Per pair, in units of its hi: the iterates start at lo, rise until the
+    # pair stops, then hold, and stay inside [lo, 1].
+    ts, lo = runs[0]
+    assert np.array_equal(ts[0], lo)
+    steps = np.diff(ts, axis=0)
+    assert np.all(steps >= 0.0) and np.all(ts[-1] <= 1.0)
+    held = np.cumsum(steps == 0.0, axis=0) > 0
+    assert not np.any(held & (steps > 0.0))
+    assert len(ts) <= linalg._NEWTON_CAP
+
+
+def test_ball_max_stack_checks_every_pair():
+    a, m, r = np.ones((3, 2)), np.ones((3, 2, 4)), np.ones(3)
+    for bad_a, bad_m in ((math.nan, 0.0), (0.0, math.inf)):
+        bad = a.copy(), m.copy()
+        bad[0][2, 1] += bad_a
+        bad[1][2, 1, 3] += bad_m
+        with pytest.raises(DomainError):
+            max_norm_affine_over_ball(*bad, r)
+    with pytest.raises(DomainError):
+        max_norm_affine_over_ball(a, m, np.array([1.0, -1.0, 1.0]))
+    for shapes in (((3, 2), (4, 2, 4), (3,)), ((3, 2), (3, 3, 4), (3,)),
+                   ((3, 2), (3, 2, 4), (4,)), ((3, 2), (3, 2, 4), (3, 1)), ((3, 2), (2, 4), ())):
+        with pytest.raises(DimensionMismatch):
+            max_norm_affine_over_ball(*(np.ones(shape) for shape in shapes))
 
 
 @pytest.mark.parametrize("a, m, r", [

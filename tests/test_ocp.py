@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc.cli import _write_csv, _write_json
@@ -13,7 +13,9 @@ from mspc.errors import DeltaTooSmall, DimensionMismatch, DomainError, Infeasibl
 from mspc.ident import (
     STRUCTURE_FIR, STRUCTURE_FULL, ParameterEstimate, model_from_estimates, true_theta,
 )
-from mspc.linalg import Rng, diag_repeat, generator_of, psd_sqrt_factor, sym_sqrt
+from mspc.linalg import (
+    Rng, diag_repeat, generator_of, max_norm_affine_over_ball, psd_sqrt_factor, sym_sqrt,
+)
 from mspc.ocp import (
     ConicProgram,
     InputBox,
@@ -319,6 +321,70 @@ def test_tightening_table_matches_per_row_reference(n, m, horizon, rows, structu
             assert h_exact == pytest.approx(tightening_constant_exact(*args), rel=1e-12, abs=0.0)
             assert table.h_upper[(j, k)] == pytest.approx(tightening_constant_upper(*args),
                                                           rel=1e-12, abs=0.0)
+
+
+def full_dimension_terms(h_row, gw_k, g0_hat, sw_half, sx_half, g0_factor):
+    """The (kq + n)-dimensional back-off terms: the disturbance block written out
+    row by row above the x0 block, and a direction that is zero on the former."""
+    n, q = g0_hat.shape[0], sw_half.shape[0]
+    k = gw_k.shape[1] // q
+    base = np.concatenate([diag_repeat(sw_half, k) @ (gw_k.T @ h_row),
+                           sx_half @ (g0_hat.T @ h_row)])
+    if g0_factor is None:
+        return base, np.zeros((base.size, 0))
+    direction = np.zeros((base.size, g0_factor.shape[1]))
+    direction[k * q:] = np.kron(sx_half, h_row[None, :]) @ g0_factor
+    return base, direction
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 2),
+    q=st.integers(1, 3),
+    horizon=st.integers(1, 4),
+    rows=st.integers(1, 3),
+    structure=st.sampled_from([STRUCTURE_FULL, STRUCTURE_FIR]),
+    cov_kind=st.sampled_from(["full", "singular", "zero"]),
+    x0_kind=st.sampled_from(["full", "singular", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tightening_table_matches_full_dimension_terms(n, m, q, horizon, rows, structure,
+                                                       cov_kind, x0_kind, seed):
+    # The table solves each (row, step) pair in 1 + n rows, the disturbance
+    # block folded into its norm.  Solving the (kq + n)-row problem of every
+    # pair on its own must give the same back-offs and certificates.
+    gen = np.random.default_rng(seed)
+    sys = random_system(n, m, q, 0.9, gen, sigma_w=0.2)
+    model = build_multistep(sys, horizon)
+    spec = OcpSpec(
+        horizon=horizon, Q=np.eye(n), R=np.eye(m), h_x=gen.standard_normal((rows, n)),
+        u_set=None, p=0.9,
+        init=GaussianBelief(mean=np.zeros(n), cov=_estimate_cov(gen, n, x0_kind)),
+    )
+    ests = []
+    for k in range(1, horizon + 1):
+        g0, gu, _ = model.step(k)
+        theta = true_theta(g0, gu, structure)
+        ests.append(ParameterEstimate(k=k, structure=structure, theta=theta,
+                                      cov=_estimate_cov(gen, theta.size, cov_kind), n=n, m=m))
+    table = build_tightening_table(spec, ests, model.gw, sys.sigma_w, 0.95)
+    sw_half, sx_half = sym_sqrt(sys.sigma_w), sym_sqrt(spec.init.cov)
+    for k, est in enumerate(ests, start=1):
+        gaps = []
+        for j in range(rows):
+            base, direction = full_dimension_terms(spec.h_x[j], model.gw[k - 1], est.g0_hat(),
+                                                   sw_half, sx_half, table.sigma_theta_half[k])
+            h, bound = max_norm_affine_over_ball(base, direction, table.radius[k])
+            upper = np.linalg.norm(base) + (
+                table.radius[k] * np.linalg.norm(direction, 2) if direction.size else 0.0)
+            assert table.h_exact[(j, k)] == pytest.approx(h, rel=1e-14, abs=0.0)
+            assert table.h_upper[(j, k)] == pytest.approx(upper, rel=1e-14, abs=0.0)
+            assert table.h_exact[(j, k)] <= table.h_upper[(j, k)]
+            gaps.append((bound - h) / h if h else 0.0)
+        # The dual bound meets the value at the root, so rounding may put it an ulp below.
+        assert table.certificate_gap[k] == pytest.approx(max(gaps), rel=0.0, abs=1e-14)
+        assert -1e-15 <= table.certificate_gap[k] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
