@@ -34,11 +34,13 @@ are built at load: what their constructors reject (an indefinite
 dimension is not the state's) also exits 2, before any output is written.
 So does an output directory that cannot be created or written.
 
-This is the only module that writes files: two-space JSON (``_write_json``)
-and CSV with repr floats (``_write_csv``), each stage file from the value
-that report.json holds.  Everything a report contains is a deterministic
-function of (config, master seed), so repeated runs are byte-identical.
-Wall-clock timings go to a separate file to keep the reports reproducible.
+This is the only module that writes files: JSON with every flat list or
+object on one line (``_write_json``) and CSV with repr floats
+(``_write_csv``), each stage file from the value that report.json holds.
+Everything a report contains is a deterministic function of (config, master
+seed), so repeated runs are byte-identical.  Wall-clock timings go to a
+separate file to keep the reports reproducible.  A run removes every file of
+``OUTPUT_FILES`` from its output directory before it writes its own.
 """
 
 from __future__ import annotations
@@ -423,17 +425,45 @@ PREFIX_COMMANDS = {
 }
 
 
+# Every file a pipeline subcommand can write.  Each run first removes them all
+# from its output directory, so no file of an earlier run survives beside its own.
+OUTPUT_FILES = ("system.json", "trajectory.csv", "estimates.json", "tightening.csv",
+                "program_robust.json", "solution_robust.json", "violations_parametric.csv",
+                "violations_true.csv", "tightening_vs_k.csv", "cost_vs_T.csv",
+                "violation_vs_p.csv", "report.json", "timings.json")
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as JSON: a container that holds no container on one line, by json's
+    C encoder; any other one member per line, each indented two spaces past ``indent``."""
+    members = (value.values() if isinstance(value, dict)
+               else value if isinstance(value, (list, tuple)) else ())
+    if not any(isinstance(member, (dict, list, tuple)) for member in members):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        lines = [f"{inner}{json.dumps(key)}: {_json_text(member, inner)}"
+                 for key, member in value.items()]
+        return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+    lines = [inner + _json_text(member, inner) for member in value]
+    return "[\n" + ",\n".join(lines) + f"\n{indent}]"
+
+
 def _write_json(path: Path, doc) -> None:
-    """``doc`` as JSON indented by two spaces, with a final newline."""
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    """``doc`` as JSON in the layout of ``_json_text``, with a final newline."""
+    path.write_text(_json_text(doc) + "\n")
 
 
-def _write_csv(path: Path, columns: "tuple | list", rows: "list[dict]") -> None:
-    """One line per row dict; floats are written by repr, a missing or None value as ''."""
+def _write_csv(path: Path, columns: "tuple | list", rows: "list[list | dict]") -> None:
+    """One line per row: a list of cells in column order, or a dict read by column name.
+
+    Floats are written by repr, None or a key missing from a dict as ''.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([row.get(col) for col in columns] for row in rows)
+        writer.writerows(row if isinstance(row, list) else [row.get(col) for col in columns]
+                         for row in rows)
 
 
 def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
@@ -448,6 +478,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
     """
     requested = STAGES[: STAGES.index(last) + 1]
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in OUTPUT_FILES:
+        (out_dir / name).unlink(missing_ok=True)
     report: dict = {"config": cfg.raw, "master_seed": cfg.master_seed, "stages": {}}
     timings: dict = {}
     spec = cfg.ocp_spec

@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InsufficientData,
+    NotSymmetric,
     SingularInformation,
 )
 from .linalg import (
@@ -438,11 +439,19 @@ def model_from_estimates(
 
 
 def estimate_to_json(est: ParameterEstimate, delta: float) -> dict:
+    """``est`` with its covariance as ``cov_upper``, row i holding cov[i, i:].
+
+    Raises :class:`NotSymmetric` unless cov equals its transpose bit for bit,
+    so that the upper triangle holds every number of it.
+    """
+    cov = np.asarray(est.cov, dtype=float)
+    if not np.array_equal(cov.view(np.uint64), cov.T.view(np.uint64)):
+        raise NotSymmetric("the estimate's covariance is not exactly symmetric")
     doc = {
         "k": est.k,
         "structure": est.structure,
         "theta_hat": est.theta.tolist(),
-        "cov": est.cov.tolist(),
+        "cov_upper": [row[i:] for i, row in enumerate(cov.tolist())],
         "dof": est.dof,
         "n": est.n,
         "m": est.m,
@@ -451,6 +460,21 @@ def estimate_to_json(est: ParameterEstimate, delta: float) -> dict:
         doc["projected_rank"] = est.projected_rank
     doc["delta"] = delta
     return doc
+
+
+def estimate_from_json(doc: dict) -> ParameterEstimate:
+    """Parse an estimate written by ``estimate_to_json``, its covariance bit for bit."""
+    theta, upper = np.asarray(doc["theta_hat"], dtype=float), doc["cov_upper"]
+    dof = theta.size
+    if [len(row) for row in upper] != list(range(dof, 0, -1)):
+        raise DimensionMismatch(f"cov_upper must hold rows of {dof}, {dof - 1}, ..., 1 entries")
+    rows, cols = np.triu_indices(dof)
+    values = np.array([value for row in upper for value in row], dtype=float)
+    cov = np.empty((dof, dof))
+    cov[rows, cols] = values
+    cov[cols, rows] = values
+    return ParameterEstimate(k=doc["k"], structure=doc["structure"], theta=theta, cov=cov,
+                             n=doc["n"], m=doc["m"], projected_rank=doc.get("projected_rank"))
 
 
 def estimate_health(est: ParameterEstimate, delta: float) -> dict:

@@ -362,16 +362,14 @@ def system_from_json(doc: dict) -> LinearSystem:
     )
 
 
-def trajectory_rows(traj: Trajectory) -> "tuple[list[str], list[dict]]":
-    """Column names and one dict of floats per time index; the final row has no u/w keys."""
+def trajectory_rows(traj: Trajectory) -> "tuple[list[str], list[list]]":
+    """Column names and one list of floats per time index; the final row's u/w cells are ''."""
     n, t_len = traj.n, traj.T
-    states = [f"x{i}" for i in range(n)] + [f"xt{i}" for i in range(n)]
     drives = [f"u{i}" for i in range(traj.m)] + [f"w{i}" for i in range(traj.q)]
-    noises = [f"eps{i}" for i in range(n)]
-    columns = states + drives + noises
-    body = np.hstack([traj.states[:t_len], traj.measurements[:t_len], traj.inputs,
-                      traj.disturbances, traj.noises[:t_len]])
-    rows = [dict(zip(columns, values)) for values in body.tolist()]
-    final = np.concatenate([traj.states[t_len], traj.measurements[t_len], traj.noises[t_len]])
-    rows.append(dict(zip(states + noises, final.tolist())))
+    columns = ([f"x{i}" for i in range(n)] + [f"xt{i}" for i in range(n)] + drives
+               + [f"eps{i}" for i in range(n)])
+    rows = np.hstack([traj.states[:t_len], traj.measurements[:t_len], traj.inputs,
+                      traj.disturbances, traj.noises[:t_len]]).tolist()
+    rows.append(traj.states[t_len].tolist() + traj.measurements[t_len].tolist()
+                + [""] * len(drives) + traj.noises[t_len].tolist())
     return columns, rows

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mspc import validate
-from mspc.cli import (PREFIX_COMMANDS, STAGES, _identify_all, _probe_and_simulate,
-                      _violation_vs_p, cmd_pipeline, load_config, main, make_system, parse_config)
+from mspc.cli import (OUTPUT_FILES, PREFIX_COMMANDS, STAGES, _identify_all, _json_text,
+                      _probe_and_simulate, _violation_vs_p, _write_json, cmd_pipeline,
+                      load_config, main, make_system, parse_config)
 from mspc.errors import ConfigError, DeltaTooSmall, DomainError, MspcError
+from mspc.ident import estimate_from_json
 from mspc.linalg import Rng
 from mspc.system import random_system, system_to_json
 
@@ -336,7 +339,8 @@ def test_identify_writes_estimates(tmp_path):
     assert [h["dof"] for h in health] == [d["dof"] for d in docs]
     for h, d in zip(health, docs):
         assert h["projected_rank"] == d.get("projected_rank")
-        assert h["sqrt_trace_cov"] == pytest.approx(np.sqrt(np.trace(d["cov"])), rel=1e-12)
+        cov = estimate_from_json(d).cov
+        assert h["sqrt_trace_cov"] == pytest.approx(np.sqrt(np.trace(cov)), rel=1e-12)
         assert h["radius"] > 0.0
 
 
@@ -356,8 +360,8 @@ def test_identification_health_reports_conditioning_and_projection(tmp_path, sin
     for health, est in zip(report["identification_health"], docs):
         assert health["projected_rank"] == est.get("projected_rank") == expected_rank
         # The information matrix is the inverse of the parameter covariance.
-        assert health["information_condition"] == pytest.approx(np.linalg.cond(est["cov"]),
-                                                                rel=1e-6)
+        cov = estimate_from_json(est).cov
+        assert health["information_condition"] == pytest.approx(np.linalg.cond(cov), rel=1e-6)
         assert health["information_condition"] >= 1.0
 
 
@@ -619,8 +623,8 @@ def test_timings_record_exact_certification(full_pipeline_dir):
 
 
 def test_stage_files_hold_report_values(tmp_path):
-    # Each stage file is written from the value report.json holds: JSON
-    # indented by two spaces with a final newline, or one CSV line per entry.
+    # Each stage file is written from the value report.json holds: JSON in
+    # the layout of _json_text with a final newline, or one CSV line per entry.
     # The scalar demo's two violation reports differ, so a swap would show.
     cmd_pipeline(load_config(Path(__file__).resolve().parents[1] / "configs" / "scalar.json"),
                  tmp_path)
@@ -631,7 +635,7 @@ def test_stage_files_hold_report_values(tmp_path):
     for name, value in (("report.json", report), ("system.json", report["system"]),
                         ("estimates.json", estimates),
                         ("solution_robust.json", report["robust_solution"])):
-        assert (tmp_path / name).read_text() == json.dumps(value, indent=2) + "\n"
+        assert (tmp_path / name).read_text() == _json_text(value) + "\n"
     for name, entries in (
         ("tightening.csv", report["tightening"]["rows"]),
         ("violations_parametric.csv", report["certification"]["parametric"]["entries"]),
@@ -640,6 +644,98 @@ def test_stage_files_hold_report_values(tmp_path):
         with open(tmp_path / name, newline="") as fh:
             lines = list(csv.reader(fh))
         assert lines == [list(entries[0])] + [[repr(v) for v in e.values()] for e in entries]
+
+
+# One document with every kind of value and container the JSON layout meets,
+# and its text: a list or object that holds no list or object on one line,
+# any other one member per line.
+_LAYOUT_DOC = {
+    "matrix": [[1, 2.5], [-0.0, 1e-300]],
+    "empty": {"list": [], "dict": {}},
+    "flat": {"text": "a, b", "brackets": "], [", "nan": float("nan"), "inf": float("inf"),
+             "ninf": float("-inf"), "yes": True, "no": False, "none": None, "int": 3,
+             "float": 3.0},
+    "rows": [{"j": 0, "k": 1, "rate": 0.25}, [], {}],
+    "mixed": [1, [2, 3], "], ["],
+    "a, b": [],
+}
+_LAYOUT_TEXT = """{
+  "matrix": [
+    [1, 2.5],
+    [-0.0, 1e-300]
+  ],
+  "empty": {
+    "list": [],
+    "dict": {}
+  },
+  "flat": {"text": "a, b", "brackets": "], [", "nan": NaN, "inf": Infinity, "ninf": -Infinity, "yes": true, "no": false, "none": null, "int": 3, "float": 3.0},
+  "rows": [
+    {"j": 0, "k": 1, "rate": 0.25},
+    [],
+    {}
+  ],
+  "mixed": [
+    1,
+    [2, 3],
+    "], ["
+  ],
+  "a, b": []
+}
+"""
+
+
+def test_json_layout_matches_golden_text(tmp_path):
+    _write_json(tmp_path / "doc.json", _LAYOUT_DOC)
+    text = (tmp_path / "doc.json").read_text()
+    assert text == _LAYOUT_TEXT
+    # NaN is unequal to itself, so the values are compared through json's own encoding.
+    assert json.dumps(json.loads(text)) == json.dumps(_LAYOUT_DOC)
+    assert [_json_text(value) for value in ([], {}, 1e-300, "], [")] == ["[]", "{}", "1e-300",
+                                                                         '"], ["']
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children,
+                                                                       max_size=4),
+    max_leaves=24,
+)
+
+
+@given(doc=_JSON_VALUES)
+def test_json_layout_round_trips(doc):
+    text = _json_text(doc)
+    assert json.loads(text) == doc
+    assert _json_text(json.loads(text)) == text
+
+
+def test_output_files_name_every_file_compare_writes(full_compare_dir):
+    assert sorted(p.name for p in full_compare_dir.iterdir()) == sorted(OUTPUT_FILES)
+
+
+def test_a_run_removes_the_files_of_an_earlier_run(tmp_path):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(configs / "scalar.json"), "--out", str(out)]) == 0
+    assert (out / "estimates.json").exists()
+    (out / "notes.txt").write_text("not an output\n")
+    assert main(["simulate", "--config", str(configs / "two_state.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.json", "system.json",
+                                                     "timings.json", "trajectory.csv"]
+    assert (out / "notes.txt").read_text() == "not an output\n"
+    assert len(json.loads((out / "system.json").read_text())["A"]) == 2
+
+
+def test_a_failing_stage_leaves_no_file_of_an_earlier_run(tmp_path):
+    report, ok = cmd_pipeline(parse_config(quick_config()), tmp_path, "identify")
+    assert ok and (tmp_path / "estimates.json").exists()
+    doc = quick_config()
+    doc["identification"]["T"] = 3
+    report, ok = cmd_pipeline(parse_config(doc), tmp_path, "identify")
+    assert not ok
+    assert report["stages"]["identify"]["error"].startswith("InsufficientData")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "system.json",
+                                                          "timings.json", "trajectory.csv"]
 
 
 def test_pipeline_reports_certificate_gap(full_pipeline_dir):

@@ -11,7 +11,8 @@ from scipy.stats import chi2
 
 from mspc import linalg
 from mspc.cli import _identify_all, _probe_and_simulate, _write_json, load_config, make_system
-from mspc.errors import DomainError, InsufficientData, SingularInformation
+from mspc.errors import (DimensionMismatch, DomainError, InsufficientData, NotSymmetric,
+                         SingularInformation)
 from mspc.ident import (
     STRUCTURE_FIR,
     STRUCTURE_FULL,
@@ -19,6 +20,7 @@ from mspc.ident import (
     RegressionProblem,
     ResidualCovariance,
     build_regression,
+    estimate_from_json,
     estimate_predictor,
     estimate_to_json,
     mle_estimate,
@@ -618,9 +620,59 @@ def test_estimate_json_round_trip_bit_faithful(tmp_path, gen):
     assert docs == [estimate_to_json(est, 0.95) for est in ests]
     for est, doc in zip(ests, docs):
         assert np.array_equal(np.array(doc["theta_hat"]), est.theta)
-        assert np.array_equal(np.array(doc["cov"]), est.cov)
+        assert np.array_equal(estimate_from_json(doc).cov, est.cov)
         assert doc["k"] == est.k and doc["structure"] == est.structure
         assert (doc["dof"], doc["n"], doc["m"], doc["delta"]) == (est.dof, est.n, est.m, 0.95)
+
+
+@pytest.mark.parametrize("path", ["band", "projection"])
+def test_estimate_from_json_restores_theta_and_cov_bit_for_bit(tmp_path, path):
+    sys = random_system(2, 1, 1, 0.9, Rng(36), sigma_w=0.2, sigma_eps=0.01)
+    traj = noise_free_data(sys, 40, seed=37)
+    g0, _, gw = build_multistep(sys, 2).step(2)
+    reg = build_regression(traj, 2)
+    cov = residual_covariance(gw, g0, sys.sigma_w, sys.sigma_eps, 2, traj.T)
+    if path == "projection":   # rows of zero variance make the band singular
+        reg = replace(reg, regressor=np.vstack([reg.regressor, np.zeros((4, reg.dof))]),
+                      targets=np.concatenate([reg.targets, np.zeros(4)]))
+        cov = ResidualCovariance(k=2, band=np.pad(cov.band, ((0, 0), (0, 4))))
+    est = mle_estimate(reg, cov)
+    assert (est.projected_rank is None) == (path == "band")
+    _write_json(tmp_path / "estimates.json", [estimate_to_json(est, 0.95)])
+    doc, = json.loads((tmp_path / "estimates.json").read_text())
+    assert [len(row) for row in doc["cov_upper"]] == list(range(est.dof, 0, -1))
+    back = estimate_from_json(doc)
+    assert back.theta.tobytes() == est.theta.tobytes()
+    assert back.cov.tobytes() == est.cov.tobytes()
+    assert ((back.k, back.structure, back.n, back.m, back.projected_rank)
+            == (est.k, est.structure, est.n, est.m, est.projected_rank))
+    doc["cov_upper"][-1] = []
+    with pytest.raises(DimensionMismatch):
+        estimate_from_json(doc)
+
+
+def test_estimators_return_exactly_symmetric_covariances():
+    sys = random_system(2, 1, 2, 0.9, Rng(38), sigma_w=0.2, sigma_eps=0.01)
+    traj = noise_free_data(sys, 60, seed=39)
+    g0, _, gw = build_multistep(sys, 2).step(2)
+    reg = build_regression(traj, 2)
+    estimates = [
+        mle_estimate(reg, residual_covariance(gw, g0, sys.sigma_w, sys.sigma_eps, 2, traj.T)),
+        naive_ls(reg),
+        state_space_ls(traj, sys.sigma_w, sys.E),
+    ]
+    for est in estimates:
+        assert (est.cov == est.cov.T).all()
+        assert np.array_equal(estimate_from_json(estimate_to_json(est, 0.95)).cov, est.cov)
+
+
+@pytest.mark.parametrize("upper, lower", [(np.nextafter(0.5, 1.0), 0.5), (-0.0, 0.0)],
+                         ids=["one_ulp", "signed_zero"])
+def test_estimate_to_json_rejects_a_covariance_not_exactly_symmetric(upper, lower):
+    cov = np.array([[2.0, upper], [lower, 1.0]])
+    est = ParameterEstimate(k=1, structure=STRUCTURE_FULL, theta=np.zeros(2), cov=cov, n=1, m=1)
+    with pytest.raises(NotSymmetric):
+        estimate_to_json(est, 0.95)
 
 
 def test_model_from_estimates_shapes():

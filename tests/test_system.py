@@ -278,7 +278,10 @@ def test_system_json_round_trip(tmp_path):
     sys = random_system(3, 2, 2, 0.9, Rng(13), sigma_w=0.2, sigma_eps=0.01)
     path = tmp_path / "system.json"
     _write_json(path, system_to_json(sys))
-    assert path.read_text() == json.dumps(system_to_json(sys), indent=2) + "\n"
+    # Each matrix one row per line, indented past its key.
+    assert path.read_text() == "{\n" + ",\n".join(
+        f'  "{name}": [\n' + ",\n".join(f"    {json.dumps(row)}" for row in rows) + "\n  ]"
+        for name, rows in system_to_json(sys).items()) + "\n}\n"
     doc = json.loads(path.read_text())
     for name in ("A", "B", "E", "sigma_w", "sigma_eps"):
         assert np.array_equal(np.array(doc[name]), getattr(sys, name)), name
