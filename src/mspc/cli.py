@@ -27,7 +27,8 @@ string where a number is expected, a negative seed, a count, length or
 horizon below 1, a ``compare.p_sweep`` entry outside (0, 1), an
 ``output_dir`` that is not a string, a system block without exactly one of
 ``inline`` and ``random``, an inline matrix that is not a list of
-equal-length lists of numbers, a margin of at least p) is a
+equal-length lists of numbers, an ``ocp`` block with both an
+``input_polytope`` and ``u_min`` or ``u_max``, a margin of at least p) is a
 ``ConfigError``.  The system, the control problem and both initial states
 are built at load: what their constructors reject (an indefinite
 ``sigma_w``, a ``spectral_radius`` <= 0, an initial state or ``h_x`` whose
@@ -193,10 +194,13 @@ def _system(doc, where: str) -> LinearSystem:
 
 
 def _ocp_spec(doc, where: str) -> ocp.OcpSpec:
-    """The control problem; its inputs keep to the polytope if one is set, else to the box."""
+    """The control problem; its inputs keep to the polytope or to the box, not to both."""
     block = _block(doc, where, OCP)
     n, m = len(block["Q"]), len(block["R"])
     u_set, lo, hi = (block.pop(key, None) for key in ("input_polytope", "u_min", "u_max"))
+    if u_set is not None and (lo is not None or hi is not None):
+        raise ConfigError(f"{where}.input_polytope and {where}.u_min/u_max are both set; "
+                          "the inputs keep to one of them")
     if u_set is None and (lo is not None or hi is not None):
         u_set = ocp.InputBox(lo=np.full(m, -np.inf) if lo is None else lo,
                              hi=np.full(m, np.inf) if hi is None else hi)

@@ -42,7 +42,11 @@ is then optimal for the full program; it is returned with zero duals on the
 dropped rows and checked against the full program.  An Infeasible round
 makes the full program Infeasible; any other round that is not Optimal is
 followed by one solve of the full program (``fallback``), unless it spent
-``SolverOptions.max_iterations``, the cap on all rounds together.
+``SolverOptions.max_iterations``, the cap on all rounds together.  The
+program is canonicalized once per call, and each round solves its rows under
+the working set's masks (``_Canonical.restrict``), so the dropped rows'
+violations, the KKT residuals (``_kkt``) and the full duals are one array
+pass each over the canonical rows.
 """
 
 from __future__ import annotations
@@ -137,10 +141,14 @@ class _Cone:
         e[self._starts] = 1.0
         return e
 
+    def violations(self, v: np.ndarray):
+        """How far each orthant row and each cone block of v is outside (positive means outside)."""
+        lin, blk = self.split(v)
+        return -lin, np.linalg.norm(blk[:, 1:], axis=1) - blk[:, 0]
+
     def interior_violation(self, v: np.ndarray) -> float:
         """How far v is from the cone interior (positive means outside)."""
-        lin, blk = self.split(v)
-        worst = np.concatenate([-lin, np.linalg.norm(blk[:, 1:], axis=1) - blk[:, 0]])
+        worst = np.concatenate(self.violations(v))
         return float(worst.max()) if worst.size else -1.0
 
     def max_step(self, v: np.ndarray, dv: np.ndarray) -> float:
@@ -269,6 +277,12 @@ class _Canonical:
     h_vec: np.ndarray
     cone: _Cone
 
+    def restrict(self, lin: np.ndarray, soc: np.ndarray) -> "tuple[_Canonical, np.ndarray]":
+        """The masked linear and cone rows, in order, and the mask of their canonical rows."""
+        keep = np.concatenate([lin, np.repeat(soc, self.cone.soc_sizes)])
+        cone = _Cone(int(lin.sum()), np.asarray(self.cone.soc_sizes, dtype=int)[soc].tolist())
+        return replace(self, g_mat=self.g_mat[keep], h_vec=self.h_vec[keep], cone=cone), keep
+
 
 def _canonicalize(prog: ConicProgram) -> _Canonical:
     """Linear rows first, then one block (d + c'z, g + F z) per cone row, as written."""
@@ -304,9 +318,10 @@ def _factor_reduced(k_mat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _solve_once(prog: ConicProgram, opts: SolverOptions) -> Solution:
-    """One solve of all rows of ``prog``: a round, the fallback, or a test's reference."""
-    canon = _canonicalize(prog)
+def _solve_once(prog: ConicProgram, opts: SolverOptions,
+                canon: "_Canonical | None" = None) -> Solution:
+    """One solve of ``canon`` (all of ``prog`` by default): a round, the fallback or a reference."""
+    canon = _canonicalize(prog) if canon is None else canon
     if canon.cone.dim == 0:
         sol = _solve_unconstrained(prog, canon)
     else:
@@ -315,36 +330,33 @@ def _solve_once(prog: ConicProgram, opts: SolverOptions) -> Solution:
             polished = _polish_linear(prog, canon, sol)
             if polished is not None:
                 sol = polished
-        _certify(prog, sol, opts)
-    sol.working_set = (prog.lin_b.size, len(prog.soc_rows))
+        _certify(canon, sol)
+    sol.working_set = (canon.cone.l, len(canon.cone.soc_sizes))
     return sol
 
 
-def _certify(prog: ConicProgram, sol: Solution, opts: SolverOptions) -> None:
-    """KKT residuals on ``prog``; an Optimal status outside the contract becomes IterationLimit."""
+def _certify(canon: _Canonical, sol: Solution) -> None:
+    """KKT residuals on ``canon``; an Optimal status outside the contract becomes IterationLimit."""
     if sol.primal is not None:
-        sol.kkt = check_kkt(prog, sol)
-        if sol.status == "Optimal" and not _kkt_acceptable(prog, sol, opts):
+        sol.kkt = _kkt(canon, sol.primal, np.concatenate([sol.dual_lin, *sol.dual_soc]))
+        lin_b = canon.h_vec[: canon.cone.l]
+        if sol.status == "Optimal" and not _within_contract(sol, canon.q_vec, lin_b):
             sol.status = "IterationLimit"
 
 
 def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
     """Constraint generation from ``prog.start_set``; returns a solution of all of ``prog``."""
     opts = opts or SolverOptions()
-    prog.check_shapes()
-    lin = np.zeros(prog.lin_b.size, dtype=bool)
-    soc = np.zeros(len(prog.soc_rows), dtype=bool)
+    canon = _canonicalize(prog)
+    lin = np.zeros(canon.cone.l, dtype=bool)
+    soc = np.zeros(len(canon.cone.soc_sizes), dtype=bool)
     lin[prog.start_set[0]] = True
     soc[prog.start_set[1]] = True
     tol = _FEASIBILITY_TOLERANCE * max(1.0, float(np.abs(prog.lin_b).max(initial=0.0)))
     rounds = iterations = 0
     while True:
-        sub = ConicProgram(
-            p_mat=prog.p_mat, q_vec=prog.q_vec, constant=prog.constant,
-            lin_a=prog.lin_a[lin], lin_b=prog.lin_b[lin],
-            soc_rows=[row for row, keep in zip(prog.soc_rows, soc) if keep],
-        )
-        sol = _solve_once(sub, replace(opts, max_iterations=opts.max_iterations - iterations))
+        sub, keep = canon.restrict(lin, soc)
+        sol = _solve_once(prog, replace(opts, max_iterations=opts.max_iterations - iterations), sub)
         rounds += 1
         iterations += sol.iterations
         spent = iterations >= opts.max_iterations   # the round's status then stands for prog
@@ -353,42 +365,42 @@ def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
             return Solution(status=sol.status, primal=None, objective=None,
                             iterations=iterations, rounds=rounds, working_set=sol.working_set)
         if sol.status != "Optimal" and not spent:
-            full = _solve_once(prog, replace(opts, max_iterations=opts.max_iterations - iterations))
+            full = _solve_once(prog, replace(opts, max_iterations=opts.max_iterations - iterations),
+                               canon)
             full.iterations += iterations
             full.rounds = rounds + 1
             full.fallback = True
             return full
         z = sol.primal
-        lin_new = ~lin & (prog.lin_a @ z - prog.lin_b > tol)
-        soc_viol = np.array([
-            -math.inf if keep
-            else np.linalg.norm(row.f_mat @ z + row.g_vec) - (row.c_vec @ z + row.d_off)
-            for row, keep in zip(prog.soc_rows, soc)
-        ])
-        worst = int(np.argmax(soc_viol)) if soc_viol.size else None
-        soc_new = worst is not None and soc_viol[worst] > tol
+        lin_viol, soc_viol = canon.cone.violations(canon.h_vec - canon.g_mat @ z)
+        lin_new = ~lin & (lin_viol > tol)
+        soc_viol[soc] = -math.inf
+        soc_new = soc_viol.max(initial=-math.inf) > tol
         if spent or not (lin_new.any() or soc_new):
             break
         lin |= lin_new
         if soc_new:
-            soc[worst] = True
-    dual_lin = np.zeros(prog.lin_b.size)
-    dual_lin[lin] = sol.dual_lin
+            soc[np.argmax(soc_viol)] = True
     # Zero duals on the dropped rows, sized as a full solve sizes them.
-    sub_duals = iter(sol.dual_soc)
-    dual_soc = [next(sub_duals) if keep else np.zeros(1 + row.g_vec.size)
-                for row, keep in zip(prog.soc_rows, soc)]
+    lam = np.zeros(canon.cone.dim)
+    lam[keep] = np.concatenate([sol.dual_lin, *sol.dual_soc])
+    dual_lin, dual_soc = _split_duals(canon.cone, lam)
     full = Solution(status=sol.status, primal=z, objective=prog.objective(z), dual_lin=dual_lin,
                     dual_soc=dual_soc, iterations=iterations, gap=sol.gap, rounds=rounds,
                     working_set=sol.working_set)
-    _certify(prog, full, opts)
+    _certify(canon, full)
     return full
 
 
 def _kkt_acceptable(prog: ConicProgram, sol: Solution, opts: SolverOptions) -> bool:
     """The residual contract of every solve; it is the same under any ``opts``."""
-    scale_d = max(1.0, float(np.abs(prog.q_vec).max(initial=0.0)))
-    scale_p = max(1.0, float(np.abs(prog.lin_b).max(initial=0.0)))
+    return _within_contract(sol, prog.q_vec, prog.lin_b)
+
+
+def _within_contract(sol: Solution, q_vec: np.ndarray, lin_b: np.ndarray) -> bool:
+    """Residuals within ten times the tolerances, scaled by the largest |q| and |b|."""
+    scale_d = max(1.0, float(np.abs(q_vec).max(initial=0.0)))
+    scale_p = max(1.0, float(np.abs(lin_b).max(initial=0.0)))
     obj_scale = max(1.0, abs(sol.objective or 0.0))
     kkt = sol.kkt
     return (
@@ -405,16 +417,8 @@ def _solve_unconstrained(prog: ConicProgram, canon: _Canonical) -> Solution:
     except np.linalg.LinAlgError:
         return Solution(status="NumericalFailure", primal=None, objective=None)
     z = factor @ (factor.T @ -canon.q_vec)
-    sol = Solution(
-        status="Optimal",
-        primal=z,
-        objective=prog.objective(z),
-        dual_lin=np.zeros(0),
-        dual_soc=[],
-        gap=0.0,
-    )
-    sol.kkt = check_kkt(prog, sol)
-    return sol
+    return Solution(status="Optimal", primal=z, objective=prog.objective(z), dual_lin=np.zeros(0),
+                    kkt=_kkt(canon, z, np.zeros(0)), gap=0.0)
 
 
 def _interior_point(prog: ConicProgram, canon: _Canonical, opts: SolverOptions) -> Solution:
@@ -590,7 +594,8 @@ def _polish_linear(prog: ConicProgram, canon: _Canonical, sol: Solution) -> "Sol
 
 
 def check_kkt(prog: ConicProgram, sol: Solution) -> KktResiduals:
-    """Stationarity, primal violation, and complementarity of a solution."""
+    """Stationarity, primal violation, and complementarity of a solution; an empty
+    ``dual_soc`` means zero cone duals, any other holds one per cone row."""
     if sol.primal is None:
         raise DimensionMismatch("solution has no primal point")
     z = np.asarray(sol.primal, dtype=float).ravel()
@@ -599,31 +604,25 @@ def check_kkt(prog: ConicProgram, sol: Solution) -> KktResiduals:
     dual_lin = sol.dual_lin if sol.dual_lin is not None else np.zeros(prog.lin_b.size)
     if dual_lin.size != prog.lin_b.size:
         raise DimensionMismatch("linear dual has the wrong length")
+    canon = _canonicalize(prog)
+    if sol.dual_soc and [np.size(dual) for dual in sol.dual_soc] != canon.cone.soc_sizes:
+        raise DimensionMismatch("cone duals do not match the cone rows in number or length")
+    dual_soc = sol.dual_soc or [np.zeros(canon.cone.dim - canon.cone.l)]
+    return _kkt(canon, z, np.concatenate([dual_lin, *dual_soc]))
 
-    grad = prog.p_mat @ z + prog.q_vec
-    primal = 0.0
-    comp = 0.0
-    if prog.lin_b.size:
-        slack = prog.lin_b - prog.lin_a @ z
-        grad = grad + prog.lin_a.T @ dual_lin
-        primal = max(primal, float(np.max(-slack, initial=0.0)))
-        comp = max(comp, float(np.abs(dual_lin * slack).max(initial=0.0)))
-    for row, dual in zip(prog.soc_rows, sol.dual_soc or [None] * len(prog.soc_rows)):
-        resid = row.f_mat @ z + row.g_vec
-        lhs = float(np.linalg.norm(resid))
-        rhs = float(row.c_vec @ z + row.d_off)
-        primal = max(primal, lhs - rhs)
-        if dual is None:
-            continue
-        if dual.size != 1 + row.g_vec.size:
-            raise DimensionMismatch("cone dual has the wrong length")
-        lam0, lam1 = float(dual[0]), dual[1:]
-        grad = grad - row.c_vec * lam0 - row.f_mat.T @ lam1
-        comp = max(comp, abs(rhs * lam0 + float(resid @ lam1)))
+
+def _kkt(canon: _Canonical, z: np.ndarray, lam: np.ndarray) -> KktResiduals:
+    """Residuals of (z, lam) on every canonical row: P z + q + G'lam, the cone violation
+    of s = h - G z, and s o lam per orthant row and s_b'lam_b per block."""
+    cone = canon.cone
+    s = canon.h_vec - canon.g_mat @ z
+    grad = canon.p_mat @ z + canon.q_vec + canon.g_mat.T @ lam
+    comp_lin, comp_blk = cone.split(_jordan_product(cone, s, lam))
+    comp = np.concatenate([comp_lin, comp_blk[:, 0]])
     return KktResiduals(
         stationarity=float(np.abs(grad).max(initial=0.0)),
-        primal=max(primal, 0.0),
-        complementarity=comp,
+        primal=float(np.concatenate(cone.violations(s)).max(initial=0.0)),
+        complementarity=float(np.abs(comp).max(initial=0.0)),
     )
 
 

@@ -167,6 +167,8 @@ def set_random(key, value):
      "ocp.input_polytope.H"),
     (set_value("ocp", "input_polytope", {"H": [[1.0], [-1.0]], "h": [2.0, True]}),
      "ocp.input_polytope.h"),
+    (set_value("ocp", "input_polytope", {"H": [[1.0], [-1.0]], "h": [5.0, 5.0]}),
+     "ocp.input_polytope and ocp.u_min"),                 # the u_min/u_max box was dropped
     (set_value("identification", "x0_mean", [0.0, "0"]), "identification.x0_mean"),
     (set_value("identification", "sigma_x0", [[0.01, 0.0], [0.0, "0.01"]]),
      "identification.sigma_x0"),
@@ -189,9 +191,9 @@ def set_random(key, value):
         "inline_string_entry", "inline_unknown_key", "inline_and_random", "no_system",
         "h_x_string_entry", "R_bool_entry", "Q_string_entry", "sigma_x0_bool_entry",
         "x0_mean_string_entry", "x0_mean_scalar", "u_min_bool_entry", "u_max_string_entry",
-        "polytope_H_string_entry", "polytope_h_bool_entry", "ident_x0_mean_string_entry",
-        "ident_sigma_x0_string_entry", "output_dir_number", "p_sweep_negative",
-        "p_sweep_above_one"])
+        "polytope_H_string_entry", "polytope_h_bool_entry", "polytope_and_box",
+        "ident_x0_mean_string_entry", "ident_sigma_x0_string_entry", "output_dir_number",
+        "p_sweep_negative", "p_sweep_above_one"])
 def test_config_rejects_missing_and_unknown_keys(tmp_path, capsys, edit, key):
     text = edit(quick_config())
     path = tmp_path / "config.json"

@@ -19,6 +19,7 @@ from mspc.ocp import (
     formulate_minmax_statespace,
 )
 from mspc.solver import (
+    Solution,
     SolverOptions,
     _classify_divergence,
     _Cone,
@@ -231,6 +232,26 @@ def test_check_kkt_rejects_a_cone_dual_of_the_wrong_length():
     assert check_kkt(prog, solve(prog)).max() <= 1e-8
 
 
+def test_check_kkt_checks_every_cone_row_or_rejects_the_duals():
+    # |z| <= 10 and |z| <= 0.1 at z = 5: the second row is violated by 4.9.  A
+    # dual_soc that is neither empty nor one dual per cone row left that row unchecked.
+    from mspc.solver import Solution
+
+    rows = [SocRow(f_mat=np.eye(1), g_vec=np.zeros(1), c_vec=np.zeros(1), d_off=bound)
+            for bound in (10.0, 0.1)]
+    prog = make_program(p=[[2.0]], q=[0.0], soc_rows=rows)
+
+    def at_five(dual_soc):
+        return Solution(status="Optimal", primal=np.array([5.0]), objective=25.0,
+                        dual_lin=np.zeros(0), dual_soc=dual_soc)
+
+    for dual_soc in ([np.zeros(2), np.zeros(2)], []):
+        assert check_kkt(prog, at_five(dual_soc)).primal == pytest.approx(4.9, rel=1e-15)
+    for dual_soc in ([np.zeros(2)], [np.zeros(2)] * 3):
+        with pytest.raises(DimensionMismatch):
+            check_kkt(prog, at_five(dual_soc))
+
+
 def test_degenerate_soc_vertex_delta_like_row():
     # A cone row whose argument vanishes at the optimum; presolve is not
     # triggered (F is nonzero) so the cone path must handle the vertex.
@@ -422,6 +443,104 @@ def test_working_set_rejects_start_rows_out_of_range():
         prog.start_set = start
         with pytest.raises(DimensionMismatch):
             solve(prog)
+
+
+def bits(a):
+    """Shape, dtype and bytes: equal only for bit-identical arrays (-0.0 differs from 0.0)."""
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def per_row_kkt(prog, z, dual_lin, dual_soc):
+    """Residuals by one pass per cone row: the check that ``solver._kkt`` replaced."""
+    grad = prog.p_mat @ z + prog.q_vec
+    primal = 0.0
+    comp = 0.0
+    if prog.lin_b.size:
+        slack = prog.lin_b - prog.lin_a @ z
+        grad = grad + prog.lin_a.T @ dual_lin
+        primal = max(primal, float(np.max(-slack, initial=0.0)))
+        comp = max(comp, float(np.abs(dual_lin * slack).max(initial=0.0)))
+    for row, dual in zip(prog.soc_rows, dual_soc or [None] * len(prog.soc_rows)):
+        resid = row.f_mat @ z + row.g_vec
+        lhs = float(np.linalg.norm(resid))
+        rhs = float(row.c_vec @ z + row.d_off)
+        primal = max(primal, lhs - rhs)
+        if dual is None:
+            continue
+        lam0, lam1 = float(dual[0]), dual[1:]
+        grad = grad - row.c_vec * lam0 - row.f_mat.T @ lam1
+        comp = max(comp, abs(rhs * lam0 + float(resid @ lam1)))
+    return float(np.abs(grad).max(initial=0.0)), max(primal, 0.0), comp
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    n_lin=st.integers(0, 4),
+    # Per cone row: rows of F (0 gives a block of size 1) and whether F = 0.
+    cone_rows=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=4),
+    kept=st.sampled_from([0.0, 0.5, 1.0]),   # share of rows in the masks; 0 leaves them empty
+    cone_duals=st.booleans(),
+)
+@example(seed=0, dim=2, n_lin=0, cone_rows=[], kept=0.0, cone_duals=True)
+@example(seed=1, dim=3, n_lin=2, cone_rows=[(0, False), (3, True), (2, False)], kept=0.5,
+         cone_duals=True)
+def test_canonical_rows_agree_with_the_per_row_path(seed, dim, n_lin, cone_rows, kept,
+                                                    cone_duals):
+    gen = np.random.default_rng(seed)
+    f = gen.standard_normal((dim, dim))
+    rows = [SocRow(f_mat=gen.standard_normal((m, dim)) * (not zero_f),
+                   g_vec=gen.standard_normal(m), c_vec=gen.standard_normal(dim),
+                   d_off=float(gen.standard_normal()))
+            for m, zero_f in cone_rows]
+    prog = make_program(p=f @ f.T, q=gen.standard_normal(dim),
+                        lin_a=gen.standard_normal((n_lin, dim)), lin_b=gen.standard_normal(n_lin),
+                        soc_rows=rows)
+    lin, soc = gen.random(n_lin) < kept, gen.random(len(rows)) < kept
+    canon = solver._canonicalize(prog)
+
+    # The restriction is the canonical form of the working set as its own program.
+    sub = ConicProgram(p_mat=prog.p_mat, q_vec=prog.q_vec, constant=prog.constant,
+                       lin_a=prog.lin_a[lin], lin_b=prog.lin_b[lin],
+                       soc_rows=[row for row, keep in zip(rows, soc) if keep])
+    ref = solver._canonicalize(sub)
+    got, keep = canon.restrict(lin, soc)
+    for name in ("p_mat", "q_vec", "g_mat", "h_vec"):
+        assert bits(getattr(got, name)) == bits(getattr(ref, name)), name
+    assert (got.cone.l, got.cone.soc_sizes) == (ref.cone.l, ref.cone.soc_sizes)
+    assert bits(canon.h_vec[keep]) == bits(ref.h_vec)
+
+    # Residuals agree with the per-row formulas to 1e-12 of the size of the terms summed.
+    z = gen.standard_normal(dim) * np.exp(gen.uniform(-2.0, 2.0, dim))
+    lam = gen.standard_normal(canon.cone.dim)
+    if not cone_duals:
+        lam[canon.cone.l:] = 0.0
+    dual_lin, dual_soc = solver._split_duals(canon.cone, lam)
+    s_size = np.abs(canon.h_vec) + np.abs(canon.g_mat) @ np.abs(z)
+    lin_viol, soc_viol = canon.cone.violations(canon.h_vec - canon.g_mat @ z)
+    ref_lin = prog.lin_a @ z - prog.lin_b
+    ref_soc = [np.linalg.norm(row.f_mat @ z + row.g_vec) - (row.c_vec @ z + row.d_off)
+               for row in rows]
+    _, soc_size = canon.cone.split(s_size)
+    assert np.all(np.abs(lin_viol - ref_lin) <= 1e-12 * s_size[: canon.cone.l])
+    assert np.all(np.abs(soc_viol - ref_soc) <= 1e-12 * soc_size.sum(axis=1))
+
+    kkt = solver._kkt(canon, z, lam)
+    ref_kkt = per_row_kkt(prog, z, dual_lin, dual_soc if cone_duals else [])
+    sizes = (
+        float(np.max(np.abs(canon.p_mat) @ np.abs(z) + np.abs(canon.q_vec)
+                     + np.abs(canon.g_mat).T @ np.abs(lam))),
+        float(s_size.max(initial=0.0)),
+        float(s_size @ np.abs(lam)),
+    )
+    for value, reference, size in zip((kkt.stationarity, kkt.primal, kkt.complementarity),
+                                      ref_kkt, sizes):
+        assert abs(value - reference) <= 1e-12 * size
+    # check_kkt takes no cone duals as zero cone duals.
+    sol = Solution(status="Optimal", primal=z, objective=0.0, dual_lin=dual_lin,
+                   dual_soc=dual_soc if cone_duals else [])
+    assert check_kkt(prog, sol) == kkt
 
 
 def presolved(prog, constant):
