@@ -235,8 +235,6 @@ def test_check_kkt_rejects_a_cone_dual_of_the_wrong_length():
 def test_check_kkt_checks_every_cone_row_or_rejects_the_duals():
     # |z| <= 10 and |z| <= 0.1 at z = 5: the second row is violated by 4.9.  A
     # dual_soc that is neither empty nor one dual per cone row left that row unchecked.
-    from mspc.solver import Solution
-
     rows = [SocRow(f_mat=np.eye(1), g_vec=np.zeros(1), c_vec=np.zeros(1), d_off=bound)
             for bound in (10.0, 0.1)]
     prog = make_program(p=[[2.0]], q=[0.0], soc_rows=rows)
