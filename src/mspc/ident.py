@@ -59,22 +59,37 @@ _INFORMATION_RTOL = 1e-10     # excitation check on the information matrix
 
 @dataclass(frozen=True)
 class RegressionProblem:
-    """Stacked k-step regression: targets ~= regressor @ theta_k."""
+    """Stacked k-step regression: targets ~= regressor @ theta_k.
+
+    ``system`` is [regressor, targets], (n * (T-k+1), dof + 1), and
+    ``regressor`` and ``targets`` are views of it.  Row j n + i of the
+    regressor is z_j kron e_i, so column c n + i holds entry c of z_j in row
+    j n + i and zeros elsewhere.  ``build_regression`` makes ``system``
+    Fortran-ordered, because the band solve of the whitening reads it column
+    by column: its copy there is then one memcpy.
+    """
 
     k: int
     structure: str
-    regressor: np.ndarray  # (n * (T-k+1), dof)
-    targets: np.ndarray    # (n * (T-k+1),)
+    system: np.ndarray
     n: int
     m: int
 
     @property
+    def regressor(self) -> np.ndarray:
+        return self.system[:, :-1]
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self.system[:, -1]
+
+    @property
     def dof(self) -> int:
-        return self.regressor.shape[1]
+        return self.system.shape[1] - 1
 
     @property
     def rows(self) -> int:
-        return self.regressor.shape[0]
+        return self.system.shape[0]
 
 
 @dataclass(frozen=True)
@@ -205,15 +220,15 @@ def build_regression(data: Trajectory, k: int, structure: str = STRUCTURE_FULL) 
         col = n
     for i in range(k):
         z[:, col + i * m: col + (i + 1) * m] = data.inputs[i: i + windows]
-    regressor = np.kron(z, np.eye(n))
-    targets = data.measurements[k: t_len + 1].ravel()
-    if regressor.shape[0] < regressor.shape[1]:
-        raise InsufficientData(
-            f"{regressor.shape[0]} regression rows for {regressor.shape[1]} unknowns"
-        )
-    return RegressionProblem(
-        k=k, structure=structure, regressor=regressor, targets=targets, n=n, m=m
-    )
+    cols = z.shape[1]
+    if windows < cols:
+        raise InsufficientData(f"{n * windows} regression rows for {n * cols} unknowns")
+    # z kron I_n, one strided write per state coordinate, and the targets last.
+    system = np.zeros((n * windows, n * cols + 1), order="F")
+    for i in range(n):
+        system[i::n, i: cols * n: n] = z
+    system[:, -1] = data.measurements[k: t_len + 1].ravel()
+    return RegressionProblem(k=k, structure=structure, system=system, n=n, m=m)
 
 
 def residual_covariance(
@@ -272,7 +287,7 @@ def _whiten(reg: RegressionProblem, cov: ResidualCovariance):
         raise DimensionMismatch(
             f"residual covariance has {cov.size} rows, regression has {reg.rows}"
         )
-    factored = banded_cholesky_solve(cov.band, np.column_stack([reg.regressor, reg.targets]))
+    factored = banded_cholesky_solve(cov.band, reg.system)
     if factored is not None:
         chol, white = factored
         # A tiny pivot means the factorization "succeeded" on a numerically
@@ -285,8 +300,9 @@ def _whiten(reg: RegressionProblem, cov: ResidualCovariance):
         raise SingularInformation("residual covariance is numerically zero")
     scale = 1.0 / np.sqrt(w[keep])
     basis = u[:, keep] * scale
-    phi_w = basis.T @ reg.regressor
-    y_w = basis.T @ reg.targets
+    # Row-ordered operands, so that the products round alike in either layout of the system.
+    phi_w = basis.T @ np.ascontiguousarray(reg.regressor)
+    y_w = basis.T @ np.ascontiguousarray(reg.targets)
     return phi_w, y_w, int(np.count_nonzero(keep))
 
 
@@ -365,7 +381,7 @@ def naive_ls(reg: RegressionProblem) -> ParameterEstimate:
     pooled residual variance; it carries no coverage guarantee and is
     intended as a diagnostic baseline only.
     """
-    phi, y = reg.regressor, reg.targets
+    phi, y = np.ascontiguousarray(reg.regressor), np.ascontiguousarray(reg.targets)
     theta, info_inv, _ = _normal_equations(phi, y)
     resid = y - phi @ theta
     dof_resid = max(reg.rows - reg.dof, 1)

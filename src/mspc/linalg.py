@@ -45,7 +45,8 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def check_symmetric(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Return ``a`` as a float array, raising :class:`DimensionMismatch` unless it is
-    square and :class:`NotSymmetric` unless it is symmetric.
+    square, :class:`DomainError` unless it is finite and :class:`NotSymmetric`
+    unless it is symmetric.
 
     With ``stack``, ``a`` may be a stack (..., d, d) and each matrix is
     checked against its own scale.
@@ -53,7 +54,10 @@ def check_symmetric(a: np.ndarray, name: str = "matrix", stack: bool = False) ->
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    tol = SYMMETRY_RTOL * np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)   # NaN or inf when an entry is
+    if not np.isfinite(scale).all():
+        raise DomainError(f"{name} has non-finite entries")
+    tol = SYMMETRY_RTOL * np.maximum(scale, 1.0)
     if np.any(np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0) > tol):
         raise NotSymmetric(f"{name} is not symmetric to relative tolerance {SYMMETRY_RTOL:g}")
     return a

@@ -93,6 +93,8 @@ class GaussianBelief:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatch(f"mean has {mean.size} entries, cov shape {cov.shape}")
+        if not np.isfinite(mean).all():
+            raise DomainError("mean has non-finite entries")
         assert_psd(cov, name="state covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -221,7 +223,10 @@ def simulate(
     """Simulate the system under the given input sequence.
 
     Draw order is fixed (x0, then w_k and eps_k step by step, then eps_T) so
-    a given stream always reproduces the same trajectory.
+    a given stream always reproduces the same trajectory.  The normals of the
+    T steps come as one (T, q + n) block, row k holding w_k's then eps_k's,
+    which is that order; only the state recursion runs step by step.
+    Raises :class:`DomainError` on a non-finite input, before anything is drawn.
     """
     u = _as_input_sequence(inputs, sys.m)
     t_len = u.shape[0]
@@ -229,21 +234,20 @@ def simulate(
         raise DimensionMismatch("need at least one input")
     if init.mean.size != sys.n:
         raise DimensionMismatch("initial belief dimension does not match the system")
+    if not np.isfinite(u).all():
+        raise DomainError("inputs have non-finite entries")
 
     gen = generator_of(rng)
     w_factor, e_factor = sys.noise_factors
 
-    states = np.zeros((t_len + 1, sys.n))
-    disturbances = np.zeros((t_len, sys.q))
-    noises = np.zeros((t_len + 1, sys.n))
-
+    states = np.empty((t_len + 1, sys.n))
     # x0 ~ N(mean, cov), drawn through the cached factor L with L L' = cov.
-    states[0] = init.mean + gen.standard_normal(init.factor.shape[1]) @ init.factor.T
+    x = states[0] = init.mean + gen.standard_normal(init.factor.shape[1]) @ init.factor.T
+    normals = gen.standard_normal((t_len, sys.q + sys.n))
+    disturbances = normals[:, : sys.q] @ w_factor.T
+    noises = np.vstack([normals[:, sys.q:], gen.standard_normal((1, sys.n))]) @ e_factor.T
     for k in range(t_len):
-        disturbances[k] = w_factor @ gen.standard_normal(sys.q)
-        noises[k] = e_factor @ gen.standard_normal(sys.n)
-        states[k + 1] = sys.A @ states[k] + sys.B @ u[k] + sys.E @ disturbances[k]
-    noises[t_len] = e_factor @ gen.standard_normal(sys.n)
+        x = states[k + 1] = sys.A @ x + sys.B @ u[k] + sys.E @ disturbances[k]
 
     return Trajectory(
         states=states,

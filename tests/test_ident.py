@@ -104,6 +104,20 @@ def test_regression_scalar_expansion():
     assert_allclose(reg.targets, [xm[1], xm[2]])
 
 
+def assert_regression_layout(reg, z, band):
+    """``reg.system`` is Fortran-ordered [z kron I_n, targets], and the MLE reads the same
+    numbers, bit for bit, from a C-ordered copy of it."""
+    assert reg.system.flags.f_contiguous
+    assert np.array_equal(reg.regressor, np.kron(z, np.eye(reg.n)))
+    assert reg.dof == reg.regressor.shape[1] and reg.rows == reg.regressor.shape[0]
+    c_ordered = replace(reg, system=np.ascontiguousarray(reg.system))
+    assert c_ordered.system.flags.c_contiguous
+    cov = ResidualCovariance(k=reg.k, band=band)
+    est, est_c = mle_estimate(reg, cov), mle_estimate(c_ordered, cov)
+    assert est.theta.tobytes() == est_c.theta.tobytes()
+    assert est.cov.tobytes() == est_c.cov.tobytes()
+
+
 def test_regression_two_step_row_contents():
     sys = random_system(2, 1, 1, 0.9, Rng(2), sigma_w=0.1, sigma_eps=0.01)
     traj = noise_free_data(sys, 8, seed=3)
@@ -114,6 +128,10 @@ def test_regression_two_step_row_contents():
     z = np.concatenate([traj.measurements[j], traj.inputs[j], traj.inputs[j + 1]])
     assert_allclose(reg.regressor[j * n: (j + 1) * n], np.kron(z, np.eye(n)))
     assert_allclose(reg.targets[j * n: (j + 1) * n], traj.measurements[j + 2])
+    z_all = np.hstack([traj.measurements[:7], traj.inputs[:7], traj.inputs[1:8]])
+    g0, _, gw = build_multistep(sys, 2).step(2)
+    band = residual_covariance(gw, g0, sys.sigma_w, sys.sigma_eps, 2, traj.T).band
+    assert_regression_layout(reg, z_all, band)
 
 
 def test_regression_residual_zero_at_true_parameters():
@@ -134,6 +152,9 @@ def test_regression_fir_drops_state_block():
     assert reg.dof == 2 * 2 * 1  # n * k * m
     z = np.concatenate([traj.inputs[0], traj.inputs[1]])
     assert_allclose(reg.regressor[:2], np.kron(z, np.eye(2)))
+    _, _, gw = build_multistep(sys, 2).step(2)
+    band = residual_covariance(gw, np.zeros((2, 2)), sys.sigma_w, sys.sigma_eps, 2, traj.T).band
+    assert_regression_layout(reg, np.hstack([traj.inputs[:9], traj.inputs[1:10]]), band)
 
 
 def test_regression_insufficient_data():
@@ -373,8 +394,8 @@ def test_mle_projection_invariant_to_zero_variance_block(monkeypatch):
     reg_aug = RegressionProblem(
         k=1,
         structure=STRUCTURE_FULL,
-        regressor=np.vstack([reg.regressor, np.zeros((extra, reg.dof))]),
-        targets=np.concatenate([reg.targets, np.zeros(extra)]),
+        system=np.column_stack([np.vstack([reg.regressor, np.zeros((extra, reg.dof))]),
+                                np.concatenate([reg.targets, np.zeros(extra)])]),
         n=reg.n,
         m=reg.m,
     )
@@ -400,8 +421,9 @@ def test_singular_band_reaches_projection_on_either_binding(monkeypatch, binding
     base_cov = residual_covariance(sys.E, sys.A, sys.sigma_w, sys.sigma_eps, 1, traj.T)
     est0 = mle_estimate(reg, base_cov)
     extra = 4
-    reg_aug = replace(reg, regressor=np.vstack([reg.regressor, np.zeros((extra, reg.dof))]),
-                      targets=np.concatenate([reg.targets, np.zeros(extra)]))
+    reg_aug = replace(reg, system=np.column_stack([
+        np.vstack([reg.regressor, np.zeros((extra, reg.dof))]),
+        np.concatenate([reg.targets, np.zeros(extra)])]))
     aug = np.pad(base_cov.band, ((0, 0), (0, extra)))
     aug[0, reg.rows:] = pad * float(base_cov.band[0].max())
     factored = linalg.banded_cholesky_solve(aug, np.ones((aug.shape[1], 1)))
@@ -442,7 +464,7 @@ def test_mle_rejects_non_finite_input(part):
     else:
         targets[7] = np.nan
     with pytest.raises(DomainError, match="not finite"):
-        mle_estimate(replace(reg, regressor=regressor, targets=targets),
+        mle_estimate(replace(reg, system=np.column_stack([regressor, targets])),
                      ResidualCovariance(k=2, band=band))
 
 
@@ -633,8 +655,8 @@ def test_estimate_from_json_restores_theta_and_cov_bit_for_bit(tmp_path, path):
     reg = build_regression(traj, 2)
     cov = residual_covariance(gw, g0, sys.sigma_w, sys.sigma_eps, 2, traj.T)
     if path == "projection":   # rows of zero variance make the band singular
-        reg = replace(reg, regressor=np.vstack([reg.regressor, np.zeros((4, reg.dof))]),
-                      targets=np.concatenate([reg.targets, np.zeros(4)]))
+        reg = replace(reg, system=np.column_stack([np.vstack([reg.regressor, np.zeros((4, reg.dof))]),
+                                                   np.concatenate([reg.targets, np.zeros(4)])]))
         cov = ResidualCovariance(k=2, band=np.pad(cov.band, ((0, 0), (0, 4))))
     est = mle_estimate(reg, cov)
     assert (est.projected_rank is None) == (path == "band")

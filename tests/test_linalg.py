@@ -140,6 +140,20 @@ def test_sym_sqrt_rejects_asymmetric():
         sym_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_symmetry_checks_reject_non_finite_entries(bad):
+    a = np.eye(2)
+    a[0, 1] = a[1, 0] = bad
+    stack = np.stack([np.eye(2), a])
+    for check in (check_symmetric, linalg.assert_psd, linalg.assert_spd, sym_sqrt, psd_sqrt_factor):
+        with pytest.raises(DomainError, match="non-finite"):
+            check(a)
+    with pytest.raises(DomainError, match="non-finite"):
+        check_symmetric(stack, stack=True)
+    with pytest.raises(DomainError, match="non-finite"):
+        psd_sqrt_factor(stack)
+
+
 def test_sym_sqrt_rejects_indefinite():
     with pytest.raises(IndefiniteMatrix):
         sym_sqrt(np.diag([1.0, -0.5]))

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from mspc.cli import _write_csv, _write_json
-from mspc.errors import DimensionMismatch
-from mspc.linalg import Rng
+from mspc.errors import DimensionMismatch, DomainError
+from mspc.linalg import Rng, psd_sqrt_factor
 from mspc.system import (
     GaussianBelief,
     LinearSystem,
@@ -109,6 +110,91 @@ def test_simulate_dimension_mismatch():
     sys = scalar_system()
     with pytest.raises(DimensionMismatch):
         simulate(sys, point_belief([0.0]), np.zeros((4, 2)), Rng(1))
+
+
+def simulate_per_step(sys, init, inputs, gen):
+    """The earlier per-step ``simulate``, kept as the reference: two draws and
+    five matrix-vector products per step."""
+    u = np.asarray(inputs, dtype=float).reshape(len(inputs), sys.m)
+    t_len = u.shape[0]
+    w_factor, e_factor = psd_sqrt_factor(sys.sigma_w), psd_sqrt_factor(sys.sigma_eps)
+    states = np.zeros((t_len + 1, sys.n))
+    disturbances = np.zeros((t_len, sys.q))
+    noises = np.zeros((t_len + 1, sys.n))
+    states[0] = init.mean + gen.standard_normal(init.factor.shape[1]) @ init.factor.T
+    for k in range(t_len):
+        disturbances[k] = w_factor @ gen.standard_normal(sys.q)
+        noises[k] = e_factor @ gen.standard_normal(sys.n)
+        states[k + 1] = sys.A @ states[k] + sys.B @ u[k] + sys.E @ disturbances[k]
+    noises[t_len] = e_factor @ gen.standard_normal(sys.n)
+    return states, disturbances, noises
+
+
+def random_covariance(gen, d, rank):
+    """A d x d covariance of the given rank with a dense, non-diagonal factor."""
+    f = gen.standard_normal((d, rank))
+    return f @ f.T
+
+
+@given(n=st.integers(1, 4), m=st.integers(1, 3), q=st.integers(1, 4), t_len=st.integers(1, 30),
+       flat_u=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_simulate_matches_the_per_step_reference(n, m, q, t_len, flat_u, seed, data):
+    gen = np.random.default_rng(seed)
+    rank_w, rank_eps, rank_x0 = (data.draw(st.integers(0, d)) for d in (q, n, n))
+    sys = LinearSystem(A=0.3 * gen.standard_normal((n, n)), B=gen.standard_normal((n, m)),
+                       E=gen.standard_normal((n, q)), sigma_w=random_covariance(gen, q, rank_w),
+                       sigma_eps=random_covariance(gen, n, rank_eps))
+    init = GaussianBelief(gen.standard_normal(n), random_covariance(gen, n, rank_x0))
+    u = gen.standard_normal((t_len, m))
+    if flat_u and m == 1:
+        u = u[:, 0]
+    stream = int(gen.integers(2**32))
+    fast_gen, ref_gen = Rng(stream).generator(), Rng(stream).generator()
+    traj = simulate(sys, init, u, fast_gen)
+    states, disturbances, noises = simulate_per_step(sys, init, u, ref_gen)
+    assert fast_gen.bit_generator.state == ref_gen.bit_generator.state
+
+    # The same normals, replayed: x0's, then (w_k, eps_k) per step, then eps_T.
+    replay = Rng(stream).generator()
+    replay.standard_normal(init.factor.shape[1])
+    normals = replay.standard_normal((t_len, q + n))
+    eps_normals = np.vstack([normals[:, q:], replay.standard_normal((1, n))])
+    eps = np.finfo(float).eps
+    w_factor, e_factor = sys.noise_factors
+    for got, want, factor, z in ((traj.disturbances, disturbances, w_factor, normals[:, :q]),
+                                 (traj.noises, noises, e_factor, eps_normals)):
+        # Each entry is a dot product of length r: gemm and gemv may round it differently.
+        bound = 2 * factor.shape[1] * eps * (np.abs(z) @ np.abs(factor).T)
+        assert np.all(np.abs(got - want) <= bound)
+    assert np.array_equal(traj.states[0], states[0])
+    assert np.array_equal(traj.measurements, traj.states + traj.noises)
+    x = traj.states[0]
+    for k in range(t_len):
+        x = sys.A @ x + sys.B @ traj.inputs[k] + sys.E @ traj.disturbances[k]
+        assert np.array_equal(x, traj.states[k + 1])
+
+
+def test_simulate_rejects_non_finite_input_before_drawing():
+    sys = scalar_system(sw=0.1, se=0.01)
+    gen = Rng(9).generator()
+    before = gen.bit_generator.state
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            simulate(sys, point_belief([0.0]), np.array([0.0, bad, 1.0]), gen)
+    assert gen.bit_generator.state == before
+
+
+@pytest.mark.parametrize("mean, cov", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([0.0, np.inf], np.eye(2)),
+    ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+    ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+], ids=["mean_nan", "mean_inf", "cov_inf", "cov_nan"])
+def test_gaussian_belief_rejects_non_finite_input(mean, cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            GaussianBelief(np.array(mean), np.array(cov))
 
 
 # ---------------------------------------------------------------------------
