@@ -47,7 +47,6 @@ separate file to keep the reports reproducible.  A run removes every file of
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys as _sys
@@ -439,14 +438,19 @@ OUTPUT_FILES = ("system.json", "trajectory.csv", "estimates.json", "tightening.c
 
 def _json_text(value, indent: str = "") -> str:
     """``value`` as JSON: a container that holds no container on one line, by json's
-    C encoder; any other one member per line, each indented two spaces past ``indent``."""
+    C encoder; any other one member per line, each indented two spaces past ``indent``.
+
+    An object key is written as json writes it: a str as it is, an int, float,
+    bool or None by its JSON text, quoted; any other key is a TypeError.
+    """
     members = (value.values() if isinstance(value, dict)
                else value if isinstance(value, (list, tuple)) else ())
-    if not any(isinstance(member, (dict, list, tuple)) for member in members):
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, members))):
         return json.dumps(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        lines = [f"{inner}{json.dumps(key)}: {_json_text(member, inner)}"
+        # json.dumps({key: 0}) is '{' + the encoded key + ': 0}'.
+        lines = [f"{inner}{json.dumps({key: 0})[1:-4]}: {_json_text(member, inner)}"
                  for key, member in value.items()]
         return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
     lines = [inner + _json_text(member, inner) for member in value]
@@ -458,16 +462,46 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(_json_text(doc) + "\n")
 
 
-def _write_csv(path: Path, columns: "tuple | list", rows: "list[list | dict]") -> None:
-    """One line per row: a list of cells in column order, or a dict read by column name.
+_CSV_SPECIAL = frozenset(',"\r\n')
 
-    Floats are written by repr, None or a key missing from a dict as ''.
+
+def _csv_cell(value) -> str:
+    """``value`` as one CSV cell: a float by float.__repr__, None as '', any other value by str;
+    a text that holds a comma, a quote or a line break quoted, its quotes doubled."""
+    if value is None:
+        return ""
+    text = float.__repr__(value) if isinstance(value, float) else str(value)
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+# The cell of an exact float, int or bool is its repr, which needs no quoting:
+# the common cells skip _csv_cell's tests.
+_CSV_PLAIN = {float: repr, int: repr, bool: repr}
+
+
+def _csv_line(cells) -> str:
+    """``cells`` joined by commas with a CRLF; a line whose only cell is empty is '""'."""
+    plain = _CSV_PLAIN.get
+    line = ",".join([plain(type(cell), _csv_cell)(cell) for cell in cells])
+    return (line if line or len(cells) != 1 else '""') + "\r\n"
+
+
+def _write_csv(path: Path, columns: "tuple | list", rows: "list[list | dict]") -> None:
+    """The header, then one line per row: a list of cells in column order, or a dict read by
+    column name, a key missing from it read as None.
+
+    The lines are those of ``csv.writer``'s excel dialect: cells joined by commas,
+    each line ended by CRLF; a float (a subclass such as np.float64 too) written
+    by float.__repr__, None as '', any other value by str; a cell that holds a
+    comma, a quote, CR or LF quoted, its quotes doubled, and a line whose only
+    cell is empty written '""'.  Each line is written as it is formatted.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(row if isinstance(row, list) else [row.get(col) for col in columns]
-                         for row in rows)
+        fh.write(_csv_line(columns))
+        for row in rows:
+            fh.write(_csv_line(row if isinstance(row, list) else [row.get(col) for col in columns]))
 
 
 def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
@@ -486,7 +520,13 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         (out_dir / name).unlink(missing_ok=True)
     report: dict = {"config": cfg.raw, "master_seed": cfg.master_seed, "stages": {}}
     timings: dict = {}
+    writes: dict = {}   # wall seconds per file written, timings.json aside
     spec = cfg.ocp_spec
+
+    def write(writer, name: str, *content) -> None:
+        start = time.perf_counter()
+        writer(out_dir / name, *content)
+        writes[name] = time.perf_counter() - start
 
     def run_stage(name, fn):
         if name not in requested:
@@ -505,11 +545,11 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
     # The system is built with the config, so this stage cannot fail.
     sys_true = run_stage("system", lambda: make_system(cfg))
     report["system"] = system.system_to_json(sys_true)
-    _write_json(out_dir / "system.json", report["system"])
+    write(_write_json, "system.json", report["system"])
 
     traj = run_stage("simulate", lambda: _probe_and_simulate(cfg, sys_true))
     if traj is not None:
-        _write_csv(out_dir / "trajectory.csv", *system.trajectory_rows(traj))
+        write(_write_csv, "trajectory.csv", *system.trajectory_rows(traj))
 
     estimates = gw = None
     if traj is not None:
@@ -517,8 +557,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         if out is not None:
             estimates, gw = out
             delta = cfg.ident_settings.delta
-            _write_json(out_dir / "estimates.json",
-                        [ident.estimate_to_json(est, delta) for est in estimates])
+            write(_write_json, "estimates.json",
+                  [ident.estimate_to_json(est, delta) for est in estimates])
             report["identification_health"] = [ident.estimate_health(est, delta)
                                                for est in estimates]
 
@@ -532,8 +572,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         )
         if table is not None:
             report["tightening"] = ocp.tightening_to_json(table)
-            _write_csv(out_dir / "tightening.csv", ("j", "k", "h_exact", "h_upper", "radius"),
-                       report["tightening"]["rows"])
+            write(_write_csv, "tightening.csv", ("j", "k", "h_exact", "h_upper", "radius"),
+                  report["tightening"]["rows"])
 
     sol_robust = None
     if table is not None:
@@ -541,13 +581,13 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
             prog = ocp.build_robust_socp_multistep(
                 estimates, spec, cfg.ident_settings.delta, gw, sys_true.sigma_w, table=table
             )
-            _write_json(out_dir / "program_robust.json", ocp.program_to_json(prog))
+            write(_write_json, "program_robust.json", ocp.program_to_json(prog))
             return solver.solve(prog)
 
         sol_robust = run_stage("solve_robust", _solve_robust)
         if sol_robust is not None:
             report["robust_solution"] = solver.solution_to_json(sol_robust)
-            _write_json(out_dir / "solution_robust.json", report["robust_solution"])
+            write(_write_json, "solution_robust.json", report["robust_solution"])
 
     if estimates is not None:
         def _reference():
@@ -595,12 +635,12 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
                 "rows": rows,
             }
             columns = ("j", "k", "rate", "upper99")
-            _write_csv(out_dir / "violations_parametric.csv", columns,
-                       report["certification"]["parametric"]["entries"])
-            _write_csv(out_dir / "violations_true.csv", columns,
-                       report["certification"]["true_system"]["entries"])
-            _write_csv(out_dir / "tightening_vs_k.csv",
-                       ("j", "k", "h_exact", "h_upper", "parametric_term", "upper99"), rows)
+            write(_write_csv, "violations_parametric.csv", columns,
+                  report["certification"]["parametric"]["entries"])
+            write(_write_csv, "violations_true.csv", columns,
+                  report["certification"]["true_system"]["entries"])
+            write(_write_csv, "tightening_vs_k.csv",
+                  ("j", "k", "h_exact", "h_upper", "parametric_term", "upper99"), rows)
 
     if estimates is not None:
         def _scenario():
@@ -629,10 +669,10 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         )
         if sweeps is not None:
             report["cost_vs_T"], report["violation_vs_p"] = sweeps
-            _write_csv(out_dir / "cost_vs_T.csv",
-                       ("T", "seed", "status", "cost", "mean_param_scale"), sweeps[0])
-            _write_csv(out_dir / "violation_vs_p.csv",
-                       ("p", "status", "worst_upper99", "budget"), sweeps[1])
+            write(_write_csv, "cost_vs_T.csv",
+                  ("T", "seed", "status", "cost", "mean_param_scale"), sweeps[0])
+            write(_write_csv, "violation_vs_p.csv",
+                  ("p", "status", "worst_upper99", "budget"), sweeps[1])
 
     succeeded = [name for name, stage in report["stages"].items() if stage["ok"]]
     passed = (
@@ -642,7 +682,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: Path,
         and ("validate" not in requested or certified)
     )
     report["passed"] = passed
-    _write_json(out_dir / "report.json", report)
+    write(_write_json, "report.json", report)
+    timings["writes"] = writes
     _write_json(out_dir / "timings.json", timings)
     return report, passed
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from mspc import validate
 from mspc.cli import (OUTPUT_FILES, PREFIX_COMMANDS, STAGES, _identify_all, _json_text,
-                      _probe_and_simulate, _violation_vs_p, _write_json, cmd_pipeline,
+                      _probe_and_simulate, _violation_vs_p, _write_csv, _write_json, cmd_pipeline,
                       load_config, main, make_system, parse_config)
 from mspc.errors import ConfigError, DeltaTooSmall, DomainError, MspcError
 from mspc.ident import estimate_from_json
@@ -696,19 +696,94 @@ def test_json_layout_matches_golden_text(tmp_path):
                                                                          '"], ["']
 
 
+def test_json_layout_writes_keys_as_json_does():
+    # A key of an object laid out one member per line is coerced as json
+    # coerces it; a key json rejects is a TypeError in either layout.
+    doc = {2: [[1]], True: {"x": []}, None: [0.5], 0.5: {}, "s": 1}
+    text = _json_text(doc)
+    assert text == ('{\n  "2": [\n    [1]\n  ],\n  "true": {\n    "x": []\n  },\n'
+                    '  "null": [0.5],\n  "0.5": {},\n  "s": 1\n}')
+    assert json.loads(text) == json.loads(json.dumps(doc))
+    for bad in ({(1, 2): 3}, {(1, 2): [[3]]}):
+        with pytest.raises(TypeError, match="keys must be"):
+            _json_text(bad)
+
+
+# Object keys of every type json coerces, distinct as JSON text: 1 and "1"
+# would be one key after a round trip.
+_JSON_KEYS = (st.text() | st.integers() | st.booleans() | st.none()
+              | st.floats(allow_nan=False, allow_infinity=False))
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children,
-                                                                       max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        _JSON_KEYS, children, max_size=4).filter(lambda d: len(json.loads(json.dumps(d))) == len(d)),
     max_leaves=24,
 )
+
+
+def _containers(value):
+    """``value``, if a list or dict, and every list or dict nested in it."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for member in value.values() if isinstance(value, dict) else value:
+            yield from _containers(member)
 
 
 @given(doc=_JSON_VALUES)
 def test_json_layout_round_trips(doc):
     text = _json_text(doc)
-    assert json.loads(text) == doc
+    assert json.loads(text) == json.loads(json.dumps(doc))
+    # A container that holds no container is json's one line; any other
+    # spans lines, one member per line.
+    for container in _containers(doc):
+        members = container.values() if isinstance(container, dict) else container
+        flat = not any(isinstance(member, (dict, list)) for member in members)
+        assert (_json_text(container) == json.dumps(container)) is flat
+    # Reading the text back keeps the layout.
     assert _json_text(json.loads(text)) == text
+
+
+def reference_csv(path, columns, rows):
+    """The stdlib writer that ``_write_csv`` replaced: excel dialect, QUOTE_MINIMAL."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(row if isinstance(row, list) else [row.get(col) for col in columns]
+                         for row in rows)
+
+
+# NUL is left out: Python 3.10's csv.writer rejects it, later versions write it as it is.
+_CSV_TEXT = st.text(st.sampled_from(',"\r\n a') | st.characters(blacklist_characters="\x00"),
+                    max_size=5)
+_CSV_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, -5e-324, 1e300]),
+    st.floats().map(np.float64),
+    st.integers(), st.booleans(), st.none(), _CSV_TEXT,
+)
+
+
+@given(columns=st.lists(_CSV_TEXT, min_size=1, max_size=4, unique=True), data=st.data())
+def test_csv_writer_matches_stdlib_writer(tmp_path_factory, columns, data):
+    list_rows = st.lists(_CSV_CELLS, min_size=len(columns), max_size=len(columns))
+    dict_rows = st.dictionaries(st.sampled_from(columns), _CSV_CELLS)   # keys may be missing
+    rows = data.draw(st.lists(list_rows | dict_rows, max_size=5))
+    out = tmp_path_factory.mktemp("csv")
+    _write_csv(out / "new.csv", columns, rows)
+    reference_csv(out / "reference.csv", columns, rows)
+    assert (out / "new.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+def test_csv_writer_quotes_a_lone_empty_cell(tmp_path):
+    _write_csv(tmp_path / "one.csv", ["a"], [[None], [""], {}, [1.5], ['say "hi", \r\n']])
+    assert (tmp_path / "one.csv").read_bytes() == (
+        b'a\r\n""\r\n""\r\n""\r\n1.5\r\n"say ""hi"", \r\n"\r\n')
+
+
+def test_timings_record_each_write(full_compare_dir):
+    writes = json.loads((full_compare_dir / "timings.json").read_text())["writes"]
+    assert set(writes) == {p.name for p in full_compare_dir.iterdir()} - {"timings.json"}
+    assert all(seconds >= 0.0 for seconds in writes.values())
 
 
 def test_output_files_name_every_file_compare_writes(full_compare_dir):
