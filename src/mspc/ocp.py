@@ -25,8 +25,9 @@ scenarios in one array pass through the same helpers.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +143,8 @@ class OcpSpec:
 
 @dataclass(frozen=True)
 class SocRow:
-    """Second-order cone row ||F z + g|| <= c' z + d."""
+    """Second-order cone row ||F z + g|| <= c' z + d, or a stack of rows of one size:
+    F (..., r, dim), g (..., r), c (..., dim) and d (...), in C order of the leading axes."""
 
     f_mat: np.ndarray
     g_vec: np.ndarray
@@ -150,48 +152,68 @@ class SocRow:
     d_off: float
 
 
-@dataclass
 class ConicProgram:
     """Quadratic cost with linear and second-order cone constraint rows.
 
-    Objective convention: f(z) = 0.5 z' P z + q' z + constant.
-    ``start_set`` holds the (linear, cone) row indices the solver's first
-    round keeps; each further round adds the rows its solution violates.
-    The default is no rows, so the first round is the unconstrained minimum.
+    Objective convention: f(z) = 0.5 z' P z + q' z + constant.  The rows are
+    stored once, as the solver reads them (G z + s = h, s in K): the
+    ``linear_rows`` rows a'z <= b, then per cone row a block [-c'; -F] of G and
+    [d; g] of h of size 1 + rows of F (``cone_sizes``).  ``lin_a``, ``lin_b``
+    and ``soc_rows`` read them back.  A non-finite entry raises ``DomainError``
+    and a wrong shape ``DimensionMismatch``.  ``start_set`` holds the (linear,
+    cone) row indices the solver's first round keeps; each further round adds
+    the rows its solution violates.  The default is no rows, so the first round
+    is the unconstrained minimum.
     """
 
-    p_mat: np.ndarray
-    q_vec: np.ndarray
-    constant: float
-    lin_a: np.ndarray    # (n_lin, dim)
-    lin_b: np.ndarray    # (n_lin,)
-    soc_rows: "list[SocRow]" = field(default_factory=list)
-    variable_map: dict = field(default_factory=dict)
-    start_set: "tuple[np.ndarray, np.ndarray]" = field(
-        default_factory=lambda: (np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
+    __slots__ = ("p_mat", "q_vec", "constant", "g_mat", "h_vec", "linear_rows", "cone_sizes",
+                 "variable_map", "start_set")
+
+    def __init__(self, p_mat, q_vec, constant, lin_a, lin_b, soc_rows=(), variable_map=None,
+                 start_set=None):
+        p_mat, q_vec, lin_a, lin_b = (np.asarray(x, dtype=float) for x in (p_mat, q_vec, lin_a, lin_b))
+        d = q_vec.size
+        if (q_vec.ndim, p_mat.shape, lin_b.ndim, lin_a.shape) != (1, (d, d), 1, (lin_b.size, d)):
+            raise DimensionMismatch("cost or linear row shape mismatch")
+        g_blocks, h_blocks, self.cone_sizes = [lin_a], [lin_b], []
+        for row in soc_rows:
+            f_mat, g_vec, c_vec, d_off = (np.asarray(x, dtype=float) for x in
+                                          (row.f_mat, row.g_vec, row.c_vec, row.d_off))
+            batch = f_mat.shape[:-2]
+            if f_mat.ndim < 2 or (f_mat.shape[-1], c_vec.shape, g_vec.shape, d_off.shape) != (
+                    d, batch + (d,), f_mat.shape[:-1], batch):
+                raise DimensionMismatch("cone row shape mismatch")
+            n, r = math.prod(batch), f_mat.shape[-2]
+            block = np.concatenate([c_vec.reshape(n, 1, d), f_mat.reshape(n, r, d)], axis=1)
+            g_blocks.append(np.negative(block, out=block).reshape(n * (r + 1), d))
+            h_blocks.append(np.concatenate([d_off.reshape(n, 1), g_vec.reshape(n, r)], axis=1).ravel())
+            self.cone_sizes += [r + 1] * n
+        self.g_mat, self.h_vec = np.concatenate(g_blocks), np.concatenate(h_blocks)
+        self.p_mat, self.q_vec, self.constant, self.linear_rows = p_mat, q_vec, float(constant), lin_b.size
+        if not all(np.isfinite(x).all() for x in (p_mat, q_vec, self.constant, self.g_mat, self.h_vec)):
+            raise DomainError("program entries must be finite")
+        self.g_mat.flags.writeable = self.h_vec.flags.writeable = False
+        self.variable_map = {} if variable_map is None else variable_map
+        self.start_set = start_set or (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
     @property
-    def dim(self) -> int:
-        return self.q_vec.size
+    def lin_a(self) -> np.ndarray:
+        return self.g_mat[: self.linear_rows]
+
+    @property
+    def lin_b(self) -> np.ndarray:
+        return self.h_vec[: self.linear_rows]
+
+    @property
+    def soc_rows(self) -> "list[SocRow]":
+        starts = itertools.accumulate(self.cone_sizes, initial=self.linear_rows)
+        return [SocRow(f_mat=-self.g_mat[s + 1: s + r], g_vec=self.h_vec[s + 1: s + r],
+                       c_vec=-self.g_mat[s], d_off=float(self.h_vec[s]))
+                for s, r in zip(starts, self.cone_sizes)]
 
     def objective(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float).ravel()
         return float(0.5 * z @ self.p_mat @ z + self.q_vec @ z + self.constant)
-
-    def check_shapes(self) -> None:
-        d = self.dim
-        if self.p_mat.shape != (d, d):
-            raise DimensionMismatch("cost matrix shape mismatch")
-        if self.lin_a.ndim != 2 or self.lin_a.shape != (self.lin_b.size, d):
-            raise DimensionMismatch("linear row shape mismatch")
-        for row in self.soc_rows:
-            if row.f_mat.shape[1] != d or row.c_vec.size != d:
-                raise DimensionMismatch("cone row shape mismatch")
-            if row.f_mat.shape[0] != row.g_vec.size:
-                raise DimensionMismatch("cone row offset shape mismatch")
-        for index, count in zip(self.start_set, (self.lin_b.size, len(self.soc_rows))):
-            if np.any((index < 0) | (index >= count)):
-                raise DimensionMismatch("start set row index out of range")
 
 
 @dataclass(frozen=True)
@@ -339,20 +361,12 @@ def _program(spec: OcpSpec, cost: tuple, state_a: np.ndarray, state_b: np.ndarra
     The decision holds the stacked inputs first; ``variable_map`` follows the "u" entry.
     The solve starts from the cone rows ``start_cones`` and no linear row.
     """
-    p_mat, q_vec, constant = cost
-    input_a, input_b = _input_rows(spec, q_vec.size)
-    prog = ConicProgram(
-        p_mat=p_mat,
-        q_vec=q_vec,
-        constant=float(constant),
-        lin_a=np.vstack([state_a, input_a]),
-        lin_b=np.concatenate([state_b, input_b]),
-        soc_rows=soc_rows,
+    input_a, input_b = _input_rows(spec, cost[1].size)
+    return ConicProgram(
+        *cost, np.vstack([state_a, input_a]), np.concatenate([state_b, input_b]), soc_rows,
         variable_map={"u": {"horizon": spec.horizon, "m": spec.m, "offset": 0}, **variable_map},
         start_set=(np.zeros(0, dtype=int), np.asarray(start_cones, dtype=int)),
     )
-    prog.check_shapes()
-    return prog
 
 
 def _nominal_program(phi: list, gamma: list, covs: list, spec: OcpSpec, kind: str) -> ConicProgram:
@@ -583,22 +597,21 @@ def build_robust_socp_multistep(
     backoffs = table.c_ptilde * np.array(
         [[table.h_exact[(j, k)] for j in range(spec.n_rows)] for k in range(1, n_u + 1)])
     rows, offs = _state_rows(phi, gamma, spec, backoffs)
-    cone = np.zeros((n_u, spec.n_rows), dtype=bool)
+    linear = np.ones(n_u * spec.n_rows, dtype=bool)
     soc_rows = []
     for k, est in enumerate(estimates[:n_u], start=1):
         rad = table.radius[k]
         if not (rad > 0.0 and np.any(est.cov)):
             continue
-        cone[k - 1] = True
         z_free = est.regressor(spec.init.mean, np.zeros(k * m))
-        lt_all = rad * np.swapaxes(psd_sqrt_factor(est.row_moments(spec.h_x)[1]), -1, -2)
-        for i, lt in enumerate(lt_all, start=(k - 1) * spec.n_rows):
-            f_mat = np.zeros((lt.shape[0], n_u * m))
-            f_mat[:, : k * m] = lt[:, lt.shape[1] - k * m:]
-            # 0.0 - row keeps the zero padding +0.0 (a bare -row writes -0.0).
-            soc_rows.append(SocRow(f_mat=f_mat, g_vec=lt @ z_free, c_vec=0.0 - rows[i],
-                                   d_off=float(offs[i])))
-    linear = ~cone.ravel()
+        lt = rad * np.swapaxes(psd_sqrt_factor(est.row_moments(spec.h_x)[1]), -1, -2)
+        f_mat = np.zeros(lt.shape[:2] + (n_u * m,))
+        f_mat[..., : k * m] = lt[..., lt.shape[2] - k * m:]
+        step = slice((k - 1) * spec.n_rows, k * spec.n_rows)
+        linear[step] = False
+        # 0.0 - row keeps the zero padding of c +0.0 (a bare -row writes -0.0).
+        soc_rows.append(SocRow(f_mat=f_mat, g_vec=lt @ z_free, c_vec=0.0 - rows[step],
+                               d_off=offs[step]))
     return _program(
         spec, _stacked_cost(phi, gamma, spec), rows[linear], offs[linear], soc_rows,
         kind="robust_multistep", p=spec.p, delta=delta, p_tilde=table.p_tilde, backoff="exact",
@@ -663,9 +676,11 @@ def formulate_minmax_statespace(
     noise_cov = e_mat @ np.asarray(sigma_w, dtype=float) @ e_mat.T
     covs = _state_covs(a_mat, spec.init.cov, noise_cov, n_u)
     rows, offs = _state_rows(phi, gamma, spec, _gaussian_backoffs(covs, spec, c_pt))
+    lin_a_state = np.concatenate([rows, np.zeros(rows.shape[:-1] + (1,))], axis=-1)   # t column
+    # Each large temporary is dropped once used: the scenario build sets a design's peak memory.
+    del rows
     dim = n_u * m + 1          # stacked inputs plus the epigraph variable
     t_index = n_u * m
-    lin_a_state = np.concatenate([rows, np.zeros(rows.shape[:-1] + (1,))], axis=-1)   # t column
 
     # Epigraph of each scenario cost, trace terms included, with
     # L L' = gamma_bar' Q_bar gamma_bar + R_bar and L w = gamma_bar' Q_bar phi_bar x0:
@@ -679,16 +694,14 @@ def formulate_minmax_statespace(
     f_mats[:, : n_u * m, : n_u * m] = 2.0 * np.swapaxes(chol, -1, -2)
     f_mats[:, -1, t_index] = 1.0
     g_vecs = np.hstack([2.0 * w_vec, -c_shift[:, None] - 1.0])
-    c_vec = np.zeros(dim)
-    c_vec[t_index] = 1.0
-    soc_rows = [SocRow(f_mat=f, g_vec=g, c_vec=c_vec, d_off=float(1.0 - c))
-                for f, g, c in zip(f_mats, g_vecs, c_shift)]
+    del phi, gamma, cost_mat, chol
 
-    q_vec = np.zeros(dim)
+    q_vec = np.zeros(dim)      # the cost t, and the c of every cone
     q_vec[t_index] = 1.0
     return _program(
         spec, (np.zeros((dim, dim)), q_vec, 0.0), lin_a_state.reshape(-1, dim), offs.ravel(),
-        soc_rows, start_cones=(0,),
+        [SocRow(f_mat=f_mats, g_vec=g_vecs, c_vec=np.broadcast_to(q_vec, (n_scenarios, dim)),
+                d_off=1.0 - c_shift)], start_cones=(0,),
         epigraph_index=t_index, kind="minmax_scenarios", robust=False,
         n_scenarios=n_scenarios, p=spec.p, delta=delta, p_tilde=p_tilde,
     )
@@ -714,20 +727,14 @@ def tightening_to_json(table: TighteningTable) -> dict:
 
 
 def program_to_json(prog: ConicProgram) -> dict:
+    """The solver's arrays; G and h write the -0.0 of negated zeros as 0.0."""
     return {
         "P": prog.p_mat.tolist(),
         "q": prog.q_vec.tolist(),
         "constant": prog.constant,
-        "lin_a": prog.lin_a.tolist(),
-        "lin_b": prog.lin_b.tolist(),
-        "soc_rows": [
-            {
-                "F": row.f_mat.tolist(),
-                "g": row.g_vec.tolist(),
-                "c": row.c_vec.tolist(),
-                "d": row.d_off,
-            }
-            for row in prog.soc_rows
-        ],
+        "G": (prog.g_mat + 0.0).tolist(),
+        "h": (prog.h_vec + 0.0).tolist(),
+        "linear_rows": prog.linear_rows,
+        "cone_sizes": prog.cone_sizes,
         "variable_map": prog.variable_map,
     }

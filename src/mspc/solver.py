@@ -43,10 +43,10 @@ dropped rows and checked against the full program.  An Infeasible round
 makes the full program Infeasible; any other round that is not Optimal is
 followed by one solve of the full program (``fallback``), unless it spent
 ``SolverOptions.max_iterations``, the cap on all rounds together.  The
-program is canonicalized once per call, and each round solves its rows under
-the working set's masks (``_Canonical.restrict``), so the dropped rows'
-violations, the KKT residuals (``_kkt``) and the full duals are one array
-pass each over the canonical rows.
+solver reads the program's own G and h (``ConicProgram``), and each round
+solves their rows under the working set's masks (``_Canonical.restrict``), so
+the dropped rows' violations, the KKT residuals (``_kkt``) and the full duals
+are one array pass each over the program's rows.
 """
 
 from __future__ import annotations
@@ -285,18 +285,9 @@ class _Canonical:
 
 
 def _canonicalize(prog: ConicProgram) -> _Canonical:
-    """Linear rows first, then one block (d + c'z, g + F z) per cone row, as written."""
-    prog.check_shapes()
-    rows = prog.soc_rows
-    return _Canonical(
-        p_mat=0.5 * (prog.p_mat + prog.p_mat.T),
-        q_vec=np.asarray(prog.q_vec, dtype=float).ravel(),
-        g_mat=np.vstack([np.asarray(prog.lin_a, dtype=float).reshape(-1, prog.dim),
-                         *(np.vstack([-row.c_vec, -row.f_mat]) for row in rows)]),
-        h_vec=np.concatenate([np.asarray(prog.lin_b, dtype=float).ravel(),
-                              *(np.append(row.d_off, row.g_vec) for row in rows)]),
-        cone=_Cone(prog.lin_b.size, [1 + row.g_vec.size for row in rows]),
-    )
+    """The symmetrized P beside the program's own q, G and h: no row is copied."""
+    return _Canonical(p_mat=0.5 * (prog.p_mat + prog.p_mat.T), q_vec=prog.q_vec, g_mat=prog.g_mat,
+                      h_vec=prog.h_vec, cone=_Cone(prog.linear_rows, prog.cone_sizes))
 
 
 def _kkt_blocks(cone: _Cone, g_mat: np.ndarray):
@@ -327,9 +318,7 @@ def _solve_once(prog: ConicProgram, opts: SolverOptions,
     else:
         sol = _interior_point(prog, canon, opts)
         if sol.status == "Optimal" and not canon.cone.soc_sizes and sol.primal is not None:
-            polished = _polish_linear(prog, canon, sol)
-            if polished is not None:
-                sol = polished
+            sol = _polish_linear(prog, canon, sol) or sol
         _certify(canon, sol)
     sol.working_set = (canon.cone.l, len(canon.cone.soc_sizes))
     return sol
@@ -348,10 +337,11 @@ def solve(prog: ConicProgram, opts: "SolverOptions | None" = None) -> Solution:
     """Constraint generation from ``prog.start_set``; returns a solution of all of ``prog``."""
     opts = opts or SolverOptions()
     canon = _canonicalize(prog)
-    lin = np.zeros(canon.cone.l, dtype=bool)
-    soc = np.zeros(len(canon.cone.soc_sizes), dtype=bool)
-    lin[prog.start_set[0]] = True
-    soc[prog.start_set[1]] = True
+    lin, soc = np.zeros(prog.linear_rows, dtype=bool), np.zeros(len(prog.cone_sizes), dtype=bool)
+    for index, mask in zip(prog.start_set, (lin, soc)):
+        if np.any((index < 0) | (index >= mask.size)):
+            raise DimensionMismatch("start set row index out of range")
+        mask[index] = True
     tol = _FEASIBILITY_TOLERANCE * max(1.0, float(np.abs(prog.lin_b).max(initial=0.0)))
     rounds = iterations = 0
     while True:
@@ -599,7 +589,7 @@ def check_kkt(prog: ConicProgram, sol: Solution) -> KktResiduals:
     if sol.primal is None:
         raise DimensionMismatch("solution has no primal point")
     z = np.asarray(sol.primal, dtype=float).ravel()
-    if z.size != prog.dim:
+    if z.size != prog.q_vec.size:
         raise DimensionMismatch("solution dimension does not match the program")
     dual_lin = sol.dual_lin if sol.dual_lin is not None else np.zeros(prog.lin_b.size)
     if dual_lin.size != prog.lin_b.size:

@@ -469,7 +469,6 @@ def robust_loop_reference(estimates, spec, delta, gw, sigma_w, table=None):
             "backoff": "exact",
         },
     )
-    prog.check_shapes()
     return prog
 
 
@@ -902,7 +901,7 @@ def test_scenario_round_not_optimal_solves_full_program():
     # The epigraph cost has no curvature (P = 0): a first round without a cone
     # is unbounded below, so it fails and the full program is solved instead.
     prog, _ = binding_later_scenario_program()
-    prog = replace(prog, start_set=(np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
+    prog.start_set = (np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     assert not np.any(prog.p_mat)
     sol = solve(prog)
     ref = solver._solve_once(prog, SolverOptions())
@@ -1016,32 +1015,33 @@ def test_diverging_full_solve_without_certificate_keeps_no_iterate():
 
 
 def test_program_json_round_trip(tmp_path):
-    sys = random_system(2, 1, 1, 0.85, Rng(69), sigma_w=0.05, sigma_eps=0.0)
-    spec = make_spec(sys, horizon=3, x0=np.array([0.9, 0.1]))
-    ests, gw = perfect_estimates(sys, 3)
-    bumped = [
-        ParameterEstimate(
-            k=e.k, structure=e.structure, theta=e.theta,
-            cov=1e-5 * np.eye(e.dof), n=e.n, m=e.m,
-        )
-        for e in ests
-    ]
-    prog = build_robust_socp_multistep(bumped, spec, 0.95, gw, sys.sigma_w)
+    # A robust program whose solve takes rounds and iterations, a cone row among its rows.
+    prog = builder_program("robust", True, 4, 1e-5, 0)
     path = tmp_path / "program.json"
     _write_json(path, program_to_json(prog))
     doc = json.loads(path.read_text())
     assert doc == program_to_json(prog)
 
-    def same(values, array):
-        return np.array_equal(np.array(values, dtype=float).reshape(array.shape), array)
-
-    assert same(doc["P"], prog.p_mat) and same(doc["q"], prog.q_vec)
-    assert same(doc["lin_a"], prog.lin_a) and same(doc["lin_b"], prog.lin_b)
+    # The file holds the solver's arrays, zeros unsigned, and reads back to them.
+    g_mat = np.array(doc["G"], dtype=float).reshape(-1, len(doc["q"]))
+    h_vec = np.array(doc["h"], dtype=float)
+    assert np.array_equal(g_mat, prog.g_mat) and np.array_equal(h_vec, prog.h_vec)
+    assert no_negative_zero(g_mat) and no_negative_zero(h_vec)
+    assert np.array_equal(doc["P"], prog.p_mat) and np.array_equal(doc["q"], prog.q_vec)
+    assert (doc["linear_rows"], doc["cone_sizes"]) == (prog.linear_rows, prog.cone_sizes)
     assert doc["constant"] == prog.constant and doc["variable_map"] == prog.variable_map
-    assert len(doc["soc_rows"]) == len(prog.soc_rows) > 0
-    for row_doc, row in zip(doc["soc_rows"], prog.soc_rows):
-        assert same(row_doc["F"], row.f_mat) and same(row_doc["g"], row.g_vec)
-        assert same(row_doc["c"], row.c_vec) and row_doc["d"] == row.d_off
+    assert len(prog.cone_sizes) > 0
+
+    # Re-solved from the file, the program gives the same status and primal.
+    starts = np.cumsum([doc["linear_rows"], *doc["cone_sizes"][:-1]])
+    rows = [SocRow(f_mat=-g_mat[s + 1: s + r], g_vec=h_vec[s + 1: s + r], c_vec=-g_mat[s],
+                   d_off=h_vec[s]) for s, r in zip(starts, doc["cone_sizes"])]
+    read = ConicProgram(p_mat=doc["P"], q_vec=doc["q"], constant=doc["constant"],
+                        lin_a=g_mat[: doc["linear_rows"]], lin_b=h_vec[: doc["linear_rows"]],
+                        soc_rows=rows, variable_map=doc["variable_map"])
+    sol, ref = solve(read), solve(prog)
+    assert sol.status == ref.status == "Optimal" and ref.iterations > 0 and ref.working_set[1] > 0
+    assert np.array_equal(sol.primal, ref.primal)
 
 
 def test_robust_cost_nests_in_probability_level():

@@ -541,6 +541,98 @@ def test_canonical_rows_agree_with_the_per_row_path(seed, dim, n_lin, cone_rows,
     assert check_kkt(prog, sol) == kkt
 
 
+def per_row_canonical(lin_a, lin_b, rows, dim):
+    """The per-row stacking that ``ConicProgram``'s one conversion replaced: the
+    linear rows, then one block (d + c'z, g + F z) per cone row, as written."""
+    return (
+        np.vstack([np.asarray(lin_a, dtype=float).reshape(-1, dim),
+                   *(np.vstack([-row.c_vec, -row.f_mat]) for row in rows)]),
+        np.concatenate([np.asarray(lin_b, dtype=float).ravel(),
+                        *(np.append(row.d_off, row.g_vec) for row in rows)]),
+        [1 + row.g_vec.size for row in rows],
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    n_lin=st.integers(0, 4),
+    # Per cone input: rows of F (0 gives a block of size 1) and how many rows it
+    # stacks along a leading axis (None: one row without that axis).
+    blocks=st.lists(st.tuples(st.integers(0, 3), st.one_of(st.none(), st.integers(0, 3))),
+                    max_size=4),
+)
+@example(seed=0, dim=2, n_lin=0, blocks=[])
+@example(seed=1, dim=3, n_lin=2, blocks=[(0, None), (3, 2), (0, 3), (2, None)])
+def test_program_rows_are_the_per_row_canonical_form(seed, dim, n_lin, blocks):
+    gen = np.random.default_rng(seed)
+
+    def entries(*shape):   # normals, a third of them zeros signed like the normal they replace
+        x = gen.standard_normal(shape)
+        return np.where(gen.random(shape) < 1 / 3, 0.0 * x, x)
+
+    stacks = [SocRow(f_mat=entries(*lead, r, dim), g_vec=entries(*lead, r),
+                     c_vec=entries(*lead, dim), d_off=entries(*lead) if lead else float(entries()))
+              for r, count in blocks for lead in [() if count is None else (count,)]]
+    rows = []   # the stacks' rows one by one
+    for row in stacks:
+        if np.ndim(row.d_off) == 0:
+            rows.append(row)
+        else:
+            rows += [SocRow(f, g, c, float(d))
+                     for f, g, c, d in zip(row.f_mat, row.g_vec, row.c_vec, row.d_off)]
+    lin_a, lin_b = entries(n_lin, dim), entries(n_lin)
+    prog = make_program(p=np.eye(dim), q=np.zeros(dim), lin_a=lin_a, lin_b=lin_b, soc_rows=stacks)
+    g_ref, h_ref, sizes = per_row_canonical(lin_a, lin_b, rows, dim)
+    assert bits(prog.g_mat) == bits(g_ref) and bits(prog.h_vec) == bits(h_ref)
+    assert (prog.linear_rows, prog.cone_sizes) == (n_lin, sizes)
+
+    # The views read the input rows back, bit for bit; the solver copies no row.
+    assert bits(prog.lin_a) == bits(lin_a) and bits(prog.lin_b) == bits(lin_b)
+    assert len(prog.soc_rows) == len(rows)
+    for got, row in zip(prog.soc_rows, rows):
+        assert all(bits(getattr(got, name)) == bits(getattr(row, name))
+                   for name in ("f_mat", "g_vec", "c_vec"))
+        assert got.d_off == row.d_off and math.copysign(1.0, got.d_off) == math.copysign(1.0, row.d_off)
+    canon = solver._canonicalize(prog)
+    assert canon.g_mat is prog.g_mat and canon.h_vec is prog.h_vec
+
+
+def scalar_program(**change):
+    """min (z1 - 1)^2 + (z2 + 0.5)^2 s.t. z1 + z2 <= 5 and ||(z1, z2)|| <= 3, with fields replaced."""
+    fields = dict(p=2.0 * np.eye(2), q=[-2.0, 1.0], constant=1.25, lin_a=[[1.0, 1.0]], lin_b=[5.0],
+                  f_mat=np.eye(2), g_vec=np.zeros(2), c_vec=np.zeros(2), d_off=3.0)
+    fields.update(change)
+    row = SocRow(*(fields.pop(name) for name in ("f_mat", "g_vec", "c_vec", "d_off")))
+    return make_program(soc_rows=[row], **fields)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"lin_b": [math.nan]}, DomainError),
+    ({"lin_a": [[math.nan, 1.0]], "lin_b": [-5.0]}, DomainError),
+    ({"f_mat": np.array([[math.inf, 0.0], [0.0, 1.0]])}, DomainError),
+    ({"constant": math.nan}, DomainError),
+    ({"p": [[2.0, 0.0], [0.0, math.inf]]}, DomainError),
+    ({"q": [math.nan, 1.0]}, DomainError),
+    ({"g_vec": [0.0, -math.inf]}, DomainError),
+    ({"c_vec": [math.nan, 0.0]}, DomainError),
+    ({"d_off": math.inf}, DomainError),
+    ({"c_vec": np.zeros((1, 2))}, DimensionMismatch),
+    ({"q": [[-2.0, 1.0]]}, DimensionMismatch),
+    ({"p": np.eye(3)}, DimensionMismatch),
+    ({"lin_a": [[1.0, 1.0, 0.0]]}, DimensionMismatch),
+    ({"lin_b": [[5.0]]}, DimensionMismatch),
+    ({"f_mat": np.eye(2)[:, :1]}, DimensionMismatch),
+    ({"f_mat": np.ones(2)}, DimensionMismatch),
+    ({"g_vec": np.zeros(3)}, DimensionMismatch),
+    ({"d_off": np.array([3.0])}, DimensionMismatch),
+])
+def test_malformed_programs_raise_typed_errors(change, error):
+    assert solve(scalar_program()).status == "Optimal"
+    with pytest.raises(error):
+        solve(scalar_program(**change))
+
+
 def presolved(prog, constant):
     """``prog`` with each constant-norm cone row ||g|| <= c'z + d, whose index is in
     ``constant``, written as the linear row -c'z <= d - ||g||."""
